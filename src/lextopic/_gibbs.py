@@ -1,0 +1,111 @@
+"""Build and load the compiled Gibbs sweep in ``_gibbs.c``.
+
+The shared library is compiled on first use with the system C compiler
+into a per-user cache (``$XDG_CACHE_HOME/lextopic``, else
+``~/.cache/lextopic``). Its file name carries the sha256 of the source
+and the compiler flags, so an edited source is never served a stale
+build. It is written to a temporary file and renamed into place, so
+concurrent first uses cannot load a half-written library.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import logging
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+__all__ = ["load_sweep"]
+
+logger = logging.getLogger(__name__)
+
+SOURCE = Path(__file__).with_name("_gibbs.c")
+# -ffp-contract=off keeps the compiler from fusing multiply-adds, which
+# would round differently from the Python reference sweep.
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+def find_compiler() -> str | None:
+    return shutil.which("gcc") or shutil.which("cc")
+
+
+def _cache_dir() -> Path:
+    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "lextopic"
+
+
+def _build() -> Path:
+    """Path of the compiled library, compiling it if the cache lacks it."""
+    source = SOURCE.read_bytes()
+    digest = hashlib.sha256(source + "\0".join(CFLAGS).encode()).hexdigest()
+    target = _cache_dir() / f"gibbs-{digest[:16]}.so"
+    if target.is_file():
+        return target
+    compiler = find_compiler()
+    if compiler is None:
+        raise FileNotFoundError("no C compiler (gcc or cc) on PATH")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    handle, temporary = tempfile.mkstemp(dir=target.parent, prefix=".gibbs-", suffix=".so")
+    os.close(handle)
+    try:
+        subprocess.run(
+            [compiler, *CFLAGS, "-o", temporary, str(SOURCE)],
+            check=True, capture_output=True, text=True,
+        )
+        os.replace(temporary, target)
+    finally:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
+    return target
+
+
+def load_sweep():
+    """The compiled sweep, or None (with one logged warning) if it cannot be built.
+
+    The returned function takes (doc_ptr, tokens, z, n_dk, n_kw, n_k,
+    uniforms, alpha, beta) and updates z and the three count tables in
+    place, exactly as ``lda.gibbs_sweep`` would with the same uniforms.
+    Term and topic indices must already be in range.
+    """
+    try:
+        library = ctypes.CDLL(str(_build()))
+    except subprocess.CalledProcessError as exc:
+        logger.warning(
+            "compiling the Gibbs sweep failed (exit status %s: %s); using the Python sweep",
+            exc.returncode, exc.stderr.strip(),
+        )
+        return None
+    except (OSError, RuntimeError) as exc:
+        logger.warning("compiled Gibbs sweep unavailable (%s); using the Python sweep", exc)
+        return None
+    function = library.gibbs_sweep
+    function.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_double] * 2 + [ctypes.c_void_p]
+    function.restype = None
+
+    def sweep(doc_ptr, tokens, z, n_dk, n_kw, n_k, uniforms, alpha, beta) -> None:
+        n_docs, n_topics = n_dk.shape
+        n_terms = n_kw.shape[1]
+        tables_ok = (
+            n_kw.shape[0] == n_topics and n_k.shape == (n_topics,)
+            and doc_ptr.shape == (n_docs + 1,) and doc_ptr[-1] == tokens.size
+            and z.shape == tokens.shape == uniforms.shape
+        )
+        arrays_ok = all(
+            array.dtype == np.int64 and array.flags.c_contiguous
+            for array in (doc_ptr, tokens, z, n_dk, n_kw, n_k)
+        ) and uniforms.dtype == np.float64 and uniforms.flags.c_contiguous
+        if not (tables_ok and arrays_ok):
+            raise ValueError("sweep arrays have inconsistent shapes, dtypes or layouts")
+        weights = np.empty(n_topics)
+        function(
+            n_docs, n_topics, n_terms,
+            doc_ptr.ctypes.data, tokens.ctypes.data, z.ctypes.data,
+            n_dk.ctypes.data, n_kw.ctypes.data, n_k.ctypes.data, uniforms.ctypes.data,
+            alpha, beta, weights.ctypes.data,
+        )
+
+    return sweep

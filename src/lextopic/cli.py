@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import analyze as analyze_mod
@@ -307,15 +307,7 @@ def cmd_sweep(config: RunConfig, k_grid: list[int]) -> int:
     _, vocab, matrix = _build_matrix(config, corpus)
     rows = []
     for n_topics in sorted(k_grid):
-        lda_config = lda_mod.LdaConfig(
-            n_topics=n_topics,
-            alpha=None,
-            beta=config.lda.beta,
-            sweeps=config.lda.sweeps,
-            burn_in=config.lda.burn_in,
-            seed=config.lda.seed,
-            input_mode=config.lda.input_mode,
-        )
+        lda_config = replace(config.lda, n_topics=n_topics, alpha=None)
         model = lda_mod.fit(matrix, lda_config, vocab)
         top_m = min(config.top_m, matrix.n_terms)
         coherences = lda_mod.coherence_umass(model, matrix, top_m=max(top_m, 2))

@@ -22,6 +22,7 @@ from .errors import (
     EmptyContent,
     InvalidConfig,
     MalformedDate,
+    MalformedRow,
     MissingField,
     MissingYear,
     StructureMismatch,
@@ -275,7 +276,13 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
                 if not line.strip():
                     continue
                 row += 1
-                records.append(_record_from_mapping(json.loads(line), row, seen_ids))
+                try:
+                    mapping = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRow(row, str(exc)) from None
+                if not isinstance(mapping, dict):
+                    raise MalformedRow(row, f"expected an object, got {type(mapping).__name__}")
+                records.append(_record_from_mapping(mapping, row, seen_ids))
     elif format == "csv":
         with path.open(encoding="utf-8", newline="") as handle:
             for row, mapping in enumerate(csv.DictReader(handle), start=1):

@@ -52,6 +52,12 @@ class MalformedDate(CorpusError):
         super().__init__(f"{where}malformed date {raw!r}")
 
 
+class MalformedRow(CorpusError):
+    def __init__(self, row: int, detail: str):
+        self.row = row
+        super().__init__(f"row {row}: malformed JSON line: {detail}")
+
+
 class StructureMismatch(CorpusError):
     def __init__(self, selector: str):
         self.selector = selector
@@ -125,6 +131,26 @@ class TooLarge(LdaError):
 class VocabularyMismatch(LdaError):
     def __init__(self, detail: str):
         super().__init__(f"model vocabulary does not match: {detail}")
+
+
+class EntryOutOfRange(LdaError):
+    def __init__(self, doc: int, term: int, count: int, n_docs: int, n_terms: int):
+        super().__init__(
+            f"matrix entry (doc {doc}, term {term}) = {count} is not a non-negative count "
+            f"inside a {n_docs} x {n_terms} matrix"
+        )
+
+
+class AbsentTopWord(LdaError, ValueError):
+    """A topic's top word occurs in no document of the scoring matrix.
+
+    Also a ValueError, which coherence_umass raised before this class existed.
+    """
+
+    def __init__(self, topic: int, term: int):
+        self.topic = topic
+        self.term = term
+        super().__init__(f"topic {topic} top word (term {term}) occurs in no document")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Topic model fitting by collapsed Gibbs sampling, plus model scoring.
 
-The sampler keeps integer count tables as plain nested lists because the
-per-token resampling loop is pure Python; numpy enters only for the
-per-sweep estimator averages and log-likelihood trace, where it works on
-whole tables at once.
+``fit`` keeps its token slots and count tables in numpy arrays for the
+whole run and resamples them with the compiled sweep in ``_gibbs.c``.
+The pure-Python ``init_assignments`` / ``gibbs_sweep`` pair on nested
+lists is the reference it is tested against, and the fallback when no C
+compiler is available: both give the same assignments for the same seed.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass, field, replace
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMatrix, InvalidConfig, TooLarge, VocabularyMismatch
+from .errors import AbsentTopWord, EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
 from .vectorize import DocTermMatrix, Vocabulary
 
 __all__ = [
@@ -236,11 +237,13 @@ def _topic_word_estimate(n_kw: np.ndarray, n_k: np.ndarray, beta: float) -> np.n
 
 
 def _entry_arrays(matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    entries = sorted(matrix.counts.items())
-    docs = np.array([key[0] for key, _ in entries], dtype=np.int64)
-    terms = np.array([key[1] for key, _ in entries], dtype=np.int64)
-    counts = np.array([count for _, count in entries], dtype=np.float64)
-    return docs, terms, counts
+    """Entry docs, terms and counts (as floats), in (doc, term) order."""
+    n_entries = len(matrix.counts)
+    keys = np.fromiter(chain.from_iterable(matrix.counts), dtype=np.int64, count=2 * n_entries)
+    keys = keys.reshape(n_entries, 2)
+    counts = np.fromiter(matrix.counts.values(), dtype=np.float64, count=n_entries)
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    return keys[order, 0], keys[order, 1], counts[order]
 
 
 def _log_likelihood(
@@ -254,6 +257,91 @@ def _log_likelihood(
     return float(np.dot(counts, np.log(token_probs)))
 
 
+@dataclass
+class _TokenArrays:
+    """Sampler state for fit: CSR token slots and int64 count tables.
+
+    Slot order and table layout match SamplerState: tokens[doc_ptr[d]:
+    doc_ptr[d + 1]] are document d's term indices, (doc, term)-sorted.
+    """
+
+    doc_ptr: np.ndarray
+    tokens: np.ndarray
+    z: np.ndarray
+    n_dk: np.ndarray
+    n_kw: np.ndarray
+    n_k: np.ndarray
+    n_d: np.ndarray
+    rng: np.random.Generator
+
+
+def _check_entries(docs: np.ndarray, terms: np.ndarray, counts: np.ndarray, matrix: DocTermMatrix) -> None:
+    bad = (docs < 0) | (docs >= matrix.n_docs) | (terms < 0) | (terms >= matrix.n_terms) | (counts < 0)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise EntryOutOfRange(
+            int(docs[first]), int(terms[first]), int(counts[first]), matrix.n_docs, matrix.n_terms
+        )
+
+
+def _init_arrays(
+    docs: np.ndarray, terms: np.ndarray, counts: np.ndarray, matrix: DocTermMatrix, config: LdaConfig
+) -> _TokenArrays:
+    """init_assignments on arrays: the same seed gives the same assignments.
+
+    One integers() call over all slots draws the same stream as
+    init_assignments' one call per document.
+    """
+    n_topics, n_terms, n_docs = config.n_topics, matrix.n_terms, matrix.n_docs
+    lengths = counts.astype(np.int64)
+    tokens = np.repeat(terms, lengths)
+    token_docs = np.repeat(docs, lengths)
+    n_d = np.bincount(token_docs, minlength=n_docs)
+    doc_ptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(n_d, out=doc_ptr[1:])
+    rng = np.random.default_rng(config.seed)
+    z = rng.integers(0, n_topics, size=tokens.size)
+    n_dk = np.bincount(token_docs * n_topics + z, minlength=n_docs * n_topics).reshape(n_docs, n_topics)
+    n_kw = np.bincount(z * n_terms + tokens, minlength=n_topics * n_terms).reshape(n_topics, n_terms)
+    n_k = np.bincount(z, minlength=n_topics)
+    return _TokenArrays(doc_ptr, tokens, z, n_dk, n_kw, n_k, n_d, rng)
+
+
+def _compiled_step(state: _TokenArrays, config: LdaConfig, sweep):
+    """One compiled sweep per call; one random() call draws gibbs_sweep's stream."""
+    uniforms = np.empty(state.tokens.size)
+
+    def step() -> None:
+        state.rng.random(out=uniforms)
+        sweep(state.doc_ptr, state.tokens, state.z, state.n_dk, state.n_kw, state.n_k,
+              uniforms, config.alpha, config.beta)
+
+    return step
+
+
+def _python_step(state: _TokenArrays, config: LdaConfig):
+    """One gibbs_sweep per call on a list copy, written back to the arrays."""
+    bounds = list(zip(state.doc_ptr[:-1].tolist(), state.doc_ptr[1:].tolist()))
+    tokens, z = state.tokens.tolist(), state.z.tolist()
+    reference = SamplerState(
+        doc_tokens=[tokens[start:stop] for start, stop in bounds],
+        assignments=[z[start:stop] for start, stop in bounds],
+        n_dk=state.n_dk.tolist(),
+        n_kw=state.n_kw.tolist(),
+        n_k=state.n_k.tolist(),
+        n_d=state.n_d.tolist(),
+        rng=state.rng,
+    )
+
+    def step() -> None:
+        gibbs_sweep(reference, config)
+        state.n_dk[...] = reference.n_dk
+        state.n_kw[...] = reference.n_kw
+        state.n_k[...] = reference.n_k
+
+    return step
+
+
 def fit(
     matrix: DocTermMatrix,
     config: LdaConfig,
@@ -264,43 +352,35 @@ def fit(
 
     Returns one LdaModel, or a list of per-chain models (chain c uses
     seed + c) when n_chains > 1; chains are independent and topic labels
-    are not comparable across them.
+    are not comparable across them. Sweeps run compiled when a C compiler
+    is available and through gibbs_sweep otherwise, with equal results.
     """
     if n_chains < 1:
         raise InvalidConfig(f"n_chains must be >= 1, got {n_chains}")
     if n_chains > 1:
-        models = []
-        for chain in range(n_chains):
-            chain_config = LdaConfig(
-                n_topics=config.n_topics,
-                alpha=config.alpha,
-                beta=config.beta,
-                sweeps=config.sweeps,
-                burn_in=config.burn_in,
-                seed=config.seed + chain,
-                input_mode=config.input_mode,
-            )
-            models.append(fit(matrix, chain_config, vocab))
-        return models
+        return [fit(matrix, replace(config, seed=config.seed + chain), vocab) for chain in range(n_chains)]
 
     if not matrix.counts:
         raise EmptyMatrix()
-    state = init_assignments(matrix, config)
     docs, terms, counts = _entry_arrays(matrix)
+    _check_entries(docs, terms, counts, matrix)
+    state = _init_arrays(docs, terms, counts, matrix, config)
+    # Imported here, not at the top, so that commands that never sample do
+    # not load the compiler plumbing (subprocess, ctypes).
+    from . import _gibbs
+
+    sweep = _gibbs.load_sweep()
+    step = _python_step(state, config) if sweep is None else _compiled_step(state, config, sweep)
     doc_topic_sum = np.zeros((matrix.n_docs, config.n_topics))
     topic_word_sum = np.zeros((config.n_topics, matrix.n_terms))
     trace: list[float] = []
     samples = 0
-    for sweep in range(config.sweeps):
-        gibbs_sweep(state, config)
-        n_dk = np.asarray(state.n_dk, dtype=np.float64)
-        n_d = np.asarray(state.n_d, dtype=np.float64)
-        n_kw = np.asarray(state.n_kw, dtype=np.float64)
-        n_k = np.asarray(state.n_k, dtype=np.float64)
-        doc_topic = _doc_topic_estimate(n_dk, n_d, config.alpha)
-        topic_word = _topic_word_estimate(n_kw, n_k, config.beta)
+    for sweep_index in range(config.sweeps):
+        step()
+        doc_topic = _doc_topic_estimate(state.n_dk, state.n_d, config.alpha)
+        topic_word = _topic_word_estimate(state.n_kw, state.n_k, config.beta)
         trace.append(_log_likelihood(docs, terms, counts, doc_topic, topic_word))
-        if sweep >= config.burn_in:
+        if sweep_index >= config.burn_in:
             doc_topic_sum += doc_topic
             topic_word_sum += topic_word
             samples += 1
@@ -450,9 +530,7 @@ def coherence_umass(model: LdaModel, matrix: DocTermMatrix, top_m: int = 10) -> 
         for j in range(1, len(top_terms)):
             docs_j = term_docs.get(top_terms[j], set())
             if not docs_j:
-                raise ValueError(
-                    f"topic {topic} top word (term {top_terms[j]}) occurs in no document"
-                )
+                raise AbsentTopWord(topic, top_terms[j])
             for i in range(j):
                 docs_i = term_docs.get(top_terms[i], set())
                 score += math.log((len(docs_i & docs_j) + 1) / len(docs_j))

@@ -8,7 +8,7 @@ so the composed pipeline is stable under re-runs.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -53,7 +53,39 @@ DEFAULT_PUNCTUATION: frozenset = frozenset(string.punctuation) | frozenset(
     "،؛؟«»٪٫٬…“”‘’—–×÷·"
 )
 
+
+class _Table:
+    """A str.translate table built once per preprocess_corpus call.
+
+    normalize and remove_punctuation take one in place of the character
+    mapping or set it was made from. It holds a plain dict because
+    str.translate is slower on a dict subclass.
+    """
+
+    __slots__ = ("mapping",)
+
+    def __init__(self, mapping: dict[int, str]):
+        self.mapping = mapping
+
+
 _DEFAULT_TABLE = str.maketrans(DEFAULT_NORMALIZE_CHARS)
+_DEFAULT_PUNCTUATION_TABLE = {ord(mark): " " for mark in DEFAULT_PUNCTUATION}
+
+
+def _normalize_table(normalize_chars) -> dict[int, str]:
+    if normalize_chars is None:
+        return _DEFAULT_TABLE
+    if isinstance(normalize_chars, _Table):
+        return normalize_chars.mapping
+    return str.maketrans(normalize_chars)
+
+
+def _punctuation_table(punctuation_set) -> dict[int, str]:
+    if punctuation_set is None:
+        return _DEFAULT_PUNCTUATION_TABLE
+    if isinstance(punctuation_set, _Table):
+        return punctuation_set.mapping
+    return {ord(mark): " " for mark in punctuation_set}
 
 
 @dataclass
@@ -93,6 +125,24 @@ class LemmaRules:
 
 
 @dataclass
+class _MemoizedRules:
+    """LemmaRules.apply remembered per distinct token.
+
+    Lives for one preprocess_corpus call, so later edits to the rules are
+    seen by the next call. Repeated tokens share one lemma string.
+    """
+
+    rules: LemmaRules
+    lemmas: dict[str, str] = field(default_factory=dict)
+
+    def apply(self, token: str) -> str:
+        lemma = self.lemmas.get(token)
+        if lemma is None:
+            lemma = self.lemmas[token] = self.rules.apply(token)
+        return lemma
+
+
+@dataclass
 class PreprocessConfig:
     stopword_list: set[str] = field(default_factory=set)
     punctuation_set: frozenset = DEFAULT_PUNCTUATION
@@ -123,16 +173,11 @@ def normalize(text: str, normalize_chars: dict[str, str] | None = None) -> str:
     Lowercasing keeps Latin-alphabet material (loanwords, test fixtures)
     on one casing; Persian script has no case so it is a no-op there.
     """
-    if normalize_chars is None:
-        table = _DEFAULT_TABLE
-    else:
-        table = str.maketrans(normalize_chars)
-    return " ".join(text.translate(table).lower().split())
+    return " ".join(text.translate(_normalize_table(normalize_chars)).lower().split())
 
 
 def remove_punctuation(text: str, punctuation_set=None) -> str:
-    marks = DEFAULT_PUNCTUATION if punctuation_set is None else punctuation_set
-    return text.translate({ord(mark): " " for mark in marks})
+    return text.translate(_punctuation_table(punctuation_set))
 
 
 def tokenize(text: str, min_token_length: int = 1) -> list[str]:
@@ -226,12 +271,29 @@ def preprocess_document(record: LawRecord, config: PreprocessConfig | None = Non
     return Document(record.id, tokens, record.date.gregorian_year)
 
 
+def _prepared(config: PreprocessConfig | None) -> PreprocessConfig:
+    """A copy of config for one pass over many records.
+
+    Its translate tables are built once and its lemma rules are memoized
+    per distinct token; the documents it yields are unchanged.
+    """
+    if config is None:
+        config = default_config()
+    return replace(
+        config,
+        normalize_chars=_Table(_normalize_table(config.normalize_chars)),
+        punctuation_set=_Table(_punctuation_table(config.punctuation_set)),
+        lemma_rules=_MemoizedRules(config.lemma_rules),
+    )
+
+
 def preprocess_corpus(
     corpus: Corpus, config: PreprocessConfig | None = None, on_empty: str = "error"
 ) -> list[Document]:
     """Preprocess every record; on_empty is "error" (raise) or "drop"."""
     if on_empty not in ("error", "drop"):
         raise ValueError(f"on_empty must be 'error' or 'drop', got {on_empty!r}")
+    config = _prepared(config)
     documents = []
     for record in corpus.records:
         try:
@@ -246,6 +308,7 @@ def validate_nonempty(corpus: Corpus, config: PreprocessConfig | None = None) ->
     """Report record ids with null-ish required fields or empty pipelines."""
     null_fields: list[str] = []
     empty_after: list[str] = []
+    config = _prepared(config)
     for record in corpus.records:
         if (
             not record.id.strip()

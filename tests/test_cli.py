@@ -243,6 +243,34 @@ class TestErrors:
         assert main(args) == 1
         assert "error [config]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["{not json", "42"])
+    def test_malformed_jsonl_line_names_its_row(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(path, [jsonl_row("first"), jsonl_row("second")])
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("\n" + line + "\n")
+        args = ["ingest", "--corpus", str(path), "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        assert "error [corpus]: row 3: " in capsys.readouterr().err
+
+    def test_top_word_absent_from_scored_matrix(self, tmp_path, capsys):
+        # "alpha" is in the vocabulary, but its tf-idf pseudo-count rounds to 0
+        # in both documents, so every topic ranks it as a top word that the
+        # scored matrix never contains.
+        path = tmp_path / "absent.jsonl"
+        write_jsonl(
+            path,
+            [
+                jsonl_row("a", title="notice", content="alpha " + "beta " * 30),
+                jsonl_row("b", title="notice", content="alpha " + "gamma " * 30),
+                jsonl_row("c", title="memo", content="delta " * 30),
+            ],
+        )
+        args = ["sweep", "--corpus", str(path), "--out", str(tmp_path / "o"), "--mode", "tfidf-pseudo",
+                "--min-df", "1", "--k-grid", "2", "--sweeps", "5", "--burn-in", "0"]
+        assert main(args) == 1
+        assert "error [lda]: topic 0 top word" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def _config_payload(self, corpus_path):

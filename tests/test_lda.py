@@ -2,7 +2,9 @@
 
 import copy
 import json
+import logging
 import math
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lextopic.errors import EmptyMatrix, InvalidConfig, TooLarge, VocabularyMismatch
+from lextopic import _gibbs, lda
+from lextopic.errors import EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
 from lextopic.lda import (
     LdaConfig,
     LdaModel,
@@ -456,3 +459,129 @@ class TestSaveLoad:
         loaded = load_model(path)
         assert loaded.vocab is None
         assert loaded.doc_topic.tobytes() == model.doc_topic.tobytes()
+
+
+def token_lists_with_gaps(seed, n_docs=12, n_terms=15):
+    """Random documents of 0-39 tokens, with the first, a middle and the last empty."""
+    rng = np.random.default_rng(seed)
+    token_lists = [rng.integers(0, n_terms, size=rng.integers(0, 40)).tolist() for _ in range(n_docs)]
+    for doc in (0, n_docs // 2, n_docs - 1):
+        token_lists[doc] = []
+    return token_lists
+
+
+def array_tables(state):
+    return state.n_dk.tolist(), state.n_kw.tolist(), state.n_k.tolist(), state.n_d.tolist()
+
+
+def per_doc(state, values):
+    return [values[start:stop].tolist() for start, stop in zip(state.doc_ptr[:-1], state.doc_ptr[1:])]
+
+
+def array_state(matrix, config):
+    docs, terms, counts = lda._entry_arrays(matrix)
+    return lda._init_arrays(docs, terms, counts, matrix, config)
+
+
+def assert_same_model(first, second):
+    assert first.doc_topic.tobytes() == second.doc_topic.tobytes()
+    assert first.topic_word.tobytes() == second.topic_word.tobytes()
+    assert first.log_likelihood == second.log_likelihood
+
+
+@pytest.fixture(scope="module")
+def compiled_sweep():
+    sweep = _gibbs.load_sweep()
+    if sweep is None:
+        assert _gibbs.find_compiler() is None, "a C compiler is on PATH but the compiled sweep did not load"
+        pytest.skip("no C compiler on PATH")
+    return sweep
+
+
+class TestArrayInit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 5), max_size=12), min_size=1, max_size=8),
+        st.integers(1, 25),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_matches_init_assignments(self, token_lists, n_topics, seed):
+        if not any(token_lists):
+            token_lists[0] = [0]
+        matrix = matrix_from_tokens(token_lists, n_terms=6)
+        config = LdaConfig(n_topics=n_topics, sweeps=2, burn_in=1, seed=seed)
+        reference = init_assignments(matrix, config)
+        state = array_state(matrix, config)
+        assert per_doc(state, state.tokens) == reference.doc_tokens
+        assert per_doc(state, state.z) == reference.assignments
+        assert array_tables(state) == (reference.n_dk, reference.n_kw, reference.n_k, reference.n_d)
+        assert state.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+class TestCompiledSweep:
+    @pytest.mark.parametrize("n_topics", [1, 3, 10, 20])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_matches_reference_after_every_sweep(self, compiled_sweep, n_topics, seed):
+        matrix = matrix_from_tokens(token_lists_with_gaps(seed), n_terms=15)
+        config = LdaConfig(n_topics=n_topics, beta=0.05, sweeps=26, burn_in=1, seed=seed)
+        reference = init_assignments(matrix, config)
+        state = array_state(matrix, config)
+        step = lda._compiled_step(state, config, compiled_sweep)
+        token_docs = np.repeat(np.arange(matrix.n_docs), np.diff(state.doc_ptr))
+        for _ in range(25):
+            gibbs_sweep(reference, config)
+            step()
+            assert per_doc(state, state.z) == reference.assignments
+            assert array_tables(state) == (reference.n_dk, reference.n_kw, reference.n_k, reference.n_d)
+            n_dk = np.zeros_like(state.n_dk)
+            n_kw = np.zeros_like(state.n_kw)
+            np.add.at(n_dk, (token_docs, state.z), 1)
+            np.add.at(n_kw, (state.z, state.tokens), 1)
+            assert np.array_equal(n_dk, state.n_dk)
+            assert np.array_equal(n_kw, state.n_kw)
+            assert np.array_equal(n_kw.sum(axis=1), state.n_k)
+
+    @pytest.mark.parametrize("n_topics", [1, 3, 10, 20])
+    def test_fit_equals_python_path(self, compiled_sweep, monkeypatch, n_topics):
+        matrix = matrix_from_tokens(token_lists_with_gaps(n_topics), n_terms=15)
+        config = LdaConfig(n_topics=n_topics, sweeps=25, burn_in=5, seed=n_topics)
+        compiled = fit(matrix, config)
+        monkeypatch.setattr(_gibbs, "load_sweep", lambda: None)
+        assert_same_model(compiled, fit(matrix, config))
+
+    def test_rejects_inconsistent_arrays(self, compiled_sweep):
+        matrix = matrix_from_tokens([[0, 1], [1]], n_terms=2)
+        state = array_state(matrix, LdaConfig(n_topics=2, sweeps=2, burn_in=1))
+        with pytest.raises(ValueError):
+            compiled_sweep(state.doc_ptr, state.tokens, state.z, state.n_dk, state.n_kw, state.n_k,
+                           np.zeros(state.tokens.size + 1), 1.0, 0.1)
+        with pytest.raises(ValueError):
+            compiled_sweep(state.doc_ptr, state.tokens, state.z.astype(np.int32), state.n_dk,
+                           state.n_kw, state.n_k, np.zeros(state.tokens.size), 1.0, 0.1)
+
+
+class TestSweepFallback:
+    @pytest.mark.parametrize("compiler", [None, shutil.which("false")], ids=["no-compiler", "compile-fails"])
+    def test_python_sweep_gives_the_same_model(self, monkeypatch, tmp_path, caplog, compiler):
+        matrix = matrix_from_tokens(token_lists_with_gaps(4), n_terms=15)
+        config = LdaConfig(n_topics=4, sweeps=25, burn_in=5, seed=4)
+        expected = fit(matrix, config)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_gibbs, "find_compiler", lambda: compiler)
+        with caplog.at_level(logging.WARNING, logger="lextopic"):
+            model = fit(matrix, config)
+        assert_same_model(model, expected)
+        warnings = [record for record in caplog.records if record.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "using the Python sweep" in warnings[0].getMessage()
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+
+class TestEntryBounds:
+    @pytest.mark.parametrize(
+        "key, count", [((2, 0), 1), ((0, 3), 1), ((-1, 0), 1), ((0, -1), 1), ((1, 1), -2)]
+    )
+    def test_out_of_range_entry_rejected(self, key, count):
+        matrix = DocTermMatrix(n_docs=2, n_terms=3, counts={(0, 1): 2, key: count}, doc_ids=["a", "b"])
+        with pytest.raises(EntryOutOfRange):
+            fit(matrix, LdaConfig(n_topics=2, sweeps=2, burn_in=0))

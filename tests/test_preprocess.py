@@ -198,6 +198,26 @@ class TestPreprocessCorpus:
         with pytest.raises(EmptyDocument):
             preprocess_corpus(corpus, config, on_empty="error")
 
+    def test_matches_document_by_document(self):
+        corpus = Corpus(
+            [
+                make_record("r1", title="آیین‌نامه اجرایی قوانین", content="مقررات و قوانین كشور، ماده ۴۵"),
+                make_record("r2", title="Budget laws", content="قوانین مقررات budget; laws!"),
+            ]
+        )
+        config = default_config()
+        expected = [preprocess_document(record, config) for record in corpus.records]
+        assert preprocess_corpus(corpus, config) == expected
+
+    def test_rule_edits_apply_to_the_next_call(self):
+        corpus = Corpus([make_record("r1", title="went home", content="went away")])
+        rules = LemmaRules(exceptions={"went": "go"})
+        config = PreprocessConfig(lemma_rules=rules, min_token_length=2)
+        assert preprocess_corpus(corpus, config)[0].tokens == ["go", "home", "go", "away"]
+        rules.exceptions["went"] = "leave"
+        config.normalize_chars["y"] = ""
+        assert preprocess_corpus(corpus, config)[0].tokens == ["leave", "home", "leave", "awa"]
+
 
 class TestValidateNonempty:
     def test_clean_fixture(self):
