@@ -133,6 +133,11 @@ class VocabularyMismatch(LdaError):
         super().__init__(f"model vocabulary does not match: {detail}")
 
 
+class CorruptModel(LdaError):
+    def __init__(self, path, detail: str):
+        super().__init__(f"model file {path}: {detail}")
+
+
 class EntryOutOfRange(LdaError):
     def __init__(self, doc: int, term: int, count: int, n_docs: int, n_terms: int):
         super().__init__(

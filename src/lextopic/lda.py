@@ -13,12 +13,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .errors import AbsentTopWord, EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
+from .errors import AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
 from .vectorize import DocTermMatrix, Vocabulary
 
 __all__ = [
@@ -136,7 +136,7 @@ def _expand_tokens(matrix: DocTermMatrix) -> list[list[int]]:
 
 def init_assignments(matrix: DocTermMatrix, config: LdaConfig) -> SamplerState:
     """Assign every token slot a uniform random topic; tally the tables."""
-    if not matrix.counts:
+    if not matrix.values.size:
         raise EmptyMatrix()
     rng = np.random.default_rng(config.seed)
     doc_tokens = _expand_tokens(matrix)
@@ -238,12 +238,7 @@ def _topic_word_estimate(n_kw: np.ndarray, n_k: np.ndarray, beta: float) -> np.n
 
 def _entry_arrays(matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entry docs, terms and counts (as floats), in (doc, term) order."""
-    n_entries = len(matrix.counts)
-    keys = np.fromiter(chain.from_iterable(matrix.counts), dtype=np.int64, count=2 * n_entries)
-    keys = keys.reshape(n_entries, 2)
-    counts = np.fromiter(matrix.counts.values(), dtype=np.float64, count=n_entries)
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    return keys[order, 0], keys[order, 1], counts[order]
+    return matrix.docs, matrix.terms, matrix.values.astype(np.float64)
 
 
 def _log_likelihood(
@@ -360,7 +355,7 @@ def fit(
     if n_chains > 1:
         return [fit(matrix, replace(config, seed=config.seed + chain), vocab) for chain in range(n_chains)]
 
-    if not matrix.counts:
+    if not matrix.values.size:
         raise EmptyMatrix()
     docs, terms, counts = _entry_arrays(matrix)
     _check_entries(docs, terms, counts, matrix)
@@ -503,7 +498,7 @@ def perplexity(model: LdaModel, matrix: DocTermMatrix) -> float:
         raise VocabularyMismatch(
             f"matrix has {matrix.n_docs} documents, model expects {model.doc_topic.shape[0]}"
         )
-    if not matrix.counts:
+    if not matrix.values.size:
         raise EmptyMatrix()
     docs, terms, counts = _entry_arrays(matrix)
     total = counts.sum()
@@ -520,20 +515,24 @@ def coherence_umass(model: LdaModel, matrix: DocTermMatrix, top_m: int = 10) -> 
     """
     if top_m < 2:
         raise ValueError(f"top_m must be >= 2, got {top_m}")
-    term_docs: dict[int, set] = {}
-    for doc, term in matrix.counts:
-        term_docs.setdefault(term, set()).add(doc)
+    top_terms = [model.top_term_indices(topic, top_m) for topic in range(model.topic_word.shape[0])]
+    # Co-document counts of every pair of top words, from a 0/1 incidence
+    # matrix over the union of the topics' top words.
+    columns = np.unique(np.array(top_terms, dtype=np.int64))
+    present = np.isin(matrix.terms, columns)
+    incidence = np.zeros((matrix.n_docs, columns.size))
+    incidence[matrix.docs[present], np.searchsorted(columns, matrix.terms[present])] = 1.0
+    codoc = (incidence.T @ incidence).astype(np.int64).tolist()
     scores = []
-    for topic in range(model.topic_word.shape[0]):
-        top_terms = model.top_term_indices(topic, top_m)
+    for topic, terms in enumerate(top_terms):
+        rows = np.searchsorted(columns, terms).tolist()
         score = 0.0
-        for j in range(1, len(top_terms)):
-            docs_j = term_docs.get(top_terms[j], set())
+        for j in range(1, len(rows)):
+            docs_j = codoc[rows[j]][rows[j]]
             if not docs_j:
-                raise AbsentTopWord(topic, top_terms[j])
+                raise AbsentTopWord(topic, terms[j])
             for i in range(j):
-                docs_i = term_docs.get(top_terms[i], set())
-                score += math.log((len(docs_i & docs_j) + 1) / len(docs_j))
+                score += math.log((codoc[rows[i]][rows[j]] + 1) / docs_j)
         scores.append(score)
     return scores
 
@@ -575,30 +574,55 @@ def save_model(model: LdaModel, path) -> None:
 
 
 def load_model(path) -> LdaModel:
-    with Path(path).open(encoding="utf-8") as handle:
-        payload = json.load(handle)
+    """Read a save_model file; one that cannot hold a model raises CorruptModel."""
+    try:
+        with Path(path).open(encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise CorruptModel(path, f"not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise CorruptModel(path, "not a JSON object")
     if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
         raise VocabularyMismatch(
             f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: "
             f"{payload.get('format')!r} v{payload.get('version')!r}"
         )
+    try:
+        return _model_from_payload(payload)
+    except KeyError as exc:
+        raise CorruptModel(path, f"missing key {exc}") from None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise CorruptModel(path, str(exc)) from None
+
+
+def _model_from_payload(payload: dict) -> LdaModel:
     vocab = None
     if payload["vocabulary"] is not None:
-        terms = payload["vocabulary"]["terms"]
+        terms = list(payload["vocabulary"]["terms"])
         vocab = Vocabulary(
             terms=terms,
             index={term: position for position, term in enumerate(terms)},
-            df=payload["vocabulary"]["df"],
+            df=list(payload["vocabulary"]["df"]),
         )
     topic_word = np.array(payload["topic_word"], dtype=np.float64)
-    expected = _vocab_hash(vocab, topic_word.shape[1])
-    if payload["vocabulary_hash"] != expected:
+    n_terms = topic_word.shape[-1]
+    if payload["vocabulary_hash"] != _vocab_hash(vocab, n_terms):
         raise VocabularyMismatch("stored vocabulary hash does not match stored vocabulary")
-    return LdaModel(
+    model = LdaModel(
         config=LdaConfig(**payload["config"]),
         doc_topic=np.array(payload["doc_topic"], dtype=np.float64),
         topic_word=topic_word,
-        doc_ids=payload["doc_ids"],
+        doc_ids=list(payload["doc_ids"]),
         log_likelihood=payload["log_likelihood"],
         vocab=vocab,
     )
+    n_docs, n_topics = len(model.doc_ids), model.config.n_topics
+    found = [model.doc_topic.shape, topic_word.shape]
+    wanted = [(n_docs, n_topics), (n_topics, n_terms)]
+    if vocab is not None:
+        found.append((len(vocab.terms), len(vocab.df)))
+        wanted.append((n_terms, n_terms))
+    if found != wanted:
+        raise ValueError(f"shapes of doc_topic, topic_word and vocabulary terms/df {found} are not {wanted}, "
+                         f"as {n_docs} doc_ids and {n_topics} topics require")
+    return model

@@ -7,6 +7,7 @@ so the composed pipeline is stable under re-runs.
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -55,37 +56,43 @@ DEFAULT_PUNCTUATION: frozenset = frozenset(string.punctuation) | frozenset(
 
 
 class _Table:
-    """A str.translate table built once per preprocess_corpus call.
+    """A str.maketrans table plus a regex matching any one of its keys.
 
-    normalize and remove_punctuation take one in place of the character
-    mapping or set it was made from. It holds a plain dict because
-    str.translate is slower on a dict subclass.
+    Every key is one character, so ``pattern.sub`` replaces them all at
+    once, exactly as str.translate does, but skips unmapped characters
+    without a dict lookup each. preprocess_corpus and validate_nonempty
+    build one per call.
     """
 
-    __slots__ = ("mapping",)
+    __slots__ = ("table", "pattern")
 
-    def __init__(self, mapping: dict[int, str]):
-        self.mapping = mapping
+    def __init__(self, table: dict[int, str | int | None]):
+        self.table = table
+        characters = "".join(re.escape(chr(code)) for code in table)
+        self.pattern = re.compile(f"[{characters}]" if characters else "(?!)")
+
+    def replace(self, match: re.Match) -> str:
+        return match.group().translate(self.table)
 
 
-_DEFAULT_TABLE = str.maketrans(DEFAULT_NORMALIZE_CHARS)
-_DEFAULT_PUNCTUATION_TABLE = {ord(mark): " " for mark in DEFAULT_PUNCTUATION}
+_DEFAULT_TABLE = _Table(str.maketrans(DEFAULT_NORMALIZE_CHARS))
+_DEFAULT_PUNCTUATION_TABLE = _Table({ord(mark): " " for mark in DEFAULT_PUNCTUATION})
 
 
-def _normalize_table(normalize_chars) -> dict[int, str]:
+def _normalize_table(normalize_chars) -> _Table:
     if normalize_chars is None:
         return _DEFAULT_TABLE
     if isinstance(normalize_chars, _Table):
-        return normalize_chars.mapping
-    return str.maketrans(normalize_chars)
+        return normalize_chars
+    return _Table(str.maketrans(normalize_chars))
 
 
-def _punctuation_table(punctuation_set) -> dict[int, str]:
+def _punctuation_table(punctuation_set) -> _Table:
     if punctuation_set is None:
         return _DEFAULT_PUNCTUATION_TABLE
     if isinstance(punctuation_set, _Table):
-        return punctuation_set.mapping
-    return {ord(mark): " " for mark in punctuation_set}
+        return punctuation_set
+    return _Table({ord(mark): " " for mark in punctuation_set})
 
 
 @dataclass
@@ -173,11 +180,12 @@ def normalize(text: str, normalize_chars: dict[str, str] | None = None) -> str:
     Lowercasing keeps Latin-alphabet material (loanwords, test fixtures)
     on one casing; Persian script has no case so it is a no-op there.
     """
-    return " ".join(text.translate(_normalize_table(normalize_chars)).lower().split())
+    table = _normalize_table(normalize_chars)
+    return " ".join(table.pattern.sub(table.replace, text).lower().split())
 
 
 def remove_punctuation(text: str, punctuation_set=None) -> str:
-    return text.translate(_punctuation_table(punctuation_set))
+    return _punctuation_table(punctuation_set).pattern.sub(" ", text)
 
 
 def tokenize(text: str, min_token_length: int = 1) -> list[str]:
@@ -274,15 +282,15 @@ def preprocess_document(record: LawRecord, config: PreprocessConfig | None = Non
 def _prepared(config: PreprocessConfig | None) -> PreprocessConfig:
     """A copy of config for one pass over many records.
 
-    Its translate tables are built once and its lemma rules are memoized
-    per distinct token; the documents it yields are unchanged.
+    Its character tables are compiled once and its lemma rules are
+    memoized per distinct token; the documents it yields are unchanged.
     """
     if config is None:
         config = default_config()
     return replace(
         config,
-        normalize_chars=_Table(_normalize_table(config.normalize_chars)),
-        punctuation_set=_Table(_punctuation_table(config.punctuation_set)),
+        normalize_chars=_normalize_table(config.normalize_chars),
+        punctuation_set=_punctuation_table(config.punctuation_set),
         lemma_rules=_MemoizedRules(config.lemma_rules),
     )
 

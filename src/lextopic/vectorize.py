@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import csv
-import math
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,48 +40,63 @@ class Vocabulary:
         return len(self.terms)
 
 
-@dataclass
-class DocTermMatrix:
-    n_docs: int
-    n_terms: int
-    counts: dict[tuple[int, int], int]
-    doc_ids: list[str]
+class _EntryMatrix:
+    """An n_docs x n_terms sparse matrix stored as entry arrays in (doc, term) order.
+
+    ``docs``, ``terms`` and ``values`` are its one store. ``entries`` is a
+    (docs, terms, values) triple in that order, or a {(doc, term): value}
+    dict, sorted once here. The dict form is a read-only view built on
+    first access.
+    """
+
+    dtype = np.int64
+
+    def __init__(self, n_docs: int, n_terms: int, entries, doc_ids: list[str]):
+        if isinstance(entries, Mapping):
+            keys = np.fromiter(chain.from_iterable(entries), dtype=np.int64, count=2 * len(entries)).reshape(-1, 2)
+            order = np.lexsort((keys[:, 1], keys[:, 0]))
+            values = np.fromiter(entries.values(), dtype=self.dtype, count=len(entries))
+            entries = keys[order, 0], keys[order, 1], values[order]
+        self.n_docs, self.n_terms, self.doc_ids = n_docs, n_terms, doc_ids
+        self.docs, self.terms, self.values = entries
+
+    def _view(self) -> Mapping[tuple[int, int], int | float]:
+        keys = zip(self.docs.tolist(), self.terms.tolist())
+        return MappingProxyType(dict(zip(keys, self.values.tolist())))
+
+    def entries(self):
+        """(doc, term, value) triples of Python numbers, in (doc, term) order."""
+        return zip(self.docs.tolist(), self.terms.tolist(), self.values.tolist())
+
+
+class DocTermMatrix(_EntryMatrix):
+    """Integer (doc, term) counts."""
+
+    def __init__(self, n_docs: int, n_terms: int, counts, doc_ids: list[str]):
+        super().__init__(n_docs, n_terms, counts, doc_ids)
+
+    counts = cached_property(_EntryMatrix._view)
 
     def rows(self) -> list[list[tuple[int, int]]]:
-        """Per-document [(term, count), ...] lists, term-sorted; cached."""
-        cached = getattr(self, "_rows", None)
-        if cached is None:
-            cached = [[] for _ in range(self.n_docs)]
-            for (doc, term), count in self.counts.items():
-                cached[doc].append((term, count))
-            for row in cached:
-                row.sort()
-            self._rows = cached
-        return cached
+        """Per-document [(term, count), ...] lists, term-sorted."""
+        pairs = list(zip(self.terms.tolist(), self.values.tolist()))
+        bounds = np.searchsorted(self.docs, np.arange(self.n_docs + 1)).tolist()
+        return [pairs[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
     def doc_totals(self) -> list[int]:
-        totals = [0] * self.n_docs
-        for (doc, _), count in self.counts.items():
-            totals[doc] += count
-        return totals
-
-    def entries(self):
-        for doc, row in enumerate(self.rows()):
-            for term, count in row:
-                yield doc, term, count
+        return np.bincount(self.docs, weights=self.values, minlength=self.n_docs).astype(np.int64).tolist()
 
 
-@dataclass
-class TfidfMatrix:
-    n_docs: int
-    n_terms: int
-    weights: dict[tuple[int, int], float]
-    doc_ids: list[str]
-    norm: str = "l2"
+class TfidfMatrix(_EntryMatrix):
+    """Float (doc, term) weights."""
 
-    def entries(self):
-        for key in sorted(self.weights):
-            yield key[0], key[1], self.weights[key]
+    dtype = np.float64
+
+    def __init__(self, n_docs: int, n_terms: int, weights, doc_ids: list[str], norm: str = "l2"):
+        super().__init__(n_docs, n_terms, weights, doc_ids)
+        self.norm = norm
+
+    weights = cached_property(_EntryMatrix._view)
 
 
 def build_vocabulary(
@@ -118,17 +136,17 @@ def build_vocabulary(
 
 def count_matrix(docs: list[Document], vocab: Vocabulary) -> DocTermMatrix:
     """Sparse (doc, term) -> occurrences; out-of-vocabulary tokens dropped."""
-    counts: dict[tuple[int, int], int] = {}
-    for position, doc in enumerate(docs):
-        tally = Counter(doc.tokens)
-        for token, count in tally.items():
-            term = vocab.index.get(token)
-            if term is not None:
-                counts[(position, term)] = count
+    lengths = [len(doc.tokens) for doc in docs]
+    tokens = chain.from_iterable(doc.tokens for doc in docs)
+    terms = np.fromiter(map(vocab.index.get, tokens, repeat(-1)), dtype=np.int64, count=sum(lengths))
+    token_docs = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
+    known = terms >= 0
+    n_terms = len(vocab)
+    keys, counts = np.unique(token_docs[known] * n_terms + terms[known], return_counts=True)
     return DocTermMatrix(
         n_docs=len(docs),
-        n_terms=len(vocab),
-        counts=counts,
+        n_terms=n_terms,
+        counts=(keys // n_terms, keys % n_terms, counts),
         doc_ids=[doc.record_id for doc in docs],
     )
 
@@ -140,31 +158,25 @@ def idf(matrix: DocTermMatrix) -> np.ndarray:
     so the result is well defined even when the vocabulary was built
     from a superset of these documents.
     """
-    df_vector = np.zeros(matrix.n_terms, dtype=np.int64)
-    for (_, term) in matrix.counts:
-        df_vector[term] += 1
+    df_vector = np.bincount(matrix.terms, minlength=matrix.n_terms)
     return np.log((1.0 + matrix.n_docs) / (1.0 + df_vector)) + 1.0
 
 
 def tfidf(matrix: DocTermMatrix, norm: str = "l2") -> TfidfMatrix:
-    """weight(d,t) = count(d,t) * idf(t), with optional l2 row norm."""
+    """weight(d,t) = count(d,t) * idf(t), with optional l2 row norm.
+
+    Row norms are summed over each row's entries in term order.
+    """
     if norm not in ("none", "l2"):
         raise ValueError(f"norm must be 'none' or 'l2', got {norm!r}")
-    idf_vector = idf(matrix)
-    weights = {key: count * idf_vector[key[1]] for key, count in matrix.counts.items()}
+    weights = matrix.values * idf(matrix)[matrix.terms]
     if norm == "l2":
-        row_norms = [0.0] * matrix.n_docs
-        for (doc, _), weight in weights.items():
-            row_norms[doc] += weight * weight
-        row_norms = [math.sqrt(total) for total in row_norms]
-        weights = {
-            (doc, term): weight / row_norms[doc]
-            for (doc, term), weight in weights.items()
-        }
+        row_norms = np.sqrt(np.bincount(matrix.docs, weights=weights * weights, minlength=matrix.n_docs))
+        weights = weights / row_norms[matrix.docs]
     return TfidfMatrix(
         n_docs=matrix.n_docs,
         n_terms=matrix.n_terms,
-        weights=weights,
+        weights=(matrix.docs, matrix.terms, weights),
         doc_ids=list(matrix.doc_ids),
         norm=norm,
     )
@@ -178,17 +190,14 @@ def to_pseudo_counts(weights: TfidfMatrix, scale: float = 10.0) -> DocTermMatrix
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    counts: dict[tuple[int, int], int] = {}
-    for key, weight in weights.weights.items():
-        pseudo = math.floor(scale * weight + 0.5)
-        if pseudo > 0:
-            counts[key] = pseudo
-    if not counts and weights.weights:
+    pseudo = np.floor(scale * weights.values + 0.5)
+    kept = pseudo > 0
+    if not kept.any() and weights.values.size:
         raise AllZero(scale)
     return DocTermMatrix(
         n_docs=weights.n_docs,
         n_terms=weights.n_terms,
-        counts=counts,
+        counts=(weights.docs[kept], weights.terms[kept], pseudo[kept].astype(np.int64)),
         doc_ids=list(weights.doc_ids),
     )
 
@@ -199,7 +208,7 @@ def save_triplets(matrix, vocab: Vocabulary, path) -> None:
         writer = csv.writer(handle)
         writer.writerow(["doc_id", "term", "value"])
         for doc, term, value in matrix.entries():
-            writer.writerow([matrix.doc_ids[doc], vocab.terms[term], repr(value) if isinstance(value, float) else value])
+            writer.writerow([matrix.doc_ids[doc], vocab.terms[term], value])
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

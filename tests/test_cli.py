@@ -272,6 +272,51 @@ class TestErrors:
         assert "error [lda]: topic 0 top word" in capsys.readouterr().err
 
 
+def _drop_doc_topic(payload):
+    del payload["doc_topic"]
+
+
+def _drop_last_doc_id(payload):
+    payload["doc_ids"].pop()
+
+
+def _widen_topic_word(payload):
+    for row in payload["topic_word"]:
+        row.append(0.0)
+
+
+def _drop_last_df(payload):
+    payload["vocabulary"]["df"].pop()
+
+
+class TestCorruptModelFile:
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fit")
+        corpus = out / "corpus.jsonl"
+        write_jsonl(corpus, _rows())
+        assert main(["fit", "--corpus", str(corpus), "--out", str(out)] + FIT_FLAGS) == 0
+        return corpus, (out / "model.json").read_text(encoding="utf-8")
+
+    def _analyze(self, fitted, tmp_path, text):
+        corpus, _ = fitted
+        model = tmp_path / "model.json"
+        model.write_text(text, encoding="utf-8")
+        return main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o"), "--model", str(model)])
+
+    @pytest.mark.parametrize("edit", [_drop_doc_topic, _drop_last_doc_id, _widen_topic_word, _drop_last_df])
+    def test_bad_payload_is_an_lda_error(self, fitted, tmp_path, capsys, edit):
+        payload = json.loads(fitted[1])
+        edit(payload)
+        assert self._analyze(fitted, tmp_path, json.dumps(payload)) == 1
+        assert capsys.readouterr().err.startswith(f"error [lda]: model file {tmp_path / 'model.json'}: ")
+
+    @pytest.mark.parametrize("text", ["{not json", "", "[1, 2]"])
+    def test_undecodable_json_is_an_lda_error(self, fitted, tmp_path, capsys, text):
+        assert self._analyze(fitted, tmp_path, text) == 1
+        assert capsys.readouterr().err.startswith("error [lda]: model file ")
+
+
 class TestConfigFile:
     def _config_payload(self, corpus_path):
         return {"corpus": corpus_path, "lda": {"n_topics": 2, "sweeps": 25, "burn_in": 5}}

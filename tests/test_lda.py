@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lextopic import _gibbs, lda
-from lextopic.errors import EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
+from lextopic.errors import AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
 from lextopic.lda import (
     LdaConfig,
     LdaModel,
@@ -406,6 +406,57 @@ class TestCoherence:
         )
         with pytest.raises(ValueError):
             coherence_umass(model, matrix, top_m=3)
+
+
+def reference_coherence(model, matrix, top_m):
+    """The per-term document-set loop coherence_umass replaced."""
+    term_docs = {}
+    for doc, term in matrix.counts:
+        term_docs.setdefault(term, set()).add(doc)
+    scores = []
+    for topic in range(model.topic_word.shape[0]):
+        top_terms = model.top_term_indices(topic, top_m)
+        score = 0.0
+        for j in range(1, len(top_terms)):
+            docs_j = term_docs.get(top_terms[j], set())
+            if not docs_j:
+                raise AbsentTopWord(topic, top_terms[j])
+            for i in range(j):
+                docs_i = term_docs.get(top_terms[i], set())
+                score += math.log((len(docs_i & docs_j) + 1) / len(docs_j))
+        scores.append(score)
+    return scores
+
+
+class TestCoherenceMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 7), max_size=10), min_size=1, max_size=10).map(
+            lambda rows: rows + [[], [3, 3]]
+        ),
+        st.integers(1, 4),
+        st.integers(2, 9),
+        st.data(),
+    )
+    def test_scores_equal_reference(self, token_lists, n_topics, top_m, data):
+        matrix = matrix_from_tokens(token_lists, n_terms=8)
+        # Small integer weights, so tied top words are common.
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=8 * n_topics, max_size=8 * n_topics))
+        model = LdaModel(
+            config=LdaConfig(n_topics=n_topics, sweeps=2, burn_in=1),
+            doc_topic=np.full((matrix.n_docs, n_topics), 1.0 / n_topics),
+            topic_word=np.array(weights, dtype=np.float64).reshape(n_topics, 8),
+            doc_ids=matrix.doc_ids,
+            log_likelihood=[],
+        )
+        try:
+            expected = reference_coherence(model, matrix, top_m)
+        except AbsentTopWord as exc:
+            with pytest.raises(AbsentTopWord) as raised:
+                coherence_umass(model, matrix, top_m=top_m)
+            assert (raised.value.topic, raised.value.term) == (exc.topic, exc.term)
+        else:
+            assert coherence_umass(model, matrix, top_m=top_m) == expected
 
 
 class TestSaveLoad:

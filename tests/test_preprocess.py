@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import make_record
 from lextopic.errors import EmptyDocument
 from lextopic.preprocess import (
+    DEFAULT_NORMALIZE_CHARS,
     DEFAULT_PUNCTUATION,
     LemmaRules,
     PreprocessConfig,
@@ -60,6 +61,33 @@ class TestRemovePunctuation:
 
     def test_persian_marks(self):
         assert remove_punctuation("ماده ۱،بند") == "ماده ۱ بند"
+
+
+class TestTableSubstitution:
+    """normalize and remove_punctuation equal the str.translate forms they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(st.characters(), st.one_of(st.none(), st.text(max_size=3)), max_size=8),
+        st.data(),
+    )
+    def test_equals_str_translate(self, mapping, data):
+        alphabet = st.sampled_from(sorted(mapping)) | st.characters() if mapping else st.characters()
+        text = data.draw(st.text(alphabet=alphabet, max_size=40))
+        translated = text.translate(str.maketrans(mapping))
+        assert normalize(text, mapping) == " ".join(translated.lower().split())
+        marks = set(mapping)
+        assert remove_punctuation(text, marks) == text.translate({ord(mark): " " for mark in marks})
+
+    @given(st.text(alphabet=st.sampled_from("يك٤۵ـ\u200c.،«» a") | st.characters(), max_size=40))
+    def test_defaults_equal_str_translate(self, text):
+        table = str.maketrans(DEFAULT_NORMALIZE_CHARS)
+        assert normalize(text) == " ".join(text.translate(table).lower().split())
+        marks = {ord(mark): " " for mark in DEFAULT_PUNCTUATION}
+        assert remove_punctuation(text) == text.translate(marks)
+
+    def test_ordinal_keys_and_values(self):
+        assert normalize("abc", {ord("a"): ord("x"), "b": None}) == "xc"
 
 
 class TestTokenize:

@@ -1,14 +1,18 @@
 """Vocabulary, count matrix, and TF-IDF weighting."""
 
+import csv
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lextopic.errors import AllZero, EmptyVocabulary
 from lextopic.preprocess import Document
 from lextopic.vectorize import (
+    DocTermMatrix,
     Vocabulary,
     build_vocabulary,
     count_matrix,
@@ -210,3 +214,101 @@ class TestExports:
         lines = vocab_path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "term,df"
         assert len(lines) == 1 + len(vocab.terms)
+
+    def test_tfidf_triplet_values_are_plain_floats(self, tmp_path):
+        docs = _docs([["b", "a", "a"], ["c", "b"], ["a"]])
+        vocab = build_vocabulary(docs, min_df=1, max_df_ratio=1.0)
+        weighted = tfidf(count_matrix(docs, vocab), norm="l2")
+        path = tmp_path / "weights.csv"
+        save_triplets(weighted, vocab, path)
+        with path.open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == len(weighted.weights)
+        for row in rows:
+            assert float(row["value"]) == weighted.weights[(int(row["doc_id"][1:]), vocab.index[row["term"]])]
+
+
+# The dict loops the entry-array operations replaced, kept as their reference.
+
+
+def reference_counts(docs, vocab):
+    counts = {}
+    for position, doc in enumerate(docs):
+        for token, count in Counter(doc.tokens).items():
+            term = vocab.index.get(token)
+            if term is not None:
+                counts[(position, term)] = count
+    return counts
+
+
+def reference_idf(counts, n_docs, n_terms):
+    df_vector = np.zeros(n_terms, dtype=np.int64)
+    for (_, term) in counts:
+        df_vector[term] += 1
+    return np.log((1.0 + n_docs) / (1.0 + df_vector)) + 1.0
+
+
+def reference_tfidf(counts, n_docs, n_terms, norm):
+    idf_vector = reference_idf(counts, n_docs, n_terms)
+    weights = {key: count * idf_vector[key[1]] for key, count in counts.items()}
+    if norm == "l2":
+        row_norms = [0.0] * n_docs
+        for (doc, _), weight in weights.items():
+            row_norms[doc] += weight * weight
+        row_norms = [math.sqrt(total) for total in row_norms]
+        weights = {(doc, term): weight / row_norms[doc] for (doc, term), weight in weights.items()}
+    return weights
+
+
+def reference_pseudo_counts(weights, scale):
+    counts = {}
+    for key, weight in weights.items():
+        pseudo = math.floor(scale * weight + 0.5)
+        if pseudo > 0:
+            counts[key] = pseudo
+    return counts
+
+
+TERMS = ["a", "b", "c", "d", "e"]
+# Token lists over the vocabulary plus one out-of-vocabulary word; an
+# empty row and a single-term row are always present.
+corpora = st.lists(st.lists(st.sampled_from(TERMS + ["zz"]), max_size=12), max_size=8).map(
+    lambda rows: rows + [[], ["c", "c"]]
+)
+
+
+class TestEntryArraysMatchReference:
+    @settings(max_examples=150, deadline=None)
+    @given(corpora, st.permutations(TERMS), st.sampled_from(["none", "l2"]), st.floats(0.5, 40.0))
+    def test_counts_idf_tfidf_and_pseudo_counts(self, token_lists, terms, norm, scale):
+        docs = _docs(token_lists)
+        vocab = Vocabulary(terms=terms, index={term: i for i, term in enumerate(terms)}, df=[1] * len(terms))
+        n_docs, n_terms = len(docs), len(terms)
+        matrix = count_matrix(docs, vocab)
+        counts = reference_counts(docs, vocab)
+        assert matrix.counts == counts
+        assert list(matrix.entries()) == sorted((d, t, c) for (d, t), c in counts.items())
+        rebuilt = DocTermMatrix(n_docs, n_terms, counts, matrix.doc_ids)
+        for name in ("docs", "terms", "values"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(matrix, name))
+        assert np.array_equal(idf(matrix), reference_idf(counts, n_docs, n_terms))
+
+        weighted = tfidf(matrix, norm=norm)
+        expected = reference_tfidf(counts, n_docs, n_terms, norm)
+        if norm == "none":
+            assert weighted.weights == expected
+        else:
+            assert weighted.weights == pytest.approx(expected, rel=1e-12)
+        pseudo = reference_pseudo_counts(weighted.weights, scale)
+        if pseudo:
+            assert to_pseudo_counts(weighted, scale).counts == pseudo
+        else:
+            with pytest.raises(AllZero):
+                to_pseudo_counts(weighted, scale)
+
+    def test_dict_views_are_read_only(self):
+        matrix = count_matrix(_docs([["a", "b"]]), Vocabulary(["a", "b"], {"a": 0, "b": 1}, [1, 1]))
+        with pytest.raises(TypeError):
+            matrix.counts[(0, 0)] = 5
+        with pytest.raises(TypeError):
+            tfidf(matrix).weights[(0, 0)] = 0.5
