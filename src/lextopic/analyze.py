@@ -67,9 +67,8 @@ def topic_shares(
     """Fraction of documents attributed to each topic, single 'all' column."""
     _check_alignment(model, corpus)
     n_topics = model.doc_topic.shape[1]
-    counts = [[0] for _ in range(n_topics)]
-    for row in model.doc_topic:
-        counts[dominant_topic(row)][0] += 1
+    dominant = np.argmax(model.doc_topic, axis=1)
+    counts = [[count] for count in np.bincount(dominant, minlength=n_topics).tolist()]
     return build_trend_table(
         _topic_labels(n_topics, labels), ["all"], counts, normalization=PER_YEAR
     )
@@ -95,9 +94,9 @@ def yearly_topic_percentages(
     n_topics = model.doc_topic.shape[1]
     years = sorted({record.date.gregorian_year for record in corpus.records})
     year_index = {year: j for j, year in enumerate(years)}
-    counts = [[0] * len(years) for _ in range(n_topics)]
-    for record, theta_row in zip(corpus.records, model.doc_topic):
-        counts[dominant_topic(theta_row)][year_index[record.date.gregorian_year]] += 1
+    columns = np.array([year_index[record.date.gregorian_year] for record in corpus.records], dtype=np.int64)
+    cells = np.argmax(model.doc_topic, axis=1) * len(years) + columns
+    counts = np.bincount(cells, minlength=n_topics * len(years)).reshape(n_topics, len(years)).tolist()
     return build_trend_table(
         _topic_labels(n_topics, labels), years, counts, normalization=normalization
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -40,6 +41,7 @@ __all__ = [
 MODEL_FORMAT = "lextopic-model"
 MODEL_VERSION = 1
 _ENUMERATION_BOUND = 10**6
+_LL_BLOCK = 1 << 15
 
 
 @dataclass
@@ -248,7 +250,11 @@ def _log_likelihood(
     doc_topic: np.ndarray,
     topic_word: np.ndarray,
 ) -> float:
-    token_probs = np.einsum("ek,ek->e", doc_topic[docs], topic_word[:, terms].T)
+    # Blocks of entries bound the (entries x topics) gathers; each is the same einsum.
+    token_probs = np.empty(docs.size)
+    for start in range(0, docs.size, _LL_BLOCK):
+        block = slice(start, start + _LL_BLOCK)
+        np.einsum("ek,ek->e", doc_topic[docs[block]], topic_word[:, terms[block]].T, out=token_probs[block])
     return float(np.dot(counts, np.log(token_probs)))
 
 
@@ -501,6 +507,7 @@ def perplexity(model: LdaModel, matrix: DocTermMatrix) -> float:
     if not matrix.values.size:
         raise EmptyMatrix()
     docs, terms, counts = _entry_arrays(matrix)
+    _check_entries(docs, terms, counts, matrix)
     total = counts.sum()
     log_lik = _log_likelihood(docs, terms, counts, model.doc_topic, model.topic_word)
     return float(np.exp(-log_lik / total))
@@ -515,6 +522,7 @@ def coherence_umass(model: LdaModel, matrix: DocTermMatrix, top_m: int = 10) -> 
     """
     if top_m < 2:
         raise ValueError(f"top_m must be >= 2, got {top_m}")
+    _check_entries(matrix.docs, matrix.terms, matrix.values, matrix)
     top_terms = [model.top_term_indices(topic, top_m) for topic in range(model.topic_word.shape[0])]
     # Co-document counts of every pair of top words, from a 0/1 incidence
     # matrix over the union of the topics' top words.
@@ -546,7 +554,8 @@ def _vocab_hash(vocab: Vocabulary | None, n_terms: int) -> str:
 
 
 def save_model(model: LdaModel, path) -> None:
-    """Versioned JSON dump; float repr round-trips, so reload is exact."""
+    """Versioned JSON dump; float repr round-trips, so reload is exact.
+    Written beside path and renamed over it: a failed save leaves the old file."""
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -564,13 +573,17 @@ def save_model(model: LdaModel, path) -> None:
         if model.vocab is None
         else {"terms": model.vocab.terms, "df": model.vocab.df},
         "doc_ids": model.doc_ids,
-        "doc_topic": [[float(x) for x in row] for row in model.doc_topic],
-        "topic_word": [[float(x) for x in row] for row in model.topic_word],
-        "log_likelihood": [float(x) for x in model.log_likelihood],
+        "doc_topic": np.asarray(model.doc_topic, dtype=np.float64).tolist(),
+        "topic_word": np.asarray(model.topic_word, dtype=np.float64).tolist(),
+        "log_likelihood": np.asarray(model.log_likelihood, dtype=np.float64).tolist(),
     }
-    with Path(path).open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False)
-        handle.write("\n")
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temporary.write_text(json.dumps(payload, ensure_ascii=False) + "\n", encoding="utf-8")
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 def load_model(path) -> LdaModel:

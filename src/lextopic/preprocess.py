@@ -7,12 +7,13 @@ so the composed pipeline is stable under re-runs.
 
 from __future__ import annotations
 
-import re
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 
 from .corpus import Corpus, LawRecord
 from .errors import EmptyDocument, MissingYear
@@ -55,44 +56,8 @@ DEFAULT_PUNCTUATION: frozenset = frozenset(string.punctuation) | frozenset(
 )
 
 
-class _Table:
-    """A str.maketrans table plus a regex matching any one of its keys.
-
-    Every key is one character, so ``pattern.sub`` replaces them all at
-    once, exactly as str.translate does, but skips unmapped characters
-    without a dict lookup each. preprocess_corpus and validate_nonempty
-    build one per call.
-    """
-
-    __slots__ = ("table", "pattern")
-
-    def __init__(self, table: dict[int, str | int | None]):
-        self.table = table
-        characters = "".join(re.escape(chr(code)) for code in table)
-        self.pattern = re.compile(f"[{characters}]" if characters else "(?!)")
-
-    def replace(self, match: re.Match) -> str:
-        return match.group().translate(self.table)
-
-
-_DEFAULT_TABLE = _Table(str.maketrans(DEFAULT_NORMALIZE_CHARS))
-_DEFAULT_PUNCTUATION_TABLE = _Table({ord(mark): " " for mark in DEFAULT_PUNCTUATION})
-
-
-def _normalize_table(normalize_chars) -> _Table:
-    if normalize_chars is None:
-        return _DEFAULT_TABLE
-    if isinstance(normalize_chars, _Table):
-        return normalize_chars
-    return _Table(str.maketrans(normalize_chars))
-
-
-def _punctuation_table(punctuation_set) -> _Table:
-    if punctuation_set is None:
-        return _DEFAULT_PUNCTUATION_TABLE
-    if isinstance(punctuation_set, _Table):
-        return punctuation_set
-    return _Table({ord(mark): " " for mark in punctuation_set})
+_DEFAULT_TABLE = str.maketrans(DEFAULT_NORMALIZE_CHARS)
+_DEFAULT_PUNCTUATION_TABLE = {ord(mark): " " for mark in DEFAULT_PUNCTUATION}
 
 
 @dataclass
@@ -132,24 +97,6 @@ class LemmaRules:
 
 
 @dataclass
-class _MemoizedRules:
-    """LemmaRules.apply remembered per distinct token.
-
-    Lives for one preprocess_corpus call, so later edits to the rules are
-    seen by the next call. Repeated tokens share one lemma string.
-    """
-
-    rules: LemmaRules
-    lemmas: dict[str, str] = field(default_factory=dict)
-
-    def apply(self, token: str) -> str:
-        lemma = self.lemmas.get(token)
-        if lemma is None:
-            lemma = self.lemmas[token] = self.rules.apply(token)
-        return lemma
-
-
-@dataclass
 class PreprocessConfig:
     stopword_list: set[str] = field(default_factory=set)
     punctuation_set: frozenset = DEFAULT_PUNCTUATION
@@ -179,13 +126,23 @@ def normalize(text: str, normalize_chars: dict[str, str] | None = None) -> str:
 
     Lowercasing keeps Latin-alphabet material (loanwords, test fixtures)
     on one casing; Persian script has no case so it is a no-op there.
+    normalize_chars is a str.maketrans mapping; a MappingProxyType is
+    taken as a ready str.translate table, built once for many texts.
     """
-    table = _normalize_table(normalize_chars)
-    return " ".join(table.pattern.sub(table.replace, text).lower().split())
+    if normalize_chars is None:
+        normalize_chars = _DEFAULT_TABLE
+    elif not isinstance(normalize_chars, MappingProxyType):
+        normalize_chars = str.maketrans(normalize_chars)
+    return " ".join(text.translate(normalize_chars).lower().split())
 
 
 def remove_punctuation(text: str, punctuation_set=None) -> str:
-    return _punctuation_table(punctuation_set).pattern.sub(" ", text)
+    """Replace each mark with a space; a MappingProxyType is a ready table."""
+    if punctuation_set is None:
+        punctuation_set = _DEFAULT_PUNCTUATION_TABLE
+    elif not isinstance(punctuation_set, MappingProxyType):
+        punctuation_set = {ord(mark): " " for mark in punctuation_set}
+    return text.translate(punctuation_set)
 
 
 def tokenize(text: str, min_token_length: int = 1) -> list[str]:
@@ -200,19 +157,18 @@ def lemmatize(tokens: list[str], lemma_rules: LemmaRules) -> list[str]:
     return [lemma_rules.apply(token) for token in tokens]
 
 
+def _parse_stopwords(text: str, normalize_chars: dict[str, str] | None = None) -> set[str]:
+    lines = (line.strip() for line in text.splitlines())
+    return {normalize(line, normalize_chars) for line in lines if line and not line.startswith("#")}
+
+
 def load_stopwords(path, normalize_chars: dict[str, str] | None = None) -> set[str]:
     """One token per line; blank lines and '#' comment lines skipped.
 
     Entries are normalized on load so that normalizing a stopword is
     always a no-op at match time.
     """
-    words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        words.add(normalize(line, normalize_chars))
-    return words
+    return _parse_stopwords(Path(path).read_text(encoding="utf-8"), normalize_chars)
 
 
 def _parse_lemma_rules(text: str, normalize_chars: dict[str, str] | None = None) -> LemmaRules:
@@ -242,11 +198,9 @@ def default_config() -> PreprocessConfig:
     """Config backed by the bundled Persian stopword and lemma-rule files."""
     data = resources.files("lextopic").joinpath("data")
     config = PreprocessConfig()
-    config.stopword_list = {
-        normalize(line.strip(), config.normalize_chars)
-        for line in data.joinpath("stopwords_fa.txt").read_text(encoding="utf-8").splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    }
+    config.stopword_list = _parse_stopwords(
+        data.joinpath("stopwords_fa.txt").read_text(encoding="utf-8"), config.normalize_chars
+    )
     config.lemma_rules = _parse_lemma_rules(
         data.joinpath("lemma_rules_fa.txt").read_text(encoding="utf-8"), config.normalize_chars
     )
@@ -279,20 +233,50 @@ def preprocess_document(record: LawRecord, config: PreprocessConfig | None = Non
     return Document(record.id, tokens, record.date.gregorian_year)
 
 
-def _prepared(config: PreprocessConfig | None) -> PreprocessConfig:
-    """A copy of config for one pass over many records.
+class _Preprocessor(dict):
+    """preprocess_document for one pass over many records.
 
-    Its character tables are compiled once and its lemma rules are
-    memoized per distinct token; the documents it yields are unchanged.
+    Every stage works within a whitespace chunk, so a record's tokens are
+    its chunks' tokens in order. The dict maps each distinct chunk to its
+    tokens, run through the stages on first lookup. Equal token tuples are
+    stored once, so documents share token strings and peak memory stays
+    down. A normalize map with a whitespace key can join two chunks into
+    one token, so such a config goes record by record.
     """
-    if config is None:
-        config = default_config()
-    return replace(
-        config,
-        normalize_chars=_normalize_table(config.normalize_chars),
-        punctuation_set=_punctuation_table(config.punctuation_set),
-        lemma_rules=_MemoizedRules(config.lemma_rules),
-    )
+
+    def __init__(self, config: PreprocessConfig | None):
+        super().__init__()
+        self.config = config = default_config() if config is None else config
+        self.shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self.normalize_table = MappingProxyType(str.maketrans(config.normalize_chars))
+        self.punctuation_table = MappingProxyType({ord(mark): " " for mark in config.punctuation_set})
+        self.joins_chunks = any(chr(code).isspace() for code in self.normalize_table)
+
+    def __missing__(self, chunk: str) -> tuple[str, ...]:
+        config = self.config
+        text = normalize(chunk, self.normalize_table)
+        text = remove_punctuation(text, self.punctuation_table)
+        tokens = tokenize(text, config.min_token_length)
+        tokens = remove_stopwords(tokens, config.stopword_list)
+        tokens = lemmatize(tokens, config.lemma_rules)
+        tokens = tuple(
+            token
+            for token in tokens
+            if len(token) >= config.min_token_length and token not in config.stopword_list
+        )
+        self[chunk] = tokens = self.shared.setdefault(tokens, tokens)
+        return tokens
+
+    def __call__(self, record: LawRecord) -> Document:
+        if self.joins_chunks:
+            return preprocess_document(record, self.config)
+        if record.date is None:
+            raise MissingYear(record.id)
+        chunks = f"{record.title} {record.content}".split()
+        tokens = list(chain.from_iterable(map(self.__getitem__, chunks)))
+        if not tokens:
+            raise EmptyDocument(record.id)
+        return Document(record.id, tokens, record.date.gregorian_year)
 
 
 def preprocess_corpus(
@@ -301,11 +285,11 @@ def preprocess_corpus(
     """Preprocess every record; on_empty is "error" (raise) or "drop"."""
     if on_empty not in ("error", "drop"):
         raise ValueError(f"on_empty must be 'error' or 'drop', got {on_empty!r}")
-    config = _prepared(config)
+    preprocess = _Preprocessor(config)
     documents = []
     for record in corpus.records:
         try:
-            documents.append(preprocess_document(record, config))
+            documents.append(preprocess(record))
         except EmptyDocument:
             if on_empty == "error":
                 raise
@@ -316,7 +300,7 @@ def validate_nonempty(corpus: Corpus, config: PreprocessConfig | None = None) ->
     """Report record ids with null-ish required fields or empty pipelines."""
     null_fields: list[str] = []
     empty_after: list[str] = []
-    config = _prepared(config)
+    preprocess = _Preprocessor(config)
     for record in corpus.records:
         if (
             not record.id.strip()
@@ -327,7 +311,7 @@ def validate_nonempty(corpus: Corpus, config: PreprocessConfig | None = None) ->
             null_fields.append(record.id)
             continue
         try:
-            preprocess_document(record, config)
+            preprocess(record)
         except EmptyDocument:
             empty_after.append(record.id)
     return ValidationReport(null_fields=null_fields, empty_after_preprocess=empty_after)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_record
 from lextopic.analyze import (
@@ -157,6 +159,30 @@ VOCAB = Vocabulary(
     index={"alpha": 0, "beta": 1, "gamma": 2},
     df=[2, 2, 1],
 )
+
+
+class TestDominantCounts:
+    """Share and trend counts equal a per-row dominant_topic count, ties included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n_topics: st.lists(
+        st.tuples(st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=n_topics, max_size=n_topics),
+                  st.sampled_from([2019, 2020, 2022])),
+        max_size=12,
+    )))
+    def test_equal_per_row_reference(self, rows):
+        n_topics = len(rows[0][0]) if rows else 2
+        model = _model(np.array([theta for theta, _ in rows]).reshape(len(rows), n_topics))
+        corpus = _corpus_for(model, years=[year for _, year in rows])
+        years = sorted({year for _, year in rows})
+        expected = [[0] * len(years) for _ in range(n_topics)]
+        for theta, year in rows:
+            expected[dominant_topic(theta)][years.index(year)] += 1
+        trends = yearly_topic_percentages(model, corpus)
+        shares = topic_shares(model, corpus)
+        assert trends.counts == expected
+        assert shares.counts == [[sum(row)] for row in expected]
+        assert all(type(count) is int for row in trends.counts + shares.counts for count in row)
 
 
 class TestTopWords:

@@ -322,6 +322,23 @@ class TestExactPosterior:
             exact_posterior(matrix, config)
 
 
+class TestLogLikelihoodBlocks:
+    """_log_likelihood over blocks of entries equals one einsum over all of them, bit for bit."""
+
+    @pytest.mark.parametrize("n_topics", [1, 3, 10, 20])
+    def test_equals_one_einsum(self, n_topics):
+        rng = np.random.default_rng(n_topics)
+        n_entries = 2 * lda._LL_BLOCK + 123
+        docs = np.sort(rng.integers(0, 500, n_entries))
+        terms = rng.integers(0, 800, n_entries)
+        counts = rng.integers(1, 5, n_entries).astype(np.float64)
+        doc_topic = rng.dirichlet(np.ones(n_topics), 500)
+        topic_word = rng.dirichlet(np.ones(800), n_topics)
+        token_probs = np.einsum("ek,ek->e", doc_topic[docs], topic_word[:, terms].T)
+        expected = float(np.dot(counts, np.log(token_probs)))
+        assert lda._log_likelihood(docs, terms, counts, doc_topic, topic_word) == expected
+
+
 def _uniform_model(n_docs, n_terms):
     config = LdaConfig(n_topics=1, alpha=1.0, beta=1.0, sweeps=2, burn_in=1)
     return LdaModel(
@@ -501,6 +518,26 @@ class TestSaveLoad:
         with pytest.raises(VocabularyMismatch):
             load_model(path)
 
+    @pytest.mark.parametrize("failure", ["unserializable", "replace"])
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch, failure):
+        model = self._fitted()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        before = path.read_bytes()
+        if failure == "unserializable":
+            model.doc_ids = ["d0", object(), "d2"]
+            expected = TypeError
+        else:
+            def failing_replace(source, target):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(lda.os, "replace", failing_replace)
+            expected = OSError
+        with pytest.raises(expected):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["model.json"]
+
     def test_anonymous_vocabulary_round_trip(self, tmp_path):
         matrix = matrix_from_tokens([[0, 1], [1]], n_terms=2)
         config = LdaConfig(n_topics=2, alpha=0.5, beta=0.5, sweeps=6, burn_in=2, seed=1)
@@ -636,3 +673,13 @@ class TestEntryBounds:
         matrix = DocTermMatrix(n_docs=2, n_terms=3, counts={(0, 1): 2, key: count}, doc_ids=["a", "b"])
         with pytest.raises(EntryOutOfRange):
             fit(matrix, LdaConfig(n_topics=2, sweeps=2, burn_in=0))
+
+    def test_perplexity_rejects_out_of_range_entry(self):
+        matrix = DocTermMatrix(2, 3, {(0, 1): 2, (1, 5): 1}, ["a", "b"])
+        with pytest.raises(EntryOutOfRange):
+            perplexity(_uniform_model(n_docs=2, n_terms=3), matrix)
+
+    def test_coherence_rejects_out_of_range_document(self):
+        matrix = DocTermMatrix(2, 3, {(0, 0): 1, (0, 1): 1, (1, 2): 1, (4, 2): 1}, ["a", "b"])
+        with pytest.raises(EntryOutOfRange):
+            coherence_umass(_uniform_model(n_docs=2, n_terms=3), matrix, top_m=3)

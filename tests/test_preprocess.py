@@ -1,7 +1,7 @@
 """Cleaning pipeline stages and their composition."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
@@ -245,6 +245,62 @@ class TestPreprocessCorpus:
         rules.exceptions["went"] = "leave"
         config.normalize_chars["y"] = ""
         assert preprocess_corpus(corpus, config)[0].tokens == ["leave", "home", "leave", "awa"]
+
+
+WHITESPACE = "\t\n \xa0\x1c\x85\u3000"
+MEMO_ALPHABET = WHITESPACE + "\u200cـيك۱۴٤.،«»(Σσİiabقانونها"
+
+
+@st.composite
+def memo_configs(draw):
+    """The default config, or one with a small lexicon, a length floor of
+    1-3 and extra normalize keys and values that may be whitespace."""
+    if draw(st.booleans()):
+        return default_config()
+    extra = st.dictionaries(
+        st.sampled_from(WHITESPACE + "a-Σ"), st.sampled_from(["", " ", "\n", "b", "Σ"]), max_size=3
+    )
+    return PreprocessConfig(
+        stopword_list={"ab", "قانون", "σ"},
+        lemma_rules=LemmaRules(exceptions={"ها": "ab"}, suffix_rules=[("ها", ""), ("b", "")]),
+        min_token_length=draw(st.integers(1, 3)),
+        normalize_chars={**DEFAULT_NORMALIZE_CHARS, **draw(extra)},
+    )
+
+
+class TestChunkMemo:
+    """preprocess_corpus and validate_nonempty equal preprocess_document
+    run record by record, for every config."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.text(MEMO_ALPHABET, max_size=12), st.text(MEMO_ALPHABET, max_size=30)), max_size=6),
+        memo_configs(),
+    )
+    @example([("ab\tcd", "x\ty")], PreprocessConfig(normalize_chars={"\t": ""}))
+    def test_equals_document_by_document(self, texts, config):
+        corpus = Corpus(
+            [make_record(f"r{i}", title=title, content=content) for i, (title, content) in enumerate(texts)]
+        )
+        expected, empty = [], []
+        for record in corpus.records:
+            try:
+                expected.append(preprocess_document(record, config))
+            except EmptyDocument:
+                empty.append(record.id)
+        assert preprocess_corpus(corpus, config, on_empty="drop") == expected
+        if empty:
+            with pytest.raises(EmptyDocument) as excinfo:
+                preprocess_corpus(corpus, config, on_empty="error")
+            assert excinfo.value.record_id == empty[0]
+        else:
+            assert preprocess_corpus(corpus, config, on_empty="error") == expected
+        blank = [
+            record.id for record in corpus.records if not record.title.strip() or not record.content.strip()
+        ]
+        report = validate_nonempty(corpus, config)
+        assert report.null_fields == blank
+        assert report.empty_after_preprocess == [record_id for record_id in empty if record_id not in blank]
 
 
 class TestValidateNonempty:
