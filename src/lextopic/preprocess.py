@@ -121,26 +121,30 @@ class ValidationReport:
         return not self.null_fields and not self.empty_after_preprocess
 
 
+def _ready_table(mapping) -> bool:
+    return isinstance(mapping, MappingProxyType) and isinstance(next(iter(mapping), 0), int)
+
+
 def normalize(text: str, normalize_chars: dict[str, str] | None = None) -> str:
     """Fold character variants, lowercase, and collapse whitespace runs.
 
     Lowercasing keeps Latin-alphabet material (loanwords, test fixtures)
     on one casing; Persian script has no case so it is a no-op there.
-    normalize_chars is a str.maketrans mapping; a MappingProxyType is
-    taken as a ready str.translate table, built once for many texts.
+    normalize_chars is a str.maketrans mapping; a MappingProxyType with
+    ordinal keys is taken as a ready str.translate table.
     """
     if normalize_chars is None:
         normalize_chars = _DEFAULT_TABLE
-    elif not isinstance(normalize_chars, MappingProxyType):
-        normalize_chars = str.maketrans(normalize_chars)
+    elif not _ready_table(normalize_chars):
+        normalize_chars = str.maketrans(dict(normalize_chars))
     return " ".join(text.translate(normalize_chars).lower().split())
 
 
 def remove_punctuation(text: str, punctuation_set=None) -> str:
-    """Replace each mark with a space; a MappingProxyType is a ready table."""
+    """Replace each mark with a space; see normalize for ready tables."""
     if punctuation_set is None:
         punctuation_set = _DEFAULT_PUNCTUATION_TABLE
-    elif not isinstance(punctuation_set, MappingProxyType):
+    elif not _ready_table(punctuation_set):
         punctuation_set = {ord(mark): " " for mark in punctuation_set}
     return text.translate(punctuation_set)
 
@@ -237,18 +241,17 @@ class _Preprocessor(dict):
     """preprocess_document for one pass over many records.
 
     Every stage works within a whitespace chunk, so a record's tokens are
-    its chunks' tokens in order. The dict maps each distinct chunk to its
-    tokens, run through the stages on first lookup. Equal token tuples are
-    stored once, so documents share token strings and peak memory stays
-    down. A normalize map with a whitespace key can join two chunks into
-    one token, so such a config goes record by record.
+    its chunks' tokens in order; each distinct chunk runs through the
+    stages once. Equal token tuples are stored once, so later dict lookups
+    match equal tokens by identity. A normalize map with a whitespace key
+    can join chunks, so such a config goes record by record.
     """
 
     def __init__(self, config: PreprocessConfig | None):
         super().__init__()
         self.config = config = default_config() if config is None else config
         self.shared: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self.normalize_table = MappingProxyType(str.maketrans(config.normalize_chars))
+        self.normalize_table = MappingProxyType(str.maketrans(dict(config.normalize_chars)))
         self.punctuation_table = MappingProxyType({ord(mark): " " for mark in config.punctuation_set})
         self.joins_chunks = any(chr(code).isspace() for code in self.normalize_table)
 

@@ -1,5 +1,7 @@
 """Cleaning pipeline stages and their composition."""
 
+from types import MappingProxyType
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -88,6 +90,18 @@ class TestTableSubstitution:
 
     def test_ordinal_keys_and_values(self):
         assert normalize("abc", {ord("a"): ord("x"), "b": None}) == "xc"
+
+    def test_read_only_maps_equal_dicts(self):
+        text = "علي كتاب، Σ"
+        mapping = {"ي": "ی", "ك": "ک"}
+        assert normalize(text, MappingProxyType(mapping)) == normalize(text, mapping) == "علی کتاب، σ"
+        marks = MappingProxyType({"،": "", "Σ": ""})
+        assert remove_punctuation(text, marks) == remove_punctuation(text, {"،", "Σ"})
+        record = make_record("r1", title=text, content="كتاب")
+        config = PreprocessConfig(normalize_chars=MappingProxyType(mapping))
+        expected = preprocess_document(record, PreprocessConfig(normalize_chars=mapping))
+        assert preprocess_document(record, config) == expected
+        assert preprocess_corpus(Corpus([record]), config) == [expected]
 
 
 class TestTokenize:
