@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import atomic_writer
 from .corpus import Corpus
-from .errors import AlignmentMismatch, MissingYear, UnknownTopicId
+from .errors import AlignmentMismatch, MalformedLabels, MissingYear, UnknownTopicId
 from .lda import LdaModel
 from .trends import PER_TOPIC, PER_YEAR, TrendTable, build_trend_table
 
@@ -111,23 +112,44 @@ def _term_names(model: LdaModel) -> list[str]:
 
 
 def top_words(model: LdaModel, topic_id: int, n: int) -> list[tuple[str, float]]:
-    """The n most probable terms of a topic, ties broken lexicographically."""
+    """The n most probable terms of a topic, ties broken lexicographically.
+
+    Only the terms at or above the n-th largest probability are sorted;
+    every tie at that value is among them, so the order is the full sort's.
+    """
     n_topics, n_terms = model.topic_word.shape
     if not 0 <= topic_id < n_topics:
         raise UnknownTopicId(topic_id)
     if not 1 <= n <= n_terms:
         raise ValueError(f"n must be in [1, {n_terms}], got {n}")
-    names = _term_names(model)
     row = model.topic_word[topic_id]
-    ranked = sorted(zip(names, row), key=lambda pair: (-pair[1], pair[0]))
+    if not np.isfinite(row).all():
+        raise ValueError(f"topic {topic_id} has a non-finite term probability")
+    threshold = np.partition(row, n_terms - n)[n_terms - n]
+    names = _term_names(model)
+    ranked = sorted(
+        ((names[term], row[term]) for term in np.flatnonzero(row >= threshold).tolist()),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
     return [(term, float(probability)) for term, probability in ranked[:n]]
 
 
 def load_labels(path) -> dict[int, str]:
-    """Sidecar JSON object mapping topic id (as a string key) to label."""
-    with Path(path).open(encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return {int(key): str(value) for key, value in payload.items()}
+    """Sidecar JSON object mapping topic id (as a string key) to label.
+
+    A file that is not such an object raises MalformedLabels.
+    """
+    try:
+        with Path(path).open(encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise MalformedLabels(path, f"not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise MalformedLabels(path, "not a JSON object")
+    try:
+        return {int(key): str(value) for key, value in payload.items()}
+    except ValueError as exc:
+        raise MalformedLabels(path, f"topic ids must be integers: {exc}") from None
 
 
 def label_topics(
@@ -168,13 +190,13 @@ def save_topics_json(summaries: list[TopicSummary], path) -> None:
         }
         for summary in summaries
     ]
-    with Path(path).open("w", encoding="utf-8") as handle:
+    with atomic_writer(path) as handle:
         json.dump(payload, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
 
 
 def save_shares_csv(table: TrendTable, path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with atomic_writer(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["topic", "count", "percent"])
         for row_label, counts, percents in zip(table.axis_rows, table.counts, table.percentages):
@@ -182,7 +204,7 @@ def save_shares_csv(table: TrendTable, path) -> None:
 
 
 def save_trends_csv(table: TrendTable, path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with atomic_writer(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["topic", "year", "count", "percent", "normalization"])
         for i, row_label in enumerate(table.axis_rows):
@@ -193,7 +215,7 @@ def save_trends_csv(table: TrendTable, path) -> None:
 
 
 def save_wordcloud_csv(pairs: list[tuple[str, float]], path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with atomic_writer(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["term", "weight"])
         for term, weight in pairs:

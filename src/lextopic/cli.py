@@ -21,6 +21,7 @@ from . import corpus as corpus_mod
 from . import lda as lda_mod
 from . import preprocess as preprocess_mod
 from . import vectorize as vectorize_mod
+from ._files import atomic_writer
 from .errors import AlignmentMismatch, EmptyContent, InvalidConfig, LextopicError
 
 __all__ = ["RunConfig", "main"]
@@ -140,8 +141,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if config_path:
         if not Path(config_path).is_file():
             raise InvalidConfig(f"config file not found: {config_path}")
-        with open(config_path, encoding="utf-8") as handle:
-            _deep_update(raw, json.load(handle))
+        try:
+            with open(config_path, encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise InvalidConfig(f"config file {config_path}: not JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise InvalidConfig(f"config file {config_path}: not a JSON object")
+        _deep_update(raw, payload)
     for flag, path in _FLAG_TO_PATH.items():
         value = getattr(args, flag, None)
         if value is not None:
@@ -163,7 +170,7 @@ def _require_file(path: str | None, what: str) -> str:
 def _prepare_out_dir(config: RunConfig) -> Path:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "run_config.json").open("w", encoding="utf-8") as handle:
+    with atomic_writer(out_dir / "run_config.json") as handle:
         json.dump(config.raw, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
     return out_dir
@@ -238,13 +245,13 @@ def cmd_ingest(config: RunConfig) -> int:
     corpus = _load_corpus(config)
     out_dir = _prepare_out_dir(config)
     table = corpus_mod.type_counts_by_year(corpus)
-    with (out_dir / "stats.csv").open("w", encoding="utf-8", newline="") as handle:
+    with atomic_writer(out_dir / "stats.csv", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["type"] + [str(year) for year in table.axis_cols])
         for label, row in zip(table.axis_rows, table.counts):
             writer.writerow([label] + row)
     skipped = 0
-    with (out_dir / "ratios.csv").open("w", encoding="utf-8", newline="") as handle:
+    with atomic_writer(out_dir / "ratios.csv", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id", "length_ratio"])
         for record in corpus.records:
@@ -266,7 +273,7 @@ def cmd_fit(config: RunConfig) -> int:
     documents, vocab, matrix = _build_matrix(config, corpus)
     model = lda_mod.fit(matrix, config.lda, vocab)
     lda_mod.save_model(model, out_dir / "model.json")
-    with (out_dir / "trace.csv").open("w", encoding="utf-8", newline="") as handle:
+    with atomic_writer(out_dir / "trace.csv", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["sweep", "log_likelihood"])
         for sweep, value in enumerate(model.log_likelihood, start=1):
@@ -318,7 +325,7 @@ def cmd_sweep(config: RunConfig, k_grid: list[int]) -> int:
                 lda_mod.perplexity(model, matrix),
             )
         )
-    with (out_dir / "sweep.csv").open("w", encoding="utf-8", newline="") as handle:
+    with atomic_writer(out_dir / "sweep.csv", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["n_topics", "mean_coherence", "perplexity"])
         for n_topics, coherence, perp in rows:

@@ -8,6 +8,7 @@ table can key on it without re-converting.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import atomic_writer
 from .errors import (
     DuplicateId,
     EmptyContent,
@@ -26,9 +28,10 @@ from .errors import (
     MissingField,
     MissingYear,
     StructureMismatch,
+    UndecodableCorpus,
     UnknownLawType,
 )
-from .jalali import jalali_to_gregorian_year, validate_jalali
+from .jalali import gregorian_year_and_day, jalali_to_gregorian_year, validate_jalali
 from .trends import PER_YEAR, TrendTable, build_trend_table
 
 __all__ = [
@@ -93,7 +96,7 @@ class RecordDate:
     @classmethod
     def from_jalali(cls, raw: str, year: int, month: int, day: int) -> "RecordDate":
         validate_jalali(year, month, day)
-        return cls(raw, year, month, day, jalali_to_gregorian_year(year, month, day))
+        return cls(raw, year, month, day, gregorian_year_and_day(year, month, day)[0])
 
 
 # Dotic pages translate Jalali month names positionally into English
@@ -194,15 +197,9 @@ class Corpus:
 # On-disk field names; "type"/"categories" are the header spellings used
 # by the upstream sample tables and are accepted as aliases on load.
 _FIELD_ORDER = ("id", "title", "content", "lead", "tags", "classes", "law_type", "category", "date")
-_ALIASES = {"law_type": ("law_type", "type"), "category": ("category", "categories")}
 _REQUIRED = ("id", "title", "content", "law_type", "date")
-
-
-def _pick(mapping: dict, name: str):
-    for key in _ALIASES.get(name, (name,)):
-        if key in mapping and mapping[key] is not None:
-            return mapping[key]
-    return None
+_JSON_WHITESPACE = " \t\n\r"
+_DECODER = json.JSONDecoder()
 
 
 def _as_string_list(value, row: int, name: str) -> list[str]:
@@ -222,17 +219,20 @@ def _as_string_list(value, row: int, name: str) -> list[str]:
     return list(value)
 
 
-def _record_from_mapping(mapping: dict, row: int, seen_ids: set) -> LawRecord:
-    values = {}
-    for name in _REQUIRED:
-        value = _pick(mapping, name)
-        if value is None:
-            raise MissingField(row, name)
-        values[name] = value
+def _record_from_mapping(mapping: dict, row: int, seen_ids: set, law_types: dict) -> LawRecord:
+    """Validate one row; law_types memoizes parse_law_type for one load."""
+    get = mapping.get
+    law_type = get("law_type")
+    if law_type is None:
+        law_type = get("type")
+    required = (get("id"), get("title"), get("content"), law_type, get("date"))
+    if None in required:
+        raise MissingField(row, _REQUIRED[required.index(None)])
+    record_id, title, content, _, date_value = required
     # Trim only to test emptiness; stored values stay byte-exact so that
     # save -> load round-trips.
-    record_id = str(values["id"])
-    title = str(values["title"])
+    record_id = str(record_id)
+    title = str(title)
     if not record_id.strip():
         raise MissingField(row, "id")
     if not title.strip():
@@ -241,54 +241,102 @@ def _record_from_mapping(mapping: dict, row: int, seen_ids: set) -> LawRecord:
         raise DuplicateId(record_id, row)
     seen_ids.add(record_id)
 
-    date_value = values["date"]
     if isinstance(date_value, str) and date_value.strip().startswith("{"):
         try:
             date_value = json.loads(date_value)
         except json.JSONDecodeError:
             raise MalformedDate(date_value, row) from None
+    law_type = str(law_type)
+    parsed_type = law_types.get(law_type)
+    if parsed_type is None:
+        parsed_type = law_types[law_type] = parse_law_type(law_type, row)
+    category = get("category")
+    if category is None:
+        category = get("categories")
     return LawRecord(
         id=record_id,
         title=title,
-        content=str(values["content"]),
-        law_type=parse_law_type(str(values["law_type"]), row),
+        content=str(content),
+        law_type=parsed_type,
         date=parse_record_date(date_value, row),
-        lead=str(_pick(mapping, "lead") or ""),
-        tags=_as_string_list(_pick(mapping, "tags"), row, "tags"),
-        classes=_as_string_list(_pick(mapping, "classes"), row, "classes"),
-        category=str(_pick(mapping, "category") or ""),
+        lead=str(get("lead") or ""),
+        tags=_as_string_list(get("tags"), row, "tags"),
+        classes=_as_string_list(get("classes"), row, "classes"),
+        category=str(category or ""),
     )
+
+
+def _decode_line(line: str, row: int):
+    """json.loads(line), with a decoding error raised as MalformedRow.
+
+    raw_decode alone takes the usual line: a value from its first
+    character, then only JSON whitespace. Any other line goes through
+    json.loads, for its exact verdict and message.
+    """
+    try:
+        value, end = _DECODER.raw_decode(line)
+    except json.JSONDecodeError:
+        end = 0
+    if line[end:].strip(_JSON_WHITESPACE):
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRow(row, str(exc)) from None
+    return value
+
+
+def _undecodable_row(path: Path, format: str) -> tuple[int | None, str]:
+    """Locate the first byte of path that is not UTF-8.
+
+    Returns the data row holding it (None for the CSV header) and the
+    decoder's reason. The valid prefix is read with the loader's own line
+    and record rules; the appended "x" makes the bad row the last one.
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        prefix = data[: exc.start].decode("utf-8") + "x"
+        reason = f"{exc.reason} at byte {exc.start}"
+    else:
+        return None, "not UTF-8"
+    if format == "jsonl":
+        rows = sum(1 for line in io.StringIO(prefix, newline=None) if line.strip())
+    else:
+        rows = sum(1 for _ in csv.DictReader(io.StringIO(prefix, newline=""))) or None
+    return rows, reason
 
 
 def load_corpus(path, format: str = "jsonl") -> Corpus:
     """Read law records from a JSONL or CSV file, validating every row.
 
     Row numbers in errors are 1-based over data rows (the CSV header is
-    not counted).
+    not counted). A file that is not UTF-8 raises UndecodableCorpus.
     """
     path = Path(path)
+    if format not in ("jsonl", "csv"):
+        raise ValueError(f"unknown corpus format {format!r}")
     records: list[LawRecord] = []
     seen_ids: set = set()
-    if format == "jsonl":
-        with path.open(encoding="utf-8") as handle:
-            row = 0
-            for line in handle:
-                if not line.strip():
-                    continue
-                row += 1
-                try:
-                    mapping = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRow(row, str(exc)) from None
-                if not isinstance(mapping, dict):
-                    raise MalformedRow(row, f"expected an object, got {type(mapping).__name__}")
-                records.append(_record_from_mapping(mapping, row, seen_ids))
-    elif format == "csv":
-        with path.open(encoding="utf-8", newline="") as handle:
-            for row, mapping in enumerate(csv.DictReader(handle), start=1):
-                records.append(_record_from_mapping(mapping, row, seen_ids))
-    else:
-        raise ValueError(f"unknown corpus format {format!r}")
+    law_types: dict = {}
+    try:
+        if format == "jsonl":
+            with path.open(encoding="utf-8") as handle:
+                row = 0
+                for line in handle:
+                    if not line.strip():
+                        continue
+                    row += 1
+                    mapping = _decode_line(line, row)
+                    if not isinstance(mapping, dict):
+                        raise MalformedRow(row, f"expected an object, got {type(mapping).__name__}")
+                    records.append(_record_from_mapping(mapping, row, seen_ids, law_types))
+        else:
+            with path.open(encoding="utf-8", newline="") as handle:
+                for row, mapping in enumerate(csv.DictReader(handle), start=1):
+                    records.append(_record_from_mapping(mapping, row, seen_ids, law_types))
+    except UnicodeDecodeError:
+        raise UndecodableCorpus(path, *_undecodable_row(path, format)) from None
     return Corpus(records, source_description=str(path))
 
 
@@ -322,11 +370,11 @@ def save_corpus(corpus: Corpus, path, format: str = "jsonl") -> None:
             }
         )
     if format == "jsonl":
-        with path.open("w", encoding="utf-8") as handle:
+        with atomic_writer(path) as handle:
             for payload in rows:
                 handle.write(json.dumps(payload, ensure_ascii=False) + "\n")
     elif format == "csv":
-        with path.open("w", encoding="utf-8", newline="") as handle:
+        with atomic_writer(path, newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=list(_FIELD_ORDER))
             writer.writeheader()
             for payload in rows:

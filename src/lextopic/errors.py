@@ -58,6 +58,13 @@ class MalformedRow(CorpusError):
         super().__init__(f"row {row}: malformed JSON line: {detail}")
 
 
+class UndecodableCorpus(CorpusError):
+    def __init__(self, path, row: int | None, detail: str):
+        self.row = row
+        where = f"row {row}: " if row is not None else ""
+        super().__init__(f"corpus file {path}: {where}not UTF-8: {detail}")
+
+
 class StructureMismatch(CorpusError):
     def __init__(self, selector: str):
         self.selector = selector
@@ -89,6 +96,11 @@ class EmptyDocument(PreprocessError):
     def __init__(self, record_id: str):
         self.record_id = record_id
         super().__init__(f"record {record_id!r} yields no tokens after preprocessing")
+
+
+class UndecodableWordList(PreprocessError):
+    def __init__(self, path, detail: str):
+        super().__init__(f"word list {path}: not UTF-8: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +193,8 @@ class UnknownTopicId(AnalyzeError):
     def __init__(self, topic_id: int):
         self.topic_id = topic_id
         super().__init__(f"label references topic id {topic_id} outside the model")
+
+
+class MalformedLabels(AnalyzeError):
+    def __init__(self, path, detail: str):
+        super().__init__(f"label map {path}: {detail}")

@@ -12,13 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
+import os  # noqa: F401  (tests patch os.replace through this module)
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
+from ._files import atomic_writer
 from .errors import AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
 from .vectorize import DocTermMatrix, Vocabulary
 
@@ -577,13 +578,8 @@ def save_model(model: LdaModel, path) -> None:
         "topic_word": np.asarray(model.topic_word, dtype=np.float64).tolist(),
         "log_likelihood": np.asarray(model.log_likelihood, dtype=np.float64).tolist(),
     }
-    path = Path(path)
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        temporary.write_text(json.dumps(payload, ensure_ascii=False) + "\n", encoding="utf-8")
-        os.replace(temporary, path)
-    finally:
-        temporary.unlink(missing_ok=True)
+    with atomic_writer(path) as handle:
+        handle.write(json.dumps(payload, ensure_ascii=False) + "\n")
 
 
 def load_model(path) -> LdaModel:
@@ -638,4 +634,7 @@ def _model_from_payload(payload: dict) -> LdaModel:
     if found != wanted:
         raise ValueError(f"shapes of doc_topic, topic_word and vocabulary terms/df {found} are not {wanted}, "
                          f"as {n_docs} doc_ids and {n_topics} topics require")
+    for name in ("doc_topic", "topic_word"):
+        if not np.isfinite(getattr(model, name)).all():
+            raise ValueError(f"{name} holds a non-finite value")
     return model

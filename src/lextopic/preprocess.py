@@ -16,7 +16,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .corpus import Corpus, LawRecord
-from .errors import EmptyDocument, MissingYear
+from .errors import EmptyDocument, MissingYear, UndecodableWordList
 
 __all__ = [
     "PreprocessConfig",
@@ -166,13 +166,20 @@ def _parse_stopwords(text: str, normalize_chars: dict[str, str] | None = None) -
     return {normalize(line, normalize_chars) for line in lines if line and not line.startswith("#")}
 
 
+def _read_word_list(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableWordList(path, f"{exc.reason} at byte {exc.start}") from None
+
+
 def load_stopwords(path, normalize_chars: dict[str, str] | None = None) -> set[str]:
     """One token per line; blank lines and '#' comment lines skipped.
 
     Entries are normalized on load so that normalizing a stopword is
     always a no-op at match time.
     """
-    return _parse_stopwords(Path(path).read_text(encoding="utf-8"), normalize_chars)
+    return _parse_stopwords(_read_word_list(path), normalize_chars)
 
 
 def _parse_lemma_rules(text: str, normalize_chars: dict[str, str] | None = None) -> LemmaRules:
@@ -194,7 +201,7 @@ def _parse_lemma_rules(text: str, normalize_chars: dict[str, str] | None = None)
 
 
 def load_lemma_rules(path, normalize_chars: dict[str, str] | None = None) -> LemmaRules:
-    return _parse_lemma_rules(Path(path).read_text(encoding="utf-8"), normalize_chars)
+    return _parse_lemma_rules(_read_word_list(path), normalize_chars)
 
 
 @lru_cache(maxsize=1)

@@ -8,11 +8,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
+from ._files import atomic_writer
 from .errors import AllZero, EmptyVocabulary
 from .preprocess import Document
 
@@ -204,7 +204,7 @@ def to_pseudo_counts(weights: TfidfMatrix, scale: float = 10.0) -> DocTermMatrix
 
 def save_triplets(matrix, vocab: Vocabulary, path) -> None:
     """Triplet CSV doc_id,term,value ordered by (doc, term)."""
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with atomic_writer(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["doc_id", "term", "value"])
         for doc, term, value in matrix.entries():
@@ -212,7 +212,7 @@ def save_triplets(matrix, vocab: Vocabulary, path) -> None:
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with atomic_writer(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["term", "df"])
         for term, df_count in zip(vocab.terms, vocab.df):

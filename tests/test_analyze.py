@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_record
 from lextopic.analyze import (
+    TopicSummary,
     dominant_topic,
     label_topics,
     load_labels,
@@ -307,3 +308,24 @@ class TestExports:
         save_trends_csv(yearly_topic_percentages(model, corpus), first)
         save_trends_csv(yearly_topic_percentages(reloaded, corpus), second)
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestAtomicExports:
+    """A failed export leaves the previous file whole and no temporary file."""
+
+    @pytest.mark.parametrize(
+        "save, good, bad",
+        [
+            (save_topics_json, [TopicSummary(0, "topic-0", [("alpha", 0.5)])],
+             [TopicSummary(0, "topic-0", [("alpha", 0.5), ("beta", object())])]),
+            (save_wordcloud_csv, [("alpha", 1.0)], [None]),
+        ],
+    )
+    def test_failed_write_keeps_the_old_file(self, tmp_path, save, good, bad):
+        path = tmp_path / "export"
+        save(good, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save(bad, path)
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["export"]

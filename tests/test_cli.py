@@ -7,7 +7,7 @@ import pytest
 
 from conftest import SYNTH_CONFIG, jsonl_row, write_jsonl
 from lextopic.cli import main
-from lextopic.corpus import SynthConfig, generate_synthetic_corpus
+from lextopic.corpus import SynthConfig, generate_synthetic_corpus, load_corpus, save_corpus
 from lextopic.lda import LdaConfig, coherence_umass, fit
 from lextopic.preprocess import Document
 from lextopic.vectorize import Vocabulary, count_matrix
@@ -346,3 +346,84 @@ class TestConfigFile:
         args = ["--config", str(tmp_path / "absent.json"), "ingest"]
         assert main(args) == 1
         assert "error [config]" in capsys.readouterr().err
+
+
+class TestUnreadableInputs:
+    """Input files that cannot be read as intended end in `error [<module>]`, exit 1."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fit")
+        corpus = out / "corpus.jsonl"
+        write_jsonl(corpus, _rows())
+        assert main(["fit", "--corpus", str(corpus), "--out", str(out)] + FIT_FLAGS) == 0
+        return corpus, out / "model.json"
+
+    def _analyze_with_labels(self, fitted, tmp_path, payload: bytes):
+        corpus, model = fitted
+        labels = tmp_path / "labels.json"
+        labels.write_bytes(payload)
+        return main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                     "--model", str(model), "--labels", str(labels)])
+
+    def test_jsonl_corpus_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin.jsonl"
+        write_jsonl(path, [jsonl_row("first"), jsonl_row("second", title="café")])
+        path.write_bytes(path.read_bytes().replace("café".encode("utf-8"), b"caf\xff"))
+        assert main(["ingest", "--corpus", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [corpus]: corpus file {path}: row 2: not UTF-8: invalid start byte")
+
+    def test_csv_corpus_that_is_not_utf8(self, tmp_path, capsys):
+        jsonl = tmp_path / "c.jsonl"
+        write_jsonl(jsonl, [jsonl_row("first"), jsonl_row("second"), jsonl_row("third", title="café")])
+        path = tmp_path / "latin.csv"
+        save_corpus(load_corpus(jsonl), path, "csv")
+        path.write_bytes(path.read_bytes().replace("café".encode("utf-8"), b"caf\xff"))
+        args = ["ingest", "--corpus", str(path), "--format", "csv", "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [corpus]: corpus file {path}: row 3: not UTF-8: invalid start byte")
+
+    @pytest.mark.parametrize("payload, detail", [(b"{not json", "not JSON"), (b"[1]", "not a JSON object")])
+    def test_labels_file_that_is_not_a_json_object(self, fitted, tmp_path, capsys, payload, detail):
+        assert self._analyze_with_labels(fitted, tmp_path, payload) == 1
+        assert capsys.readouterr().err.startswith(f"error [analyze]: label map {tmp_path / 'labels.json'}: {detail}")
+
+    def test_labels_file_with_a_non_integer_key(self, fitted, tmp_path, capsys):
+        assert self._analyze_with_labels(fitted, tmp_path, b'{"first": "Economic"}') == 1
+        assert "error [analyze]: label map" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, detail", [("{not json", "not JSON"), ("[1]", "not a JSON object")])
+    def test_config_file_that_is_not_a_json_object(self, corpus_path, tmp_path, capsys, text, detail):
+        config = tmp_path / "run.json"
+        config.write_text(text, encoding="utf-8")
+        args = ["--config", str(config), "ingest", "--corpus", corpus_path, "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error [config]: config file {config}: {detail}")
+
+    @pytest.mark.parametrize("key", ["stopwords", "lemma_rules"])
+    def test_word_list_that_is_not_utf8(self, corpus_path, tmp_path, capsys, key):
+        words = tmp_path / "words.txt"
+        words.write_bytes(b"caf\xff\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"preprocess": {key: str(words)}}), encoding="utf-8")
+        args = ["--config", str(config), "fit", "--corpus", corpus_path, "--out", str(tmp_path / "o")] + FIT_FLAGS
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error [preprocess]: word list {words}: not UTF-8")
+
+
+class TestNonFiniteModel:
+    def test_analyze_rejects_non_finite_values(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["fit", "--corpus", corpus_path, "--out", str(out)] + FIT_FLAGS) == 0
+        model = out / "model.json"
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        payload["doc_topic"][0][0] = float("inf")
+        payload["topic_word"][1][0] = float("nan")
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["analyze", "--corpus", corpus_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error [lda]: model file {model}: doc_topic holds a non-finite value")
+        assert not (out / "shares.csv").exists()
+        assert not (out / "topics.json").exists()

@@ -1,0 +1,371 @@
+"""The read path against the code it replaced: corpus rows and top words.
+
+``reference_load`` is the row-by-row loader that ``load_corpus`` replaced:
+nine alias lookups per row, ``json.loads`` per line, and every law type
+and date parsed afresh. ``reference_top_words`` is the full sort that
+``top_words`` replaced.
+"""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lextopic.analyze import _term_names, top_words
+from lextopic.corpus import (
+    Corpus,
+    LawRecord,
+    RecordDate,
+    load_corpus,
+    parse_law_type,
+    parse_record_date,
+)
+from lextopic.errors import DuplicateId, MalformedDate, MalformedRow, MissingField
+from lextopic.jalali import jalali_to_gregorian
+from lextopic.lda import LdaConfig, LdaModel
+from lextopic.vectorize import Vocabulary
+
+# --- the loader before the single-pass rewrite --------------------------------
+
+_ALIASES = {"law_type": ("law_type", "type"), "category": ("category", "categories")}
+_REQUIRED = ("id", "title", "content", "law_type", "date")
+
+
+def _pick(mapping: dict, name: str):
+    for key in _ALIASES.get(name, (name,)):
+        if key in mapping and mapping[key] is not None:
+            return mapping[key]
+    return None
+
+
+def _reference_string_list(value, row: int, name: str) -> list[str]:
+    if value is None or value == "":
+        return []
+    if isinstance(value, str):
+        text = value.strip()
+        if text.startswith("["):
+            try:
+                value = json.loads(text)
+            except json.JSONDecodeError:
+                raise MissingField(row, name) from None
+        else:
+            return [part.strip() for part in text.split(",") if part.strip()]
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise MissingField(row, name)
+    return list(value)
+
+
+def _reference_record(mapping: dict, row: int, seen_ids: set) -> LawRecord:
+    values = {}
+    for name in _REQUIRED:
+        value = _pick(mapping, name)
+        if value is None:
+            raise MissingField(row, name)
+        values[name] = value
+    record_id = str(values["id"])
+    title = str(values["title"])
+    if not record_id.strip():
+        raise MissingField(row, "id")
+    if not title.strip():
+        raise MissingField(row, "title")
+    if record_id in seen_ids:
+        raise DuplicateId(record_id, row)
+    seen_ids.add(record_id)
+
+    date_value = values["date"]
+    if isinstance(date_value, str) and date_value.strip().startswith("{"):
+        try:
+            date_value = json.loads(date_value)
+        except json.JSONDecodeError:
+            raise MalformedDate(date_value, row) from None
+    return LawRecord(
+        id=record_id,
+        title=title,
+        content=str(values["content"]),
+        law_type=parse_law_type(str(values["law_type"]), row),
+        date=parse_record_date(date_value, row),
+        lead=str(_pick(mapping, "lead") or ""),
+        tags=_reference_string_list(_pick(mapping, "tags"), row, "tags"),
+        classes=_reference_string_list(_pick(mapping, "classes"), row, "classes"),
+        category=str(_pick(mapping, "category") or ""),
+    )
+
+
+def reference_load(path, format: str) -> Corpus:
+    records, seen_ids = [], set()
+    if format == "jsonl":
+        with open(path, encoding="utf-8") as handle:
+            row = 0
+            for line in handle:
+                if not line.strip():
+                    continue
+                row += 1
+                try:
+                    mapping = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRow(row, str(exc)) from None
+                if not isinstance(mapping, dict):
+                    raise MalformedRow(row, f"expected an object, got {type(mapping).__name__}")
+                records.append(_reference_record(mapping, row, seen_ids))
+    else:
+        with open(path, encoding="utf-8", newline="") as handle:
+            for row, mapping in enumerate(csv.DictReader(handle), start=1):
+                records.append(_reference_record(mapping, row, seen_ids))
+    return Corpus(records, source_description=str(path))
+
+
+def _outcome(load, path, format):
+    """The records, or the exception's class and message."""
+    try:
+        return load(path, format).records
+    except Exception as exc:  # the comparison covers every exception
+        return type(exc), str(exc)
+
+
+# --- generated rows ------------------------------------------------------------
+
+_TEXT = st.one_of(
+    st.sampled_from(["", " ", "\xa0", "عنوان قانون", "x, y", 0, 7, None]),
+    st.text(alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=6),
+)
+_DATE_PARTS = st.fixed_dictionaries(
+    {
+        "year": st.sampled_from([1400, "1400", " 1399", 0, "x"]),
+        "month": st.sampled_from([1, 7, "12", 13]),
+        "day": st.sampled_from([1, "30", 31]),
+    },
+    optional={"raw": st.sampled_from(["1400/07/01", 5])},
+)
+_DATE = st.one_of(
+    _DATE_PARTS,
+    st.builds(lambda parts, pad: pad + json.dumps(parts), _DATE_PARTS, st.sampled_from(["", " "])),
+    st.sampled_from([
+        "1400/07/01", " 1399-12-30 ", "07/01/1400", "12/31/1400", "Saturday, July 10, 1402",
+        "March 30, 1399", "Monday, Smarch 1, 1400", "1400/7", "{bad", "", 5, [1400, 7, 1], None,
+    ]),
+)
+_LAW_TYPE = st.sampled_from([
+    "Regulation", "regulations", " News ", "Parliament deliberations", "parliament_deliberation",
+    "Bills", "Newss", " Unknown ", "", 3, None,
+])
+_STRING_LIST = st.one_of(
+    st.lists(st.sampled_from(["t", "t,2", " ", "برچسب"]), max_size=3),
+    st.sampled_from([
+        "a, b,", " ", "", '["a", "b"]', ' ["a"]', "[bad", '["a", 1]', [1], ["ok", None], 5, {"a": 1}, None,
+    ]),
+)
+_ROW = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": st.sampled_from(["a", "b", "a ", " ", "", 7, None]),
+        "title": _TEXT,
+        "content": _TEXT,
+        "lead": _TEXT,
+        "tags": _STRING_LIST,
+        "classes": _STRING_LIST,
+        "law_type": _LAW_TYPE,
+        "type": _LAW_TYPE,
+        "category": _TEXT,
+        "categories": _TEXT,
+        "date": _DATE,
+        "extra": _TEXT,
+    },
+)
+_COMPLETE = {"id": "c", "title": "t", "content": "body", "law_type": "Regulation", "date": "1400/07/01"}
+_GOOD_DATE = st.one_of(
+    st.fixed_dictionaries(
+        {"year": st.sampled_from([1400, "1381"]), "month": st.sampled_from([7, "12"]), "day": st.sampled_from([1, "30"])},
+        optional={"raw": st.just("1400/07/01")},
+    ),
+    st.sampled_from(['{"year": 1390, "month": 10, "day": 11}', "1400/07/01", "10/11/1390", "Saturday, July 10, 1402"]),
+)
+_GOOD_LIST = st.one_of(st.lists(st.sampled_from(["t", "برچسب"]), max_size=2), st.sampled_from(["a, b", '["x"]', ""]))
+_GOOD_TYPE = st.sampled_from(["Regulation", "Bills", "parliament deliberations", " News "])
+# Mostly rows that load, so that generated files also reach their later rows.
+_VALID_ROW = st.fixed_dictionaries(
+    {
+        "id": st.text(alphabet="abc", min_size=1, max_size=2),
+        "title": st.sampled_from(["t", "عنوان قانون", " x "]),
+        "content": _TEXT,
+        "date": _GOOD_DATE,
+    },
+    optional={
+        "lead": _TEXT,
+        "tags": _GOOD_LIST,
+        "classes": _GOOD_LIST,
+        "category": _TEXT,
+        "categories": _TEXT,
+    },
+)
+_VALID_ROW = st.builds(
+    lambda row, key, law_type: {**row, key: law_type}, _VALID_ROW, st.sampled_from(["law_type", "type"]), _GOOD_TYPE
+)
+# A loadable row with one or more fields spoiled, to check which error comes first.
+_FLAWED_ROW = st.builds(
+    lambda row, flaws: {**row, **flaws},
+    _VALID_ROW,
+    st.fixed_dictionaries({}, optional={"law_type": _LAW_TYPE, "date": _DATE, "tags": _STRING_LIST,
+                                        "classes": _STRING_LIST, "title": _TEXT}),
+)
+_ROWS = st.lists(
+    st.sampled_from([_VALID_ROW] * 4 + [_FLAWED_ROW] * 2 + [_ROW]).flatmap(lambda kind: kind), min_size=1, max_size=4
+)
+
+# Mostly decorations that json.loads accepts: a rejected line ends the file's load.
+_LINE_PREFIX = st.sampled_from([""] * 10 + [" ", "\t", "\ufeff", "\xa0"])
+_LINE_SUFFIX = st.sampled_from([""] * 10 + [" ", "\r", " \t", " x", "{}", "\xa0", "\u2028"])
+_BLANK_LINE = st.sampled_from([" ", "\t", "\xa0", "\x1c", "\u3000"])
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, ensure_ascii=False)
+    return str(value)
+
+
+class TestLoaderMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=_ROWS,
+        layout=st.lists(
+            st.tuples(_LINE_PREFIX, _LINE_SUFFIX, st.booleans(), st.one_of(st.none(), _BLANK_LINE)),
+            min_size=4, max_size=4,
+        ),
+        stray=st.sampled_from([None] * 12 + ["42", "[1]", "null", '"text"']),
+    )
+    def test_jsonl(self, tmp_path_factory, rows, layout, stray):
+        lines = []
+        for row, (prefix, suffix, ascii_only, blank) in zip(rows, layout):
+            if blank is not None:
+                lines.append(blank)
+            lines.append(prefix + json.dumps(row, ensure_ascii=ascii_only) + suffix)
+        if stray is not None:
+            lines.insert(len(lines) // 2, stray)
+        path = tmp_path_factory.mktemp("jsonl") / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert _outcome(load_corpus, path, "jsonl") == _outcome(reference_load, path, "jsonl")
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_ROWS, cut=st.lists(st.sampled_from([0, 0, 0, 0, -2, -1, 1]), min_size=4, max_size=4))
+    def test_csv(self, tmp_path_factory, rows, cut):
+        header = list(dict.fromkeys(key for row in rows for key in row)) or ["id"]
+        path = tmp_path_factory.mktemp("csv") / "c.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            for row, change in zip(rows, cut):
+                cells = [_csv_cell(row.get(key)) for key in header]
+                # Short rows read as None cells, long rows as a None key.
+                writer.writerow(cells[: len(cells) + change] if change < 0 else cells + ["spill"] * change)
+        assert _outcome(load_corpus, path, "csv") == _outcome(reference_load, path, "csv")
+
+    @pytest.mark.parametrize(
+        "flaws",
+        [
+            {"law_type": "Unknown", "date": "{bad"},
+            {"law_type": " Unknown ", "date": "1400/13/01"},
+            {"date": "1400/13/01", "tags": [1]},
+            {"tags": [1], "classes": 5},
+            {"id": "c", "date": "{bad"},
+            {"title": " ", "law_type": None},
+            {"law_type": None, "type": "Bills", "category": None, "categories": "x"},
+        ],
+    )
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_first_flaw_decides_the_error(self, tmp_path, flaws, format):
+        rows = [_COMPLETE, {**_COMPLETE, "id": "d", **flaws}]
+        path = tmp_path / f"c.{format}"
+        if format == "jsonl":
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        else:
+            header = list(dict.fromkeys(key for row in rows for key in row))
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(header)
+                writer.writerows([_csv_cell(row.get(key)) for key in header] for row in rows)
+        assert _outcome(load_corpus, path, format) == _outcome(reference_load, path, format)
+
+    def test_sample_rows_load_equal(self, tmp_path):
+        rows = [
+            {**_COMPLETE, "id": f"r{i}", "type": law_type, "law_type": None, "date": date, "tags": tags}
+            for i, (law_type, date, tags) in enumerate([
+                ("Regulations", {"year": "1400", "month": 7, "day": 1}, "a, b"),
+                ("parliament deliberations", '{"year": 1399, "month": 12, "day": 30}', '["x"]'),
+                ("Regulation", "Saturday, July 10, 1402", ["y"]),
+                ("Regulation", "10/12/1390", []),
+            ])
+        ]
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        records = load_corpus(path).records
+        assert len(records) == 4
+        assert records == reference_load(path, "jsonl").records
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3000),
+    st.integers(1, 12).flatmap(lambda month: st.tuples(st.just(month), st.integers(1, 31 if month <= 6 else 30))),
+)
+def test_record_date_year_matches_conversion(year, month_day):
+    month, day = month_day
+    date = RecordDate.from_jalali("raw", year, month, day)
+    assert date.gregorian_year == jalali_to_gregorian(year, month, day)[0]
+
+
+# --- top words -------------------------------------------------------------------
+
+def reference_top_words(model: LdaModel, topic_id: int, n: int) -> list[tuple[str, float]]:
+    ranked = sorted(zip(_term_names(model), model.topic_word[topic_id]), key=lambda pair: (-pair[1], pair[0]))
+    return [(term, float(probability)) for term, probability in ranked[:n]]
+
+
+def _model(topic_word, terms=None) -> LdaModel:
+    topic_word = np.asarray(topic_word, dtype=np.float64)
+    vocab = None
+    if terms is not None:
+        vocab = Vocabulary(terms=terms, index={t: i for i, t in enumerate(terms)}, df=[1] * len(terms))
+    n_topics = topic_word.shape[0]
+    return LdaModel(
+        config=LdaConfig(n_topics=n_topics, alpha=1.0, beta=1.0, sweeps=2, burn_in=1),
+        doc_topic=np.full((1, n_topics), 1.0 / n_topics),
+        topic_word=topic_word,
+        doc_ids=["d0"],
+        log_likelihood=[],
+        vocab=vocab,
+    )
+
+
+class TestTopWordsMatchFullSort:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 14).flatmap(lambda n_terms: st.tuples(
+            st.lists(
+                st.lists(st.sampled_from([0.0, -0.0, 1e-300, 0.1, 0.25, 0.5]), min_size=n_terms, max_size=n_terms),
+                min_size=1, max_size=3,
+            ),
+            st.one_of(
+                st.none(),
+                st.lists(st.text(alphabet="ab-", min_size=1, max_size=3), min_size=n_terms, max_size=n_terms,
+                         unique=True),
+            ),
+        ))
+    )
+    def test_every_n(self, rows_and_terms):
+        rows, terms = rows_and_terms
+        model = _model(rows, terms)
+        for topic in range(len(rows)):
+            for n in range(1, len(rows[0]) + 1):
+                assert top_words(model, topic, n) == reference_top_words(model, topic, n)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_row_is_rejected(self, bad):
+        model = _model([[0.5, 0.5, 0.0], [0.2, bad, 0.8]])
+        assert top_words(model, 0, 2) == [("term-0", 0.5), ("term-1", 0.5)]
+        with pytest.raises(ValueError, match="topic 1 has a non-finite"):
+            top_words(model, 1, 2)
