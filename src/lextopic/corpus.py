@@ -31,7 +31,7 @@ from .errors import (
     UndecodableCorpus,
     UnknownLawType,
 )
-from .jalali import gregorian_year_and_day, jalali_to_gregorian_year, validate_jalali
+from .jalali import jalali_to_gregorian_year
 from .trends import PER_YEAR, TrendTable, build_trend_table
 
 __all__ = [
@@ -95,8 +95,7 @@ class RecordDate:
 
     @classmethod
     def from_jalali(cls, raw: str, year: int, month: int, day: int) -> "RecordDate":
-        validate_jalali(year, month, day)
-        return cls(raw, year, month, day, gregorian_year_and_day(year, month, day)[0])
+        return cls(raw, year, month, day, jalali_to_gregorian_year(year, month, day))
 
 
 # Dotic pages translate Jalali month names positionally into English
@@ -198,8 +197,6 @@ class Corpus:
 # by the upstream sample tables and are accepted as aliases on load.
 _FIELD_ORDER = ("id", "title", "content", "lead", "tags", "classes", "law_type", "category", "date")
 _REQUIRED = ("id", "title", "content", "law_type", "date")
-_JSON_WHITESPACE = " \t\n\r"
-_DECODER = json.JSONDecoder()
 
 
 def _as_string_list(value, row: int, name: str) -> list[str]:
@@ -266,25 +263,6 @@ def _record_from_mapping(mapping: dict, row: int, seen_ids: set, law_types: dict
     )
 
 
-def _decode_line(line: str, row: int):
-    """json.loads(line), with a decoding error raised as MalformedRow.
-
-    raw_decode alone takes the usual line: a value from its first
-    character, then only JSON whitespace. Any other line goes through
-    json.loads, for its exact verdict and message.
-    """
-    try:
-        value, end = _DECODER.raw_decode(line)
-    except json.JSONDecodeError:
-        end = 0
-    if line[end:].strip(_JSON_WHITESPACE):
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRow(row, str(exc)) from None
-    return value
-
-
 def _undecodable_row(path: Path, format: str) -> tuple[int | None, str]:
     """Locate the first byte of path that is not UTF-8.
 
@@ -327,7 +305,10 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
                     if not line.strip():
                         continue
                     row += 1
-                    mapping = _decode_line(line, row)
+                    try:
+                        mapping = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise MalformedRow(row, str(exc)) from None
                     if not isinstance(mapping, dict):
                         raise MalformedRow(row, f"expected an object, got {type(mapping).__name__}")
                     records.append(_record_from_mapping(mapping, row, seen_ids, law_types))

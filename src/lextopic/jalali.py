@@ -30,21 +30,6 @@ def validate_jalali(year: int, month: int, day: int) -> None:
 def jalali_to_gregorian(jy: int, jm: int, jd: int) -> tuple[int, int, int]:
     """Convert a Jalali date to the Gregorian (year, month, day)."""
     validate_jalali(jy, jm, jd)
-    gy, gd = gregorian_year_and_day(jy, jm, jd)
-    leap = (gy % 4 == 0 and gy % 100 != 0) or gy % 400 == 0
-    month_lengths = (0, 31, 29 if leap else 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-    gm = 0
-    while gm < 13 and gd > month_lengths[gm]:
-        gd -= month_lengths[gm]
-        gm += 1
-    return gy, gm, gd
-
-
-def gregorian_year_and_day(jy: int, jm: int, jd: int) -> tuple[int, int]:
-    """Gregorian year and 1-based day of that year for a Jalali date.
-
-    Does not validate: callers check the date with validate_jalali first.
-    """
     jy += 1595
     days = -355668 + (365 * jy) + ((jy // 33) * 8) + (((jy % 33) + 3) // 4) + jd
     if jm < 7:
@@ -64,7 +49,14 @@ def gregorian_year_and_day(jy: int, jm: int, jd: int) -> tuple[int, int]:
     if days > 365:
         gy += (days - 1) // 365
         days = (days - 1) % 365
-    return gy, days + 1
+    gd = days + 1
+    leap = (gy % 4 == 0 and gy % 100 != 0) or gy % 400 == 0
+    month_lengths = (0, 31, 29 if leap else 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+    gm = 0
+    while gm < 13 and gd > month_lengths[gm]:
+        gd -= month_lengths[gm]
+        gm += 1
+    return gy, gm, gd
 
 
 def jalali_to_gregorian_year(jy: int, jm: int, jd: int) -> int:
