@@ -1,4 +1,5 @@
-/* One collapsed Gibbs sweep over CSR token arrays.
+/* One collapsed Gibbs sweep over CSR token arrays, and the per-entry
+ * token probabilities behind fit's log-likelihood trace and perplexity.
  *
  * Same arithmetic in the same order as lextopic.lda.gibbs_sweep, so a
  * build with -ffp-contract=off gives bit-identical draws: the weight
@@ -47,5 +48,40 @@ void gibbs_sweep(int64_t n_docs, int64_t n_topics, int64_t n_terms,
             n_kw[new_topic * n_terms + term]++;
             n_k[new_topic]++;
         }
+    }
+}
+
+/* out[e] = sum over k of theta[docs[e], k] * phi_t[terms[e], k].
+ *
+ * Same order as lextopic.lda._token_probs, which is numpy's einsum order
+ * for this product on 128-bit SIMD: two accumulators take the even and
+ * the odd topics; each block of 8 topics is added from its top pair down
+ * (6-7, 4-5, 2-3, 0-1), the remaining topics in order; then even + odd.
+ * theta is n_docs x n_topics and phi_t (topic_word transposed) is
+ * n_terms x n_topics, both row-major. Indices are checked by the caller.
+ */
+void token_probs(int64_t n_entries, int64_t n_topics, const int64_t *docs,
+                 const int64_t *terms, const double *theta, const double *phi_t,
+                 double *out)
+{
+    const int64_t blocked = n_topics - n_topics % 8;
+    for (int64_t entry = 0; entry < n_entries; entry++) {
+        const double *th = theta + docs[entry] * n_topics;
+        const double *ph = phi_t + terms[entry] * n_topics;
+        double even = 0.0, odd = 0.0;
+        int64_t k = 0;
+        for (; k < blocked; k += 8) {
+            for (int64_t i = 6; i >= 0; i -= 2) {
+                even += th[k + i] * ph[k + i];
+                odd += th[k + i + 1] * ph[k + i + 1];
+            }
+        }
+        for (; k + 1 < n_topics; k += 2) {
+            even += th[k] * ph[k];
+            odd += th[k + 1] * ph[k + 1];
+        }
+        if (k < n_topics)
+            even += th[k] * ph[k];
+        out[entry] = even + odd;
     }
 }

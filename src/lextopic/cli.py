@@ -314,7 +314,9 @@ def cmd_sweep(config: RunConfig, k_grid: list[int]) -> int:
     _, vocab, matrix = _build_matrix(config, corpus)
     rows = []
     for n_topics in sorted(k_grid):
-        lda_config = replace(config.lda, n_topics=n_topics, alpha=None)
+        # 50/K at each K, unless a flag or the config file set alpha.
+        alpha = None if config.raw["lda"]["alpha"] is None else config.lda.alpha
+        lda_config = replace(config.lda, n_topics=n_topics, alpha=alpha)
         model = lda_mod.fit(matrix, lda_config, vocab)
         top_m = min(config.top_m, matrix.n_terms)
         coherences = lda_mod.coherence_umass(model, matrix, top_m=max(top_m, 2))

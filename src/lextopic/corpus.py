@@ -309,13 +309,22 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
                         mapping = json.loads(line)
                     except json.JSONDecodeError as exc:
                         raise MalformedRow(row, str(exc)) from None
+                    except RecursionError:
+                        raise MalformedRow(row, "nested deeper than the recursion limit") from None
                     if not isinstance(mapping, dict):
                         raise MalformedRow(row, f"expected an object, got {type(mapping).__name__}")
                     records.append(_record_from_mapping(mapping, row, seen_ids, law_types))
         else:
             with path.open(encoding="utf-8", newline="") as handle:
-                for row, mapping in enumerate(csv.DictReader(handle), start=1):
-                    records.append(_record_from_mapping(mapping, row, seen_ids, law_types))
+                reader = csv.DictReader(handle)
+                row = None
+                try:
+                    reader.fieldnames  # reads the header
+                    row = 0
+                    for row, mapping in enumerate(reader, start=1):
+                        records.append(_record_from_mapping(mapping, row, seen_ids, law_types))
+                except csv.Error as exc:  # a cell over csv.field_size_limit()
+                    raise MalformedRow(None if row is None else row + 1, str(exc), "CSV") from None
     except UnicodeDecodeError:
         raise UndecodableCorpus(path, *_undecodable_row(path, format)) from None
     return Corpus(records, source_description=str(path))

@@ -53,9 +53,12 @@ class MalformedDate(CorpusError):
 
 
 class MalformedRow(CorpusError):
-    def __init__(self, row: int, detail: str):
+    """A line or row its reader rejects; row None is the CSV header."""
+
+    def __init__(self, row: int | None, detail: str, what: str = "JSON line"):
         self.row = row
-        super().__init__(f"row {row}: malformed JSON line: {detail}")
+        where = "header" if row is None else f"row {row}"
+        super().__init__(f"{where}: malformed {what}: {detail}")
 
 
 class UndecodableCorpus(CorpusError):

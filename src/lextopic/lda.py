@@ -5,6 +5,9 @@ whole run and resamples them with the compiled sweep in ``_gibbs.c``.
 The pure-Python ``init_assignments`` / ``gibbs_sweep`` pair on nested
 lists is the reference it is tested against, and the fallback when no C
 compiler is available: both give the same assignments for the same seed.
+The log-likelihood trace and ``perplexity`` likewise use the compiled
+``token_probs`` loop, with ``_token_probs`` as its numpy reference and
+fallback: both give the same bits.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
 MODEL_FORMAT = "lextopic-model"
 MODEL_VERSION = 1
 _ENUMERATION_BOUND = 10**6
-_LL_BLOCK = 1 << 15
 
 
 @dataclass
@@ -244,19 +246,40 @@ def _entry_arrays(matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray, np.nda
     return matrix.docs, matrix.terms, matrix.values.astype(np.float64)
 
 
+def _token_probs(docs: np.ndarray, terms: np.ndarray, doc_topic: np.ndarray, topic_word: np.ndarray) -> np.ndarray:
+    """Each entry's probability, sum over k of doc_topic[doc, k] * topic_word[k, term].
+
+    One topic at a time, in the order of numpy's einsum("ek,ek->e") on
+    128-bit SIMD: even and odd topics sum apart, each block of 8 topics
+    from its top pair down, then the rest in order. ``token_probs`` in
+    ``_gibbs.c`` sums the same way, so the two agree bit for bit.
+    """
+    n_topics = doc_topic.shape[1]
+    blocked = n_topics - n_topics % 8
+    order = [base + i for base in range(0, blocked, 8) for i in (6, 7, 4, 5, 2, 3, 0, 1)]
+    lanes = [np.zeros(docs.size), np.zeros(docs.size)]
+    for k in order + list(range(blocked, n_topics)):
+        lanes[k % 2] += doc_topic[docs, k] * topic_word[k, terms]
+    return lanes[0] + lanes[1]
+
+
 def _log_likelihood(
     docs: np.ndarray,
     terms: np.ndarray,
     counts: np.ndarray,
     doc_topic: np.ndarray,
     topic_word: np.ndarray,
+    token_probs=_token_probs,
 ) -> float:
-    # Blocks of entries bound the (entries x topics) gathers; each is the same einsum.
-    token_probs = np.empty(docs.size)
-    for start in range(0, docs.size, _LL_BLOCK):
-        block = slice(start, start + _LL_BLOCK)
-        np.einsum("ek,ek->e", doc_topic[docs[block]], topic_word[:, terms[block]].T, out=token_probs[block])
-    return float(np.dot(counts, np.log(token_probs)))
+    return float(np.dot(counts, np.log(token_probs(docs, terms, doc_topic, topic_word))))
+
+
+def _load_kernels():
+    # Imported here, not at the top, so that commands that neither sample
+    # nor score do not load the compiler plumbing (subprocess, ctypes).
+    from . import _gibbs
+
+    return _gibbs.load_sweep()
 
 
 @dataclass
@@ -354,8 +377,9 @@ def fit(
 
     Returns one LdaModel, or a list of per-chain models (chain c uses
     seed + c) when n_chains > 1; chains are independent and topic labels
-    are not comparable across them. Sweeps run compiled when a C compiler
-    is available and through gibbs_sweep otherwise, with equal results.
+    are not comparable across them. Sweeps and the log-likelihood trace run
+    compiled when a C compiler is available and through gibbs_sweep and
+    _token_probs otherwise, with equal results.
     """
     if n_chains < 1:
         raise InvalidConfig(f"n_chains must be >= 1, got {n_chains}")
@@ -367,12 +391,11 @@ def fit(
     docs, terms, counts = _entry_arrays(matrix)
     _check_entries(docs, terms, counts, matrix)
     state = _init_arrays(docs, terms, counts, matrix, config)
-    # Imported here, not at the top, so that commands that never sample do
-    # not load the compiler plumbing (subprocess, ctypes).
-    from . import _gibbs
-
-    sweep = _gibbs.load_sweep()
-    step = _python_step(state, config) if sweep is None else _compiled_step(state, config, sweep)
+    kernels = _load_kernels()
+    if kernels is None:
+        step, token_probs = _python_step(state, config), _token_probs
+    else:
+        step, token_probs = _compiled_step(state, config, kernels.sweep), kernels.token_probs
     doc_topic_sum = np.zeros((matrix.n_docs, config.n_topics))
     topic_word_sum = np.zeros((config.n_topics, matrix.n_terms))
     trace: list[float] = []
@@ -381,7 +404,7 @@ def fit(
         step()
         doc_topic = _doc_topic_estimate(state.n_dk, state.n_d, config.alpha)
         topic_word = _topic_word_estimate(state.n_kw, state.n_k, config.beta)
-        trace.append(_log_likelihood(docs, terms, counts, doc_topic, topic_word))
+        trace.append(_log_likelihood(docs, terms, counts, doc_topic, topic_word, token_probs))
         if sweep_index >= config.burn_in:
             doc_topic_sum += doc_topic
             topic_word_sum += topic_word
@@ -510,7 +533,9 @@ def perplexity(model: LdaModel, matrix: DocTermMatrix) -> float:
     docs, terms, counts = _entry_arrays(matrix)
     _check_entries(docs, terms, counts, matrix)
     total = counts.sum()
-    log_lik = _log_likelihood(docs, terms, counts, model.doc_topic, model.topic_word)
+    kernels = _load_kernels()
+    token_probs = _token_probs if kernels is None else kernels.token_probs
+    log_lik = _log_likelihood(docs, terms, counts, model.doc_topic, model.topic_word, token_probs)
     return float(np.exp(-log_lik / total))
 
 

@@ -2,8 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import lextopic
 
 from conftest import SYNTH_CONFIG, jsonl_row, write_jsonl
 from lextopic.cli import main
@@ -182,6 +188,18 @@ class TestSweep:
         for row in rows[1:]:
             float(row[1])
             assert float(row[2]) > 1.0
+
+    def test_alpha_flag_is_used(self, corpus_path, tmp_path):
+        def sweep_csv(name, *flags):
+            out = tmp_path / name
+            args = ["sweep", "--corpus", corpus_path, "--out", str(out), "--k-grid", "2",
+                    "--sweeps", "20", "--burn-in", "5", "--seed", "7", *flags]
+            assert main(args) == 0
+            return (out / "sweep.csv").read_bytes()
+
+        assert sweep_csv("low", "--alpha", "0.1") != sweep_csv("high", "--alpha", "5")
+        # With no --alpha, each K gets 50/K.
+        assert sweep_csv("default") == sweep_csv("fifty-over-k", "--alpha", "25")
 
     def test_bad_grid_rejected(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -385,6 +403,25 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error [corpus]: corpus file {path}: row 3: not UTF-8: invalid start byte")
 
+    def test_csv_cell_over_the_field_size_limit(self, tmp_path, capsys):
+        jsonl = tmp_path / "c.jsonl"
+        write_jsonl(jsonl, [jsonl_row("first", content="word " * 40_000)])
+        path = tmp_path / "big.csv"
+        save_corpus(load_corpus(jsonl), path, "csv")
+        args = ["ingest", "--corpus", str(path), "--format", "csv", "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error [corpus]: row 1: malformed CSV: field larger than field limit ({csv.field_size_limit()})")
+
+    def test_jsonl_line_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "deep.jsonl"
+        write_jsonl(path, [jsonl_row("first")])
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("[" * 100_000 + "\n")
+        assert main(["ingest", "--corpus", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error [corpus]: row 2: malformed JSON line: nested deeper than the recursion limit")
+
     @pytest.mark.parametrize("payload, detail", [(b"{not json", "not JSON"), (b"[1]", "not a JSON object")])
     def test_labels_file_that_is_not_a_json_object(self, fitted, tmp_path, capsys, payload, detail):
         assert self._analyze_with_labels(fitted, tmp_path, payload) == 1
@@ -427,3 +464,20 @@ class TestNonFiniteModel:
         assert capsys.readouterr().err.startswith(f"error [lda]: model file {model}: doc_topic holds a non-finite value")
         assert not (out / "shares.csv").exists()
         assert not (out / "topics.json").exists()
+
+
+class TestReadPathImports:
+    def test_ingest_and_analyze_leave_the_compiler_plumbing_unloaded(self, corpus_path, tmp_path):
+        out = tmp_path / "out"
+        assert main(["fit", "--corpus", corpus_path, "--out", str(out)] + FIT_FLAGS) == 0
+        script = "\n".join([
+            "import sys",
+            "from lextopic.cli import main",
+            f"assert main(['ingest', '--corpus', {corpus_path!r}, '--out', {str(tmp_path / 'stats')!r}]) == 0",
+            f"assert main(['analyze', '--corpus', {corpus_path!r}, '--out', {str(out)!r}]) == 0",
+            "print(sorted({'lextopic._gibbs', 'subprocess'} & set(sys.modules)))",
+        ])
+        source_root = str(Path(lextopic.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert result.stdout.splitlines()[-1] == "[]"

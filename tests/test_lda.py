@@ -322,23 +322,6 @@ class TestExactPosterior:
             exact_posterior(matrix, config)
 
 
-class TestLogLikelihoodBlocks:
-    """_log_likelihood over blocks of entries equals one einsum over all of them, bit for bit."""
-
-    @pytest.mark.parametrize("n_topics", [1, 3, 10, 20])
-    def test_equals_one_einsum(self, n_topics):
-        rng = np.random.default_rng(n_topics)
-        n_entries = 2 * lda._LL_BLOCK + 123
-        docs = np.sort(rng.integers(0, 500, n_entries))
-        terms = rng.integers(0, 800, n_entries)
-        counts = rng.integers(1, 5, n_entries).astype(np.float64)
-        doc_topic = rng.dirichlet(np.ones(n_topics), 500)
-        topic_word = rng.dirichlet(np.ones(800), n_topics)
-        token_probs = np.einsum("ek,ek->e", doc_topic[docs], topic_word[:, terms].T)
-        expected = float(np.dot(counts, np.log(token_probs)))
-        assert lda._log_likelihood(docs, terms, counts, doc_topic, topic_word) == expected
-
-
 def _uniform_model(n_docs, n_terms):
     config = LdaConfig(n_topics=1, alpha=1.0, beta=1.0, sweeps=2, burn_in=1)
     return LdaModel(
@@ -578,12 +561,17 @@ def assert_same_model(first, second):
 
 
 @pytest.fixture(scope="module")
-def compiled_sweep():
-    sweep = _gibbs.load_sweep()
-    if sweep is None:
-        assert _gibbs.find_compiler() is None, "a C compiler is on PATH but the compiled sweep did not load"
+def compiled_kernels():
+    kernels = _gibbs.load_sweep()
+    if kernels is None:
+        assert _gibbs.find_compiler() is None, "a C compiler is on PATH but the compiled kernels did not load"
         pytest.skip("no C compiler on PATH")
-    return sweep
+    return kernels
+
+
+@pytest.fixture(scope="module")
+def compiled_sweep(compiled_kernels):
+    return compiled_kernels.sweep
 
 
 class TestArrayInit:
@@ -646,6 +634,68 @@ class TestCompiledSweep:
         with pytest.raises(ValueError):
             compiled_sweep(state.doc_ptr, state.tokens, state.z.astype(np.int32), state.n_dk,
                            state.n_kw, state.n_k, np.zeros(state.tokens.size), 1.0, 0.1)
+
+
+class TestTokenProbabilities:
+    """The compiled token_probs loop equals its numpy reference bit for bit, and both equal einsum."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_compiled_equals_reference(self, compiled_kernels, data):
+        n_topics = data.draw(st.integers(1, 33), label="n_topics")
+        n_docs = data.draw(st.integers(1, 6), label="n_docs")
+        n_terms = data.draw(st.integers(1, 9), label="n_terms")
+        cells = st.tuples(st.integers(0, n_docs - 1), st.integers(0, n_terms - 1))
+        entries = sorted(data.draw(st.lists(cells, min_size=1, max_size=40, unique=True), label="entries"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        docs, terms = np.array(entries, dtype=np.int64).T
+        doc_topic = rng.dirichlet(np.full(n_topics, 0.5), n_docs)
+        topic_word = rng.dirichlet(np.full(n_terms, 0.5), n_topics)
+        compiled = compiled_kernels.token_probs(docs, terms, doc_topic, topic_word)
+        assert compiled.tobytes() == lda._token_probs(docs, terms, doc_topic, topic_word).tobytes()
+
+    @pytest.mark.parametrize("n_topics", [1, 3, 8, 10, 20, 33])
+    def test_log_likelihood_matches_einsum(self, compiled_kernels, n_topics):
+        # The einsum the blocked trace used, on numpy's 128-bit SIMD loop:
+        # equal bits keep every seeded artifact that holds a log-likelihood.
+        rng = np.random.default_rng(n_topics)
+        n_entries = 70_000
+        docs = np.sort(rng.integers(0, 500, n_entries))
+        terms = rng.integers(0, 800, n_entries)
+        counts = rng.integers(1, 5, n_entries).astype(np.float64)
+        doc_topic = rng.dirichlet(np.ones(n_topics), 500)
+        topic_word = rng.dirichlet(np.ones(800), n_topics)
+        token_probs = np.einsum("ek,ek->e", doc_topic[docs], topic_word[:, terms].T)
+        expected = float(np.dot(counts, np.log(token_probs)))
+        reference = lda._log_likelihood(docs, terms, counts, doc_topic, topic_word)
+        compiled = lda._log_likelihood(docs, terms, counts, doc_topic, topic_word, compiled_kernels.token_probs)
+        assert compiled == reference == expected
+
+    def test_one_entry_matrix(self, compiled_kernels):
+        docs, terms = np.array([1]), np.array([2])
+        doc_topic = np.array([[0.5, 0.5], [0.25, 0.75]])
+        topic_word = np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.4]])
+        expected = 0.25 * 0.7 + 0.75 * 0.4
+        assert lda._token_probs(docs, terms, doc_topic, topic_word).tolist() == [expected]
+        assert compiled_kernels.token_probs(docs, terms, doc_topic, topic_word).tolist() == [expected]
+
+    @pytest.mark.parametrize("docs, terms, n_topics", [
+        ([0], [0, 1], 2),  # one doc index short
+        ([0], [0], 3),  # doc_topic has a topic more than topic_word
+        ([1], [0], 2),  # past the last document
+        ([0], [-1], 2),  # before the first term
+        ([0], [2], 2),  # past the last term
+    ])
+    def test_rejects_bad_arrays(self, compiled_kernels, docs, terms, n_topics):
+        with pytest.raises(ValueError):
+            compiled_kernels.token_probs(np.array(docs), np.array(terms), np.ones((1, n_topics)), np.ones((2, 2)))
+
+    def test_perplexity_equals_fallback(self, compiled_kernels, monkeypatch):
+        matrix = matrix_from_tokens(token_lists_with_gaps(9), n_terms=15)
+        model = fit(matrix, LdaConfig(n_topics=9, sweeps=10, burn_in=2, seed=9))
+        compiled = perplexity(model, matrix)
+        monkeypatch.setattr(_gibbs, "load_sweep", lambda: None)
+        assert perplexity(model, matrix) == compiled
 
 
 class TestSweepFallback:
