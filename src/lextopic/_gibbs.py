@@ -12,6 +12,7 @@ concurrent first uses cannot load a half-written library.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import logging
 import os
@@ -46,14 +47,13 @@ def _cache_dir() -> Path:
     return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "lextopic"
 
 
-def _build() -> Path:
+def _build(cache_dir: Path, compiler: str | None) -> Path:
     """Path of the compiled library, compiling it if the cache lacks it."""
     source = SOURCE.read_bytes()
     digest = hashlib.sha256(source + "\0".join(CFLAGS).encode()).hexdigest()
-    target = _cache_dir() / f"gibbs-{digest[:16]}.so"
+    target = cache_dir / f"gibbs-{digest[:16]}.so"
     if target.is_file():
         return target
-    compiler = find_compiler()
     if compiler is None:
         raise FileNotFoundError("no C compiler (gcc or cc) on PATH")
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -80,9 +80,16 @@ def load_sweep() -> Kernels | None:
     takes (docs, terms, doc_topic, topic_word) and returns each entry's
     probability, bit for bit as ``lda._token_probs``. The sweep's term and
     topic indices must already be in range; ``token_probs`` checks its own.
+    The result is kept per cache directory and compiler, so each pair is
+    built, loaded and warned about once per process.
     """
+    return _load(_cache_dir(), find_compiler())
+
+
+@functools.cache
+def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
     try:
-        library = ctypes.CDLL(str(_build()))
+        library = ctypes.CDLL(str(_build(cache_dir, compiler)))
     except subprocess.CalledProcessError as exc:
         logger.warning(
             "compiling the Gibbs sweep failed (exit status %s: %s); using the Python sweep and log-likelihood",

@@ -4,6 +4,10 @@ A JSON run-configuration file (via --config or the LEXTOPIC_CONFIG env
 var) supplies defaults; command-line flags win over the file. Every
 command echoes the effective configuration into the output directory so
 a run can be reproduced from its artifacts alone.
+
+Each setting is one row of SETTINGS: its dotted key in run_config.json,
+its check, its default, its flag and the commands that take the flag.
+The defaults, the parser's flags and the checks all come from that table.
 """
 
 from __future__ import annotations
@@ -11,10 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
+import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import analyze as analyze_mod
 from . import corpus as corpus_mod
@@ -24,119 +31,131 @@ from . import vectorize as vectorize_mod
 from ._files import atomic_writer
 from .errors import AlignmentMismatch, EmptyContent, InvalidConfig, LextopicError
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["RunConfig", "SETTINGS", "main"]
 
 CONFIG_ENV_VAR = "LEXTOPIC_CONFIG"
 
-_DEFAULTS = {
-    "corpus": None,
-    "format": "jsonl",
-    "filter_type": "Regulation",
-    "preprocess": {
-        "stopwords": None,
-        "lemma_rules": None,
-        "min_token_length": 2,
-        "on_empty": "drop",
-    },
-    "vectorize": {"min_df": 2, "max_df_ratio": 0.95, "norm": "l2", "pseudo_scale": 10.0},
-    "lda": {
-        "n_topics": 10,
-        "alpha": None,
-        "beta": 0.01,
-        "sweeps": 1000,
-        "burn_in": 500,
-        "seed": 0,
-        "input_mode": "counts",
-    },
-    "analyze": {"top_m": 10, "normalization": "per_topic", "labels": None},
-    "out": "out",
-}
+
+class Limit(NamedTuple):
+    text: str
+    holds: Callable[[float], bool]
+
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+# A JSON escape can name NUL or a lone surrogate, but no path or UTF-8 file can hold one.
+_UNWRITABLE = re.compile("[\x00\ud800-\udfff]")
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One row of the settings table. A default of None also admits null."""
+
+    key: str  # dotted path in run_config.json
+    type: type  # int, float or str
+    default: object
+    flag: str | None = None
+    commands: tuple[str, ...] = ()
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    limit: Limit | None = None
+
+    def describe(self) -> str:
+        text = "one of " + ", ".join(self.choices) if self.choices else _TYPE_NAMES[self.type]
+        text += f" {self.limit.text}" if self.limit else ""
+        return text + (" or null" if self.default is None else "")
+
+    def check(self, value):
+        """The value to store, or InvalidConfig naming the key."""
+        if value is None and self.default is None:
+            return value
+        if self.type is float and type(value) is int and abs(value) <= sys.float_info.max:
+            value = float(value)  # echoed as a float, as model.json stores it
+        if not (
+            type(value) is self.type  # so True is not an integer
+            and (self.type is not float or math.isfinite(value))
+            and (self.type is not str or not _UNWRITABLE.search(value))
+            and (not self.choices or value in self.choices)
+            and (self.limit is None or self.limit.holds(value))
+        ):
+            raise InvalidConfig(f"{self.key} must be {self.describe()}, got {json.dumps(value)}")
+        return value
+
+
+_ALL = ("ingest", "fit", "sweep", "analyze")
+_MODEL = ("fit", "sweep")
+_AT_LEAST_1 = Limit(">= 1", lambda value: value >= 1)
+_POSITIVE = Limit("> 0", lambda value: value > 0)
+_LDA = {field.name: field.default for field in fields(lda_mod.LdaConfig)}
+_PREPROCESS = {field.name: field.default for field in fields(preprocess_mod.PreprocessConfig)}
+
+# Row order is run_config.json's key order; the lda rows follow LdaConfig's fields.
+SETTINGS = (
+    Setting("corpus", str, None, "--corpus", _ALL, "corpus file path"),
+    Setting("format", str, "jsonl", "--format", _ALL, "corpus file format", choices=("jsonl", "csv")),
+    Setting("filter_type", str, "Regulation", "--filter-type", _ALL, "law type to keep ('none' disables)"),
+    Setting("preprocess.stopwords", str, None, help="stopword list file (default: the bundled list)"),
+    Setting("preprocess.lemma_rules", str, None, help="lemma rules file (default: the bundled rules)"),
+    Setting("preprocess.min_token_length", int, _PREPROCESS["min_token_length"], help="shortest token kept"),
+    Setting("preprocess.on_empty", str, "drop", help="a record that preprocesses to zero tokens",
+            choices=("drop", "error")),
+    Setting("vectorize.min_df", int, 2, "--min-df", _MODEL, "minimum document frequency", limit=_AT_LEAST_1),
+    Setting("vectorize.max_df_ratio", float, 0.95, "--max-df-ratio", _MODEL, "maximum df ratio",
+            limit=Limit("in (0, 1]", lambda value: 0 < value <= 1)),
+    Setting("vectorize.norm", str, "l2", help="tf-idf row norm (tfidf-pseudo mode)", choices=("l2", "none")),
+    Setting("vectorize.pseudo_scale", float, 10.0, help="tf-idf weight scale before rounding to pseudo-counts",
+            limit=_POSITIVE),
+    Setting("lda.n_topics", int, _LDA["n_topics"], "--topics", _MODEL, "number of topics"),
+    Setting("lda.alpha", float, _LDA["alpha"], "--alpha", _MODEL, "document-topic prior (default: 50/K)"),
+    Setting("lda.beta", float, _LDA["beta"], "--beta", _MODEL, "topic-word prior"),
+    Setting("lda.sweeps", int, _LDA["sweeps"], "--sweeps", _MODEL, "total Gibbs sweeps"),
+    Setting("lda.burn_in", int, _LDA["burn_in"], "--burn-in", _MODEL, "sweeps discarded before averaging"),
+    Setting("lda.seed", int, _LDA["seed"], "--seed", _MODEL, "random seed"),
+    Setting("lda.input_mode", str, _LDA["input_mode"], "--mode", _MODEL, "sampler input mode",
+            choices=lda_mod.INPUT_MODES),
+    Setting("analyze.top_m", int, 10, "--top-m", ("sweep", "analyze"),
+            "top words per topic (sweep: for coherence)", limit=_AT_LEAST_1),
+    Setting("analyze.normalization", str, "per_topic", help="yearly trend percentages",
+            choices=("per_topic", "per_year")),
+    Setting("analyze.labels", str, None, "--labels", ("analyze",), "topic label sidecar JSON"),
+    Setting("out", str, "out", "--out", _ALL, "output directory"),
+)
+
+_BY_PATH = {tuple(setting.key.split(".")): setting for setting in SETTINGS}
+_SECTIONS = {path[0] for path in _BY_PATH if len(path) == 2}
 
 
 @dataclass
 class RunConfig:
-    """Effective settings for one command, after file/flag merging."""
+    """Checked settings for one command, nested as in run_config.json."""
 
-    corpus_path: str | None
-    format: str
-    filter_type: str
-    stopwords_path: str | None
-    lemma_rules_path: str | None
-    min_token_length: int
-    on_empty: str
-    min_df: int
-    max_df_ratio: float
-    norm: str
-    pseudo_scale: float
+    settings: dict
     lda: lda_mod.LdaConfig
-    top_m: int
-    normalization: str
-    label_map_path: str | None
-    out_dir: str
-    raw: dict
 
-    @classmethod
-    def from_mapping(cls, raw: dict) -> "RunConfig":
-        lda_raw = raw["lda"]
-        return cls(
-            corpus_path=raw["corpus"],
-            format=raw["format"],
-            filter_type=raw["filter_type"],
-            stopwords_path=raw["preprocess"]["stopwords"],
-            lemma_rules_path=raw["preprocess"]["lemma_rules"],
-            min_token_length=int(raw["preprocess"]["min_token_length"]),
-            on_empty=raw["preprocess"]["on_empty"],
-            min_df=int(raw["vectorize"]["min_df"]),
-            max_df_ratio=float(raw["vectorize"]["max_df_ratio"]),
-            norm=raw["vectorize"]["norm"],
-            pseudo_scale=float(raw["vectorize"]["pseudo_scale"]),
-            lda=lda_mod.LdaConfig(
-                n_topics=int(lda_raw["n_topics"]),
-                alpha=None if lda_raw["alpha"] is None else float(lda_raw["alpha"]),
-                beta=float(lda_raw["beta"]),
-                sweeps=int(lda_raw["sweeps"]),
-                burn_in=int(lda_raw["burn_in"]),
-                seed=int(lda_raw["seed"]),
-                input_mode=lda_raw["input_mode"],
-            ),
-            top_m=int(raw["analyze"]["top_m"]),
-            normalization=raw["analyze"]["normalization"],
-            label_map_path=raw["analyze"]["labels"],
-            out_dir=raw["out"],
-            raw=raw,
-        )
+    def __getitem__(self, key: str):
+        """The setting at a dotted key, e.g. config["vectorize.min_df"]."""
+        *section, name = key.split(".")
+        return (self.settings[section[0]] if section else self.settings)[name]
 
 
-def _deep_update(base: dict, extra: dict) -> dict:
-    for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
+def _file_values(payload: dict) -> dict[tuple[str, ...], object]:
+    """A config file's values by path; an unknown key or a section that is not an object is rejected."""
+    values = {}
+    for name, value in payload.items():
+        if name not in _SECTIONS:
+            values[(name,)] = value
+        elif isinstance(value, dict):
+            values.update(((name, key), item) for key, item in value.items())
         else:
-            base[key] = value
-    return base
-
-
-_FLAG_TO_PATH = {
-    "corpus": ("corpus",),
-    "format": ("format",),
-    "filter_type": ("filter_type",),
-    "topics": ("lda", "n_topics"),
-    "alpha": ("lda", "alpha"),
-    "beta": ("lda", "beta"),
-    "sweeps": ("lda", "sweeps"),
-    "burn_in": ("lda", "burn_in"),
-    "seed": ("lda", "seed"),
-    "mode": ("lda", "input_mode"),
-    "min_df": ("vectorize", "min_df"),
-    "max_df_ratio": ("vectorize", "max_df_ratio"),
-    "top_m": ("analyze", "top_m"),
-    "labels": ("analyze", "labels"),
-    "out": ("out",),
-}
+            raise InvalidConfig(f"{name} must be an object, got {json.dumps(value)}")
+    for path in values:
+        if path not in _BY_PATH:
+            raise InvalidConfig(f"unknown config key {'.'.join(path)}")
+    return values
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    raw = json.loads(json.dumps(_DEFAULTS))
+    """Defaults < config file < flags, each value checked before any output is written."""
+    payload = {}
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
         if not Path(config_path).is_file():
@@ -148,15 +167,16 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise InvalidConfig(f"config file {config_path}: not JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise InvalidConfig(f"config file {config_path}: not a JSON object")
-        _deep_update(raw, payload)
-    for flag, path in _FLAG_TO_PATH.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            target = raw
-            for key in path[:-1]:
-                target = target[key]
-            target[path[-1]] = value
-    return RunConfig.from_mapping(raw)
+    values = _file_values(payload)
+    settings: dict = {}
+    for path, setting in _BY_PATH.items():
+        value = setting.check(values[path]) if path in values else setting.default
+        given = getattr(args, setting.flag[2:].replace("-", "_"), None) if setting.flag else None
+        if given is not None:
+            value = setting.check(given)
+        section = settings.setdefault(path[0], {}) if len(path) == 2 else settings
+        section[path[-1]] = value
+    return RunConfig(settings, lda_mod.LdaConfig(**settings["lda"]))
 
 
 def _require_file(path: str | None, what: str) -> str:
@@ -168,61 +188,59 @@ def _require_file(path: str | None, what: str) -> str:
 
 
 def _prepare_out_dir(config: RunConfig) -> Path:
-    out_dir = Path(config.out_dir)
+    out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_writer(out_dir / "run_config.json") as handle:
-        json.dump(config.raw, handle, ensure_ascii=False, indent=2)
+        json.dump(config.settings, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
     return out_dir
 
 
 def _load_corpus(config: RunConfig) -> corpus_mod.Corpus:
-    path = _require_file(config.corpus_path, "corpus file")
-    return corpus_mod.load_corpus(path, config.format)
+    path = _require_file(config["corpus"], "corpus file")
+    return corpus_mod.load_corpus(path, config["format"])
 
 
 def _preprocess_config(config: RunConfig) -> preprocess_mod.PreprocessConfig:
-    base = preprocess_mod.default_config()
-    stopwords = base.stopword_list
-    rules = base.lemma_rules
-    if config.stopwords_path:
-        stopwords = preprocess_mod.load_stopwords(_require_file(config.stopwords_path, "stopwords file"))
-    if config.lemma_rules_path:
-        rules = preprocess_mod.load_lemma_rules(_require_file(config.lemma_rules_path, "lemma rules file"))
-    return preprocess_mod.PreprocessConfig(
-        stopword_list=stopwords,
-        lemma_rules=rules,
-        min_token_length=config.min_token_length,
-    )
+    result = preprocess_mod.default_config()
+    result.min_token_length = config["preprocess.min_token_length"]
+    if config["preprocess.stopwords"]:
+        path = _require_file(config["preprocess.stopwords"], "stopwords file")
+        result.stopword_list = preprocess_mod.load_stopwords(path)
+    if config["preprocess.lemma_rules"]:
+        path = _require_file(config["preprocess.lemma_rules"], "lemma rules file")
+        result.lemma_rules = preprocess_mod.load_lemma_rules(path)
+    return result
 
 
 def _filtered_corpus(config: RunConfig) -> corpus_mod.Corpus:
     corpus = _load_corpus(config)
-    if config.filter_type.lower() in ("none", "all", ""):
+    filter_type = config["filter_type"]
+    if filter_type.lower() in ("none", "all", ""):
         return corpus
-    return corpus_mod.filter_by_type(corpus, corpus_mod.parse_law_type(config.filter_type))
+    return corpus_mod.filter_by_type(corpus, corpus_mod.parse_law_type(filter_type))
 
 
 def _build_matrix(config: RunConfig, corpus: corpus_mod.Corpus):
     """filter -> preprocess -> vocabulary -> counts -> optional tf-idf bridge."""
     documents = preprocess_mod.preprocess_corpus(
-        corpus, _preprocess_config(config), on_empty=config.on_empty
+        corpus, _preprocess_config(config), on_empty=config["preprocess.on_empty"]
     )
     dropped = len(corpus.records) - len(documents)
     if dropped:
         print(f"warning: dropped {dropped} record(s) that preprocess to zero tokens", file=sys.stderr)
-    vocab = vectorize_mod.build_vocabulary(documents, config.min_df, config.max_df_ratio)
+    vocab = vectorize_mod.build_vocabulary(documents, config["vectorize.min_df"], config["vectorize.max_df_ratio"])
     matrix = vectorize_mod.count_matrix(documents, vocab)
     if config.lda.input_mode == "tfidf-pseudo":
-        weights = vectorize_mod.tfidf(matrix, config.norm)
-        matrix = vectorize_mod.to_pseudo_counts(weights, config.pseudo_scale)
+        weights = vectorize_mod.tfidf(matrix, config["vectorize.norm"])
+        matrix = vectorize_mod.to_pseudo_counts(weights, config["vectorize.pseudo_scale"])
     return documents, vocab, matrix
 
 
 def _labels(config: RunConfig) -> dict[int, str] | None:
-    if not config.label_map_path:
+    if not config["analyze.labels"]:
         return None
-    return analyze_mod.load_labels(_require_file(config.label_map_path, "label map"))
+    return analyze_mod.load_labels(_require_file(config["analyze.labels"], "label map"))
 
 
 def _align_corpus(corpus: corpus_mod.Corpus, model: lda_mod.LdaModel) -> corpus_mod.Corpus:
@@ -292,17 +310,18 @@ def cmd_analyze(config: RunConfig, model_path: str | None) -> int:
     corpus = _align_corpus(_filtered_corpus(config), model)
     labels = _labels(config)
 
-    summaries = analyze_mod.label_topics(model, labels, top_m=config.top_m)
+    top_m = config["analyze.top_m"]
+    summaries = analyze_mod.label_topics(model, labels, top_m=top_m)
     analyze_mod.save_topics_json(summaries, out_dir / "topics.json")
     shares = analyze_mod.topic_shares(model, corpus, labels=labels)
     analyze_mod.save_shares_csv(shares, out_dir / "shares.csv")
     trends = analyze_mod.yearly_topic_percentages(
-        model, corpus, normalization=config.normalization, labels=labels
+        model, corpus, normalization=config["analyze.normalization"], labels=labels
     )
     analyze_mod.save_trends_csv(trends, out_dir / "trends.csv")
     n_topics = model.topic_word.shape[0]
     for topic in range(n_topics):
-        pairs = analyze_mod.wordcloud_weights(model, topic, min(config.top_m, model.topic_word.shape[1]))
+        pairs = analyze_mod.wordcloud_weights(model, topic, min(top_m, model.topic_word.shape[1]))
         analyze_mod.save_wordcloud_csv(pairs, out_dir / f"wordcloud_{topic}.csv")
     print(f"analysis written to {out_dir} ({n_topics} topics, {len(corpus.records)} documents)")
     return 0
@@ -315,10 +334,9 @@ def cmd_sweep(config: RunConfig, k_grid: list[int]) -> int:
     rows = []
     for n_topics in sorted(k_grid):
         # 50/K at each K, unless a flag or the config file set alpha.
-        alpha = None if config.raw["lda"]["alpha"] is None else config.lda.alpha
-        lda_config = replace(config.lda, n_topics=n_topics, alpha=alpha)
+        lda_config = replace(config.lda, n_topics=n_topics, alpha=config["lda.alpha"])
         model = lda_mod.fit(matrix, lda_config, vocab)
-        top_m = min(config.top_m, matrix.n_terms)
+        top_m = min(config["analyze.top_m"], matrix.n_terms)
         coherences = lda_mod.coherence_umass(model, matrix, top_m=max(top_m, 2))
         rows.append(
             (
@@ -355,42 +373,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help=f"run-config JSON (default: ${CONFIG_ENV_VAR})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--corpus", help="corpus file path")
-        cmd.add_argument("--format", choices=["jsonl", "csv"], help="corpus file format")
-        cmd.add_argument("--filter-type", dest="filter_type", help="law type to keep ('none' disables)")
-        cmd.add_argument("--out", help="output directory")
-
-    def add_model_flags(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--topics", type=int, help="number of topics")
-        cmd.add_argument("--alpha", type=float, help="document-topic prior")
-        cmd.add_argument("--beta", type=float, help="topic-word prior")
-        cmd.add_argument("--sweeps", type=int, help="total Gibbs sweeps")
-        cmd.add_argument("--burn-in", dest="burn_in", type=int, help="sweeps discarded before averaging")
-        cmd.add_argument("--seed", type=int, help="random seed")
-        cmd.add_argument("--mode", choices=["counts", "tfidf-pseudo"], help="sampler input mode")
-        cmd.add_argument("--min-df", dest="min_df", type=int, help="minimum document frequency")
-        cmd.add_argument("--max-df-ratio", dest="max_df_ratio", type=float, help="maximum df ratio")
-
-    ingest = sub.add_parser("ingest", help="corpus statistics (counts by type/year, length ratios)")
-    add_common(ingest)
-
-    fit = sub.add_parser("fit", help="preprocess, vectorize, and fit the topic model")
-    add_common(fit)
-    add_model_flags(fit)
-
-    sweep = sub.add_parser("sweep", help="fit a grid of topic counts and score each")
-    add_common(sweep)
-    add_model_flags(sweep)
-    sweep.add_argument("--k-grid", dest="k_grid", required=True, help="comma-separated topic counts")
-    sweep.add_argument("--top-m", dest="top_m", type=int, help="top words per topic for coherence")
-
-    analyze = sub.add_parser("analyze", help="emit share/trend/top-word tables from a saved model")
-    add_common(analyze)
-    analyze.add_argument("--model", help="model file (default: <out>/model.json)")
-    analyze.add_argument("--top-m", dest="top_m", type=int, help="top words per topic")
-    analyze.add_argument("--labels", help="topic label sidecar JSON")
-
+    commands = {
+        "ingest": sub.add_parser("ingest", help="corpus statistics (counts by type/year, length ratios)"),
+        "fit": sub.add_parser("fit", help="preprocess, vectorize, and fit the topic model"),
+        "sweep": sub.add_parser("sweep", help="fit a grid of topic counts and score each"),
+        "analyze": sub.add_parser("analyze", help="emit share/trend/top-word tables from a saved model"),
+    }
+    for setting in SETTINGS:
+        for name in setting.commands:
+            commands[name].add_argument(
+                setting.flag, type=None if setting.type is str else setting.type,
+                choices=setting.choices, help=setting.help,
+            )
+    commands["sweep"].add_argument("--k-grid", dest="k_grid", required=True, help="comma-separated topic counts")
+    commands["analyze"].add_argument("--model", help="model file (default: <out>/model.json)")
     return parser
 
 

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import os  # noqa: F401  (tests patch os.replace through this module)
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from pathlib import Path
 
@@ -34,6 +34,7 @@ __all__ = [
     "gibbs_conditional",
     "gibbs_sweep",
     "fit",
+    "fit_chains",
     "exact_posterior",
     "collapsed_log_joint",
     "perplexity",
@@ -45,6 +46,7 @@ __all__ = [
 MODEL_FORMAT = "lextopic-model"
 MODEL_VERSION = 1
 _ENUMERATION_BOUND = 10**6
+INPUT_MODES = ("counts", "tfidf-pseudo")
 
 
 @dataclass
@@ -63,8 +65,8 @@ class LdaConfig:
         if self.alpha is None:
             # Classic heuristic: total document-topic mass of 50.
             self.alpha = 50.0 / self.n_topics
-        if self.alpha <= 0 or self.beta <= 0:
-            raise InvalidConfig("alpha and beta must be positive")
+        if not all(math.isfinite(prior) and prior > 0 for prior in (self.alpha, self.beta)):
+            raise InvalidConfig(f"alpha and beta must be positive and finite, got {self.alpha} and {self.beta}")
         if self.sweeps < 1:
             raise InvalidConfig(f"sweeps must be >= 1, got {self.sweeps}")
         if not 0 <= self.burn_in < self.sweeps:
@@ -73,7 +75,7 @@ class LdaConfig:
             )
         if not 0 <= int(self.seed) < 2**64:
             raise InvalidConfig(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if self.input_mode not in ("counts", "tfidf-pseudo"):
+        if self.input_mode not in INPUT_MODES:
             raise InvalidConfig(f"input_mode must be 'counts' or 'tfidf-pseudo', got {self.input_mode!r}")
 
 
@@ -367,25 +369,13 @@ def _python_step(state: _TokenArrays, config: LdaConfig):
     return step
 
 
-def fit(
-    matrix: DocTermMatrix,
-    config: LdaConfig,
-    vocab: Vocabulary | None = None,
-    n_chains: int = 1,
-):
+def fit(matrix: DocTermMatrix, config: LdaConfig, vocab: Vocabulary | None = None) -> LdaModel:
     """Run the Gibbs sampler and average estimators past burn-in.
 
-    Returns one LdaModel, or a list of per-chain models (chain c uses
-    seed + c) when n_chains > 1; chains are independent and topic labels
-    are not comparable across them. Sweeps and the log-likelihood trace run
-    compiled when a C compiler is available and through gibbs_sweep and
-    _token_probs otherwise, with equal results.
+    Sweeps and the log-likelihood trace run compiled when a C compiler is
+    available and through gibbs_sweep and _token_probs otherwise, with
+    equal results.
     """
-    if n_chains < 1:
-        raise InvalidConfig(f"n_chains must be >= 1, got {n_chains}")
-    if n_chains > 1:
-        return [fit(matrix, replace(config, seed=config.seed + chain), vocab) for chain in range(n_chains)]
-
     if not matrix.values.size:
         raise EmptyMatrix()
     docs, terms, counts = _entry_arrays(matrix)
@@ -417,6 +407,15 @@ def fit(
         log_likelihood=trace,
         vocab=vocab,
     )
+
+
+def fit_chains(
+    matrix: DocTermMatrix, config: LdaConfig, n_chains: int, vocab: Vocabulary | None = None
+) -> list[LdaModel]:
+    """n_chains independent fits; chain c uses seed + c, so topic labels are not comparable across chains."""
+    if n_chains < 1:
+        raise InvalidConfig(f"n_chains must be >= 1, got {n_chains}")
+    return [fit(matrix, replace(config, seed=config.seed + chain), vocab) for chain in range(n_chains)]
 
 
 def collapsed_log_joint(
@@ -585,15 +584,7 @@ def save_model(model: LdaModel, path) -> None:
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "config": {
-            "n_topics": model.config.n_topics,
-            "alpha": model.config.alpha,
-            "beta": model.config.beta,
-            "sweeps": model.config.sweeps,
-            "burn_in": model.config.burn_in,
-            "seed": model.config.seed,
-            "input_mode": model.config.input_mode,
-        },
+        "config": asdict(model.config),
         "vocabulary_hash": _vocab_hash(model.vocab, model.topic_word.shape[1]),
         "vocabulary": None
         if model.vocab is None

@@ -1,18 +1,24 @@
 """End-to-end command-line runs against a small on-disk corpus."""
 
+import argparse
 import csv
 import json
+import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import lextopic
 
 from conftest import SYNTH_CONFIG, jsonl_row, write_jsonl
-from lextopic.cli import main
+from lextopic import _gibbs
+from lextopic.cli import SETTINGS, build_parser, main
 from lextopic.corpus import SynthConfig, generate_synthetic_corpus, load_corpus, save_corpus
 from lextopic.lda import LdaConfig, coherence_umass, fit
 from lextopic.preprocess import Document
@@ -201,6 +207,16 @@ class TestSweep:
         # With no --alpha, each K gets 50/K.
         assert sweep_csv("default") == sweep_csv("fifty-over-k", "--alpha", "25")
 
+    def test_without_a_compiler_the_fallback_is_announced_once(self, corpus_path, tmp_path, monkeypatch, caplog):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(_gibbs, "find_compiler", lambda: None)
+        args = ["sweep", "--corpus", corpus_path, "--out", str(tmp_path / "out"),
+                "--k-grid", "2,3", "--sweeps", "5", "--burn-in", "1"]
+        with caplog.at_level(logging.WARNING, logger="lextopic"):
+            assert main(args) == 0
+        warnings = [record.getMessage() for record in caplog.records if record.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "using the Python sweep" in warnings[0]
+
     def test_bad_grid_rejected(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "out"
         args = ["sweep", "--corpus", corpus_path, "--out", str(out), "--k-grid", "3,x"]
@@ -364,6 +380,166 @@ class TestConfigFile:
         args = ["--config", str(tmp_path / "absent.json"), "ingest"]
         assert main(args) == 1
         assert "error [config]" in capsys.readouterr().err
+
+
+_COMMON_FLAGS = {
+    ("--corpus",): ("corpus", None, None, False),
+    ("--format",): ("format", None, ["jsonl", "csv"], False),
+    ("--filter-type",): ("filter_type", None, None, False),
+    ("--out",): ("out", None, None, False),
+}
+_MODEL_FLAGS = {
+    ("--topics",): ("topics", int, None, False),
+    ("--alpha",): ("alpha", float, None, False),
+    ("--beta",): ("beta", float, None, False),
+    ("--sweeps",): ("sweeps", int, None, False),
+    ("--burn-in",): ("burn_in", int, None, False),
+    ("--seed",): ("seed", int, None, False),
+    ("--mode",): ("mode", None, ["counts", "tfidf-pseudo"], False),
+    ("--min-df",): ("min_df", int, None, False),
+    ("--max-df-ratio",): ("max_df_ratio", float, None, False),
+}
+FLAG_SURFACE = {
+    None: {("--config",): ("config", None, None, False)},
+    "ingest": _COMMON_FLAGS,
+    "fit": {**_COMMON_FLAGS, **_MODEL_FLAGS},
+    "sweep": {
+        **_COMMON_FLAGS, **_MODEL_FLAGS,
+        ("--k-grid",): ("k_grid", None, None, True),
+        ("--top-m",): ("top_m", int, None, False),
+    },
+    "analyze": {
+        **_COMMON_FLAGS,
+        ("--model",): ("model", None, None, False),
+        ("--top-m",): ("top_m", int, None, False),
+        ("--labels",): ("labels", None, None, False),
+    },
+}
+
+
+def _flag_surface(parser):
+    return {
+        tuple(action.option_strings): (
+            action.dest, action.type, None if action.choices is None else list(action.choices), action.required
+        )
+        for action in parser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    }
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(sorted({word for setting in SETTINGS for word in setting.choices or ()}))
+    | st.sampled_from(["\ud800", "a\u0000b"])
+)
+_JSON = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _mostly(strategy, other=_JSON):
+    return st.integers(0, 5).flatmap(lambda roll: other if roll == 0 else strategy)
+
+
+def _payloads():
+    """Known keys at any depth with values of their type, now and then any JSON or an unknown key instead."""
+    typed = {int: st.integers(1, 9), float: st.floats(0.01, 1.0) | st.just(1), str: st.text(max_size=6)}
+    known, sections = {}, {}
+    for setting in SETTINGS:
+        *section, name = setting.key.split(".")
+        value = _mostly(st.sampled_from(setting.choices) if setting.choices else typed[setting.type])
+        (sections.setdefault(section[0], {}) if section else known)[name] = value
+    for section, values in sections.items():
+        known[section] = _mostly(st.fixed_dictionaries({}, optional=values))
+    unknown = _mostly(st.just({}), st.dictionaries(st.text(max_size=6), _JSON, min_size=1, max_size=1))
+    return st.tuples(st.fixed_dictionaries({}, optional=known), unknown).map(lambda parts: {**parts[1], **parts[0]})
+
+
+class TestSettingsTable:
+    """Every setting is checked against its row before any output is written."""
+
+    def test_flag_surface(self):
+        parser = build_parser()
+        subparsers = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+        found = {None: _flag_surface(parser)}
+        found.update((name, _flag_surface(command)) for name, command in subparsers.choices.items())
+        assert found == FLAG_SURFACE
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"lda": {"n_topics": 3.7}}, "lda.n_topics"),
+        ({"lda": {"n_topics": "abc"}}, "lda.n_topics"),
+        ({"lda": {"n_topics": "3"}}, "lda.n_topics"),
+        ({"lda": {"seed": True}}, "lda.seed"),
+        ({"lda": {"sweeps": None}}, "lda.sweeps"),
+        ({"lda": [1]}, "lda"),
+        ({"lda": {"n_topic": 3}}, "lda.n_topic"),
+        ({"lda.n_topics": 3}, "lda.n_topics"),
+        ({"format": 5}, "format"),
+        ({"vectorize": {"norm": "l3"}}, "vectorize.norm"),
+        ({"preprocess": {"on_empty": "keep"}}, "preprocess.on_empty"),
+        ({"analyze": {"normalization": "per_doc"}}, "analyze.normalization"),
+        ({"lda": {"beta": float("nan")}}, "lda.beta"),
+        ({"out": "\ud800"}, "out"),
+        ({"out": "a\u0000b"}, "out"),
+    ])
+    def test_bad_config_file_value(self, corpus_path, tmp_path, capsys, payload, key):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "fit", "--corpus", corpus_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [config]: ") and key in err.split()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, key", [
+        (["fit", "--beta", "nan"], "lda.beta"),
+        (["fit", "--alpha", "inf"], "lda.alpha"),
+        (["fit", "--min-df", "0"], "vectorize.min_df"),
+        (["fit", "--max-df-ratio", "2"], "vectorize.max_df_ratio"),
+        (["analyze", "--top-m", "0"], "analyze.top_m"),
+    ])
+    def test_bad_flag_value(self, corpus_path, tmp_path, capsys, flags, key):
+        out = tmp_path / "out"
+        assert main(flags + ["--corpus", corpus_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error [config]: {key} must be ")
+        assert not out.exists()
+
+    def test_run_config_fed_back_reproduces_the_run(self, corpus_path, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"lda": {"beta": 1, "sweeps": 30, "burn_in": 10}}), encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["--config", str(config), "fit", "--corpus", corpus_path, "--out", str(out), "--topics", "2",
+                "--alpha", "0.5", "--seed", "42", "--min-df", "1"]
+        assert main(args) == 0
+        names = ("run_config.json", "model.json", "trace.csv")
+        first = {name: (out / name).read_bytes() for name in names}
+        # An integer for a float setting is echoed as the float it was run with.
+        assert b'"beta": 1.0,' in first["run_config.json"]
+        assert main(["--config", str(out / "run_config.json"), "fit"]) == 0
+        assert {name: (out / name).read_bytes() for name in names} == first
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=_payloads())
+    def test_any_config_file_runs_or_is_a_config_error(self, corpus_path, tmp_path, capsys, payload):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        capsys.readouterr()
+        code = main(["--config", str(config), "ingest", "--corpus", corpus_path, "--format", "jsonl",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        event(f"exit {code}")
+        assert code == 0 and err == "" or code == 1 and err.startswith("error [config]: ")
+        assert (out / "run_config.json").exists() == (code == 0)
+        if code == 0:
+            echoed = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
+            for name, value in payload.items():
+                if isinstance(echoed[name], dict):
+                    assert value.items() <= echoed[name].items()
+                elif name not in ("corpus", "format", "out"):  # the flags win
+                    assert echoed[name] == value
 
 
 class TestUnreadableInputs:

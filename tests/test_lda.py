@@ -22,6 +22,7 @@ from lextopic.lda import (
     collapsed_log_joint,
     exact_posterior,
     fit,
+    fit_chains,
     gibbs_conditional,
     gibbs_sweep,
     init_assignments,
@@ -65,6 +66,11 @@ class TestConfig:
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidConfig):
+            LdaConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"beta": math.nan}, {"alpha": math.nan}, {"alpha": math.inf}, {"beta": math.inf}])
+    def test_rejects_non_finite_priors(self, kwargs):
+        with pytest.raises(InvalidConfig, match="positive and finite"):
             LdaConfig(**kwargs)
 
 
@@ -233,13 +239,13 @@ class TestFit:
     def test_chains_are_independent_runs(self):
         matrix = matrix_from_tokens([[0, 1, 2], [2, 2], [3, 0]], n_terms=4)
         config = LdaConfig(n_topics=2, alpha=0.4, beta=0.2, sweeps=20, burn_in=5, seed=8)
-        chains = fit(matrix, config, n_chains=2)
+        chains = fit_chains(matrix, config, n_chains=2)
         assert isinstance(chains, list) and len(chains) == 2
         assert chains[0].config.seed == 8 and chains[1].config.seed == 9
         single = fit(matrix, config)
         assert chains[0].doc_topic.tobytes() == single.doc_topic.tobytes()
         with pytest.raises(InvalidConfig):
-            fit(matrix, config, n_chains=0)
+            fit_chains(matrix, config, n_chains=0)
 
     def test_matches_exact_posterior_on_tiny_instance(self):
         matrix = matrix_from_tokens([[0], [2, 2]], n_terms=3)
