@@ -176,7 +176,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             value = setting.check(given)
         section = settings.setdefault(path[0], {}) if len(path) == 2 else settings
         section[path[-1]] = value
-    return RunConfig(settings, lda_mod.LdaConfig(**settings["lda"]))
+    try:
+        lda = lda_mod.LdaConfig(**settings["lda"])
+    except InvalidConfig as exc:  # its messages start with the field name
+        raise InvalidConfig(f"lda.{exc}") from None
+    return RunConfig(settings, lda)
 
 
 def _require_file(path: str | None, what: str) -> str:
@@ -202,8 +206,8 @@ def _load_corpus(config: RunConfig) -> corpus_mod.Corpus:
 
 
 def _preprocess_config(config: RunConfig) -> preprocess_mod.PreprocessConfig:
-    result = preprocess_mod.default_config()
-    result.min_token_length = config["preprocess.min_token_length"]
+    # A copy: default_config() is cached and shared by every caller in the process.
+    result = replace(preprocess_mod.default_config(), min_token_length=config["preprocess.min_token_length"])
     if config["preprocess.stopwords"]:
         path = _require_file(config["preprocess.stopwords"], "stopwords file")
         result.stopword_list = preprocess_mod.load_stopwords(path)

@@ -65,8 +65,9 @@ class LdaConfig:
         if self.alpha is None:
             # Classic heuristic: total document-topic mass of 50.
             self.alpha = 50.0 / self.n_topics
-        if not all(math.isfinite(prior) and prior > 0 for prior in (self.alpha, self.beta)):
-            raise InvalidConfig(f"alpha and beta must be positive and finite, got {self.alpha} and {self.beta}")
+        for name, prior in (("alpha", self.alpha), ("beta", self.beta)):
+            if not (math.isfinite(prior) and prior > 0):
+                raise InvalidConfig(f"{name} must be positive and finite, got {prior}")
         if self.sweeps < 1:
             raise InvalidConfig(f"sweeps must be >= 1, got {self.sweeps}")
         if not 0 <= self.burn_in < self.sweeps:

@@ -21,7 +21,7 @@ from lextopic import _gibbs
 from lextopic.cli import SETTINGS, build_parser, main
 from lextopic.corpus import SynthConfig, generate_synthetic_corpus, load_corpus, save_corpus
 from lextopic.lda import LdaConfig, coherence_umass, fit
-from lextopic.preprocess import Document
+from lextopic.preprocess import Document, default_config
 from lextopic.vectorize import Vocabulary, count_matrix
 
 FINANCE = "budget finance tax credit revenue"
@@ -498,12 +498,37 @@ class TestSettingsTable:
         (["fit", "--min-df", "0"], "vectorize.min_df"),
         (["fit", "--max-df-ratio", "2"], "vectorize.max_df_ratio"),
         (["analyze", "--top-m", "0"], "analyze.top_m"),
+        # LdaConfig's own bounds are reported under the same dotted keys.
+        (["fit", "--topics", "0"], "lda.n_topics"),
+        (["fit", "--beta", "0"], "lda.beta"),
+        (["fit", "--seed", "-1"], "lda.seed"),
+        (["fit", "--sweeps", "5", "--burn-in", "5"], "lda.burn_in"),
     ])
     def test_bad_flag_value(self, corpus_path, tmp_path, capsys, flags, key):
         out = tmp_path / "out"
         assert main(flags + ["--corpus", corpus_path, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error [config]: {key} must be ")
+        assert capsys.readouterr().err.startswith(f"error [config]: {key} must ")
         assert not out.exists()
+
+    def test_word_list_settings_leave_the_shared_default_alone(self, corpus_path, tmp_path):
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("budget\ncourt\n", encoding="utf-8")
+        rules = tmp_path / "rules.txt"
+        rules.write_text("s\t\n", encoding="utf-8")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "preprocess": {"stopwords": str(stopwords), "lemma_rules": str(rules), "min_token_length": 3},
+            "lda": {"n_topics": 2, "sweeps": 10, "burn_in": 2},
+        }), encoding="utf-8")
+        default_args = ["fit", "--corpus", corpus_path, "--min-df", "1", "--topics", "2", "--sweeps", "10",
+                        "--burn-in", "2"]
+        assert main(default_args + ["--out", str(tmp_path / "before")]) == 0
+        assert main(["--config", str(config), "fit", "--corpus", corpus_path, "--min-df", "1",
+                     "--out", str(tmp_path / "custom")]) == 0
+        assert default_config() == default_config.__wrapped__()
+        assert main(default_args + ["--out", str(tmp_path / "after")]) == 0
+        for name in ("model.json", "trace.csv"):
+            assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
 
     def test_run_config_fed_back_reproduces_the_run(self, corpus_path, tmp_path):
         config = tmp_path / "run.json"
