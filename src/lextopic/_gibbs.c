@@ -1,5 +1,6 @@
-/* One collapsed Gibbs sweep over CSR token arrays, and the per-entry
- * token probabilities behind fit's log-likelihood trace and perplexity.
+/* One collapsed Gibbs sweep over CSR token arrays, the per-entry token
+ * probabilities behind fit's log-likelihood trace and perplexity, and the
+ * chunk scan and term count that turn a corpus into a count matrix.
  *
  * Same arithmetic in the same order as lextopic.lda.gibbs_sweep, so a
  * build with -ffp-contract=off gives bit-identical draws: the weight
@@ -9,6 +10,8 @@
  * scratch space of n_topics doubles. Indices are checked by the caller.
  */
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 void gibbs_sweep(int64_t n_docs, int64_t n_topics, int64_t n_terms,
                  const int64_t *doc_ptr, const int64_t *tokens, int64_t *z,
@@ -84,4 +87,194 @@ void token_probs(int64_t n_entries, int64_t n_topics, const int64_t *docs,
             even += th[k] * ph[k];
         out[entry] = even + odd;
     }
+}
+
+/* Bytes that can start one of the 29 code points str.split() splits on:
+ * U+0009-000D, U+001C-001F, U+0020, U+0085, U+00A0, U+1680, U+2000-200A,
+ * U+2028, U+2029, U+202F, U+205F and U+3000. Each starts with an ASCII or
+ * a lead byte, and neither occurs inside a multi-byte sequence, so any
+ * byte position of valid UTF-8 may be tested.
+ */
+static const uint8_t may_start_space[256] = {
+    [0x09] = 1, [0x0A] = 1, [0x0B] = 1, [0x0C] = 1, [0x0D] = 1,
+    [0x1C] = 1, [0x1D] = 1, [0x1E] = 1, [0x1F] = 1, [0x20] = 1,
+    [0xC2] = 1, [0xE1] = 1, [0xE2] = 1, [0xE3] = 1,
+};
+
+/* Byte length of the whitespace code point at p, or 0. */
+static int64_t space_length(const uint8_t *p, const uint8_t *end)
+{
+    const uint8_t c = p[0];
+    if (!may_start_space[c])
+        return 0;
+    if (c < 0x80)
+        return 1;
+    if (c == 0xC2)
+        return end - p >= 2 && (p[1] == 0x85 || p[1] == 0xA0) ? 2 : 0;
+    if (end - p < 3)
+        return 0;
+    if (c == 0xE1)
+        return p[1] == 0x9A && p[2] == 0x80 ? 3 : 0;
+    if (c == 0xE3)
+        return p[1] == 0x80 && p[2] == 0x80 ? 3 : 0;
+    if (p[1] == 0x80)
+        return (p[2] >= 0x80 && p[2] <= 0x8A) || p[2] == 0xA8 || p[2] == 0xA9 || p[2] == 0xAF ? 3 : 0;
+    return p[1] == 0x81 && p[2] == 0x9F ? 3 : 0;
+}
+
+typedef struct {
+    uint64_t hash;
+    int64_t id;  /* chunk id + 1; 0 marks an empty slot */
+} Slot;
+
+/* Split each record text[record_ptr[r] : record_ptr[r + 1]] on whitespace
+ * and number the distinct chunks in order of first occurrence.
+ *
+ * Writes the id of every chunk occurrence, in order, to occurrences and
+ * each record's chunk count to record_chunks. Each distinct chunk's bytes,
+ * then one space, are appended to chunk_bytes; chunk_start and chunk_len
+ * give its span there. The caller sizes occurrences, chunk_start and
+ * chunk_len for the most chunks the text can hold, and chunk_bytes for
+ * the text plus one byte per chunk. Chunks are matched exactly: hash,
+ * then length, then bytes. Returns the number of distinct chunks, or -1
+ * if the hash table cannot be allocated.
+ */
+int64_t scan_chunks(const uint8_t *text, int64_t n_records, const int64_t *record_ptr,
+                    int64_t *occurrences, int64_t *record_chunks,
+                    uint8_t *chunk_bytes, int64_t *chunk_start, int64_t *chunk_len)
+{
+    int64_t size = 1024, n_distinct = 0, n_occurrences = 0, n_bytes = 0;
+    Slot *table = calloc(size, sizeof *table);
+    if (table == NULL)
+        return -1;
+    for (int64_t r = 0; r < n_records; r++) {
+        const uint8_t *p = text + record_ptr[r], *end = text + record_ptr[r + 1];
+        const int64_t first = n_occurrences;
+        while (p < end) {
+            const int64_t skip = space_length(p, end);
+            if (skip) {
+                p += skip;
+                continue;
+            }
+            const uint8_t *start = p;
+            uint64_t hash = 14695981039346656037ULL;  /* FNV-1a */
+            do {
+                hash = (hash ^ *p++) * 1099511628211ULL;
+            } while (p < end && !space_length(p, end));
+            const int64_t length = p - start;
+            int64_t slot = (int64_t)(hash & (uint64_t)(size - 1)), id;
+            for (;; slot = (slot + 1) & (size - 1)) {
+                id = table[slot].id - 1;
+                if (id < 0 || (table[slot].hash == hash && chunk_len[id] == length
+                               && memcmp(chunk_bytes + chunk_start[id], start, length) == 0))
+                    break;
+            }
+            if (id < 0) {
+                id = n_distinct++;
+                memcpy(chunk_bytes + n_bytes, start, length);
+                chunk_bytes[n_bytes + length] = ' ';
+                chunk_start[id] = n_bytes;
+                chunk_len[id] = length;
+                n_bytes += length + 1;
+                table[slot] = (Slot){hash, id + 1};
+                if (2 * n_distinct > size) {  /* keep the table at most half full */
+                    Slot *old = table;
+                    table = calloc(2 * size, sizeof *table);
+                    if (table == NULL) {
+                        free(old);
+                        return -1;
+                    }
+                    for (int64_t at = 0; at < size; at++) {
+                        if (!old[at].id)
+                            continue;
+                        int64_t to = (int64_t)(old[at].hash & (uint64_t)(2 * size - 1));
+                        while (table[to].id)
+                            to = (to + 1) & (2 * size - 1);
+                        table[to] = old[at];
+                    }
+                    free(old);
+                    size *= 2;
+                }
+            }
+            occurrences[n_occurrences++] = id;
+        }
+        record_chunks[r] = n_occurrences - first;
+    }
+    free(table);
+    return n_distinct;
+}
+
+/* Pass 1 of the term count. chunk_tokens[chunk_ptr[c] : chunk_ptr[c + 1]]
+ * are the token ids of chunk c. Writes each record's token total to
+ * totals and adds each token's document frequency over the records to df
+ * (zeroed by the caller). last_record is scratch of one int64 per token,
+ * set to -1 by the caller.
+ */
+void token_counts(int64_t n_records, const int64_t *record_chunks, const int64_t *occurrences,
+                  const int64_t *chunk_ptr, const int64_t *chunk_tokens,
+                  int64_t *totals, int64_t *df, int64_t *last_record)
+{
+    const int64_t *occurrence = occurrences;
+    for (int64_t r = 0; r < n_records; r++) {
+        int64_t total = 0;
+        for (int64_t i = 0; i < record_chunks[r]; i++) {
+            const int64_t chunk = *occurrence++;
+            total += chunk_ptr[chunk + 1] - chunk_ptr[chunk];
+            for (int64_t j = chunk_ptr[chunk]; j < chunk_ptr[chunk + 1]; j++) {
+                const int64_t token = chunk_tokens[j];
+                if (last_record[token] != r) {
+                    last_record[token] = r;
+                    df[token]++;
+                }
+            }
+        }
+        totals[r] = total;
+    }
+}
+
+static int compare_int64(const void *left, const void *right)
+{
+    const int64_t a = *(const int64_t *)left, b = *(const int64_t *)right;
+    return (a > b) - (a < b);
+}
+
+/* Pass 2 of the term count: the (doc, term, count) entries in (doc, term)
+ * order. token_term maps a token id to its term index, or -1 for a token
+ * outside the vocabulary; record_doc maps a record to its row, or -1 for
+ * a record that has no row. counts (zeroed) and seen are scratch of
+ * n_terms int64 each. docs, terms and values hold capacity entries.
+ * Returns the number of entries written, or -1 if they do not fit.
+ */
+int64_t term_entries(int64_t n_records, const int64_t *record_chunks, const int64_t *occurrences,
+                     const int64_t *chunk_ptr, const int64_t *chunk_tokens,
+                     const int64_t *token_term, const int64_t *record_doc,
+                     int64_t *counts, int64_t *seen, int64_t capacity,
+                     int64_t *docs, int64_t *terms, int64_t *values)
+{
+    const int64_t *occurrence = occurrences;
+    int64_t n_entries = 0;
+    for (int64_t r = 0; r < n_records; r++) {
+        int64_t n_seen = 0;
+        for (int64_t i = 0; i < record_chunks[r]; i++) {
+            const int64_t chunk = *occurrence++;
+            for (int64_t j = chunk_ptr[chunk]; j < chunk_ptr[chunk + 1]; j++) {
+                const int64_t term = token_term[chunk_tokens[j]];
+                if (term >= 0 && counts[term]++ == 0)
+                    seen[n_seen++] = term;
+            }
+        }
+        qsort(seen, (size_t)n_seen, sizeof *seen, compare_int64);
+        for (int64_t i = 0; i < n_seen; i++) {
+            if (record_doc[r] >= 0) {
+                if (n_entries == capacity)
+                    return -1;
+                docs[n_entries] = record_doc[r];
+                terms[n_entries] = seen[i];
+                values[n_entries] = counts[seen[i]];
+                n_entries++;
+            }
+            counts[seen[i]] = 0;
+        }
+    }
+    return n_entries;
 }

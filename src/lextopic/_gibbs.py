@@ -1,5 +1,6 @@
-"""Build and load the compiled kernels in ``_gibbs.c``: the Gibbs sweep and
-the per-entry token probabilities of the log-likelihood.
+"""Build and load the compiled kernels in ``_gibbs.c``: the Gibbs sweep, the
+per-entry token probabilities of the log-likelihood, and the chunk scan and
+term count behind ``vectorize.count_corpus``.
 
 The shared library is compiled on first use with the system C compiler
 into a per-user cache (``$XDG_CACHE_HOME/lextopic``, else
@@ -37,6 +38,9 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 class Kernels(NamedTuple):
     sweep: Callable
     token_probs: Callable
+    scan_chunks: Callable
+    token_counts: Callable
+    term_entries: Callable
 
 
 def find_compiler() -> str | None:
@@ -80,6 +84,8 @@ def load_sweep() -> Kernels | None:
     takes (docs, terms, doc_topic, topic_word) and returns each entry's
     probability, bit for bit as ``lda._token_probs``. The sweep's term and
     topic indices must already be in range; ``token_probs`` checks its own.
+    ``scan_chunks``, ``token_counts`` and ``term_entries`` are the corpus
+    count, documented on each and checked by each.
     The result is kept per cache directory and compiler, so each pair is
     built, loaded and warned about once per process.
     """
@@ -92,12 +98,15 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
         library = ctypes.CDLL(str(_build(cache_dir, compiler)))
     except subprocess.CalledProcessError as exc:
         logger.warning(
-            "compiling the Gibbs sweep failed (exit status %s: %s); using the Python sweep and log-likelihood",
+            "compiling the Gibbs sweep failed (exit status %s: %s); "
+            "using the Python sweep, log-likelihood and corpus count",
             exc.returncode, exc.stderr.strip(),
         )
         return None
     except (OSError, RuntimeError) as exc:
-        logger.warning("compiled Gibbs sweep unavailable (%s); using the Python sweep and log-likelihood", exc)
+        logger.warning(
+            "compiled Gibbs sweep unavailable (%s); using the Python sweep, log-likelihood and corpus count", exc
+        )
         return None
     sweep_function = library.gibbs_sweep
     sweep_function.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_double] * 2 + [ctypes.c_void_p]
@@ -105,6 +114,15 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
     probs_function = library.token_probs
     probs_function.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 5
     probs_function.restype = None
+    scan_function = library.scan_chunks
+    scan_function.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 6
+    scan_function.restype = ctypes.c_int64
+    counts_function = library.token_counts
+    counts_function.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 7
+    counts_function.restype = None
+    entries_function = library.term_entries
+    entries_function.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 8 + [ctypes.c_int64] + [ctypes.c_void_p] * 3
+    entries_function.restype = ctypes.c_int64
 
     def sweep(doc_ptr, tokens, z, n_dk, n_kw, n_k, uniforms, alpha, beta) -> None:
         n_docs, n_topics = n_dk.shape
@@ -147,4 +165,84 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
         )
         return out
 
-    return Kernels(sweep, token_probs)
+    def scan_chunks(text, record_ptr):
+        """Split records of UTF-8 text as str.split() would; number distinct chunks by first occurrence.
+
+        text is bytes-like; record r is text[record_ptr[r]:record_ptr[r + 1]].
+        Returns (occurrences, record_chunks, chunk_bytes): the chunk id of
+        every occurrence in order, each record's chunk count, and the
+        distinct chunks in id order, each followed by one space.
+        """
+        text = np.frombuffer(text, dtype=np.uint8)
+        record_ptr = np.ascontiguousarray(record_ptr, dtype=np.int64)
+        n_records = record_ptr.size - 1
+        if not (record_ptr.ndim == 1 and n_records >= 0 and record_ptr[0] == 0 and record_ptr[-1] == text.size
+                and (np.diff(record_ptr) >= 0).all()):
+            raise ValueError("record offsets must rise from 0 to the text length")
+        # A record of n bytes holds at most (n + 1) // 2 chunks. Pages past
+        # what the scan writes are never touched, so they cost no memory.
+        capacity = (text.size + n_records) // 2 + 1
+        occurrences = np.empty(capacity, dtype=np.int64)
+        record_chunks = np.empty(n_records, dtype=np.int64)
+        chunk_bytes = np.empty(text.size + capacity, dtype=np.uint8)
+        chunk_start = np.empty(capacity, dtype=np.int64)
+        chunk_len = np.empty(capacity, dtype=np.int64)
+        n_distinct = scan_function(
+            text.ctypes.data, n_records, record_ptr.ctypes.data, occurrences.ctypes.data,
+            record_chunks.ctypes.data, chunk_bytes.ctypes.data, chunk_start.ctypes.data, chunk_len.ctypes.data,
+        )
+        if n_distinct < 0:
+            raise MemoryError("no memory for the chunk hash table")
+        n_bytes = int(chunk_start[n_distinct - 1] + chunk_len[n_distinct - 1]) + 1 if n_distinct else 0
+        return occurrences[: record_chunks.sum()], record_chunks, chunk_bytes[:n_bytes].tobytes()
+
+    def _chunk_arrays(record_chunks, occurrences, chunk_ptr, chunk_tokens, n_tokens):
+        arrays = [np.ascontiguousarray(array, dtype=np.int64)
+                  for array in (record_chunks, occurrences, chunk_ptr, chunk_tokens)]
+        record_chunks, occurrences, chunk_ptr, chunk_tokens = arrays
+        if not (all(array.ndim == 1 for array in arrays) and chunk_ptr.size >= 1
+                and (record_chunks >= 0).all() and record_chunks.sum() == occurrences.size and chunk_ptr[0] == 0
+                and chunk_ptr[-1] == chunk_tokens.size and (np.diff(chunk_ptr) >= 0).all()
+                and (occurrences.size == 0 or 0 <= occurrences.min() <= occurrences.max() < chunk_ptr.size - 1)
+                and (chunk_tokens.size == 0 or 0 <= chunk_tokens.min() <= chunk_tokens.max() < n_tokens)):
+            raise ValueError("chunk arrays have inconsistent shapes or indices")
+        return arrays
+
+    def token_counts(record_chunks, occurrences, chunk_ptr, chunk_tokens, n_tokens):
+        """(totals, df): each record's token count and each token's document frequency.
+
+        Chunk c's token ids are chunk_tokens[chunk_ptr[c]:chunk_ptr[c + 1]].
+        """
+        arrays = _chunk_arrays(record_chunks, occurrences, chunk_ptr, chunk_tokens, n_tokens)
+        totals = np.empty(arrays[0].size, dtype=np.int64)
+        df = np.zeros(n_tokens, dtype=np.int64)
+        last_record = np.full(n_tokens, -1, dtype=np.int64)
+        counts_function(totals.size, *(array.ctypes.data for array in arrays),
+                        totals.ctypes.data, df.ctypes.data, last_record.ctypes.data)
+        return totals, df
+
+    def term_entries(record_chunks, occurrences, chunk_ptr, chunk_tokens, token_term, record_doc, n_terms, n_entries):
+        """(docs, terms, values) of each record's term counts, in (doc, term) order.
+
+        token_term maps a token id to its term, or -1; record_doc maps a
+        record to its row, or -1. n_entries is the number of entries.
+        """
+        token_term = np.ascontiguousarray(token_term, dtype=np.int64)
+        record_doc = np.ascontiguousarray(record_doc, dtype=np.int64)
+        arrays = _chunk_arrays(record_chunks, occurrences, chunk_ptr, chunk_tokens, token_term.size)
+        if not (record_doc.shape == arrays[0].shape and token_term.ndim == 1
+                and (token_term.size == 0 or -1 <= token_term.min() <= token_term.max() < n_terms)):
+            raise ValueError("term arrays have inconsistent shapes or indices")
+        counts = np.zeros(n_terms, dtype=np.int64)
+        seen = np.empty(n_terms, dtype=np.int64)
+        docs, terms, values = (np.empty(n_entries, dtype=np.int64) for _ in range(3))
+        written = entries_function(
+            record_doc.size, *(array.ctypes.data for array in arrays), token_term.ctypes.data,
+            record_doc.ctypes.data, counts.ctypes.data, seen.ctypes.data, n_entries,
+            docs.ctypes.data, terms.ctypes.data, values.ctypes.data,
+        )
+        if written != n_entries:
+            raise ValueError(f"expected {n_entries} entries, the records hold {'more' if written < 0 else written}")
+        return docs, terms, values
+
+    return Kernels(sweep, token_probs, scan_chunks, token_counts, term_entries)

@@ -92,7 +92,8 @@ _PREPROCESS = {field.name: field.default for field in fields(preprocess_mod.Prep
 SETTINGS = (
     Setting("corpus", str, None, "--corpus", _ALL, "corpus file path"),
     Setting("format", str, "jsonl", "--format", _ALL, "corpus file format", choices=("jsonl", "csv")),
-    Setting("filter_type", str, "Regulation", "--filter-type", _ALL, "law type to keep ('none' disables)"),
+    Setting("filter_type", str, "Regulation", "--filter-type", ("fit", "sweep", "analyze"),
+            "law type to keep ('none' disables)"),
     Setting("preprocess.stopwords", str, None, help="stopword list file (default: the bundled list)"),
     Setting("preprocess.lemma_rules", str, None, help="lemma rules file (default: the bundled rules)"),
     Setting("preprocess.min_token_length", int, _PREPROCESS["min_token_length"], help="shortest token kept"),
@@ -226,19 +227,34 @@ def _filtered_corpus(config: RunConfig) -> corpus_mod.Corpus:
 
 
 def _build_matrix(config: RunConfig, corpus: corpus_mod.Corpus):
-    """filter -> preprocess -> vocabulary -> counts -> optional tf-idf bridge."""
-    documents = preprocess_mod.preprocess_corpus(
-        corpus, _preprocess_config(config), on_empty=config["preprocess.on_empty"]
+    """preprocess -> vocabulary -> counts -> optional tf-idf bridge.
+
+    A document left with no entries, by the document-frequency filters or
+    by pseudo-counts that all round to 0, is dropped, so that no topic
+    share counts a document the sampler never saw.
+    """
+    vocab, matrix = vectorize_mod.count_corpus(
+        corpus, _preprocess_config(config), config["vectorize.min_df"], config["vectorize.max_df_ratio"],
+        config["preprocess.on_empty"],
     )
-    dropped = len(corpus.records) - len(documents)
-    if dropped:
-        print(f"warning: dropped {dropped} record(s) that preprocess to zero tokens", file=sys.stderr)
-    vocab = vectorize_mod.build_vocabulary(documents, config["vectorize.min_df"], config["vectorize.max_df_ratio"])
-    matrix = vectorize_mod.count_matrix(documents, vocab)
+    _warn_dropped(len(corpus.records) - matrix.n_docs, "record(s) that preprocess to zero tokens")
+    matrix = _drop_empty_rows(matrix, "document(s) with no term left by the document-frequency filters")
     if config.lda.input_mode == "tfidf-pseudo":
         weights = vectorize_mod.tfidf(matrix, config["vectorize.norm"])
         matrix = vectorize_mod.to_pseudo_counts(weights, config["vectorize.pseudo_scale"])
-    return documents, vocab, matrix
+        matrix = _drop_empty_rows(matrix, "document(s) whose pseudo-counts all round to zero")
+    return vocab, matrix
+
+
+def _drop_empty_rows(matrix: vectorize_mod.DocTermMatrix, what: str) -> vectorize_mod.DocTermMatrix:
+    kept = vectorize_mod.drop_empty_rows(matrix)
+    _warn_dropped(matrix.n_docs - kept.n_docs, what)
+    return kept
+
+
+def _warn_dropped(count: int, what: str) -> None:
+    if count:
+        print(f"warning: dropped {count} {what}", file=sys.stderr)
 
 
 def _labels(config: RunConfig) -> dict[int, str] | None:
@@ -250,8 +266,8 @@ def _labels(config: RunConfig) -> dict[int, str] | None:
 def _align_corpus(corpus: corpus_mod.Corpus, model: lda_mod.LdaModel) -> corpus_mod.Corpus:
     """Subset corpus records to the model's documents, in model order.
 
-    Fit may have dropped empty-preprocess records, so the model can
-    cover fewer records than the filtered corpus.
+    Fit may have dropped records that preprocess to zero tokens or keep
+    no term, so the model can cover fewer records than the filtered corpus.
     """
     by_id = {record.id: record for record in corpus.records}
     records = []
@@ -292,7 +308,7 @@ def cmd_ingest(config: RunConfig) -> int:
 def cmd_fit(config: RunConfig) -> int:
     corpus = _filtered_corpus(config)
     out_dir = _prepare_out_dir(config)
-    documents, vocab, matrix = _build_matrix(config, corpus)
+    vocab, matrix = _build_matrix(config, corpus)
     model = lda_mod.fit(matrix, config.lda, vocab)
     lda_mod.save_model(model, out_dir / "model.json")
     with atomic_writer(out_dir / "trace.csv", newline="") as handle:
@@ -301,7 +317,7 @@ def cmd_fit(config: RunConfig) -> int:
         for sweep, value in enumerate(model.log_likelihood, start=1):
             writer.writerow([sweep, repr(value)])
     print(
-        f"fitted {config.lda.n_topics} topics over {len(documents)} documents, "
+        f"fitted {config.lda.n_topics} topics over {matrix.n_docs} documents, "
         f"{len(vocab)} terms; model written to {out_dir / 'model.json'}"
     )
     return 0
@@ -334,7 +350,7 @@ def cmd_analyze(config: RunConfig, model_path: str | None) -> int:
 def cmd_sweep(config: RunConfig, k_grid: list[int]) -> int:
     corpus = _filtered_corpus(config)
     out_dir = _prepare_out_dir(config)
-    _, vocab, matrix = _build_matrix(config, corpus)
+    vocab, matrix = _build_matrix(config, corpus)
     rows = []
     for n_topics in sorted(k_grid):
         # 50/K at each K, unless a flag or the config file set alpha.

@@ -119,6 +119,13 @@ class EmptyVocabulary(VectorizeError):
         super().__init__("no term survives the document-frequency filters")
 
 
+class NoDocuments(VectorizeError, ValueError):
+    """Nothing to count. Also a ValueError, which build_vocabulary raised before this class existed."""
+
+    def __init__(self):
+        super().__init__("cannot build a vocabulary from zero documents")
+
+
 class AllZero(VectorizeError):
     def __init__(self, scale: float):
         self.scale = scale

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import csv
+import logging
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -12,9 +13,11 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import preprocess as preprocess_mod
 from ._files import atomic_writer
-from .errors import AllZero, EmptyVocabulary
-from .preprocess import Document
+from .corpus import Corpus
+from .errors import AllZero, EmptyDocument, EmptyVocabulary, MissingYear, NoDocuments
+from .preprocess import Document, PreprocessConfig
 
 __all__ = [
     "Vocabulary",
@@ -22,12 +25,16 @@ __all__ = [
     "TfidfMatrix",
     "build_vocabulary",
     "count_matrix",
+    "count_corpus",
+    "drop_empty_rows",
     "idf",
     "tfidf",
     "to_pseudo_counts",
     "save_triplets",
     "save_vocabulary",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -107,20 +114,27 @@ def build_vocabulary(
     Term order is descending document frequency, ties broken
     lexicographically, so rebuilding from identical docs is stable.
     """
-    if not docs:
-        raise ValueError("cannot build a vocabulary from zero documents")
+    doc_freq: Counter = Counter()
+    for doc in docs:
+        doc_freq.update(set(doc.tokens))
+    return _select_vocabulary(doc_freq.items(), len(docs), min_df, max_df_ratio)
+
+
+def _select_vocabulary(
+    doc_freq: Iterable[tuple[str, int]], n_docs: int, min_df: int, max_df_ratio: float
+) -> Vocabulary:
+    """build_vocabulary's checks, filter and order, from (term, df) pairs over n_docs documents."""
+    if not n_docs:
+        raise NoDocuments()
     if min_df < 1:
         raise ValueError(f"min_df must be >= 1, got {min_df}")
     if not (0.0 < max_df_ratio <= 1.0):
         raise ValueError(f"max_df_ratio must be in (0, 1], got {max_df_ratio}")
-    doc_freq: Counter = Counter()
-    for doc in docs:
-        doc_freq.update(set(doc.tokens))
     # Small epsilon so max_df_ratio=0.95 over D=20 admits df=19 exactly.
-    ceiling = max_df_ratio * len(docs) + 1e-9
+    ceiling = max_df_ratio * n_docs + 1e-9
     kept = [
         (term, df_count)
-        for term, df_count in doc_freq.items()
+        for term, df_count in doc_freq
         if min_df <= df_count <= ceiling
     ]
     if not kept:
@@ -148,6 +162,89 @@ def count_matrix(docs: list[Document], vocab: Vocabulary) -> DocTermMatrix:
         n_terms=n_terms,
         counts=(keys // n_terms, keys % n_terms, counts),
         doc_ids=[doc.record_id for doc in docs],
+    )
+
+
+def count_corpus(
+    corpus: Corpus,
+    config: PreprocessConfig | None = None,
+    min_df: int = 2,
+    max_df_ratio: float = 0.95,
+    on_empty: str = "error",
+) -> tuple[Vocabulary, DocTermMatrix]:
+    """preprocess_corpus, then build_vocabulary, then count_matrix, in one call.
+
+    The result equals those three calls, errors included. With the compiled
+    kernels it never builds a per-record token list: the records' UTF-8
+    bytes are split into whitespace chunks in C, each distinct chunk is
+    decoded and preprocessed once, and C counts every record's terms from
+    the chunks' token ids. Without a compiler, or when the normalize map
+    can join chunks, it makes the three calls.
+    """
+    if on_empty not in ("error", "drop"):
+        raise ValueError(f"on_empty must be 'error' or 'drop', got {on_empty!r}")
+    preprocess = preprocess_mod._Preprocessor(config)
+    kernels = None
+    if preprocess.joins_chunks:
+        logger.warning("the normalize map has a whitespace key; preprocessing record by record")
+    else:
+        from . import _gibbs  # not at import time: ingest and analyze never need a compiler
+
+        kernels = _gibbs.load_sweep()
+    if kernels is None:
+        documents = preprocess_mod.preprocess_corpus(corpus, preprocess.config, on_empty)
+        vocab = build_vocabulary(documents, min_df, max_df_ratio)
+        return vocab, count_matrix(documents, vocab)
+
+    records = corpus.records
+    text = bytearray()
+    record_ptr = np.zeros(len(records) + 1, dtype=np.int64)
+    for position, record in enumerate(records, start=1):
+        text += f"{record.title} {record.content}".encode("utf-8", "surrogatepass")
+        record_ptr[position] = len(text)
+    occurrences, record_chunks, chunk_bytes = kernels.scan_chunks(text, record_ptr)
+    del text
+    # Each distinct chunk through the stages once. A chunk holds no whitespace, so split() recovers them.
+    token_lists = list(map(preprocess.__getitem__, chunk_bytes.decode("utf-8", "surrogatepass").split()))
+    del chunk_bytes, preprocess
+    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    chunk_ptr = np.concatenate(([0], np.cumsum(lengths)))
+    token_ids: dict[str, int] = {}  # in order of first appearance
+    chunk_tokens = np.fromiter(
+        [token_ids.setdefault(token, len(token_ids)) for token in chain.from_iterable(token_lists)],
+        dtype=np.int64, count=int(chunk_ptr[-1]),
+    )
+    chunks = (record_chunks, occurrences, chunk_ptr, chunk_tokens)
+    totals, df = kernels.token_counts(*chunks, len(token_ids))
+
+    kept = totals > 0
+    for record, has_tokens in zip(records, kept.tolist()):
+        if record.date is None:
+            raise MissingYear(record.id)
+        if not has_tokens and on_empty == "error":
+            raise EmptyDocument(record.id)
+    n_docs = int(kept.sum())
+    vocab = _select_vocabulary(zip(token_ids, df.tolist()), n_docs, min_df, max_df_ratio)
+    token_term = np.full(len(token_ids), -1, dtype=np.int64)
+    token_term[[token_ids[term] for term in vocab.terms]] = np.arange(len(vocab))
+    record_doc = np.where(kept, np.cumsum(kept) - 1, -1)
+    entries = kernels.term_entries(*chunks, token_term, record_doc, len(vocab), sum(vocab.df))
+    doc_ids = [record.id for record, has_tokens in zip(records, kept.tolist()) if has_tokens]
+    return vocab, DocTermMatrix(n_docs, len(vocab), entries, doc_ids)
+
+
+def drop_empty_rows(matrix: DocTermMatrix) -> DocTermMatrix:
+    """The matrix without its documents that have no entries; rows renumbered in order."""
+    has_entries = np.zeros(matrix.n_docs, dtype=bool)
+    has_entries[matrix.docs] = True
+    if has_entries.all():
+        return matrix
+    row = np.cumsum(has_entries) - 1
+    return DocTermMatrix(
+        n_docs=int(has_entries.sum()),
+        n_terms=matrix.n_terms,
+        counts=(row[matrix.docs], matrix.terms, matrix.values),
+        doc_ids=[doc_id for doc_id, kept in zip(matrix.doc_ids, has_entries.tolist()) if kept],
     )
 
 

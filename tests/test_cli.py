@@ -88,6 +88,54 @@ class TestIngest:
         assert echoed["lda"]["n_topics"] == 10
         assert echoed["corpus"] == corpus_path
 
+    def test_takes_no_type_filter(self, corpus_path, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["ingest", "--corpus", corpus_path, "--out", str(tmp_path / "out"), "--filter-type", "Bill"])
+        assert "unrecognized arguments: --filter-type" in capsys.readouterr().err
+
+
+class TestEmptyDocuments:
+    @pytest.mark.parametrize("command", [["fit"], ["sweep", "--k-grid", "2"]], ids=["fit", "sweep"])
+    @pytest.mark.parametrize("rows, flags", [
+        ([jsonl_row(f"r{i}", title="a", content="b c") for i in range(3)], []),
+        (_rows(), ["--filter-type", "Law"]),
+    ], ids=["every-record-preprocesses-to-nothing", "type-filter-keeps-nothing"])
+    def test_zero_documents_end_in_a_vectorize_error(self, tmp_path, capsys, command, rows, flags):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, rows)
+        args = [*command, "--corpus", str(path), "--out", str(tmp_path / "out"), "--sweeps", "2", "--burn-in", "0"]
+        assert main(args + flags) == 1
+        assert capsys.readouterr().err == "error [vectorize]: cannot build a vocabulary from zero documents\n"
+
+    def test_documents_left_with_no_term_are_not_counted_as_a_topic(self, tmp_path, capsys):
+        rows = [jsonl_row(f"kept-{i}", title="budget notice", content=FINANCE) for i in range(2)]
+        rows += [jsonl_row(f"alone-{i}", title=f"alone{i}", content=f"solo{i} single{i}") for i in range(4)]
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, rows)
+        out = tmp_path / "out"
+        assert main(["fit", "--corpus", str(path), "--out", str(out), "--topics", "3", "--min-df", "2",
+                     "--sweeps", "10", "--burn-in", "2"]) == 0
+        assert "dropped 4 document(s) with no term left by the document-frequency filters" in capsys.readouterr().err
+        assert main(["analyze", "--corpus", str(path), "--out", str(out)]) == 0
+        shares = _read_csv(out / "shares.csv")[1:]
+        assert sum(int(row[1]) for row in shares) == 2
+        assert sum(float(row[2]) for row in shares) == pytest.approx(100.0)
+        model = json.loads((out / "model.json").read_text(encoding="utf-8"))
+        assert model["doc_ids"] == ["kept-0", "kept-1"]
+
+    def test_documents_whose_pseudo_counts_round_to_zero_are_dropped(self, tmp_path, capsys):
+        many = " ".join(f"word{number}" for number in range(500))
+        rows = [jsonl_row(f"wide-{i}", title="wide", content=many) for i in range(2)]
+        rows += [jsonl_row(f"narrow-{i}", title="narrow", content="budget") for i in range(2)]
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, rows)
+        out = tmp_path / "out"
+        assert main(["fit", "--corpus", str(path), "--out", str(out), "--mode", "tfidf-pseudo", "--topics", "2",
+                     "--sweeps", "5", "--burn-in", "1"]) == 0
+        assert "dropped 2 document(s) whose pseudo-counts all round to zero" in capsys.readouterr().err
+        model = json.loads((out / "model.json").read_text(encoding="utf-8"))
+        assert model["doc_ids"] == ["narrow-0", "narrow-1"]
+
 
 class TestFit:
     def test_same_seed_gives_identical_outputs(self, corpus_path, tmp_path):
@@ -401,7 +449,7 @@ _MODEL_FLAGS = {
 }
 FLAG_SURFACE = {
     None: {("--config",): ("config", None, None, False)},
-    "ingest": _COMMON_FLAGS,
+    "ingest": {flags: row for flags, row in _COMMON_FLAGS.items() if flags != ("--filter-type",)},
     "fit": {**_COMMON_FLAGS, **_MODEL_FLAGS},
     "sweep": {
         **_COMMON_FLAGS, **_MODEL_FLAGS,

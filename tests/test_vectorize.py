@@ -1,7 +1,10 @@
 """Vocabulary, count matrix, and TF-IDF weighting."""
 
 import csv
+import logging
 import math
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -9,13 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lextopic.errors import AllZero, EmptyVocabulary
-from lextopic.preprocess import Document
+from conftest import make_record
+from lextopic import _gibbs
+from lextopic.corpus import Corpus, LawType
+from lextopic.errors import AllZero, EmptyDocument, EmptyVocabulary, MissingYear, NoDocuments
+from lextopic.preprocess import DEFAULT_NORMALIZE_CHARS, Document, LemmaRules, PreprocessConfig, preprocess_corpus
 from lextopic.vectorize import (
     DocTermMatrix,
     Vocabulary,
     build_vocabulary,
+    count_corpus,
     count_matrix,
+    drop_empty_rows,
     idf,
     save_triplets,
     save_vocabulary,
@@ -312,3 +320,195 @@ class TestEntryArraysMatchReference:
             matrix.counts[(0, 0)] = 5
         with pytest.raises(TypeError):
             tfidf(matrix).weights[(0, 0)] = 0.5
+
+
+# --- the corpus count: compiled chunk scan and term count ---------------------
+
+WHITESPACE = [chr(code) for code in range(sys.maxunicode + 1) if chr(code).isspace()]
+# Look like whitespace or are unusual, but str.split() keeps them inside a chunk.
+NEAR_MISSES = ["\u200b", "\u180e", "\ufeff", "\u2060", "\x00", "\x1b", "\x7f", "\ud800", "\udfff"]
+LETTERS = ["a", "B", "z", "7", "ا", "ی", "ي", "ك", "ـ", "۱", "،", "€", "\U0001f600"]
+
+
+@pytest.fixture(scope="module")
+def kernels():
+    loaded = _gibbs.load_sweep()
+    if loaded is None:
+        assert _gibbs.find_compiler() is None, "a C compiler is on PATH but the compiled kernels did not load"
+        pytest.skip("no C compiler on PATH")
+    return loaded
+
+
+def test_str_split_whitespace_is_29_code_points():
+    assert len(WHITESPACE) == 29
+    assert all(len(f"a{space}b".split()) == 2 for space in WHITESPACE)
+
+
+def test_kernel_source_compiles_without_warnings():
+    compiler = _gibbs.find_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+    result = subprocess.run(
+        [compiler, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_gibbs.SOURCE)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+_RECORD_TEXT = st.lists(st.sampled_from(WHITESPACE + NEAR_MISSES + LETTERS), max_size=14).map("".join)
+
+
+class TestChunkScan:
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(st.one_of(_RECORD_TEXT, st.sampled_from(["", "ab ab", "قانون  مالیات\tقانون"])),
+                          max_size=8))
+    def test_equals_str_split_with_first_occurrence_ids(self, kernels, texts):
+        encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
+        record_ptr = np.cumsum([0] + [len(part) for part in encoded])
+        occurrences, record_chunks, chunk_bytes = kernels.scan_chunks(b"".join(encoded), record_ptr)
+        ids: dict[str, int] = {}
+        expected = [ids.setdefault(chunk, len(ids)) for text in texts for chunk in text.split()]
+        assert occurrences.tolist() == expected
+        assert record_chunks.tolist() == [len(text.split()) for text in texts]
+        assert chunk_bytes == "".join(f"{chunk} " for chunk in ids).encode("utf-8", "surrogatepass")
+
+    def test_many_distinct_chunks_grow_the_table(self, kernels):
+        text = " ".join(f"w{number % 5000}" for number in range(10000))
+        occurrences, _, chunk_bytes = kernels.scan_chunks(text.encode(), [0, len(text)])
+        assert occurrences.tolist() == list(range(5000)) * 2
+        assert chunk_bytes.decode().split() == text.split()[:5000]
+
+    @pytest.mark.parametrize("record_ptr", [[0, 3], [1, 4], [0, 3, 2, 4]])
+    def test_rejects_bad_offsets(self, kernels, record_ptr):
+        with pytest.raises(ValueError):
+            kernels.scan_chunks(b"ab c", record_ptr)
+
+    @pytest.mark.parametrize("record_chunks, occurrences, chunk_tokens", [
+        ([-1, 3], [0, 1], [0, 1]),  # counts that sum right but run past the occurrences
+        ([2], [0, 2], [0, 1]),  # a chunk id past the chunks
+        ([2], [0, 1], [0, 5]),  # a token id past the tokens
+    ])
+    def test_count_rejects_bad_chunk_arrays(self, kernels, record_chunks, occurrences, chunk_tokens):
+        with pytest.raises(ValueError):
+            kernels.token_counts(record_chunks, occurrences, [0, 1, 2], chunk_tokens, 2)
+        with pytest.raises(ValueError):
+            kernels.term_entries(record_chunks, occurrences, [0, 1, 2], chunk_tokens, [0, 1], [0] * len(record_chunks), 2, 2)
+
+    def test_term_entries_refuses_more_entries_than_given(self, kernels):
+        with pytest.raises(ValueError, match="expected 1 entries"):
+            kernels.term_entries([2], [0, 1], [0, 1, 2], [0, 1], [0, 1], [0], 2, 1)
+
+
+def _outcome(call):
+    """A (vocabulary, matrix) result as plain values, or the error it raised."""
+    try:
+        vocab, matrix = call()
+    except (EmptyDocument, MissingYear, NoDocuments, EmptyVocabulary) as exc:
+        return type(exc).__name__, str(exc)
+    arrays = (matrix.docs, matrix.terms, matrix.values)
+    assert all(array.dtype == np.int64 for array in arrays)
+    return (vocab.terms, vocab.index, vocab.df, matrix.n_docs, matrix.n_terms, matrix.doc_ids,
+            [array.tolist() for array in arrays])
+
+
+def _reference(corpus, config, min_df, max_df_ratio, on_empty):
+    def call():
+        documents = preprocess_corpus(corpus, config, on_empty)
+        vocab = build_vocabulary(documents, min_df, max_df_ratio)
+        return vocab, count_matrix(documents, vocab)
+
+    return _outcome(call)
+
+
+WORDS = ["law", "laws", "the", "tax", "taxes", "a", "ab", "کتاب", "کتاب‌ها", "كتابها", "و", "قانون", "x.y",
+         "۱۲۳", "؟", "\ud800x", "ok\x00"]
+SEPARATORS = [" ", "  ", "\t", "\n", "\u3000", "\u00a0", "\u200b"]
+
+
+@st.composite
+def corpora(draw):
+    def text():
+        words = draw(st.lists(st.sampled_from(WORDS), max_size=7))
+        return "".join(word + draw(st.sampled_from(SEPARATORS)) for word in words)
+
+    records = []
+    for number in range(draw(st.integers(0, 7))):
+        if draw(st.integers(0, 5)) == 3:  # no token survives any config
+            record = make_record(f"r{number}", title=draw(st.sampled_from(["", "؟"])), content=". ،")
+        else:
+            record = make_record(f"r{number}", title=text(), content=text())
+        if draw(st.integers(0, 39)) == 17:  # hypothesis favours 0 and the bounds
+            record.date = None
+        records.append(record)
+    return Corpus(records)
+
+
+CONFIGS = st.builds(
+    PreprocessConfig,
+    stopword_list=st.sets(st.sampled_from(["the", "a", "و", "tax"]), max_size=3),
+    lemma_rules=st.sampled_from([
+        LemmaRules(),
+        LemmaRules(exceptions={"laws": "law", "taxes": "tax"}, suffix_rules=[("ها", ""), ("s", "")]),
+    ]),
+    min_token_length=st.integers(1, 3),
+)
+
+
+class TestCountCorpus:
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=corpora(), config=CONFIGS, min_df=st.integers(1, 3),
+           max_df_ratio=st.sampled_from([1.0, 0.95, 0.5]), on_empty=st.sampled_from(["drop", "error"]))
+    def test_equals_preprocess_vocabulary_and_count(self, kernels, corpus, config, min_df, max_df_ratio, on_empty):
+        expected = _reference(corpus, config, min_df, max_df_ratio, on_empty)
+        assert _outcome(lambda: count_corpus(corpus, config, min_df, max_df_ratio, on_empty)) == expected
+
+    def _corpus(self):
+        return Corpus([
+            make_record("r0", title="law\ttax", content="the court tax"),
+            make_record("r1", title="law", content="court\tverdict court"),
+            make_record("r2", title="x", content="y"),
+            make_record("r3", title="tax", content="verdict law"),
+        ])
+
+    def test_without_a_compiler_one_warning_and_the_same_result(self, kernels, monkeypatch, tmp_path, caplog):
+        corpus = self._corpus()
+        expected = _outcome(lambda: count_corpus(corpus, None, 1, 1.0, "drop"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_gibbs, "find_compiler", lambda: None)
+        with caplog.at_level(logging.WARNING, logger="lextopic"):
+            assert _outcome(lambda: count_corpus(corpus, None, 1, 1.0, "drop")) == expected
+        warnings = [record.getMessage() for record in caplog.records if record.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "corpus count" in warnings[0]
+
+    def test_a_whitespace_normalize_key_goes_record_by_record(self, caplog):
+        corpus = self._corpus()
+        config = PreprocessConfig(normalize_chars={**DEFAULT_NORMALIZE_CHARS, "\t": ""})
+        with caplog.at_level(logging.WARNING, logger="lextopic"):
+            result = _outcome(lambda: count_corpus(corpus, config, 1, 1.0, "drop"))
+        assert result == _reference(corpus, config, 1, 1.0, "drop")
+        assert "lawtax" in result[0] and "courtverdict" in result[0]
+        warnings = [record.getMessage() for record in caplog.records if record.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "record by record" in warnings[0]
+
+    def test_zero_documents(self):
+        corpus = Corpus([make_record("r0", title="a", content="b c")])
+        with pytest.raises(NoDocuments, match="zero documents"):
+            count_corpus(corpus, None, 1, 1.0, "drop")
+        with pytest.raises(ValueError):
+            count_corpus(Corpus([]), None, 1, 1.0, "drop")
+
+    def test_bad_on_empty(self):
+        with pytest.raises(ValueError, match="on_empty"):
+            count_corpus(self._corpus(), on_empty="keep")
+
+
+class TestDropEmptyRows:
+    def test_rows_renumbered_in_order(self):
+        matrix = DocTermMatrix(4, 3, {(0, 1): 2, (2, 0): 1, (2, 2): 3}, ["a", "b", "c", "d"])
+        kept = drop_empty_rows(matrix)
+        assert (kept.n_docs, kept.n_terms, kept.doc_ids) == (2, 3, ["a", "c"])
+        assert list(kept.entries()) == [(0, 1, 2), (1, 0, 1), (1, 2, 3)]
+
+    def test_no_empty_row_returns_the_matrix(self):
+        matrix = DocTermMatrix(2, 2, {(0, 1): 2, (1, 0): 1}, ["a", "b"])
+        assert drop_empty_rows(matrix) is matrix
