@@ -45,6 +45,7 @@ from .lda import (
 from .preprocess import (
     Document,
     PreprocessConfig,
+    default_config,
     preprocess_corpus,
     preprocess_document,
     validate_nonempty,
@@ -96,6 +97,7 @@ __all__ = [
     "save_model",
     "Document",
     "PreprocessConfig",
+    "default_config",
     "preprocess_corpus",
     "preprocess_document",
     "validate_nonempty",

@@ -1,7 +1,14 @@
-"""Artifact files that are replaced whole or not at all."""
+"""Artifact files that are replaced whole or not at all.
+
+Every CSV and JSON artifact is written by write_csv or write_json: CSV is
+comma-separated with CRLF line ends and floats (numpy's included) as
+Python's shortest repr; JSON is UTF-8 with non-ASCII text kept as is.
+"""
 
 from __future__ import annotations
 
+import csv
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -28,3 +35,30 @@ def atomic_writer(path, newline: str | None = None):
         os.replace(temporary, path)
     finally:
         temporary.unlink(missing_ok=True)
+
+
+def read_json_object(path, error) -> dict:
+    """The JSON object in the UTF-8 file at path; anything else raises error(reason)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise error(f"not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise error("not a JSON object")
+    return payload
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write a header row, then each row of rows, as one atomic CSV file."""
+    with atomic_writer(path, newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, payload, indent: int | None = 2) -> None:
+    """Write payload as one atomic JSON file ending in a newline; indent=None is compact."""
+    with atomic_writer(path) as handle:
+        # json.dumps, not json.dump: only dumps uses the C encoder for compact output.
+        handle.write(json.dumps(payload, ensure_ascii=False, indent=indent) + "\n")

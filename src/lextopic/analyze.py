@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_writer
+from ._files import read_json_object, write_csv, write_json
 from .corpus import Corpus
-from .errors import AlignmentMismatch, MalformedLabels, MissingYear, UnknownTopicId
-from .lda import LdaModel
-from .trends import PER_TOPIC, PER_YEAR, TrendTable, build_trend_table
+from .errors import AlignmentMismatch, MalformedLabels, UnknownTopicId
+from .lda import LdaModel, _term_names
+from .trends import PER_TOPIC, PER_YEAR, TrendTable, build_trend_table, year_table
 
 __all__ = [
     "TopicSummary",
@@ -86,52 +83,23 @@ def yearly_topic_percentages(
     per_topic spreads each topic's documents across years (row sums
     100); per_year gives each year's topic mix (column sums 100).
     """
-    if normalization not in (PER_TOPIC, PER_YEAR):
-        raise ValueError(f"unknown normalization {normalization!r}")
     _check_alignment(model, corpus)
-    for record in corpus.records:
-        if record.date is None:
-            raise MissingYear(record.id)
     n_topics = model.doc_topic.shape[1]
-    years = sorted({record.date.gregorian_year for record in corpus.records})
-    year_index = {year: j for j, year in enumerate(years)}
-    columns = np.array([year_index[record.date.gregorian_year] for record in corpus.records], dtype=np.int64)
-    cells = np.argmax(model.doc_topic, axis=1) * len(years) + columns
-    counts = np.bincount(cells, minlength=n_topics * len(years)).reshape(n_topics, len(years)).tolist()
-    return build_trend_table(
-        _topic_labels(n_topics, labels), years, counts, normalization=normalization
+    return year_table(
+        _topic_labels(n_topics, labels), np.argmax(model.doc_topic, axis=1), corpus.records, normalization
     )
 
 
-def _term_names(model: LdaModel) -> list[str]:
-    n_terms = model.topic_word.shape[1]
-    if model.vocab is not None:
-        return model.vocab.terms
-    width = len(str(max(n_terms - 1, 0)))
-    return [f"term-{term:0{width}d}" for term in range(n_terms)]
-
-
 def top_words(model: LdaModel, topic_id: int, n: int) -> list[tuple[str, float]]:
-    """The n most probable terms of a topic, ties broken lexicographically.
-
-    Only the terms at or above the n-th largest probability are sorted;
-    every tie at that value is among them, so the order is the full sort's.
-    """
+    """The n most probable terms of a topic, ties broken lexicographically,
+    ranked by LdaModel.top_term_indices."""
     n_topics, n_terms = model.topic_word.shape
     if not 0 <= topic_id < n_topics:
         raise UnknownTopicId(topic_id)
     if not 1 <= n <= n_terms:
         raise ValueError(f"n must be in [1, {n_terms}], got {n}")
-    row = model.topic_word[topic_id]
-    if not np.isfinite(row).all():
-        raise ValueError(f"topic {topic_id} has a non-finite term probability")
-    threshold = np.partition(row, n_terms - n)[n_terms - n]
-    names = _term_names(model)
-    ranked = sorted(
-        ((names[term], row[term]) for term in np.flatnonzero(row >= threshold).tolist()),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
-    return [(term, float(probability)) for term, probability in ranked[:n]]
+    names, row = _term_names(model), model.topic_word[topic_id]
+    return [(names[term], float(row[term])) for term in model.top_term_indices(topic_id, n)]
 
 
 def load_labels(path) -> dict[int, str]:
@@ -139,13 +107,7 @@ def load_labels(path) -> dict[int, str]:
 
     A file that is not such an object raises MalformedLabels.
     """
-    try:
-        with Path(path).open(encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise MalformedLabels(path, f"not JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise MalformedLabels(path, "not a JSON object")
+    payload = read_json_object(path, lambda reason: MalformedLabels(path, reason))
     try:
         return {int(key): str(value) for key, value in payload.items()}
     except ValueError as exc:
@@ -190,33 +152,22 @@ def save_topics_json(summaries: list[TopicSummary], path) -> None:
         }
         for summary in summaries
     ]
-    with atomic_writer(path) as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    write_json(path, payload)
 
 
 def save_shares_csv(table: TrendTable, path) -> None:
-    with atomic_writer(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["topic", "count", "percent"])
-        for row_label, counts, percents in zip(table.axis_rows, table.counts, table.percentages):
-            writer.writerow([row_label, counts[0], repr(percents[0])])
+    rows = zip(table.axis_rows, table.counts, table.percentages)
+    write_csv(path, ["topic", "count", "percent"], ((label, count, percent) for label, [count], [percent] in rows))
 
 
 def save_trends_csv(table: TrendTable, path) -> None:
-    with atomic_writer(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["topic", "year", "count", "percent", "normalization"])
-        for i, row_label in enumerate(table.axis_rows):
-            for j, year in enumerate(table.axis_cols):
-                writer.writerow(
-                    [row_label, year, table.counts[i][j], repr(table.percentages[i][j]), table.normalization]
-                )
+    rows = (
+        (label, year, count, percent, table.normalization)
+        for label, counts, percents in zip(table.axis_rows, table.counts, table.percentages)
+        for year, count, percent in zip(table.axis_cols, counts, percents)
+    )
+    write_csv(path, ["topic", "year", "count", "percent", "normalization"], rows)
 
 
 def save_wordcloud_csv(pairs: list[tuple[str, float]], path) -> None:
-    with atomic_writer(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["term", "weight"])
-        for term, weight in pairs:
-            writer.writerow([term, repr(weight)])
+    write_csv(path, ["term", "weight"], ((term, weight) for term, weight in pairs))

@@ -13,7 +13,6 @@ The defaults, the parser's flags and the checks all come from that table.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -28,7 +27,7 @@ from . import corpus as corpus_mod
 from . import lda as lda_mod
 from . import preprocess as preprocess_mod
 from . import vectorize as vectorize_mod
-from ._files import atomic_writer
+from ._files import read_json_object, write_csv, write_json
 from .errors import AlignmentMismatch, EmptyContent, InvalidConfig, LextopicError
 
 __all__ = ["RunConfig", "SETTINGS", "main"]
@@ -161,13 +160,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if config_path:
         if not Path(config_path).is_file():
             raise InvalidConfig(f"config file not found: {config_path}")
-        try:
-            with open(config_path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise InvalidConfig(f"config file {config_path}: not JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise InvalidConfig(f"config file {config_path}: not a JSON object")
+        payload = read_json_object(config_path, lambda reason: InvalidConfig(f"config file {config_path}: {reason}"))
     values = _file_values(payload)
     settings: dict = {}
     for path, setting in _BY_PATH.items():
@@ -195,9 +188,7 @@ def _require_file(path: str | None, what: str) -> str:
 def _prepare_out_dir(config: RunConfig) -> Path:
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_writer(out_dir / "run_config.json") as handle:
-        json.dump(config.settings, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    write_json(out_dir / "run_config.json", config.settings)
     return out_dir
 
 
@@ -283,25 +274,23 @@ def cmd_ingest(config: RunConfig) -> int:
     corpus = _load_corpus(config)
     out_dir = _prepare_out_dir(config)
     table = corpus_mod.type_counts_by_year(corpus)
-    with atomic_writer(out_dir / "stats.csv", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["type"] + [str(year) for year in table.axis_cols])
-        for label, row in zip(table.axis_rows, table.counts):
-            writer.writerow([label] + row)
-    skipped = 0
-    with atomic_writer(out_dir / "ratios.csv", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "length_ratio"])
+    rows = ([label, *counts] for label, counts in zip(table.axis_rows, table.counts))
+    write_csv(out_dir / "stats.csv", ["type", *table.axis_cols], rows)
+    skipped = []
+
+    def ratios():
         for record in corpus.records:
             try:
-                writer.writerow([record.id, repr(corpus_mod.length_ratio(record))])
+                yield record.id, corpus_mod.length_ratio(record)
             except EmptyContent:
-                skipped += 1
+                skipped.append(record.id)
+
+    write_csv(out_dir / "ratios.csv", ["id", "length_ratio"], ratios())
     print(f"records: {len(corpus.records)}")
     for label, row in zip(table.axis_rows, table.counts):
         print(f"  {label}: {sum(row)}")
     if skipped:
-        print(f"  (skipped {skipped} empty-content record(s) in ratios.csv)")
+        print(f"  (skipped {len(skipped)} empty-content record(s) in ratios.csv)")
     return 0
 
 
@@ -311,11 +300,7 @@ def cmd_fit(config: RunConfig) -> int:
     vocab, matrix = _build_matrix(config, corpus)
     model = lda_mod.fit(matrix, config.lda, vocab)
     lda_mod.save_model(model, out_dir / "model.json")
-    with atomic_writer(out_dir / "trace.csv", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["sweep", "log_likelihood"])
-        for sweep, value in enumerate(model.log_likelihood, start=1):
-            writer.writerow([sweep, repr(value)])
+    write_csv(out_dir / "trace.csv", ["sweep", "log_likelihood"], enumerate(model.log_likelihood, start=1))
     print(
         f"fitted {config.lda.n_topics} topics over {matrix.n_docs} documents, "
         f"{len(vocab)} terms; model written to {out_dir / 'model.json'}"
@@ -365,11 +350,7 @@ def cmd_sweep(config: RunConfig, k_grid: list[int]) -> int:
                 lda_mod.perplexity(model, matrix),
             )
         )
-    with atomic_writer(out_dir / "sweep.csv", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n_topics", "mean_coherence", "perplexity"])
-        for n_topics, coherence, perp in rows:
-            writer.writerow([n_topics, repr(coherence), repr(perp)])
+    write_csv(out_dir / "sweep.csv", ["n_topics", "mean_coherence", "perplexity"], rows)
     for n_topics, coherence, perp in rows:
         print(f"K={n_topics}: mean coherence {coherence:.4f}, perplexity {perp:.2f}")
     return 0

@@ -26,13 +26,12 @@ from .errors import (
     MalformedDate,
     MalformedRow,
     MissingField,
-    MissingYear,
     StructureMismatch,
     UndecodableCorpus,
     UnknownLawType,
 )
 from .jalali import jalali_to_gregorian_year
-from .trends import PER_YEAR, TrendTable, build_trend_table
+from .trends import PER_YEAR, TrendTable, year_table
 
 __all__ = [
     "LawType",
@@ -483,22 +482,11 @@ def filter_by_type(corpus: Corpus, law_type: LawType) -> Corpus:
 
 def type_counts_by_year(corpus: Corpus) -> TrendTable:
     """Count records per (law type, Gregorian year); shares are per year."""
-    for record in corpus.records:
-        if record.date is None:
-            raise MissingYear(record.id)
-    if not corpus.records:
-        return build_trend_table([], [], [], normalization=PER_YEAR)
     present = {record.law_type for record in corpus.records}
     row_types = [law_type for law_type in LawType if law_type in present]
-    years = sorted({record.date.gregorian_year for record in corpus.records})
-    year_index = {year: j for j, year in enumerate(years)}
     type_index = {law_type: i for i, law_type in enumerate(row_types)}
-    counts = [[0] * len(years) for _ in row_types]
-    for record in corpus.records:
-        counts[type_index[record.law_type]][year_index[record.date.gregorian_year]] += 1
-    return build_trend_table(
-        [law_type.value for law_type in row_types], years, counts, normalization=PER_YEAR
-    )
+    rows = [type_index[record.law_type] for record in corpus.records]
+    return year_table([law_type.value for law_type in row_types], rows, corpus.records, PER_YEAR)
 
 
 def length_ratio(record: LawRecord) -> float:

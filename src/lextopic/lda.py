@@ -13,16 +13,14 @@ fallback: both give the same bits.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os  # noqa: F401  (tests patch os.replace through this module)
 from dataclasses import asdict, dataclass, replace
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_writer
+from ._files import read_json_object, write_json
 from .errors import AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
 from .vectorize import DocTermMatrix, Vocabulary
 
@@ -126,10 +124,27 @@ class LdaModel:
     vocab: Vocabulary | None = None
 
     def top_term_indices(self, topic: int, top_m: int) -> list[int]:
-        """Term indices of the topic's top_m words, ties broken by index."""
+        """Term indices of the topic's top_m words, ties broken by term name.
+
+        Only the terms at or above the top_m-th largest probability are sorted;
+        every tie at that value is among them, so the order is the full sort's.
+        """
         row = self.topic_word[topic]
-        order = np.argsort(-row, kind="stable")
-        return [int(term) for term in order[:top_m]]
+        if not np.isfinite(row).all():
+            raise ValueError(f"topic {topic} has a non-finite term probability")
+        cut = row.size - min(top_m, row.size)
+        names = _term_names(self)
+        candidates = np.flatnonzero(row >= np.partition(row, cut)[cut]).tolist()
+        return sorted(candidates, key=lambda term: (-row[term], names[term]))[:top_m]
+
+
+def _term_names(model: LdaModel) -> list[str]:
+    """The vocabulary's terms; an anonymous model's are term-<index>, zero-padded to one width."""
+    n_terms = model.topic_word.shape[1]
+    if model.vocab is not None:
+        return model.vocab.terms
+    width = len(str(max(n_terms - 1, 0)))
+    return [f"term-{term:0{width}d}" for term in range(n_terms)]
 
 
 def _expand_tokens(matrix: DocTermMatrix) -> list[list[int]]:
@@ -595,19 +610,12 @@ def save_model(model: LdaModel, path) -> None:
         "topic_word": np.asarray(model.topic_word, dtype=np.float64).tolist(),
         "log_likelihood": np.asarray(model.log_likelihood, dtype=np.float64).tolist(),
     }
-    with atomic_writer(path) as handle:
-        handle.write(json.dumps(payload, ensure_ascii=False) + "\n")
+    write_json(path, payload, indent=None)
 
 
 def load_model(path) -> LdaModel:
     """Read a save_model file; one that cannot hold a model raises CorruptModel."""
-    try:
-        with Path(path).open(encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise CorruptModel(path, f"not JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise CorruptModel(path, "not a JSON object")
+    payload = read_json_object(path, lambda reason: CorruptModel(path, reason))
     if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
         raise VocabularyMismatch(
             f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: "

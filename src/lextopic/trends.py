@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .errors import MissingYear
+
 PER_TOPIC = "per_topic"
 PER_YEAR = "per_year"
 
@@ -43,18 +47,24 @@ def build_trend_table(
 ) -> TrendTable:
     if normalization not in (PER_TOPIC, PER_YEAR):
         raise ValueError(f"unknown normalization {normalization!r}")
-    n_rows, n_cols = len(axis_rows), len(axis_cols)
-    percentages = [[0.0] * n_cols for _ in range(n_rows)]
-    if normalization == PER_TOPIC:
-        for i in range(n_rows):
-            row_total = sum(counts[i])
-            if row_total:
-                for j in range(n_cols):
-                    percentages[i][j] = 100.0 * counts[i][j] / row_total
-    else:
-        for j in range(n_cols):
-            col_total = sum(counts[i][j] for i in range(n_rows))
-            if col_total:
-                for i in range(n_rows):
-                    percentages[i][j] = 100.0 * counts[i][j] / col_total
-    return TrendTable(axis_rows, axis_cols, counts, percentages, normalization)
+    cells = np.array(counts, dtype=np.float64).reshape(len(axis_rows), len(axis_cols))
+    totals = cells.sum(axis=1 if normalization == PER_TOPIC else 0, keepdims=True)
+    # Integer counts are exact in float64, so each cell is the float (100.0 * count) / total.
+    percentages = np.divide(100.0 * cells, totals, out=np.zeros_like(cells), where=totals > 0)
+    return TrendTable(axis_rows, axis_cols, counts, percentages.tolist(), normalization)
+
+
+def year_table(axis_rows: list[str], rows, records, normalization: str) -> TrendTable:
+    """Count records per (row, Gregorian year): record i falls in row rows[i].
+
+    The columns are the records' distinct years, ascending. A record with
+    no date raises MissingYear.
+    """
+    for record in records:
+        if record.date is None:
+            raise MissingYear(record.id)
+    record_years = np.array([record.date.gregorian_year for record in records], dtype=np.int64)
+    years, columns = np.unique(record_years, return_inverse=True)
+    cells = np.asarray(rows, dtype=np.int64) * len(years) + columns
+    counts = np.bincount(cells, minlength=len(axis_rows) * len(years)).reshape(len(axis_rows), len(years))
+    return build_trend_table(axis_rows, years.tolist(), counts.tolist(), normalization)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import Counter
 from collections.abc import Iterable, Mapping
@@ -14,7 +13,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import preprocess as preprocess_mod
-from ._files import atomic_writer
+from ._files import write_csv
 from .corpus import Corpus
 from .errors import AllZero, EmptyDocument, EmptyVocabulary, MissingYear, NoDocuments
 from .preprocess import Document, PreprocessConfig
@@ -301,16 +300,9 @@ def to_pseudo_counts(weights: TfidfMatrix, scale: float = 10.0) -> DocTermMatrix
 
 def save_triplets(matrix, vocab: Vocabulary, path) -> None:
     """Triplet CSV doc_id,term,value ordered by (doc, term)."""
-    with atomic_writer(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["doc_id", "term", "value"])
-        for doc, term, value in matrix.entries():
-            writer.writerow([matrix.doc_ids[doc], vocab.terms[term], value])
+    rows = ((matrix.doc_ids[doc], vocab.terms[term], value) for doc, term, value in matrix.entries())
+    write_csv(path, ["doc_id", "term", "value"], rows)
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    with atomic_writer(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["term", "df"])
-        for term, df_count in zip(vocab.terms, vocab.df):
-            writer.writerow([term, df_count])
+    write_csv(path, ["term", "df"], zip(vocab.terms, vocab.df))

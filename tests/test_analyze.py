@@ -186,6 +186,41 @@ class TestDominantCounts:
         assert all(type(count) is int for row in trends.counts + shares.counts for count in row)
 
 
+class TestShareTableSums:
+    """Every non-empty group of a share or trend table sums to 100; empty groups stay 0.0."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(lambda n_topics: st.tuples(
+            st.lists(st.tuples(st.lists(st.floats(0.0, 1.0), min_size=n_topics, max_size=n_topics),
+                               st.integers(2000, 2006)), min_size=1, max_size=30),
+            st.dictionaries(st.integers(0, n_topics - 1), st.text(min_size=1, max_size=5)),
+        ))
+    )
+    def test_sums_and_counts(self, draw):
+        rows, labels = draw
+        theta = np.array([theta for theta, _ in rows])
+        model = _model(theta)
+        corpus = _corpus_for(model, years=[year for _, year in rows])
+        dominant = np.argmax(theta, axis=1)
+        expected_rows = [labels.get(topic, f"topic-{topic}") for topic in range(theta.shape[1])]
+
+        shares = topic_shares(model, corpus, labels=labels)
+        assert shares.axis_rows == expected_rows
+        assert [count for [count] in shares.counts] == np.bincount(dominant, minlength=theta.shape[1]).tolist()
+        assert sum(percent for [percent] in shares.percentages) == pytest.approx(100.0, abs=1e-9)
+
+        for normalization, axis in ((PER_TOPIC, 1), (PER_YEAR, 0)):
+            table = yearly_topic_percentages(model, corpus, normalization=normalization, labels=labels)
+            assert table.axis_rows == expected_rows
+            counts, percents = np.array(table.counts), np.array(table.percentages)
+            assert counts.sum(axis=1).tolist() == [count for [count] in shares.counts]
+            group_counts, group_sums = counts.sum(axis=axis), percents.sum(axis=axis)
+            assert np.all(np.abs(group_sums[group_counts > 0] - 100.0) <= 1e-9)
+            empty = group_counts == 0
+            assert np.all((percents[empty, :] if axis == 1 else percents[:, empty]) == 0.0)
+
+
 class TestTopWords:
     def test_ranked_by_probability(self):
         model = _model([[1.0]], topic_word=[[0.5, 0.2, 0.3]], vocab=VOCAB)

@@ -123,6 +123,25 @@ class TestEmptyDocuments:
         model = json.loads((out / "model.json").read_text(encoding="utf-8"))
         assert model["doc_ids"] == ["kept-0", "kept-1"]
 
+    def test_shares_count_only_modelled_documents(self, tmp_path, capsys):
+        rows = [jsonl_row(f"kept-{i}", title="budget notice", content=FINANCE) for i in range(3)]
+        rows += [jsonl_row(f"blank-{i}", title="a", content="b c") for i in range(2)]
+        rows += [jsonl_row(f"alone-{i}", title=f"alone{i}", content=f"solo{i} single{i}") for i in range(2)]
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, rows)
+        out = tmp_path / "out"
+        assert main(["fit", "--corpus", str(path), "--out", str(out), "--topics", "2", "--min-df", "2",
+                     "--sweeps", "10", "--burn-in", "2"]) == 0
+        err = capsys.readouterr().err
+        assert "dropped 2 record(s) that preprocess to zero tokens" in err
+        assert "dropped 2 document(s) with no term left by the document-frequency filters" in err
+        assert main(["analyze", "--corpus", str(path), "--out", str(out)]) == 0
+        shares = _read_csv(out / "shares.csv")[1:]
+        assert sum(int(row[1]) for row in shares) == 3
+        assert sum(float(row[2]) for row in shares) == pytest.approx(100.0, abs=1e-9)
+        trends = _read_csv(out / "trends.csv")[1:]
+        assert sum(int(row[2]) for row in trends) == 3
+
     def test_documents_whose_pseudo_counts_round_to_zero_are_dropped(self, tmp_path, capsys):
         many = " ".join(f"word{number}" for number in range(500))
         rows = [jsonl_row(f"wide-{i}", title="wide", content=many) for i in range(2)]

@@ -1,0 +1,62 @@
+"""Source checks that need no linter: the README's imports and unused imports."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import lextopic
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(path for path in (ROOT / "src" / "lextopic").glob("*.py") if path.name != "__init__.py")
+
+
+def test_readme_library_imports_resolve():
+    blocks = re.findall(r"^from lextopic import \(([^)]*)\)", (ROOT / "README.md").read_text(encoding="utf-8"), re.M)
+    assert blocks, "README.md has no `from lextopic import (...)` block"
+    for block in blocks:
+        names = [name.strip() for name in block.split(",") if name.strip()]
+        exec(f"from lextopic import ({', '.join(names)})", {})
+        assert set(names) <= set(lextopic.__all__)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Module-level imported names that are neither used nor listed in __all__.
+
+    An import whose lines carry a `# noqa` comment is skipped, as are
+    `from __future__` imports.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__" for target in node.targets):
+            exported = set(ast.literal_eval(node.value))
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used | exported]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_catches_and_spares():
+    source = (
+        "from __future__ import annotations\n"
+        "import os  # noqa: F401\n"
+        "import json\n"
+        "from .errors import (\n    MissingYear,\n    UnknownTopicId,\n)\n"
+        "from .trends import TrendTable\n"
+        "__all__ = ['TrendTable']\n"
+        "def f(): raise UnknownTopicId(json.dumps(1))\n"
+    )
+    assert unused_imports(source) == ["MissingYear (line 4)"]

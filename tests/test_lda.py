@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lextopic import _gibbs, lda
+from lextopic.analyze import top_words
 from lextopic.errors import AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
 from lextopic.lda import (
     LdaConfig,
@@ -390,6 +391,27 @@ class TestCoherence:
         scores = coherence_umass(model, matrix, top_m=3)
         assert scores[0] == pytest.approx(math.log(2), abs=1e-9)
         assert scores[1] == pytest.approx(math.log(2 / 3) + math.log(1 / 3), abs=1e-9)
+
+    def test_ranks_top_words_as_topics_json_does(self):
+        # Terms b, a, c; "b" and "a" tie at 0.25, so the tie goes by name: c, a.
+        # Presence: b in d0; a in d1, d2; c in d0, d2.
+        matrix = DocTermMatrix(
+            n_docs=3, n_terms=3, counts={(0, 0): 1, (0, 2): 1, (1, 1): 1, (2, 1): 1, (2, 2): 1},
+            doc_ids=["d0", "d1", "d2"],
+        )
+        terms = ["b", "a", "c"]
+        model = LdaModel(
+            config=LdaConfig(n_topics=1, alpha=1.0, beta=1.0, sweeps=2, burn_in=1),
+            doc_topic=np.ones((3, 1)),
+            topic_word=np.array([[0.25, 0.25, 0.5]]),
+            doc_ids=matrix.doc_ids,
+            log_likelihood=[],
+            vocab=Vocabulary(terms, {term: i for i, term in enumerate(terms)}, [1, 2, 2]),
+        )
+        assert model.top_term_indices(0, 2) == [2, 1]
+        assert [term for term, _ in top_words(model, 0, 2)] == ["c", "a"]
+        # ln((codoc(c, a) + 1) / df(a)) = ln(2 / 2); the pair (c, b) would give ln(2 / 1).
+        assert coherence_umass(model, matrix, top_m=2) == [0.0]
 
     def test_top_m_capped_by_vocabulary(self):
         model, matrix = self._fixture()
