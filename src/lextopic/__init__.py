@@ -48,7 +48,6 @@ from .preprocess import (
     default_config,
     preprocess_corpus,
     preprocess_document,
-    validate_nonempty,
 )
 from .trends import TrendTable
 from .vectorize import (
@@ -100,7 +99,6 @@ __all__ = [
     "default_config",
     "preprocess_corpus",
     "preprocess_document",
-    "validate_nonempty",
     "TrendTable",
     "DocTermMatrix",
     "TfidfMatrix",

@@ -262,6 +262,19 @@ def _record_from_mapping(mapping: dict, row: int, seen_ids: set, law_types: dict
     )
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _surrogate_field(record: LawRecord) -> str | None:
+    """The first field of record holding a lone surrogate, which no UTF-8 artifact can hold."""
+    fields = {
+        "id": record.id, "title": record.title, "content": record.content, "lead": record.lead,
+        "tags": "".join(record.tags), "classes": "".join(record.classes), "category": record.category,
+        "date": record.date.raw,
+    }
+    return next((name for name, text in fields.items() if _SURROGATE.search(text)), None)
+
+
 def _undecodable_row(path: Path, format: str) -> tuple[int | None, str]:
     """Locate the first byte of path that is not UTF-8.
 
@@ -312,7 +325,11 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
                         raise MalformedRow(row, "nested deeper than the recursion limit") from None
                     if not isinstance(mapping, dict):
                         raise MalformedRow(row, f"expected an object, got {type(mapping).__name__}")
-                    records.append(_record_from_mapping(mapping, row, seen_ids, law_types))
+                    record = _record_from_mapping(mapping, row, seen_ids, law_types)
+                    # Only a \u escape, which needs a backslash, puts a surrogate in a line read from UTF-8.
+                    if "\\" in line and (name := _surrogate_field(record)):
+                        raise MalformedRow(row, f"field {name} holds a lone surrogate")
+                    records.append(record)
         else:
             with path.open(encoding="utf-8", newline="") as handle:
                 reader = csv.DictReader(handle)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os  # noqa: F401  (tests patch os.replace through this module)
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 
@@ -29,7 +28,6 @@ __all__ = [
     "SamplerState",
     "LdaModel",
     "init_assignments",
-    "gibbs_conditional",
     "gibbs_sweep",
     "fit",
     "fit_chains",
@@ -181,37 +179,14 @@ def init_assignments(matrix: DocTermMatrix, config: LdaConfig) -> SamplerState:
     return SamplerState(doc_tokens, assignments, n_dk, n_kw, n_k, n_d, rng)
 
 
-def gibbs_conditional(
-    state: SamplerState, doc: int, slot: int, term: int, config: LdaConfig
-) -> np.ndarray:
-    """Collapsed resampling distribution for one token slot.
-
-    p(topic = k) is proportional to
-    (n_dk - i + alpha) * (n_kw - i + beta) / (n_k - i + V*beta),
-    where -i removes the slot's current assignment from each table.
-    Pure: the state is read, never written.
-    """
-    n_topics = config.n_topics
-    n_terms = len(state.n_kw[0])
-    vbeta = n_terms * config.beta
-    current = state.assignments[doc][slot]
-    weights = np.empty(n_topics)
-    for k in range(n_topics):
-        drop = 1 if k == current else 0
-        weights[k] = (
-            (state.n_dk[doc][k] - drop + config.alpha)
-            * (state.n_kw[k][term] - drop + config.beta)
-            / (state.n_k[k] - drop + vbeta)
-        )
-    return weights / weights.sum()
-
-
 def gibbs_sweep(state: SamplerState, config: LdaConfig) -> SamplerState:
     """Resample every token slot once, in (doc, slot) order, in place.
 
-    Matches gibbs_conditional exactly; the arithmetic is inlined because
-    this loop dominates runtime. One uniform draw per slot comes from a
-    single per-document generator call, keeping the stream deterministic.
+    Each slot is drawn from the collapsed conditional, proportional to
+    (n_dk - i + alpha) * (n_kw - i + beta) / (n_k - i + V*beta), where -i
+    removes the slot's current assignment; tests/reference.py has it as a
+    function. One uniform draw per slot comes from a single per-document
+    generator call, keeping the stream deterministic.
     """
     n_topics = config.n_topics
     alpha = config.alpha

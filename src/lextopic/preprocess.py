@@ -16,13 +16,12 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .corpus import Corpus, LawRecord
-from .errors import EmptyDocument, MissingYear, UndecodableWordList
+from .errors import EmptyDocument, InvalidConfig, MissingYear, UndecodableWordList
 
 __all__ = [
     "PreprocessConfig",
     "LemmaRules",
     "Document",
-    "ValidationReport",
     "normalize",
     "remove_punctuation",
     "tokenize",
@@ -30,7 +29,6 @@ __all__ = [
     "lemmatize",
     "preprocess_document",
     "preprocess_corpus",
-    "validate_nonempty",
     "load_stopwords",
     "load_lemma_rules",
     "default_config",
@@ -110,15 +108,6 @@ class Document:
     record_id: str
     tokens: list[str]
     gregorian_year: int
-
-
-@dataclass
-class ValidationReport:
-    null_fields: list[str]
-    empty_after_preprocess: list[str]
-
-    def model_ready(self) -> bool:
-        return not self.null_fields and not self.empty_after_preprocess
 
 
 def _ready_table(mapping) -> bool:
@@ -251,7 +240,7 @@ class _Preprocessor(dict):
     its chunks' tokens in order; each distinct chunk runs through the
     stages once. Equal token tuples are stored once, so later dict lookups
     match equal tokens by identity. A normalize map with a whitespace key
-    can join chunks, so such a config goes record by record.
+    could join two chunks into one token, so it is rejected.
     """
 
     def __init__(self, config: PreprocessConfig | None):
@@ -260,7 +249,9 @@ class _Preprocessor(dict):
         self.shared: dict[tuple[str, ...], tuple[str, ...]] = {}
         self.normalize_table = MappingProxyType(str.maketrans(dict(config.normalize_chars)))
         self.punctuation_table = MappingProxyType({ord(mark): " " for mark in config.punctuation_set})
-        self.joins_chunks = any(chr(code).isspace() for code in self.normalize_table)
+        joining = next((chr(code) for code in self.normalize_table if chr(code).isspace()), None)
+        if joining is not None:
+            raise InvalidConfig(f"normalize_chars must have no whitespace key, got {joining!r}")
 
     def __missing__(self, chunk: str) -> tuple[str, ...]:
         config = self.config
@@ -278,8 +269,6 @@ class _Preprocessor(dict):
         return tokens
 
     def __call__(self, record: LawRecord) -> Document:
-        if self.joins_chunks:
-            return preprocess_document(record, self.config)
         if record.date is None:
             raise MissingYear(record.id)
         chunks = f"{record.title} {record.content}".split()
@@ -304,24 +293,3 @@ def preprocess_corpus(
             if on_empty == "error":
                 raise
     return documents
-
-
-def validate_nonempty(corpus: Corpus, config: PreprocessConfig | None = None) -> ValidationReport:
-    """Report record ids with null-ish required fields or empty pipelines."""
-    null_fields: list[str] = []
-    empty_after: list[str] = []
-    preprocess = _Preprocessor(config)
-    for record in corpus.records:
-        if (
-            not record.id.strip()
-            or not record.title.strip()
-            or not record.content.strip()
-            or record.date is None
-        ):
-            null_fields.append(record.id)
-            continue
-        try:
-            preprocess(record)
-        except EmptyDocument:
-            empty_after.append(record.id)
-    return ValidationReport(null_fields=null_fields, empty_after_preprocess=empty_after)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -32,8 +31,6 @@ __all__ = [
     "save_triplets",
     "save_vocabulary",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -88,9 +85,6 @@ class DocTermMatrix(_EntryMatrix):
         pairs = list(zip(self.terms.tolist(), self.values.tolist()))
         bounds = np.searchsorted(self.docs, np.arange(self.n_docs + 1)).tolist()
         return [pairs[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
-
-    def doc_totals(self) -> list[int]:
-        return np.bincount(self.docs, weights=self.values, minlength=self.n_docs).astype(np.int64).tolist()
 
 
 class TfidfMatrix(_EntryMatrix):
@@ -177,19 +171,14 @@ def count_corpus(
     kernels it never builds a per-record token list: the records' UTF-8
     bytes are split into whitespace chunks in C, each distinct chunk is
     decoded and preprocessed once, and C counts every record's terms from
-    the chunks' token ids. Without a compiler, or when the normalize map
-    can join chunks, it makes the three calls.
+    the chunks' token ids. Without a compiler it makes the three calls.
     """
     if on_empty not in ("error", "drop"):
         raise ValueError(f"on_empty must be 'error' or 'drop', got {on_empty!r}")
     preprocess = preprocess_mod._Preprocessor(config)
-    kernels = None
-    if preprocess.joins_chunks:
-        logger.warning("the normalize map has a whitespace key; preprocessing record by record")
-    else:
-        from . import _gibbs  # not at import time: ingest and analyze never need a compiler
+    from . import _gibbs  # not at import time: ingest and analyze never need a compiler
 
-        kernels = _gibbs.load_sweep()
+    kernels = _gibbs.load_sweep()
     if kernels is None:
         documents = preprocess_mod.preprocess_corpus(corpus, preprocess.config, on_empty)
         vocab = build_vocabulary(documents, min_df, max_df_ratio)

@@ -290,6 +290,14 @@ class TestSweep:
         assert main(args) == 1
         assert "error [config]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0,2", "2,2"])
+    def test_grid_below_one_or_repeated_writes_nothing(self, corpus_path, tmp_path, capsys, grid):
+        out = tmp_path / "out"
+        args = ["sweep", "--corpus", corpus_path, "--out", str(out), "--k-grid", grid]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error [config]: --k-grid ")
+        assert not out.exists()
+
     def test_true_topic_count_scores_higher_than_inflated(self):
         # Structural effect, not a seed artifact: on three-topic data,
         # thirty topics fragment the top-word sets and lose coherence.
@@ -634,6 +642,10 @@ class TestSettingsTable:
                     assert echoed[name] == value
 
 
+_TEXT = st.text("ab \x00ك", max_size=5) | st.text(st.sampled_from("ab\ud800\udfff"), max_size=5)
+_DATE = jsonl_row("r")["date"]
+
+
 class TestUnreadableInputs:
     """Input files that cannot be read as intended end in `error [<module>]`, exit 1."""
 
@@ -716,6 +728,24 @@ class TestUnreadableInputs:
         args = ["--config", str(config), "fit", "--corpus", corpus_path, "--out", str(tmp_path / "o")] + FIT_FLAGS
         assert main(args) == 1
         assert capsys.readouterr().err.startswith(f"error [preprocess]: word list {words}: not UTF-8")
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fields=st.fixed_dictionaries(
+        {"id": _TEXT.map("r{}".format), "title": _TEXT.map("t{}".format), "content": _TEXT, "lead": _TEXT,
+         "category": _TEXT},
+        optional={"tags": st.lists(_TEXT, max_size=2), "date": _TEXT.map(lambda raw: {**_DATE, "raw": raw})},
+    ))
+    def test_one_row_of_any_text_ends_in_an_exit_code(self, tmp_path, capsys, fields):
+        # json.dumps escapes a lone surrogate as \ud800, which the loader reads back as one.
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(jsonl_row("r", **fields)) + "\n", encoding="utf-8")
+        fit = ["fit", "--min-df", "1", "--max-df-ratio", "1", "--topics", "2", "--sweeps", "2", "--burn-in", "1"]
+        for command in (["ingest"], fit):
+            shutil.rmtree(tmp_path / "o", ignore_errors=True)
+            capsys.readouterr()
+            code = main(command + ["--corpus", str(path), "--out", str(tmp_path / "o")])
+            event(f"{command[0]} exit {code}")
+            assert code == 0 or code == 1 and capsys.readouterr().err.startswith("error [")
 
 
 class TestNonFiniteModel:

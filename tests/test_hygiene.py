@@ -1,6 +1,7 @@
-"""Source checks that need no linter: the README's imports and unused imports."""
+"""Source checks that need no linter: the README's imports, exports and unused imports."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -19,6 +20,16 @@ def test_readme_library_imports_resolve():
         names = [name.strip() for name in block.split(",") if name.strip()]
         exec(f"from lextopic import ({', '.join(names)})", {})
         assert set(names) <= set(lextopic.__all__)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_exported_name_is_defined(path):
+    module = importlib.import_module(f"lextopic.{path.stem}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+def test_package_exports_import():
+    exec(f"from lextopic import {', '.join(lextopic.__all__)}", {})
 
 
 def unused_imports(source: str) -> list[str]:

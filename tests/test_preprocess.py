@@ -3,11 +3,11 @@
 from types import MappingProxyType
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
-from lextopic.errors import EmptyDocument
+from lextopic.errors import EmptyDocument, InvalidConfig
 from lextopic.preprocess import (
     DEFAULT_NORMALIZE_CHARS,
     DEFAULT_PUNCTUATION,
@@ -23,7 +23,6 @@ from lextopic.preprocess import (
     remove_punctuation,
     remove_stopwords,
     tokenize,
-    validate_nonempty,
 )
 from lextopic.corpus import Corpus
 
@@ -268,11 +267,11 @@ MEMO_ALPHABET = WHITESPACE + "\u200cـيك۱۴٤.،«»(Σσİiabقانونها"
 @st.composite
 def memo_configs(draw):
     """The default config, or one with a small lexicon, a length floor of
-    1-3 and extra normalize keys and values that may be whitespace."""
+    1-3 and extra normalize keys, with values that may be whitespace."""
     if draw(st.booleans()):
         return default_config()
     extra = st.dictionaries(
-        st.sampled_from(WHITESPACE + "a-Σ"), st.sampled_from(["", " ", "\n", "b", "Σ"]), max_size=3
+        st.sampled_from("a-Σ"), st.sampled_from(["", " ", "\n", "b", "Σ"]), max_size=3
     )
     return PreprocessConfig(
         stopword_list={"ab", "قانون", "σ"},
@@ -283,15 +282,14 @@ def memo_configs(draw):
 
 
 class TestChunkMemo:
-    """preprocess_corpus and validate_nonempty equal preprocess_document
-    run record by record, for every config."""
+    """preprocess_corpus equals preprocess_document run on each record,
+    for every config it accepts."""
 
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.tuples(st.text(MEMO_ALPHABET, max_size=12), st.text(MEMO_ALPHABET, max_size=30)), max_size=6),
         memo_configs(),
     )
-    @example([("ab\tcd", "x\ty")], PreprocessConfig(normalize_chars={"\t": ""}))
     def test_equals_document_by_document(self, texts, config):
         corpus = Corpus(
             [make_record(f"r{i}", title=title, content=content) for i, (title, content) in enumerate(texts)]
@@ -309,31 +307,14 @@ class TestChunkMemo:
             assert excinfo.value.record_id == empty[0]
         else:
             assert preprocess_corpus(corpus, config, on_empty="error") == expected
-        blank = [
-            record.id for record in corpus.records if not record.title.strip() or not record.content.strip()
-        ]
-        report = validate_nonempty(corpus, config)
-        assert report.null_fields == blank
-        assert report.empty_after_preprocess == [record_id for record_id in empty if record_id not in blank]
 
-
-class TestValidateNonempty:
-    def test_clean_fixture(self):
-        corpus = Corpus([make_record("r1"), make_record("r2")])
-        report = validate_nonempty(corpus, PreprocessConfig())
-        assert report.null_fields == [] and report.empty_after_preprocess == []
-        assert report.model_ready()
-
-    def test_empty_content_flagged_as_null(self):
-        corpus = Corpus([make_record("r1", content="  ")])
-        report = validate_nonempty(corpus, PreprocessConfig())
-        assert report.null_fields == ["r1"]
-
-    def test_pure_punctuation_flagged_after_preprocess(self):
-        corpus = Corpus([make_record("r1", title="...", content=",,, !!!")])
-        report = validate_nonempty(corpus, PreprocessConfig())
-        assert report.null_fields == []
-        assert report.empty_after_preprocess == ["r1"]
+    def test_a_whitespace_normalize_key_is_rejected(self):
+        # Such a key can join two whitespace chunks into one token.
+        corpus = Corpus([make_record("r1", title="ab\tcd", content="x\ty")])
+        for key in WHITESPACE:
+            config = PreprocessConfig(normalize_chars={**DEFAULT_NORMALIZE_CHARS, key: ""})
+            with pytest.raises(InvalidConfig, match="normalize_chars"):
+                preprocess_corpus(corpus, config)
 
 
 class TestDataFiles:

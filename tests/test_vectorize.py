@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import make_record
 from lextopic import _gibbs
 from lextopic.corpus import Corpus, LawType
-from lextopic.errors import AllZero, EmptyDocument, EmptyVocabulary, MissingYear, NoDocuments
+from lextopic.errors import AllZero, EmptyDocument, EmptyVocabulary, InvalidConfig, MissingYear, NoDocuments
 from lextopic.preprocess import DEFAULT_NORMALIZE_CHARS, Document, LemmaRules, PreprocessConfig, preprocess_corpus
 from lextopic.vectorize import (
     DocTermMatrix,
@@ -98,7 +98,7 @@ class TestCountMatrix:
         docs = _docs(lists)
         vocab = build_vocabulary(docs, min_df=1, max_df_ratio=1.0)
         matrix = count_matrix(docs, vocab)
-        totals = matrix.doc_totals()
+        totals = np.bincount(matrix.docs, weights=matrix.values, minlength=matrix.n_docs).tolist()
         for d, tokens in enumerate(lists):
             expected = sum(1 for t in tokens if t in vocab.index)
             assert totals[d] == expected
@@ -480,15 +480,13 @@ class TestCountCorpus:
         warnings = [record.getMessage() for record in caplog.records if record.levelno == logging.WARNING]
         assert len(warnings) == 1 and "corpus count" in warnings[0]
 
-    def test_a_whitespace_normalize_key_goes_record_by_record(self, caplog):
+    def test_a_whitespace_normalize_key_is_rejected(self):
         corpus = self._corpus()
         config = PreprocessConfig(normalize_chars={**DEFAULT_NORMALIZE_CHARS, "\t": ""})
-        with caplog.at_level(logging.WARNING, logger="lextopic"):
-            result = _outcome(lambda: count_corpus(corpus, config, 1, 1.0, "drop"))
-        assert result == _reference(corpus, config, 1, 1.0, "drop")
-        assert "lawtax" in result[0] and "courtverdict" in result[0]
-        warnings = [record.getMessage() for record in caplog.records if record.levelno == logging.WARNING]
-        assert len(warnings) == 1 and "record by record" in warnings[0]
+        with pytest.raises(InvalidConfig, match="normalize_chars"):
+            count_corpus(corpus, config, 1, 1.0, "drop")
+        with pytest.raises(InvalidConfig, match="normalize_chars"):
+            preprocess_corpus(corpus, config)
 
     def test_zero_documents(self):
         corpus = Corpus([make_record("r0", title="a", content="b c")])
