@@ -137,7 +137,8 @@ def parse_record_date(value, row: int | None = None) -> RecordDate:
                 d = int(value["day"])
             except (KeyError, TypeError, ValueError):
                 raise MalformedDate(value) from None
-            raw = str(value.get("raw", f"{y:04d}/{m:02d}/{d:02d}"))
+            raw = value.get("raw")
+            raw = f"{y:04d}/{m:02d}/{d:02d}" if raw is None else str(raw)
             return RecordDate.from_jalali(raw, y, m, d)
         if isinstance(value, str):
             text = value.strip()
@@ -196,23 +197,29 @@ class Corpus:
 # by the upstream sample tables and are accepted as aliases on load.
 _FIELD_ORDER = ("id", "title", "content", "lead", "tags", "classes", "law_type", "category", "date")
 _REQUIRED = ("id", "title", "content", "law_type", "date")
+# The CSV cells that may hold JSON; save_corpus writes them so.
+_JSON_CELLS = ("tags", "classes", "date")
 
 
 def _as_string_list(value, row: int, name: str) -> list[str]:
-    if value is None or value == "":
-        return []
+    """A tags or classes value: a list of strings, a JSON list in a string, or comma-separated text."""
     if isinstance(value, str):
         text = value.strip()
-        if text.startswith("["):
-            try:
-                value = json.loads(text)
-            except json.JSONDecodeError:
-                raise MissingField(row, name) from None
-        else:
+        if not text.startswith("["):
             return [part.strip() for part in text.split(",") if part.strip()]
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise MissingField(row, name)
-    return list(value)
+        try:
+            value = json.loads(text)
+        except (json.JSONDecodeError, RecursionError):
+            raise MissingField(row, name) from None
+    elif value is None:
+        return []
+    if isinstance(value, list):
+        for item in value:  # a loop, not all() over a generator: 5x faster on the short lists JSON gives
+            if not isinstance(item, str):
+                break
+        else:
+            return list(value)  # exact-size: a list json.loads grew keeps spare slots
+    raise MissingField(row, name)
 
 
 def _record_from_mapping(mapping: dict, row: int, seen_ids: set, law_types: dict) -> LawRecord:
@@ -240,7 +247,7 @@ def _record_from_mapping(mapping: dict, row: int, seen_ids: set, law_types: dict
     if isinstance(date_value, str) and date_value.strip().startswith("{"):
         try:
             date_value = json.loads(date_value)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             raise MalformedDate(date_value, row) from None
     law_type = str(law_type)
     parsed_type = law_types.get(law_type)
@@ -249,30 +256,38 @@ def _record_from_mapping(mapping: dict, row: int, seen_ids: set, law_types: dict
     category = get("category")
     if category is None:
         category = get("categories")
+    # Positional, in field order: keywords double the cost of the call.
     return LawRecord(
-        id=record_id,
-        title=title,
-        content=str(content),
-        law_type=parsed_type,
-        date=parse_record_date(date_value, row),
-        lead=str(get("lead") or ""),
-        tags=_as_string_list(get("tags"), row, "tags"),
-        classes=_as_string_list(get("classes"), row, "classes"),
-        category=str(category or ""),
+        record_id,
+        title,
+        str(content),
+        parsed_type,
+        parse_record_date(date_value, row),
+        str(get("lead") or ""),
+        _as_string_list(get("tags"), row, "tags"),
+        _as_string_list(get("classes"), row, "classes"),
+        str(category or ""),
     )
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _surrogate_field(record: LawRecord) -> str | None:
-    """The first field of record holding a lone surrogate, which no UTF-8 artifact can hold."""
+def _reject_surrogates(record: LawRecord, row: int, what: str) -> None:
+    """Raise MalformedRow naming the first field of record that holds a lone surrogate.
+
+    No UTF-8 artifact can hold one. Only a JSON \\u escape, which needs a
+    backslash, puts one in text read from UTF-8, so callers check only
+    rows whose JSON holds a backslash.
+    """
     fields = {
         "id": record.id, "title": record.title, "content": record.content, "lead": record.lead,
         "tags": "".join(record.tags), "classes": "".join(record.classes), "category": record.category,
         "date": record.date.raw,
     }
-    return next((name for name, text in fields.items() if _SURROGATE.search(text)), None)
+    for name, text in fields.items():
+        if _SURROGATE.search(text):
+            raise MalformedRow(row, f"field {name} holds a lone surrogate", what)
 
 
 def _undecodable_row(path: Path, format: str) -> tuple[int | None, str]:
@@ -314,7 +329,7 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
             with path.open(encoding="utf-8") as handle:
                 row = 0
                 for line in handle:
-                    if not line.strip():
+                    if line.isspace():  # a blank line; a line read from a file is never ""
                         continue
                     row += 1
                     try:
@@ -326,9 +341,8 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
                     if not isinstance(mapping, dict):
                         raise MalformedRow(row, f"expected an object, got {type(mapping).__name__}")
                     record = _record_from_mapping(mapping, row, seen_ids, law_types)
-                    # Only a \u escape, which needs a backslash, puts a surrogate in a line read from UTF-8.
-                    if "\\" in line and (name := _surrogate_field(record)):
-                        raise MalformedRow(row, f"field {name} holds a lone surrogate")
+                    if "\\" in line:
+                        _reject_surrogates(record, row, "JSON line")
                     records.append(record)
         else:
             with path.open(encoding="utf-8", newline="") as handle:
@@ -338,7 +352,10 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
                     reader.fieldnames  # reads the header
                     row = 0
                     for row, mapping in enumerate(reader, start=1):
-                        records.append(_record_from_mapping(mapping, row, seen_ids, law_types))
+                        record = _record_from_mapping(mapping, row, seen_ids, law_types)
+                        if any("\\" in (mapping.get(name) or "") for name in _JSON_CELLS):
+                            _reject_surrogates(record, row, "CSV")
+                        records.append(record)
                 except csv.Error as exc:  # a cell over csv.field_size_limit()
                     raise MalformedRow(None if row is None else row + 1, str(exc), "CSV") from None
     except UnicodeDecodeError:

@@ -7,10 +7,15 @@ over the era this toolkit handles.
 
 from __future__ import annotations
 
+import bisect
+import functools
+
 from .errors import MalformedDate
 
 # Days per Jalali month: 1-6 have 31 days, 7-11 have 30, Esfand 29 or 30.
 _JALALI_MONTH_MAX = (31, 31, 31, 31, 31, 31, 30, 30, 30, 30, 30, 30)
+# Every (month, day) validate_jalali accepts, in date order.
+_YEAR_DAYS = tuple((month, day) for month in range(1, 13) for day in range(1, _JALALI_MONTH_MAX[month - 1] + 1))
 
 
 def validate_jalali(year: int, month: int, day: int) -> None:
@@ -62,11 +67,26 @@ def jalali_to_gregorian(jy: int, jm: int, jd: int) -> tuple[int, int, int]:
 def jalali_to_gregorian_year(jy: int, jm: int, jd: int) -> int:
     """Gregorian year containing the given Jalali date.
 
-    Always jy + 621 or jy + 622: the Jalali year starts around the March
-    equinox, so months 10-12 (and the tail of month 10 boundary cases)
-    spill into the next Gregorian year.
+    Equals jalali_to_gregorian(jy, jm, jd)[0]. In the study era it is
+    jy + 621 up to Gregorian 1 January, which falls in Dey (month 10),
+    and jy + 622 from then on; that day is looked up once per year.
     """
-    return jalali_to_gregorian(jy, jm, jd)[0]
+    validate_jalali(jy, jm, jd)
+    first_year, january = _gregorian_new_year(jy)
+    return first_year + ((jm, jd) >= january)
+
+
+@functools.lru_cache(maxsize=4096)
+def _gregorian_new_year(jy: int) -> tuple[int, tuple[int, int]]:
+    """The Gregorian year of 1 Farvardin jy, and the (month, day) of jy on which the next one begins.
+
+    Both come from jalali_to_gregorian, whose Gregorian year never falls
+    as the date advances, so bisecting the year's days finds the first
+    day of the next Gregorian year exactly; (13, 1) if none is in jy.
+    """
+    first_year = jalali_to_gregorian(jy, 1, 1)[0]
+    index = bisect.bisect_right(_YEAR_DAYS, first_year, key=lambda month_day: jalali_to_gregorian(jy, *month_day)[0])
+    return first_year, _YEAR_DAYS[index] if index < len(_YEAR_DAYS) else (13, 1)
 
 
 def gregorian_to_jalali(gy: int, gm: int, gd: int) -> tuple[int, int, int]:

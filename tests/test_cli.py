@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import json
 import logging
 import os
@@ -20,6 +21,7 @@ from conftest import SYNTH_CONFIG, jsonl_row, write_jsonl
 from lextopic import _gibbs
 from lextopic.cli import SETTINGS, build_parser, main
 from lextopic.corpus import SynthConfig, generate_synthetic_corpus, load_corpus, save_corpus
+from lextopic.errors import LextopicError
 from lextopic.lda import LdaConfig, coherence_umass, fit
 from lextopic.preprocess import Document, default_config
 from lextopic.vectorize import Vocabulary, count_matrix
@@ -646,6 +648,47 @@ _TEXT = st.text("ab \x00ك", max_size=5) | st.text(st.sampled_from("ab\ud800\udf
 _DATE = jsonl_row("r")["date"]
 
 
+# A BOM, CR, NUL, and JSON and CSV syntax; a lone surrogate only where a CSV cell holds JSON.
+_AWKWARD_TEXT = st.text(st.sampled_from("a ,[ك\ufeff\r\n\x00\\\""), max_size=4)
+_OR_SURROGATE = _AWKWARD_TEXT | st.sampled_from(["\ud800", "a\udfff"])
+# The same as bytes, with bytes that are not UTF-8 and escapes to a lone surrogate.
+_SPLICES = st.sampled_from([
+    b"\xef\xbb\xbf", b"\r", b"\x00", b"\\u0000", b"\xff", b"\xed\xa0\x80", b"\\ud800", b"\\udfff", b"\\",
+    b'"', b",", b"\n", b"[", b"{", b"}", b"null",
+])
+
+
+@st.composite
+def _corpus_files(draw) -> tuple[str, bytes]:
+    """A corpus format and file bytes: rows of awkward text with a few splices and cuts, or any bytes at all."""
+    format = draw(st.sampled_from(["jsonl", "csv"]))
+    if draw(st.integers(0, 4)) == 0:
+        return format, draw(st.binary(max_size=300))
+    rows = [
+        jsonl_row(record_id, title="t" + draw(_AWKWARD_TEXT), tags=draw(st.lists(_OR_SURROGATE, max_size=2)),
+                  classes=draw(_AWKWARD_TEXT), date={**_DATE, "raw": draw(_OR_SURROGATE)})
+        for record_id in ("a", "b")
+    ]
+    # json.dumps writes a lone surrogate as the escape \\ud800.
+    if format == "jsonl":
+        text = "".join(json.dumps(row) + "\n" for row in rows)
+    else:
+        buffer = io.StringIO(newline="")
+        writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({key: value if isinstance(value, str) else json.dumps(value) for key, value in row.items()})
+        text = buffer.getvalue()
+    data = bytearray(text.encode("utf-8"))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        if draw(st.booleans()):
+            data[at:at] = draw(_SPLICES)
+        else:
+            del data[at:at + draw(st.integers(1, 12))]
+    return format, bytes(data)
+
+
 class TestUnreadableInputs:
     """Input files that cannot be read as intended end in `error [<module>]`, exit 1."""
 
@@ -728,6 +771,28 @@ class TestUnreadableInputs:
         args = ["--config", str(config), "fit", "--corpus", corpus_path, "--out", str(tmp_path / "o")] + FIT_FLAGS
         assert main(args) == 1
         assert capsys.readouterr().err.startswith(f"error [preprocess]: word list {words}: not UTF-8")
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(file=_corpus_files())
+    def test_any_corpus_bytes_load_or_fail_with_a_lextopic_error(self, tmp_path, capsys, file):
+        format, data = file
+        path = tmp_path / f"corpus.{format}"
+        path.write_bytes(data)
+        commands = [["ingest"]]
+        try:
+            corpus = load_corpus(path, format)
+        except LextopicError as exc:
+            event(f"{format}: {type(exc).__name__}")
+        else:
+            event(f"{format}: {len(corpus)} records")
+            save_corpus(corpus, tmp_path / f"saved.{format}", format)  # every record loaded can be written as UTF-8
+            commands.append(["fit", "--min-df", "1", "--max-df-ratio", "1", "--topics", "2", "--sweeps", "2",
+                             "--burn-in", "1"])
+        for command in commands:
+            shutil.rmtree(tmp_path / "o", ignore_errors=True)
+            capsys.readouterr()
+            code = main(command + ["--corpus", str(path), "--format", format, "--out", str(tmp_path / "o")])
+            assert code == 0 or code == 1 and capsys.readouterr().err.startswith("error [")
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(fields=st.fixed_dictionaries(

@@ -1,6 +1,8 @@
 """Record loading, validation, filtering, dates, and synthetic corpora."""
 
+import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from lextopic.errors import (
     EmptyContent,
     InvalidConfig,
     MalformedDate,
+    MalformedRow,
     MissingField,
     MissingYear,
     UnknownLawType,
@@ -99,6 +102,56 @@ class TestLoadCorpus:
         corpus = load_corpus(path, "jsonl")
         assert corpus.records[0].law_type is LawType.REGULATION
         assert corpus.records[0].category == "The Council of Ministers"
+
+    @pytest.mark.parametrize("name, value", [
+        ("tags", ["tag one", "\ud800"]),
+        ("classes", ["\udfff"]),
+        ("date", {"raw": "1400\ud800", "year": 1400, "month": 7, "day": 1}),
+    ], ids=["tags", "classes", "date"])
+    def test_csv_json_cell_escaping_a_lone_surrogate_names_row_and_field(self, tmp_path, name, value):
+        path = tmp_path / "c.csv"
+        _write_csv(path, [jsonl_row("r1"), jsonl_row("r2", **{name: value})])
+        with pytest.raises(MalformedRow, match=f"^row 2: malformed CSV: field {name} holds a lone surrogate$"):
+            load_corpus(path, "csv")
+
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    # 20,000 levels: past the recursion limit, inside csv.field_size_limit().
+    @pytest.mark.parametrize("name, cell, error", [
+        ("tags", "[" * 20_000, MissingField),
+        ("date", '{"a": ' * 20_000, MalformedDate),
+    ], ids=["tags", "date"])
+    def test_string_cell_nested_past_the_recursion_limit(self, tmp_path, format, name, cell, error):
+        path = tmp_path / f"c.{format}"
+        (write_jsonl if format == "jsonl" else _write_csv)(path, [jsonl_row("r1", **{name: cell})])
+        with pytest.raises(error) as excinfo:
+            load_corpus(path, format)
+        assert excinfo.value.row == 1
+
+    def test_streams_the_file_line_by_line(self, tmp_path):
+        # About 2 MB of Persian text. Decoded whole, the file alone would take
+        # about its own size above what the records keep.
+        content = " ".join(["قانون", "مالیات", "بودجه", "هیئت", "وزیران"] * 40)
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [jsonl_row(f"r{i}", content=f"{i} {content}") for i in range(800)])
+        size = path.stat().st_size
+        assert 1.8e6 < size < 2.4e6
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 800
+        assert peak - kept < 0.25 * size
+
+
+def _write_csv(path, rows):
+    """Rows as CSV, list and date values JSON-encoded with surrogates escaped."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({key: value if isinstance(value, str) else json.dumps(value) for key, value in row.items()})
 
 
 class TestRoundTrip:
@@ -200,6 +253,11 @@ class TestDateParsing:
     def test_dict_form(self):
         date = parse_record_date({"raw": "x", "year": 1399, "month": 12, "day": 30})
         assert date.gregorian_year == 2021
+
+    @pytest.mark.parametrize("parts", [{}, {"raw": None}])
+    def test_dict_form_without_raw_spells_the_date(self, parts):
+        date = parse_record_date({"year": "1399", "month": 7, "day": 1, **parts})
+        assert date.raw == "1399/07/01"
 
     @pytest.mark.parametrize("bad", ["", "6 July 1402", "1402/13/01", {"year": 1400}, 42])
     def test_malformed_inputs_raise(self, bad):

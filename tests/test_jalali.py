@@ -101,3 +101,24 @@ def test_month_length_boundaries_accepted():
     validate_jalali(1400, 6, 31)
     validate_jalali(1400, 7, 30)
     validate_jalali(1400, 12, 30)
+
+
+# Gregorian 1 January falls in Dey (month 10) from year 1 to 3000; months
+# 9-11 hold that boundary with a month to spare on each side. In the far
+# years the Gregorian year is no longer jy + 621 on 1 Farvardin.
+@pytest.mark.parametrize("years,months", [
+    (range(1, 3001), (9, 10, 11)),
+    (range(1350, 1451), range(1, 13)),
+    ((10**6, 2 * 10**6, 10**7), range(1, 13)),
+], ids=["months-9-11-of-years-1-3000", "years-1350-1450", "far-years"])
+def test_year_lookup_matches_full_conversion_on_every_day(years, months):
+    dates = [(year, month, day) for year in years for month in months
+             for day in range(1, (31 if month <= 6 else 30) + 1)]
+    mismatched = [date for date in dates if jalali_to_gregorian_year(*date) != jalali_to_gregorian(*date)[0]]
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("year,month,day", [(1400, 0, 1), (1400, 13, 1), (1400, 7, 31), (1400, 12, 31), (0, 1, 1)])
+def test_year_lookup_rejects_invalid_dates(year, month, day):
+    with pytest.raises(MalformedDate):
+        jalali_to_gregorian_year(year, month, day)
