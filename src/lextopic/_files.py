@@ -1,6 +1,7 @@
 """Artifact files that are replaced whole or not at all.
 
-Every CSV and JSON artifact is written by write_csv or write_json: CSV is
+Every CSV and JSON artifact is written by write_csv or write_json, except
+model.json, which lda.save_model writes through atomic_writer: CSV is
 comma-separated with CRLF line ends and floats (numpy's included) as
 Python's shortest repr; JSON is UTF-8 with non-ASCII text kept as is.
 """
@@ -57,8 +58,7 @@ def write_csv(path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def write_json(path, payload, indent: int | None = 2) -> None:
-    """Write payload as one atomic JSON file ending in a newline; indent=None is compact."""
+def write_json(path, payload) -> None:
+    """Write payload as one atomic JSON file, indented by 2 and ending in a newline."""
     with atomic_writer(path) as handle:
-        # json.dumps, not json.dump: only dumps uses the C encoder for compact output.
-        handle.write(json.dumps(payload, ensure_ascii=False, indent=indent) + "\n")
+        handle.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")

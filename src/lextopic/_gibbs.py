@@ -1,6 +1,7 @@
 """Build and load the compiled kernels in ``_gibbs.c``: the Gibbs sweep, the
-per-entry token probabilities of the log-likelihood, and the chunk scan and
-term count behind ``vectorize.count_corpus``.
+per-entry token probabilities of the log-likelihood, the chunk scan and
+term count behind ``vectorize.count_corpus``, and ``format_floats``, which
+writes ``model.json``'s tables as ``json.dumps`` would.
 
 The shared library is compiled on first use with the system C compiler
 into a per-user cache (``$XDG_CACHE_HOME/lextopic``, else
@@ -41,6 +42,26 @@ class Kernels(NamedTuple):
     scan_chunks: Callable
     token_counts: Callable
     term_entries: Callable
+    format_floats: Callable
+
+
+_POW5_BITS = 125
+
+
+def pow5_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Ryu's power-of-5 tables for ``format_floats``, computed with exact integers.
+
+    pow5_inv[q] is floor(2**(b - 1 + 125) / 5**q) + 1 for q < 342, and
+    pow5[i] is floor(5**i * 2**(125 - b)) for i < 326, b being the bit
+    length of the power of 5. Each row is a 125-bit number's (low, high)
+    64-bit words.
+    """
+    def words(numbers):
+        return np.array([(number & (2**64 - 1), number >> 64) for number in numbers], dtype=np.uint64)
+
+    inverse = (2 ** (_POW5_BITS - 1 + (5**q).bit_length()) // 5**q + 1 for q in range(342))
+    direct = ((5**i << _POW5_BITS) >> (5**i).bit_length() for i in range(326))
+    return words(inverse), words(direct)
 
 
 def find_compiler() -> str | None:
@@ -85,7 +106,10 @@ def load_sweep() -> Kernels | None:
     probability, bit for bit as ``lda._token_probs``. The sweep's term and
     topic indices must already be in range; ``token_probs`` checks its own.
     ``scan_chunks``, ``token_counts`` and ``term_entries`` are the corpus
-    count, documented on each and checked by each.
+    count, documented on each and checked by each. ``format_floats``
+    takes a C-contiguous 1-D or 2-D float64 array and returns
+    ``json.dumps(array.tolist())``, each finite value as Python's shortest
+    repr and the others as ``NaN``, ``Infinity`` and ``-Infinity``.
     The result is kept per cache directory and compiler, so each pair is
     built, loaded and warned about once per process.
     """
@@ -99,13 +123,14 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
     except subprocess.CalledProcessError as exc:
         logger.warning(
             "compiling the Gibbs sweep failed (exit status %s: %s); "
-            "using the Python sweep, log-likelihood and corpus count",
+            "using the Python sweep, log-likelihood, corpus count and float formatting",
             exc.returncode, exc.stderr.strip(),
         )
         return None
     except (OSError, RuntimeError) as exc:
         logger.warning(
-            "compiled Gibbs sweep unavailable (%s); using the Python sweep, log-likelihood and corpus count", exc
+            "compiled Gibbs sweep unavailable (%s); "
+            "using the Python sweep, log-likelihood, corpus count and float formatting", exc,
         )
         return None
     sweep_function = library.gibbs_sweep
@@ -123,6 +148,10 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
     entries_function = library.term_entries
     entries_function.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 8 + [ctypes.c_int64] + [ctypes.c_void_p] * 3
     entries_function.restype = ctypes.c_int64
+    format_function = library.format_floats
+    format_function.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
+    format_function.restype = ctypes.c_int64
+    pow5_inv, pow5 = pow5_tables()
 
     def sweep(doc_ptr, tokens, z, n_dk, n_kw, n_k, uniforms, alpha, beta) -> None:
         n_docs, n_topics = n_dk.shape
@@ -245,4 +274,16 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
             raise ValueError(f"expected {n_entries} entries, the records hold {'more' if written < 0 else written}")
         return docs, terms, values
 
-    return Kernels(sweep, token_probs, scan_chunks, token_counts, term_entries)
+    def format_floats(values) -> str:
+        """json.dumps(values.tolist()) of a C-contiguous 1-D or 2-D float64 array."""
+        if not (values.dtype == np.float64 and values.flags.c_contiguous and values.ndim in (1, 2)):
+            raise ValueError("format_floats takes a C-contiguous 1-D or 2-D float64 array")
+        n_rows, n_cols = values.shape if values.ndim == 2 else (1, values.size)
+        # At most 24 characters a value (-1.2345678901234567e-308) and ", "
+        # after it; "[", "]" and ", " a row; "[" and "]" around the rows.
+        out = np.empty(26 * values.size + 4 * n_rows + 2, dtype=np.uint8)
+        written = format_function(values.ctypes.data, n_rows, n_cols, values.ndim == 2,
+                                  pow5_inv.ctypes.data, pow5.ctypes.data, out.ctypes.data)
+        return str(out[:written], "ascii")  # decoded from the buffer, with no bytes copy between
+
+    return Kernels(sweep, token_probs, scan_chunks, token_counts, term_entries, format_floats)

@@ -6,6 +6,23 @@ attribute ``module``, so the CLI can report module-qualified failures.
 
 from __future__ import annotations
 
+_QUOTE_LIMIT = 80
+
+
+def _quoted(value: object) -> str:
+    """repr(value); past _QUOTE_LIMIT characters, only the first ones and the total length.
+
+    A string is cut by its own characters, any other value by its repr's.
+    """
+    if isinstance(value, str):
+        if len(value) <= _QUOTE_LIMIT:
+            return repr(value)
+        return f"{value[:_QUOTE_LIMIT]!r}... ({len(value)} characters)"
+    text = repr(value)
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
+
 
 class LextopicError(Exception):
     """Base class for all package errors."""
@@ -41,7 +58,7 @@ class UnknownLawType(CorpusError):
         self.value = value
         self.row = row
         where = f"row {row}: " if row is not None else ""
-        super().__init__(f"{where}unknown law type {value!r}")
+        super().__init__(f"{where}unknown law type {_quoted(value)}")
 
 
 class MalformedDate(CorpusError):
@@ -49,7 +66,7 @@ class MalformedDate(CorpusError):
         self.raw = raw
         self.row = row
         where = f"row {row}: " if row is not None else ""
-        super().__init__(f"{where}malformed date {raw!r}")
+        super().__init__(f"{where}malformed date {_quoted(raw)}")
 
 
 class MalformedRow(CorpusError):

@@ -7,19 +7,22 @@ lists is the reference it is tested against, and the fallback when no C
 compiler is available: both give the same assignments for the same seed.
 The log-likelihood trace and ``perplexity`` likewise use the compiled
 ``token_probs`` loop, with ``_token_probs`` as its numpy reference and
-fallback: both give the same bits.
+fallback: both give the same bits. ``save_model`` writes θ and φ with the
+compiled ``format_floats``, and with ``json.dumps`` where it falls back:
+both give the same bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 
 import numpy as np
 
-from ._files import read_json_object, write_json
+from ._files import atomic_writer, read_json_object
 from .errors import AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
 from .vectorize import DocTermMatrix, Vocabulary
 
@@ -569,10 +572,22 @@ def _vocab_hash(vocab: Vocabulary | None, n_terms: int) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _json_floats(array) -> str:
+    """json.dumps(array.tolist()) of a 1-D or 2-D float64 array, compiled where the kernels load."""
+    array = np.ascontiguousarray(array, dtype=np.float64)
+    kernels = _load_kernels()
+    return json.dumps(array.tolist()) if kernels is None else kernels.format_floats(array)
+
+
 def save_model(model: LdaModel, path) -> None:
-    """Versioned JSON dump; float repr round-trips, so reload is exact.
-    Written beside path and renamed over it: a failed save leaves the old file."""
-    payload = {
+    """Versioned compact JSON, UTF-8, ending in a newline; float repr round-trips, so reload is exact.
+
+    The text is json.dumps of the payload, with doc_topic and topic_word
+    written by _json_floats instead of from Python lists. It is built
+    whole before the file is opened, then written beside path and renamed
+    over it: a failed save leaves the old file.
+    """
+    head = json.dumps({
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "config": asdict(model.config),
@@ -581,11 +596,16 @@ def save_model(model: LdaModel, path) -> None:
         if model.vocab is None
         else {"terms": model.vocab.terms, "df": model.vocab.df},
         "doc_ids": model.doc_ids,
-        "doc_topic": np.asarray(model.doc_topic, dtype=np.float64).tolist(),
-        "topic_word": np.asarray(model.topic_word, dtype=np.float64).tolist(),
-        "log_likelihood": np.asarray(model.log_likelihood, dtype=np.float64).tolist(),
-    }
-    write_json(path, payload, indent=None)
+    }, ensure_ascii=False)
+    text = [
+        head[:-1],  # without its closing brace
+        ', "doc_topic": ', _json_floats(model.doc_topic),
+        ', "topic_word": ', _json_floats(model.topic_word),
+        ', "log_likelihood": ', json.dumps(np.asarray(model.log_likelihood, dtype=np.float64).tolist()),
+        "}\n",
+    ]
+    with atomic_writer(path) as handle:
+        handle.writelines(text)
 
 
 def load_model(path) -> LdaModel:

@@ -5,10 +5,13 @@ ends for CSV, floats as Python's shortest repr (100/3 is 33.333333333333336)
 and UTF-8 JSON with non-ASCII text kept as is.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import jsonl_row, make_record, write_jsonl
+from lextopic import _gibbs
 from lextopic import lda as lda_mod
 from lextopic.analyze import (
     label_topics,
@@ -212,6 +215,28 @@ def test_sweep(fit_corpus, monkeypatch):
         b"n_topics,mean_coherence,perplexity\r\n2,-1.6666666666666667,33.333333333333336\r\n"
         b"3,-1.6666666666666667,33.333333333333336\r\n"
     )
+
+
+# Written by json.dumps before format_floats existed: the whole file, whichever path writes it.
+MODEL_SHA256 = "c484ad6c5db0bc8b5f6fce0e85f19d0ec498913f5adbc794c769e37314e53b1c"
+
+
+@pytest.mark.parametrize("kernels", ["compiled", "fallback"])
+def test_model(tmp_path, monkeypatch, kernels):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LEXTOPIC_CONFIG", raising=False)
+    if kernels == "fallback":
+        monkeypatch.setattr(_gibbs, "load_sweep", lambda: None)
+    words = ["budget", "finance", "tax", "court", "judge", "قانون", "law", "appeal"]
+    write_jsonl(tmp_path / "corpus.jsonl", [
+        jsonl_row(f"r{i}", content=" ".join(words[i * j % 8] for j in range(1, 9))) for i in range(6)
+    ])
+    # beta 1e-6 puts φ values below 1e-4, where repr switches to the exponent form.
+    assert main(["fit", "--corpus", "corpus.jsonl", "--out", "out", "--topics", "3", "--sweeps", "4",
+                 "--burn-in", "1", "--seed", "7", "--beta", "1e-6", "--min-df", "1", "--max-df-ratio", "1"]) == 0
+    text = _bytes("out/model.json")
+    assert b"e-08, " in text and text.endswith(b"]}\n")
+    assert hashlib.sha256(text).hexdigest() == MODEL_SHA256
 
 
 def test_triplets_and_vocabulary(tmp_path):

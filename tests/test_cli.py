@@ -349,6 +349,18 @@ class TestErrors:
         assert main(args) == 1
         assert "error [corpus]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, message", [
+        ("date", "malformed date 'xxx"),
+        ("law_type", "unknown law type 'xxx"),
+    ])
+    def test_a_long_bad_value_is_quoted_in_part(self, tmp_path, capsys, field, message):
+        path = tmp_path / "long.jsonl"
+        write_jsonl(path, [jsonl_row("r1", **{field: "x" * 100_000})])
+        assert main(["ingest", "--corpus", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error [corpus]: row 1: {message}{'x' * 77}'... (100000 characters)\n"
+        )
+
     def test_unfitted_analyze_fails_cleanly(self, corpus_path, tmp_path, capsys):
         args = ["analyze", "--corpus", corpus_path, "--out", str(tmp_path / "empty")]
         assert main(args) == 1

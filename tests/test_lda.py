@@ -727,6 +727,67 @@ class TestTokenProbabilities:
         assert perplexity(model, matrix) == compiled
 
 
+def _float_from_bits(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def _neighbours(value: float) -> list[float]:
+    return [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 0.1, -0.1, 1 / 3, 2 / 3, 1.0, -1.0, 0.5, 1.5, 123456789.125,
+    math.nan, -math.nan, math.inf, -math.inf, _float_from_bits(0x7FF8000000000001),
+    5e-324, -5e-324, 1e-323, 2.2250738585072009e-308, 2.225073858507201e-308,  # subnormals
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,  # smallest and largest normals
+    1.2345678901234567e-308, 9007199254740991.0, 9007199254740992.0, 9007199254740994.0,
+    *(float(n) for n in (2, 7, 10, 99, 100, 1001, 65536, 999999999999999, 10**15 + 1)),
+    *_neighbours(1e-4), *_neighbours(1e-5), *_neighbours(1e16), *_neighbours(1e17),
+    9.9999e-05, 0.00010000000000001, 9999999999999998.0, 1e16 + 2.0, 1.2345e16, 99999999999999990.0,
+]
+
+
+class TestFormatFloats:
+    """The compiled format_floats writes exactly what json.dumps(array.tolist()) writes."""
+
+    def test_edge_values(self, compiled_kernels):
+        values = np.array(EDGE_FLOATS)
+        assert compiled_kernels.format_floats(values) == json.dumps(values.tolist())
+        switches = np.array([[-0.0, 0.0001, 1e-05, 1e15, 1e16], [5e-324, 1.5e300, math.nan, math.inf, -math.inf]])
+        assert compiled_kernels.format_floats(switches) == (
+            "[[-0.0, 0.0001, 1e-05, 1000000000000000.0, 1e+16], [5e-324, 1.5e+300, NaN, Infinity, -Infinity]]"
+        )
+
+    @pytest.mark.parametrize("powers", [
+        [2.0**exponent for exponent in range(-1074, 1024)],
+        [float(f"1e{exponent}") for exponent in range(-323, 309)],
+        [float(f"{digit}e{exponent}") for digit in (1, 5, 9) for exponent in range(-20, 23)],
+        [float(2**bits - 1) for bits in range(1, 54)],
+    ], ids=["powers of 2", "powers of 10", "round decimals", "integers to 2**53"])
+    def test_powers_and_integers(self, compiled_kernels, powers):
+        values = np.array(powers + [-value for value in powers])
+        assert compiled_kernels.format_floats(values) == json.dumps(values.tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_json_dumps(self, compiled_kernels, data):
+        n_rows = data.draw(st.integers(0, 4), label="n_rows")
+        n_cols = data.draw(st.integers(0, 6), label="n_cols")
+        elements = st.floats() | st.integers(0, 2**64 - 1).map(_float_from_bits)
+        values = data.draw(st.lists(elements, min_size=n_rows * n_cols, max_size=n_rows * n_cols), label="values")
+        table = np.array(values, dtype=np.float64).reshape(n_rows, n_cols)
+        assert compiled_kernels.format_floats(table) == json.dumps(table.tolist())
+        row = table.ravel()
+        assert compiled_kernels.format_floats(row) == json.dumps(row.tolist())
+
+    @pytest.mark.parametrize("values", [
+        np.zeros((2, 2, 2)), np.float64(1.0), np.zeros(3, dtype=np.float32), np.zeros((3, 2))[:, 0],
+    ], ids=["3-D", "0-D", "float32", "strided"])
+    def test_rejects_other_arrays(self, compiled_kernels, values):
+        with pytest.raises(ValueError):
+            compiled_kernels.format_floats(values)
+
+
 class TestSweepFallback:
     @pytest.mark.parametrize("compiler", [None, shutil.which("false")], ids=["no-compiler", "compile-fails"])
     def test_python_sweep_gives_the_same_model(self, monkeypatch, tmp_path, caplog, compiler):
