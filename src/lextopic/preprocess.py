@@ -3,6 +3,11 @@
 Five stages in fixed order: normalize, remove punctuation, tokenize,
 remove stopwords, lemmatize. Each stage is idempotent on its own output,
 so the composed pipeline is stable under re-runs.
+
+preprocess_document runs the stages over one record and is the reference.
+preprocess_corpus, and vectorize.count_corpus, give the same tokens by
+preprocessing each distinct whitespace chunk of the corpus once, every
+chunk in the same few whole-array steps (_preprocess_chunks).
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from functools import lru_cache
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from types import MappingProxyType
+
+import numpy as np
 
 from .corpus import Corpus, LawRecord
 from .errors import EmptyDocument, InvalidConfig, MissingYear, UndecodableWordList
@@ -110,32 +116,22 @@ class Document:
     gregorian_year: int
 
 
-def _ready_table(mapping) -> bool:
-    return isinstance(mapping, MappingProxyType) and isinstance(next(iter(mapping), 0), int)
-
-
 def normalize(text: str, normalize_chars: dict[str, str] | None = None) -> str:
     """Fold character variants, lowercase, and collapse whitespace runs.
 
     Lowercasing keeps Latin-alphabet material (loanwords, test fixtures)
     on one casing; Persian script has no case so it is a no-op there.
-    normalize_chars is a str.maketrans mapping; a MappingProxyType with
-    ordinal keys is taken as a ready str.translate table.
+    normalize_chars is a str.maketrans mapping.
     """
-    if normalize_chars is None:
-        normalize_chars = _DEFAULT_TABLE
-    elif not _ready_table(normalize_chars):
-        normalize_chars = str.maketrans(dict(normalize_chars))
-    return " ".join(text.translate(normalize_chars).lower().split())
+    table = _DEFAULT_TABLE if normalize_chars is None else str.maketrans(dict(normalize_chars))
+    return " ".join(text.translate(table).lower().split())
 
 
 def remove_punctuation(text: str, punctuation_set=None) -> str:
-    """Replace each mark with a space; see normalize for ready tables."""
+    """Replace each mark with a space."""
     if punctuation_set is None:
-        punctuation_set = _DEFAULT_PUNCTUATION_TABLE
-    elif not _ready_table(punctuation_set):
-        punctuation_set = {ord(mark): " " for mark in punctuation_set}
-    return text.translate(punctuation_set)
+        return text.translate(_DEFAULT_PUNCTUATION_TABLE)
+    return text.translate({ord(mark): " " for mark in punctuation_set})
 
 
 def tokenize(text: str, min_token_length: int = 1) -> list[str]:
@@ -233,63 +229,130 @@ def preprocess_document(record: LawRecord, config: PreprocessConfig | None = Non
     return Document(record.id, tokens, record.date.gregorian_year)
 
 
-class _Preprocessor(dict):
-    """preprocess_document for one pass over many records.
+# Codes past the last code point, so that no image holds them.
+_SEPARATOR, _PAD = 0x110000, 0x110001
 
-    Every stage works within a whitespace chunk, so a record's tokens are
-    its chunks' tokens in order; each distinct chunk runs through the
-    stages once. Equal token tuples are stored once, so later dict lookups
-    match equal tokens by identity. A normalize map with a whitespace key
-    could join two chunks into one token, so it is rejected.
+
+def _utf32(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def _image(text: str, normalize_table, punctuation_table) -> str:
+    """text translated, lowercased and punctuation-spaced, each whitespace character as " "."""
+    image = text.translate(normalize_table).lower().translate(punctuation_table)
+    return "".join(" " if char.isspace() else char for char in image)
+
+
+def _preprocess_chunks(chunk_text: str, config: PreprocessConfig | None) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Every chunk of chunk_text through the pipeline, in a few whole-array steps.
+
+    chunk_text holds distinct chunks free of whitespace, each followed by
+    one space. Returns (terms, chunk_ptr, chunk_tokens): the final tokens
+    in order of first appearance, and the ids into terms of chunk c's
+    tokens, chunk_tokens[chunk_ptr[c]:chunk_ptr[c + 1]].
+
+    A chunk's text after normalize and remove_punctuation, up to the
+    split, is the concatenation of its characters' images. A character's
+    image is the character translated by the normalize table, lowercased,
+    and turned into a space if it is a punctuation mark; it may be empty,
+    longer than one character (İ) or hold whitespace, which only separates
+    tokens and so becomes " ". Each distinct code point's image is computed
+    once, and numpy gathers the images for every position and splits the
+    result once. Lone surrogates pass through, as they do in str methods.
+    CPython lowers each character on its own except the capital sigma,
+    which becomes a final sigma at the end of a word and σ elsewhere. So a
+    chunk whose translated text holds Σ takes its image from the whole
+    chunk. The stopword, length and lemma rules then run once per distinct
+    raw token.
     """
+    config = default_config() if config is None else config
+    normalize_table = str.maketrans(dict(config.normalize_chars))
+    punctuation_table = {ord(mark): " " for mark in config.punctuation_set}
+    joining = next((chr(code) for code in normalize_table if chr(code).isspace()), None)
+    if joining is not None:
+        # It could join two chunks into one token, which preprocess_document would then see.
+        raise InvalidConfig(f"normalize_chars must have no whitespace key, got {joining!r}")
 
-    def __init__(self, config: PreprocessConfig | None):
-        super().__init__()
-        self.config = config = default_config() if config is None else config
-        self.shared: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self.normalize_table = MappingProxyType(str.maketrans(dict(config.normalize_chars)))
-        self.punctuation_table = MappingProxyType({ord(mark): " " for mark in config.punctuation_set})
-        joining = next((chr(code) for code in self.normalize_table if chr(code).isspace()), None)
-        if joining is not None:
-            raise InvalidConfig(f"normalize_chars must have no whitespace key, got {joining!r}")
+    codes = _utf32(chunk_text)
+    row_of = np.zeros(int(codes.max(initial=0)) + 1, dtype=np.intp)
+    row_of[codes] = 1
+    distinct = np.flatnonzero(row_of)
+    row_of[distinct] = np.arange(distinct.size)
+    rows = row_of[codes]
+    del row_of
 
-    def __missing__(self, chunk: str) -> tuple[str, ...]:
-        config = self.config
-        text = normalize(chunk, self.normalize_table)
-        text = remove_punctuation(text, self.punctuation_table)
-        tokens = tokenize(text, config.min_token_length)
-        tokens = remove_stopwords(tokens, config.stopword_list)
-        tokens = lemmatize(tokens, config.lemma_rules)
-        tokens = tuple(
-            token
-            for token in tokens
-            if len(token) >= config.min_token_length and token not in config.stopword_list
-        )
-        self[chunk] = tokens = self.shared.setdefault(tokens, tokens)
-        return tokens
+    chars = [chr(code) for code in distinct.tolist()]
+    images = [_image(char, normalize_table, punctuation_table) for char in chars]
+    # One row of code points per distinct character, padded to the longest image.
+    table = np.full((len(images), max([1, *map(len, images)])), _PAD, dtype=np.uint32)
+    for row, image in enumerate(images):
+        table[row, : len(image)] = _utf32(image)
+    table[distinct == ord(" "), 0] = _SEPARATOR  # every space of chunk_text ends a chunk
+    out = table[rows].ravel()
+    out = out[out != _PAD]
+    separator_out = np.flatnonzero(out == _SEPARATOR)
+    out[separator_out] = ord(" ")
 
-    def __call__(self, record: LawRecord) -> Document:
-        if record.date is None:
-            raise MissingYear(record.id)
-        chunks = f"{record.title} {record.content}".split()
-        tokens = list(chain.from_iterable(map(self.__getitem__, chunks)))
-        if not tokens:
-            raise EmptyDocument(record.id)
-        return Document(record.id, tokens, record.date.gregorian_year)
+    sigma = np.array(["\u03a3" in char.translate(normalize_table) for char in chars], dtype=bool)
+    separators = np.flatnonzero(codes == ord(" "))
+    for chunk in dict.fromkeys(np.searchsorted(separators, np.flatnonzero(sigma[rows])).tolist()):
+        start = separators[chunk - 1] + 1 if chunk else 0
+        out_start = separator_out[chunk - 1] + 1 if chunk else 0
+        image = _image(chunk_text[start : separators[chunk]], normalize_table, punctuation_table)
+        out[out_start : separator_out[chunk]] = _utf32(image)
+    del codes, rows
+
+    spaces = out == ord(" ")
+    token_starts = np.flatnonzero(~spaces & np.concatenate(([True], spaces[:-1])))
+    raw_ptr = np.concatenate(([0], np.searchsorted(token_starts, separator_out)))
+    raw_tokens = out.tobytes().decode("utf-32-le", "surrogatepass").split()
+    del out, spaces, token_starts
+
+    stopwords, floor, rules = config.stopword_list, config.min_token_length, config.lemma_rules
+    suffixes = tuple(suffix for suffix, _ in rules.suffix_rules)
+    raw_ids = dict.fromkeys(raw_tokens)  # in order of first appearance
+    raw_terms = [-1] * len(raw_ids)
+    term_ids: dict[str, int] = {}  # in order of first appearance
+    for raw_id, token in enumerate(raw_ids):
+        raw_ids[token] = raw_id
+        if len(token) >= floor and token not in stopwords:
+            # apply returns a token that no exception names and no suffix ends as it is.
+            lemma = rules.apply(token) if token in rules.exceptions or token.endswith(suffixes) else token
+            if len(lemma) >= floor and lemma not in stopwords:
+                raw_terms[raw_id] = term_ids.setdefault(lemma, len(term_ids))
+    token_terms = np.array(raw_terms, dtype=np.int64)[
+        np.fromiter(map(raw_ids.__getitem__, raw_tokens), dtype=np.int64, count=len(raw_tokens))
+    ]
+    kept = token_terms >= 0
+    kept_before = np.concatenate(([0], np.cumsum(kept)))
+    return list(term_ids), kept_before[raw_ptr], token_terms[kept]
 
 
 def preprocess_corpus(
     corpus: Corpus, config: PreprocessConfig | None = None, on_empty: str = "error"
 ) -> list[Document]:
-    """Preprocess every record; on_empty is "error" (raise) or "drop"."""
+    """Preprocess every record; on_empty is "error" (raise) or "drop".
+
+    Equal to preprocess_document on each record, errors included. Every
+    stage works within a whitespace chunk, so a record's tokens are its
+    chunks' tokens in order, and each distinct chunk is preprocessed once.
+    """
     if on_empty not in ("error", "drop"):
         raise ValueError(f"on_empty must be 'error' or 'drop', got {on_empty!r}")
-    preprocess = _Preprocessor(config)
+    records = corpus.records
+    texts = (f"{record.title} {record.content}" for record in records)
+    chunks = list(dict.fromkeys(chain.from_iterable(map(str.split, texts))))
+    terms, chunk_ptr, chunk_tokens = _preprocess_chunks("".join(chunk + " " for chunk in chunks), config)
+    words, bounds = [terms[token] for token in chunk_tokens.tolist()], chunk_ptr.tolist()
+    chunk_words = {chunk: words[start:stop] for chunk, start, stop in zip(chunks, bounds, bounds[1:])}
     documents = []
-    for record in corpus.records:
-        try:
-            documents.append(preprocess(record))
-        except EmptyDocument:
-            if on_empty == "error":
-                raise
+    for record in records:
+        if record.date is None:
+            raise MissingYear(record.id)
+        record_chunks = f"{record.title} {record.content}".split()
+        tokens = list(chain.from_iterable(map(chunk_words.__getitem__, record_chunks)))
+        if tokens:
+            documents.append(Document(record.id, tokens, record.date.gregorian_year))
+        elif on_empty == "error":
+            raise EmptyDocument(record.id)
     return documents

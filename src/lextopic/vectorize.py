@@ -169,18 +169,18 @@ def count_corpus(
 
     The result equals those three calls, errors included. With the compiled
     kernels it never builds a per-record token list: the records' UTF-8
-    bytes are split into whitespace chunks in C, each distinct chunk is
-    decoded and preprocessed once, and C counts every record's terms from
-    the chunks' token ids. Without a compiler it makes the three calls.
+    bytes are split into whitespace chunks in C, the distinct chunks are
+    decoded and preprocessed together, each once, as preprocess_corpus
+    does, and C counts every record's terms from the chunks' token ids.
+    Without a compiler it makes the three calls.
     """
     if on_empty not in ("error", "drop"):
         raise ValueError(f"on_empty must be 'error' or 'drop', got {on_empty!r}")
-    preprocess = preprocess_mod._Preprocessor(config)
     from . import _gibbs  # not at import time: ingest and analyze never need a compiler
 
     kernels = _gibbs.load_sweep()
     if kernels is None:
-        documents = preprocess_mod.preprocess_corpus(corpus, preprocess.config, on_empty)
+        documents = preprocess_mod.preprocess_corpus(corpus, config, on_empty)
         vocab = build_vocabulary(documents, min_df, max_df_ratio)
         return vocab, count_matrix(documents, vocab)
 
@@ -192,18 +192,12 @@ def count_corpus(
         record_ptr[position] = len(text)
     occurrences, record_chunks, chunk_bytes = kernels.scan_chunks(text, record_ptr)
     del text
-    # Each distinct chunk through the stages once. A chunk holds no whitespace, so split() recovers them.
-    token_lists = list(map(preprocess.__getitem__, chunk_bytes.decode("utf-8", "surrogatepass").split()))
-    del chunk_bytes, preprocess
-    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
-    chunk_ptr = np.concatenate(([0], np.cumsum(lengths)))
-    token_ids: dict[str, int] = {}  # in order of first appearance
-    chunk_tokens = np.fromiter(
-        [token_ids.setdefault(token, len(token_ids)) for token in chain.from_iterable(token_lists)],
-        dtype=np.int64, count=int(chunk_ptr[-1]),
+    terms, chunk_ptr, chunk_tokens = preprocess_mod._preprocess_chunks(
+        chunk_bytes.decode("utf-8", "surrogatepass"), config
     )
+    del chunk_bytes
     chunks = (record_chunks, occurrences, chunk_ptr, chunk_tokens)
-    totals, df = kernels.token_counts(*chunks, len(token_ids))
+    totals, df = kernels.token_counts(*chunks, len(terms))
 
     kept = totals > 0
     for record, has_tokens in zip(records, kept.tolist()):
@@ -212,9 +206,8 @@ def count_corpus(
         if not has_tokens and on_empty == "error":
             raise EmptyDocument(record.id)
     n_docs = int(kept.sum())
-    vocab = _select_vocabulary(zip(token_ids, df.tolist()), n_docs, min_df, max_df_ratio)
-    token_term = np.full(len(token_ids), -1, dtype=np.int64)
-    token_term[[token_ids[term] for term in vocab.terms]] = np.arange(len(vocab))
+    vocab = _select_vocabulary(zip(terms, df.tolist()), n_docs, min_df, max_df_ratio)
+    token_term = np.fromiter(map(vocab.index.get, terms, repeat(-1)), dtype=np.int64, count=len(terms))
     record_doc = np.where(kept, np.cumsum(kept) - 1, -1)
     entries = kernels.term_entries(*chunks, token_term, record_doc, len(vocab), sum(vocab.df))
     doc_ids = [record.id for record, has_tokens in zip(records, kept.tolist()) if has_tokens]

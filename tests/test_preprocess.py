@@ -1,9 +1,11 @@
 """Cleaning pipeline stages and their composition."""
 
+from itertools import chain
 from types import MappingProxyType
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
@@ -13,6 +15,7 @@ from lextopic.preprocess import (
     DEFAULT_PUNCTUATION,
     LemmaRules,
     PreprocessConfig,
+    _preprocess_chunks,
     default_config,
     lemmatize,
     load_lemma_rules,
@@ -264,6 +267,16 @@ WHITESPACE = "\t\n \xa0\x1c\x85\u3000"
 MEMO_ALPHABET = WHITESPACE + "\u200cـيك۱۴٤.،«»(Σσİiabقانونها"
 
 
+def _small_config(normalize_chars=None, punctuation="", min_token_length=1):
+    return PreprocessConfig(
+        stopword_list={"ab", "قانون", "σ"},
+        punctuation_set=DEFAULT_PUNCTUATION | frozenset(punctuation),
+        lemma_rules=LemmaRules(exceptions={"ها": "ab"}, suffix_rules=[("ها", ""), ("b", "")]),
+        min_token_length=min_token_length,
+        normalize_chars={**DEFAULT_NORMALIZE_CHARS, **(normalize_chars or {})},
+    )
+
+
 @st.composite
 def memo_configs(draw):
     """The default config, or one with a small lexicon, a length floor of
@@ -273,12 +286,7 @@ def memo_configs(draw):
     extra = st.dictionaries(
         st.sampled_from("a-Σ"), st.sampled_from(["", " ", "\n", "b", "Σ"]), max_size=3
     )
-    return PreprocessConfig(
-        stopword_list={"ab", "قانون", "σ"},
-        lemma_rules=LemmaRules(exceptions={"ها": "ab"}, suffix_rules=[("ها", ""), ("b", "")]),
-        min_token_length=draw(st.integers(1, 3)),
-        normalize_chars={**DEFAULT_NORMALIZE_CHARS, **draw(extra)},
-    )
+    return _small_config(draw(extra), min_token_length=draw(st.integers(1, 3)))
 
 
 class TestChunkMemo:
@@ -315,6 +323,54 @@ class TestChunkMemo:
             config = PreprocessConfig(normalize_chars={**DEFAULT_NORMALIZE_CHARS, key: ""})
             with pytest.raises(InvalidConfig, match="normalize_chars"):
                 preprocess_corpus(corpus, config)
+
+
+def _chunk_by_chunk(chunks, config):
+    """Each chunk's tokens from the public stages, one chunk at a time."""
+    result = []
+    for chunk in chunks:
+        text = remove_punctuation(normalize(chunk, config.normalize_chars), config.punctuation_set)
+        tokens = remove_stopwords(tokenize(text, config.min_token_length), config.stopword_list)
+        tokens = lemmatize(tokens, config.lemma_rules)
+        result.append([token for token in tokens
+                       if len(token) >= config.min_token_length and token not in config.stopword_list])
+    return result
+
+
+class TestPreprocessChunks:
+    """_preprocess_chunks equals the public stages run on each chunk alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(MEMO_ALPHABET.translate({ord(space): None for space in WHITESPACE}),
+                            min_size=1, max_size=12), max_size=8),
+           memo_configs())
+    # Σ lowers to ς at the end of a word and to σ elsewhere.
+    @example(["ΑΣ", "ΑΣΑ", "aΣ.", "Σ", "ΣΑ", "Α.Σ"], default_config())
+    @example(["Aa", "aA", "a", "ΑΣ"], _small_config({"a": "Σ"}))
+    @example(["ab", "xa", "a"], _small_config({"a": "bΣ"}))
+    # İ lowers to two characters.
+    @example(["İ", "Kİ", "İİ"], default_config())
+    # Images that are empty, longer than one character, or whitespace.
+    @example(["\u0640\u200c", "a\u0640b", "xay", "bxb", "ab\u200cها"],
+             _small_config({"x": "bcd", "a": " ", "b": "\n"}))
+    @example(["xay", "a", "ya."], _small_config({"a": "\n", "x": "\u3000"}, punctuation="\n\u3000"))
+    @example(["\ud800x", "x\ud800", "\udfff"], default_config())
+    # Chunks that lose every token.
+    @example(["،.", "ab", "(«»)", "ها"], _small_config())
+    def test_equals_the_stages_chunk_by_chunk(self, chunks, config):
+        chunks = list(dict.fromkeys(chunks))
+        terms, chunk_ptr, chunk_tokens = _preprocess_chunks("".join(chunk + " " for chunk in chunks), config)
+        assert chunk_ptr.dtype == chunk_tokens.dtype == np.int64
+        bounds = chunk_ptr.tolist()
+        got = [[terms[token] for token in chunk_tokens[start:stop].tolist()]
+               for start, stop in zip(bounds, bounds[1:])]
+        expected = _chunk_by_chunk(chunks, config)
+        assert got == expected
+        assert terms == list(dict.fromkeys(chain.from_iterable(expected)))
+
+    def test_no_chunks(self):
+        terms, chunk_ptr, chunk_tokens = _preprocess_chunks("", default_config())
+        assert (terms, chunk_ptr.tolist(), chunk_tokens.tolist()) == ([], [0], [])
 
 
 class TestDataFiles:

@@ -1,11 +1,13 @@
 """Vocabulary, count matrix, and TF-IDF weighting."""
 
 import csv
+import importlib.util
 import logging
 import math
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,12 @@ from hypothesis import strategies as st
 
 from conftest import make_record
 from lextopic import _gibbs
-from lextopic.corpus import Corpus, LawType
+from lextopic.corpus import Corpus, LawType, load_corpus
 from lextopic.errors import AllZero, EmptyDocument, EmptyVocabulary, InvalidConfig, MissingYear, NoDocuments
-from lextopic.preprocess import DEFAULT_NORMALIZE_CHARS, Document, LemmaRules, PreprocessConfig, preprocess_corpus
+from lextopic.preprocess import (
+    DEFAULT_NORMALIZE_CHARS, Document, LemmaRules, PreprocessConfig, default_config, preprocess_corpus,
+    preprocess_document,
+)
 from lextopic.vectorize import (
     DocTermMatrix,
     Vocabulary,
@@ -413,14 +418,22 @@ def _outcome(call):
 
 
 def _reference(corpus, config, min_df, max_df_ratio, on_empty):
+    """preprocess_document on each record in order, then build_vocabulary and count_matrix."""
     def call():
-        documents = preprocess_corpus(corpus, config, on_empty)
+        documents = []
+        for record in corpus.records:
+            try:
+                documents.append(preprocess_document(record, config))
+            except EmptyDocument:
+                if on_empty == "error":
+                    raise
         vocab = build_vocabulary(documents, min_df, max_df_ratio)
         return vocab, count_matrix(documents, vocab)
 
     return _outcome(call)
 
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 WORDS = ["law", "laws", "the", "tax", "taxes", "a", "ab", "کتاب", "کتاب‌ها", "كتابها", "و", "قانون", "x.y",
          "۱۲۳", "؟", "\ud800x", "ok\x00"]
 SEPARATORS = [" ", "  ", "\t", "\n", "\u3000", "\u00a0", "\u200b"]
@@ -499,6 +512,22 @@ class TestCountCorpus:
     def test_bad_on_empty(self):
         with pytest.raises(ValueError, match="on_empty"):
             count_corpus(self._corpus(), on_empty="keep")
+
+    def test_a_generated_persian_corpus_equals_the_reference(self, tmp_path, monkeypatch):
+        # The benchmark's generator: Arabic spellings, tatweel, half-spaces,
+        # fused suffixes, broken plurals, both digit sets and Persian punctuation.
+        spec = importlib.util.spec_from_file_location("bench_persian", BENCH / "persian.py")
+        persian = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, persian)  # its dataclasses look their module up
+        spec.loader.exec_module(persian)
+        size = persian.PersianSize(n_records=300, n_regulation=200, n_topics=6, stems_per_topic=60)
+        persian.write_jsonl(persian.generate(7, size).records, tmp_path / "corpus.jsonl")
+        corpus = load_corpus(tmp_path / "corpus.jsonl")
+        config = default_config()
+        expected = _reference(corpus, config, 2, 0.95, "drop")
+        assert expected[3] == 300 and len(expected[0]) > 300
+        assert _outcome(lambda: count_corpus(corpus, config, 2, 0.95, "drop")) == expected
+        assert preprocess_corpus(corpus, config) == [preprocess_document(record, config) for record in corpus.records]
 
 
 class TestDropEmptyRows:
