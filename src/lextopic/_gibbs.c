@@ -1,7 +1,8 @@
 /* One collapsed Gibbs sweep over CSR token arrays, the per-entry token
  * probabilities behind fit's log-likelihood trace and perplexity, the
  * chunk scan and term count that turn a corpus into a count matrix, and
- * the float formatter that writes model.json's tables.
+ * the float formatter and table parser that write and read model.json's
+ * tables.
  *
  * Same arithmetic in the same order as lextopic.lda.gibbs_sweep, so a
  * build with -ffp-contract=off gives bit-identical draws: the weight
@@ -10,6 +11,9 @@
  * n_dk is n_docs x n_topics, n_kw is n_topics x n_terms. weights is
  * scratch space of n_topics doubles. Indices are checked by the caller.
  */
+#define _GNU_SOURCE  /* strtod_l and newlocale */
+#include <locale.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -233,48 +237,51 @@ void token_counts(int64_t n_records, const int64_t *record_chunks, const int64_t
     }
 }
 
-static int compare_int64(const void *left, const void *right)
-{
-    const int64_t a = *(const int64_t *)left, b = *(const int64_t *)right;
-    return (a > b) - (a < b);
-}
-
 /* Pass 2 of the term count: the (doc, term, count) entries in (doc, term)
  * order. token_term maps a token id to its term index, or -1 for a token
  * outside the vocabulary; record_doc maps a record to its row, or -1 for
- * a record that has no row. counts (zeroed) and seen are scratch of
- * n_terms int64 each. docs, terms and values hold capacity entries.
- * Returns the number of entries written, or -1 if they do not fit.
+ * a record that has no row. counts (zeroed) is scratch of n_terms int64;
+ * seen (zeroed) is a bitmap of ceil(n_terms / 64) words, in which each
+ * record marks its terms, so that they come out in term order without a
+ * sort. Both are left zeroed. docs, terms and values hold capacity
+ * entries. Returns the number of entries written, or -1 if they do not fit.
  */
 int64_t term_entries(int64_t n_records, const int64_t *record_chunks, const int64_t *occurrences,
                      const int64_t *chunk_ptr, const int64_t *chunk_tokens,
                      const int64_t *token_term, const int64_t *record_doc,
-                     int64_t *counts, int64_t *seen, int64_t capacity,
+                     int64_t *counts, uint64_t *seen, int64_t capacity,
                      int64_t *docs, int64_t *terms, int64_t *values)
 {
     const int64_t *occurrence = occurrences;
     int64_t n_entries = 0;
     for (int64_t r = 0; r < n_records; r++) {
-        int64_t n_seen = 0;
+        int64_t low = INT64_MAX, high = -1;  /* the words this record marks */
         for (int64_t i = 0; i < record_chunks[r]; i++) {
             const int64_t chunk = *occurrence++;
             for (int64_t j = chunk_ptr[chunk]; j < chunk_ptr[chunk + 1]; j++) {
                 const int64_t term = token_term[chunk_tokens[j]];
-                if (term >= 0 && counts[term]++ == 0)
-                    seen[n_seen++] = term;
+                if (term >= 0 && counts[term]++ == 0) {
+                    const int64_t word = term >> 6;
+                    seen[word] |= 1ULL << (term & 63);
+                    low = word < low ? word : low;
+                    high = word > high ? word : high;
+                }
             }
         }
-        qsort(seen, (size_t)n_seen, sizeof *seen, compare_int64);
-        for (int64_t i = 0; i < n_seen; i++) {
-            if (record_doc[r] >= 0) {
-                if (n_entries == capacity)
-                    return -1;
-                docs[n_entries] = record_doc[r];
-                terms[n_entries] = seen[i];
-                values[n_entries] = counts[seen[i]];
-                n_entries++;
+        for (int64_t word = low; word <= high; word++) {
+            for (uint64_t bits = seen[word]; bits; bits &= bits - 1) {
+                const int64_t term = 64 * word + __builtin_ctzll(bits);
+                if (record_doc[r] >= 0) {
+                    if (n_entries == capacity)
+                        return -1;
+                    docs[n_entries] = record_doc[r];
+                    terms[n_entries] = term;
+                    values[n_entries] = counts[term];
+                    n_entries++;
+                }
+                counts[term] = 0;
             }
-            counts[seen[i]] = 0;
+            seen[word] = 0;
         }
     }
     return n_entries;
@@ -515,4 +522,264 @@ int64_t format_floats(const double *values, int64_t n_rows, int64_t n_cols, int6
     if (nested)
         *end++ = ']';
     return end - out;
+}
+
+/* The table parser: a JSON array of equal-length rows of numbers, read
+ * from model.json's UTF-8 bytes straight into float64, each value the
+ * double Python's float() gives for its token.
+ *
+ * A token is checked against the JSON number grammar and read as a
+ * decimal w * 10**q. With at most 19 significant digits and an exponent
+ * under 100000, w and q are exact and the Eisel-Lemire algorithm (Lemire, "Number Parsing at a Gigabyte per
+ * Second", Software: Practice and Experience 2021, as fast_float computes
+ * it) gives the correctly rounded double from one or two 64 x 64-bit
+ * products with a 128-bit power of 5. pow5_128[2 * (q + 342)] and the
+ * word after it are the high and low words of 5**q, q in [-342, 308],
+ * scaled to 128 bits with its top bit set (truncated, or for q < 0 one
+ * more than the floor); lextopic._gibbs.pow5_128_table computes it. The
+ * other tokens, and the rare product too close to a rounding boundary to
+ * decide, go to strtod_l in the "C" locale, which rounds correctly and
+ * does not read the process locale's decimal point.
+ */
+static locale_t c_locale;
+
+__attribute__((constructor)) static void make_c_locale(void)
+{
+    c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+}
+
+#define INFINITY_BITS (0x7FFULL << 52)
+#define UNDECIDED ((uint64_t)-1)
+
+static int is_json_space(uint8_t c)
+{
+    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+static int is_digit(uint8_t c)
+{
+    return c >= '0' && c <= '9';
+}
+
+static const uint8_t *skip_space(const uint8_t *p, const uint8_t *end)
+{
+    while (p < end && is_json_space(*p))
+        p++;
+    return p;
+}
+
+typedef struct {
+    uint64_t w;       /* the significant digits */
+    int64_t q;        /* the value is w * 10**q */
+    int exact;        /* w and q are exact: at most 19 significant digits and a short exponent */
+    int negative;
+    int integer;      /* neither a fraction nor an exponent */
+} Decimal;
+
+/* Length of the JSON number token -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+ * at p, or 0 if none starts there; its decimal goes to d.
+ */
+static int64_t scan_number(const uint8_t *p, const uint8_t *end, Decimal *d)
+{
+    const uint8_t *s = p;
+    uint64_t w = 0;
+    int64_t digits = 0, scale = 0, exponent = 0;
+    int long_exponent = 0;
+    d->negative = s < end && *s == '-';
+    s += d->negative;
+    if (s == end || !is_digit(*s))
+        return 0;
+    if (*s == '0')
+        s++;
+    else
+        for (; s < end && is_digit(*s); s++, digits++)
+            w = 10 * w + (uint64_t)(*s - '0');
+    d->integer = 1;
+    if (s < end && *s == '.') {
+        if (++s == end || !is_digit(*s))
+            return 0;
+        for (; s < end && is_digit(*s); s++, scale++) {
+            w = 10 * w + (uint64_t)(*s - '0');
+            digits += digits > 0 || *s != '0';
+        }
+        d->integer = 0;
+    }
+    if (s < end && (*s == 'e' || *s == 'E')) {
+        int negative = 0;
+        if (++s < end && (*s == '+' || *s == '-'))
+            negative = *s++ == '-';
+        if (s == end || !is_digit(*s))
+            return 0;
+        for (; s < end && is_digit(*s); s++) {
+            if (exponent < 100000)
+                exponent = 10 * exponent + (*s - '0');
+            else
+                long_exponent = 1;
+        }
+        exponent = negative ? -exponent : exponent;
+        d->integer = 0;
+    }
+    d->w = w;
+    d->q = exponent - scale;
+    d->exact = digits <= 19 && !long_exponent;
+    return s - p;
+}
+
+/* The bits of the double nearest w * 10**q, for w < 10**19, ties to even:
+ * INFINITY_BITS past the largest double, and UNDECIDED where the 128-bit
+ * product leaves the rounding open.
+ */
+static uint64_t eisel_lemire(uint64_t w, int64_t q, const uint64_t *pow5_128)
+{
+    if (w == 0 || q < -342)
+        return 0;
+    if (q > 308)
+        return INFINITY_BITS;
+    const int lz = __builtin_clzll(w);
+    w <<= lz;
+    const uint64_t *factor = pow5_128 + 2 * (q + 342);
+    const uint128 first = (uint128)w * factor[0];
+    uint64_t high = (uint64_t)(first >> 64), low = (uint64_t)first;
+    if ((high & 0x1FF) == 0x1FF) {  /* the 55 bits kept may take a carry from the low word */
+        const uint64_t second = (uint64_t)(((uint128)w * factor[1]) >> 64);
+        low += second;
+        high += second > low;
+        if ((high & 0x1FF) == 0x1FF && low == UINT64_MAX)
+            return UNDECIDED;
+    }
+    const int upper = (int)(high >> 63), shift = upper + 64 - 52 - 3;
+    uint64_t mantissa = high >> shift;
+    /* floor(log2(10**q)) + 63, by 217706 / 2**16 just above log2(10); >> floors (arithmetic in gcc) */
+    int64_t power2 = ((217706 * q) >> 16) + 63 + upper - lz + 1023;
+    if (power2 <= 0) {  /* subnormal, or rounds up to the smallest normal */
+        if (1 - power2 >= 64)
+            return 0;
+        mantissa >>= 1 - power2;
+        mantissa += mantissa & 1;
+        mantissa >>= 1;
+        return mantissa | (uint64_t)(mantissa >= 1ULL << 52) << 52;
+    }
+    /* Exactly half way can happen only where 5**q fits in 64 bits: round to even. */
+    if (low <= 1 && q >= -4 && q <= 23 && (mantissa & 3) == 1 && mantissa << shift == high)
+        mantissa &= ~1ULL;
+    mantissa += mantissa & 1;
+    mantissa >>= 1;
+    if (mantissa >= 2ULL << 52) {
+        mantissa = 1ULL << 52;
+        power2++;
+    }
+    if (power2 >= 0x7FF)
+        return INFINITY_BITS;
+    return (uint64_t)power2 << 52 | (mantissa & ((1ULL << 52) - 1));
+}
+
+/* The double of a checked token of length bytes at p, as float() reads
+ * it, or -1 if it is past the float64 range.
+ */
+static int read_number(const uint8_t *p, int64_t length, const Decimal *d, const uint64_t *pow5_128,
+                       double *value)
+{
+    uint64_t bits = d->exact ? eisel_lemire(d->w, d->q, pow5_128) : UNDECIDED;
+    if (bits == UNDECIDED) {
+        char *stop;
+        const double parsed = fabs(strtod_l((const char *)p, &stop, c_locale));
+        if (stop != (const char *)p + length)
+            return -1;
+        memcpy(&bits, &parsed, sizeof bits);
+    }
+    if (bits >= INFINITY_BITS)
+        return -1;
+    if (d->negative && !(d->integer && bits == 0))  /* float(int("-0")) is +0.0 */
+        bits |= 1ULL << 63;
+    memcpy(value, &bits, sizeof bits);
+    return 0;
+}
+
+/* Parse the JSON array of number rows that starts at text[start], where
+ * text holds length bytes and a NUL after them, and return the offset
+ * just past its closing bracket. shape receives (rows, columns). With out
+ * NULL the text is only checked; otherwise out, of capacity doubles,
+ * receives the values in row order: a float token's correctly rounded
+ * double, and an integer token's as float(int(token)) gives it, so "-0"
+ * is +0.0. Only JSON whitespace is skipped. Returns -1, having written
+ * part of out at most, for an empty table or row, rows of different
+ * lengths, nesting other than two levels, a token outside the number
+ * grammar (NaN and Infinity included), a number past the float64 range,
+ * or more than capacity values.
+ */
+int64_t parse_table(const uint8_t *text, int64_t length, int64_t start, int64_t capacity,
+                    const uint64_t *pow5_128, double *out, int64_t *shape)
+{
+    const uint8_t *p = text + start, *end = text + length;
+    int64_t n_rows = 0, n_cols = -1, n_values = 0;
+    if (c_locale == (locale_t)0 || p >= end || *p++ != '[')
+        return -1;
+    for (;;) {
+        p = skip_space(p, end);
+        if (p == end || *p++ != '[')
+            return -1;
+        const int64_t row_start = n_values;
+        for (;;) {
+            p = skip_space(p, end);
+            Decimal d;
+            const int64_t token = scan_number(p, end, &d);
+            if (!token)
+                return -1;
+            if (out && (n_values == capacity || read_number(p, token, &d, pow5_128, out + n_values) < 0))
+                return -1;
+            n_values++;
+            p = skip_space(p + token, end);
+            if (p == end)
+                return -1;
+            if (*p == ']')
+                break;
+            if (*p++ != ',')
+                return -1;
+        }
+        p++;
+        if (n_cols >= 0 && n_values - row_start != n_cols)
+            return -1;
+        n_cols = n_values - row_start;
+        n_rows++;
+        p = skip_space(p, end);
+        if (p == end)
+            return -1;
+        if (*p == ']')
+            break;
+        if (*p++ != ',')
+            return -1;
+    }
+    shape[0] = n_rows;
+    shape[1] = n_cols;
+    return p + 1 - text;
+}
+
+/* The offset just past the JSON value that starts at text[start], found
+ * by its brackets and strings alone, or -1 if the text ends first. The
+ * value is not checked: the caller parses the span.
+ */
+int64_t value_end(const uint8_t *text, int64_t length, int64_t start)
+{
+    const uint8_t *p = text + start, *end = text + length;
+    int64_t depth = 0;
+    do {
+        if (p >= end)
+            return -1;
+        const uint8_t c = *p++;
+        if (c == '"') {
+            while (p < end && *p != '"')
+                p += *p == '\\' ? 2 : 1;
+            if (p >= end)
+                return -1;
+            p++;
+        } else if (c == '[' || c == '{') {
+            depth++;
+        } else if (c == ']' || c == '}') {
+            depth--;
+        } else if (depth == 0) {  /* a bare word or number: up to the next delimiter */
+            while (p < end && !is_json_space(*p) && *p != ',' && *p != ']' && *p != '}')
+                p++;
+        }
+    } while (depth > 0);
+    return depth < 0 ? -1 : p - text;
 }

@@ -1,7 +1,9 @@
 """Build and load the compiled kernels in ``_gibbs.c``: the Gibbs sweep, the
 per-entry token probabilities of the log-likelihood, the chunk scan and
-term count behind ``vectorize.count_corpus``, and ``format_floats``, which
-writes ``model.json``'s tables as ``json.dumps`` would.
+term count behind ``vectorize.count_corpus``, ``format_floats``, which
+writes ``model.json``'s tables as ``json.dumps`` would, and
+``parse_table`` with ``value_end``, which ``lda.load_model`` reads them
+back with, as ``json.load`` would.
 
 The shared library is compiled on first use with the system C compiler
 into a per-user cache (``$XDG_CACHE_HOME/lextopic``, else
@@ -16,10 +18,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import logging
 import os
 import shutil
-import subprocess
 import tempfile
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -27,8 +27,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = ["Kernels", "load_sweep"]
-
-logger = logging.getLogger(__name__)
 
 SOURCE = Path(__file__).with_name("_gibbs.c")
 # -ffp-contract=off keeps the compiler from fusing multiply-adds, which
@@ -43,6 +41,8 @@ class Kernels(NamedTuple):
     token_counts: Callable
     term_entries: Callable
     format_floats: Callable
+    parse_table: Callable
+    value_end: Callable
 
 
 _POW5_BITS = 125
@@ -64,6 +64,29 @@ def pow5_tables() -> tuple[np.ndarray, np.ndarray]:
     return words(inverse), words(direct)
 
 
+def pow5_128_table() -> np.ndarray:
+    """Eisel-Lemire's powers of 5 for ``parse_table``, computed with exact integers.
+
+    Row q + 342, for q in [-342, 308], is 5**q scaled by a power of 2 to a
+    128-bit number with its top bit set, as (high, low) 64-bit words: for
+    q >= 0 truncated; for q < 0 floor(2**b / 5**-q) + 1 with b = z + 127
+    for q >= -27 and b = 2z + 128 below (z the bit length of 5**-q - 1),
+    then truncated, as fast_float's table generator computes it.
+    """
+    def scaled(q):
+        if q >= 0:
+            power = 5**q
+            length = power.bit_length()
+            return power << (128 - length) if length < 128 else power >> (length - 128)
+        power = 5**-q
+        z = (power - 1).bit_length()
+        value = 2 ** (z + 127 if q >= -27 else 2 * z + 128) // power + 1
+        return value >> max(0, value.bit_length() - 128)
+
+    values = [scaled(q) for q in range(-342, 309)]
+    return np.array([(value >> 64, value & (2**64 - 1)) for value in values], dtype=np.uint64)
+
+
 def find_compiler() -> str | None:
     return shutil.which("gcc") or shutil.which("cc")
 
@@ -73,7 +96,12 @@ def _cache_dir() -> Path:
 
 
 def _build(cache_dir: Path, compiler: str | None) -> Path:
-    """Path of the compiled library, compiling it if the cache lacks it."""
+    """Path of the compiled library, compiling it if the cache lacks it.
+
+    A compile that fails raises RuntimeError with the compiler's exit status
+    and messages. subprocess is imported only to compile, so a run that
+    finds its library in the cache does not load it.
+    """
     source = SOURCE.read_bytes()
     digest = hashlib.sha256(source + "\0".join(CFLAGS).encode()).hexdigest()
     target = cache_dir / f"gibbs-{digest[:16]}.so"
@@ -81,14 +109,15 @@ def _build(cache_dir: Path, compiler: str | None) -> Path:
         return target
     if compiler is None:
         raise FileNotFoundError("no C compiler (gcc or cc) on PATH")
+    import subprocess
+
     target.parent.mkdir(parents=True, exist_ok=True)
     handle, temporary = tempfile.mkstemp(dir=target.parent, prefix=".gibbs-", suffix=".so")
     os.close(handle)
     try:
-        subprocess.run(
-            [compiler, *CFLAGS, "-o", temporary, str(SOURCE)],
-            check=True, capture_output=True, text=True,
-        )
+        result = subprocess.run([compiler, *CFLAGS, "-o", temporary, str(SOURCE)], capture_output=True, text=True)
+        if result.returncode:
+            raise RuntimeError(f"the compiler exited with status {result.returncode}: {result.stderr.strip()}")
         os.replace(temporary, target)
     finally:
         if os.path.exists(temporary):
@@ -110,8 +139,11 @@ def load_sweep() -> Kernels | None:
     takes a C-contiguous 1-D or 2-D float64 array and returns
     ``json.dumps(array.tolist())``, each finite value as Python's shortest
     repr and the others as ``NaN``, ``Infinity`` and ``-Infinity``.
-    The result is kept per cache directory and compiler, so each pair is
-    built, loaded and warned about once per process.
+    ``parse_table`` and ``value_end`` take a bytes object and a byte offset
+    in it: the first reads a JSON table of number rows into a float64
+    array, the second finds where any JSON value ends; each is documented
+    on itself. The result is kept per cache directory and compiler, so each
+    pair is built, loaded and warned about once per process.
     """
     return _load(_cache_dir(), find_compiler())
 
@@ -120,17 +152,12 @@ def load_sweep() -> Kernels | None:
 def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
     try:
         library = ctypes.CDLL(str(_build(cache_dir, compiler)))
-    except subprocess.CalledProcessError as exc:
-        logger.warning(
-            "compiling the Gibbs sweep failed (exit status %s: %s); "
-            "using the Python sweep, log-likelihood, corpus count and float formatting",
-            exc.returncode, exc.stderr.strip(),
-        )
-        return None
     except (OSError, RuntimeError) as exc:
-        logger.warning(
+        import logging  # only a fallback logs, so a run that loads the library does not import it
+
+        logging.getLogger(__name__).warning(
             "compiled Gibbs sweep unavailable (%s); "
-            "using the Python sweep, log-likelihood, corpus count and float formatting", exc,
+            "using the Python sweep, log-likelihood, corpus count, float formatting and model parse", exc,
         )
         return None
     sweep_function = library.gibbs_sweep
@@ -151,7 +178,14 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
     format_function = library.format_floats
     format_function.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
     format_function.restype = ctypes.c_int64
+    table_function = library.parse_table
+    table_function.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
+    table_function.restype = ctypes.c_int64
+    end_function = library.value_end
+    end_function.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 2
+    end_function.restype = ctypes.c_int64
     pow5_inv, pow5 = pow5_tables()
+    pow5_128 = pow5_128_table()
 
     def sweep(doc_ptr, tokens, z, n_dk, n_kw, n_k, uniforms, alpha, beta) -> None:
         n_docs, n_topics = n_dk.shape
@@ -263,7 +297,7 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
                 and (token_term.size == 0 or -1 <= token_term.min() <= token_term.max() < n_terms)):
             raise ValueError("term arrays have inconsistent shapes or indices")
         counts = np.zeros(n_terms, dtype=np.int64)
-        seen = np.empty(n_terms, dtype=np.int64)
+        seen = np.zeros(-(-n_terms // 64), dtype=np.uint64)  # one bit a term
         docs, terms, values = (np.empty(n_entries, dtype=np.int64) for _ in range(3))
         written = entries_function(
             record_doc.size, *(array.ctypes.data for array in arrays), token_term.ctypes.data,
@@ -286,4 +320,33 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
                                   pow5_inv.ctypes.data, pow5.ctypes.data, out.ctypes.data)
         return str(out[:written], "ascii")  # decoded from the buffer, with no bytes copy between
 
-    return Kernels(sweep, token_probs, scan_chunks, token_counts, term_entries, format_floats)
+    def _check_text(data, start) -> None:
+        if not (type(data) is bytes and 0 <= start <= len(data)):
+            raise ValueError("the text must be bytes and the offset inside it")
+
+    def parse_table(data, start):
+        """(values, end) of the JSON table of number rows at byte start of data, or None.
+
+        values is a C-contiguous rows x columns float64 array, equal bit for
+        bit to np.array(json.loads(table), dtype=np.float64); end is the
+        offset just past the table. None where the kernel does not accept
+        the text: an empty or ragged table, other nesting, a token outside
+        the JSON number grammar, NaN, Infinity, or a number past the float64
+        range.
+        """
+        _check_text(data, start)
+        shape = np.empty(2, dtype=np.int64)
+        # The first call only checks the text and sizes the table.
+        if table_function(data, len(data), start, 0, pow5_128.ctypes.data, None, shape.ctypes.data) < 0:
+            return None
+        values = np.empty(tuple(shape.tolist()))
+        end = table_function(data, len(data), start, values.size, pow5_128.ctypes.data,
+                             values.ctypes.data, shape.ctypes.data)
+        return None if end < 0 else (values, end)
+
+    def value_end(data, start) -> int:
+        """The offset just past the JSON value at byte start of data, by brackets and strings alone; -1 if none."""
+        _check_text(data, start)
+        return end_function(data, len(data), start)
+
+    return Kernels(sweep, token_probs, scan_chunks, token_counts, term_entries, format_floats, parse_table, value_end)

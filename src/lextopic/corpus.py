@@ -573,22 +573,27 @@ def generate_synthetic_corpus(config: SynthConfig) -> tuple[Corpus, GroundTruth]
     Each document draws a topic-share vector from Dirichlet(alpha); each
     topic draws a word distribution from Dirichlet(beta); every token
     picks a topic then a word. Deterministic under config.seed.
+
+    A document's words are drawn topic by topic, in ascending topic order,
+    as rng.choice(vocab_size, size, p=topic_word[topic]) draws them: one
+    rng.random(size) searched in the topic's normalized CDF. The CDFs are
+    built once, not on every draw.
     """
     rng = np.random.default_rng(config.seed)
     topic_word = rng.dirichlet([config.beta] * config.vocab_size, size=config.n_topics)
     doc_topic = rng.dirichlet([config.alpha] * config.n_topics, size=config.n_docs)
     width = max(3, len(str(config.vocab_size - 1)))
     words = [f"w{term:0{width}d}" for term in range(config.vocab_size)]
+    word_cdfs = topic_word.cumsum(axis=1)
+    word_cdfs /= word_cdfs[:, -1:]
 
     records = []
     for doc in range(config.n_docs):
         assignments = rng.choice(config.n_topics, size=config.doc_length, p=doc_topic[doc])
         token_ids = np.empty(config.doc_length, dtype=np.int64)
-        for topic in np.unique(assignments):
+        for topic in np.flatnonzero(np.bincount(assignments, minlength=config.n_topics)):
             positions = assignments == topic
-            token_ids[positions] = rng.choice(
-                config.vocab_size, size=int(positions.sum()), p=topic_word[topic]
-            )
+            token_ids[positions] = word_cdfs[topic].searchsorted(rng.random(int(positions.sum())), side="right")
         records.append(
             LawRecord(
                 id=f"synth-{doc:05d}",

@@ -9,7 +9,9 @@ The log-likelihood trace and ``perplexity`` likewise use the compiled
 ``token_probs`` loop, with ``_token_probs`` as its numpy reference and
 fallback: both give the same bits. ``save_model`` writes θ and φ with the
 compiled ``format_floats``, and with ``json.dumps`` where it falls back:
-both give the same bytes.
+both give the same bytes. ``load_model`` reads them back with the compiled
+``parse_table``, and with ``json.load`` where it falls back: both give the
+same model.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from ._files import atomic_writer, read_json_object
+from ._files import atomic_writer, parse_json_object, read_json_object
 from .errors import AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
 from .vectorize import DocTermMatrix, Vocabulary
 
@@ -271,8 +273,8 @@ def _log_likelihood(
 
 
 def _load_kernels():
-    # Imported here, not at the top, so that commands that neither sample
-    # nor score do not load the compiler plumbing (subprocess, ctypes).
+    # Imported here, not at the top, so that ingest, which neither samples,
+    # scores nor reads a model, does not load the kernel module.
     from . import _gibbs
 
     return _gibbs.load_sweep()
@@ -545,7 +547,11 @@ def coherence_umass(model: LdaModel, matrix: DocTermMatrix, top_m: int = 10) -> 
     top_terms = [model.top_term_indices(topic, top_m) for topic in range(model.topic_word.shape[0])]
     # Co-document counts of every pair of top words, from a 0/1 incidence
     # matrix over the union of the topics' top words.
-    columns = np.unique(np.array(top_terms, dtype=np.int64))
+    # Sorted and deduplicated by hand: a plain np.unique imports numpy.ma.
+    columns = np.sort(np.array(top_terms, dtype=np.int64), axis=None)
+    distinct = np.ones(columns.size, dtype=bool)
+    distinct[1:] = columns[1:] != columns[:-1]
+    columns = columns[distinct]
     present = np.isin(matrix.terms, columns)
     incidence = np.zeros((matrix.n_docs, columns.size))
     incidence[matrix.docs[present], np.searchsorted(columns, matrix.terms[present])] = 1.0
@@ -609,8 +615,17 @@ def save_model(model: LdaModel, path) -> None:
 
 
 def load_model(path) -> LdaModel:
-    """Read a save_model file; one that cannot hold a model raises CorruptModel."""
-    payload = read_json_object(path, lambda reason: CorruptModel(path, reason))
+    """Read a save_model file; one that cannot hold a model raises CorruptModel.
+
+    Where the kernels load, the file is read once as bytes: the compiled
+    parse_table reads doc_topic and topic_word from their text straight
+    into float64, and json.loads every other member. If it declines a
+    table, or the text is not one JSON object, the file is read again with
+    json.load, which gives the same model and reports what is wrong.
+    """
+    payload = _compiled_payload(path)
+    if payload is None:
+        payload = read_json_object(path, lambda reason: CorruptModel(path, reason))
     if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
         raise VocabularyMismatch(
             f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: "
@@ -624,6 +639,51 @@ def load_model(path) -> LdaModel:
         raise CorruptModel(path, str(exc)) from None
 
 
+def _compiled_payload(path) -> dict | None:
+    """The model file's members, θ and φ as arrays from parse_table; None where json.load must read it."""
+    kernels = _load_kernels()
+    if kernels is None:
+        return None
+    with open(path, "rb") as handle:
+        data = handle.read()
+    tables = dict.fromkeys(("doc_topic", "topic_word"), kernels.parse_table)
+    return parse_json_object(data, kernels.value_end, tables)
+
+
+_JSON_KINDS = {str: "a string", bool: "a boolean", type(None): "null", dict: "an object"}
+
+
+def _float_table(payload: dict, name: str) -> np.ndarray:
+    """payload[name] as a float64 array, whose cells must be JSON numbers that a float64 holds.
+
+    The compiled parser gives an array. json.load gives nested lists, in
+    which np.array would take "0.5" and true as numbers and fail on a
+    400-digit integer with an OverflowError, so their cells are checked
+    first; a cell that fails raises ValueError naming the table.
+    """
+    value = payload[name]
+    if isinstance(value, np.ndarray):
+        return value
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        cells = item if type(item) is list else [item]
+        kinds = set(map(type, cells))
+        if list in kinds:
+            kinds.discard(list)
+            pending.extend(cell for cell in cells if type(cell) is list)
+        if not kinds <= {float, int}:
+            kind = min(kinds - {float, int}, key=str)
+            raise ValueError(f"{name} holds {_JSON_KINDS.get(kind, kind.__name__)}, not a number")
+        if int in kinds:
+            try:
+                for cell in cells:
+                    float(cell)
+            except OverflowError:
+                raise ValueError(f"{name} holds an integer too large for a float64") from None
+    return np.array(value, dtype=np.float64)
+
+
 def _model_from_payload(payload: dict) -> LdaModel:
     vocab = None
     if payload["vocabulary"] is not None:
@@ -633,13 +693,13 @@ def _model_from_payload(payload: dict) -> LdaModel:
             index={term: position for position, term in enumerate(terms)},
             df=list(payload["vocabulary"]["df"]),
         )
-    topic_word = np.array(payload["topic_word"], dtype=np.float64)
+    topic_word = _float_table(payload, "topic_word")
     n_terms = topic_word.shape[-1]
     if payload["vocabulary_hash"] != _vocab_hash(vocab, n_terms):
         raise VocabularyMismatch("stored vocabulary hash does not match stored vocabulary")
     model = LdaModel(
         config=LdaConfig(**payload["config"]),
-        doc_topic=np.array(payload["doc_topic"], dtype=np.float64),
+        doc_topic=_float_table(payload, "doc_topic"),
         topic_word=topic_word,
         doc_ids=list(payload["doc_ids"]),
         log_likelihood=payload["log_likelihood"],

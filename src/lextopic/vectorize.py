@@ -176,7 +176,7 @@ def count_corpus(
     """
     if on_empty not in ("error", "drop"):
         raise ValueError(f"on_empty must be 'error' or 'drop', got {on_empty!r}")
-    from . import _gibbs  # not at import time: ingest and analyze never need a compiler
+    from . import _gibbs  # not at import time: ingest never needs the kernels
 
     kernels = _gibbs.load_sweep()
     if kernels is None:

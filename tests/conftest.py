@@ -3,6 +3,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from lextopic.corpus import (
@@ -58,6 +59,11 @@ def mixed_corpus() -> Corpus:
         ],
         source_description="fixture",
     )
+
+
+def float_from_bits(bits: int) -> float:
+    """The float64 whose IEEE bits are the unsigned 64-bit integer bits."""
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
 
 
 def write_jsonl(path, rows) -> None:

@@ -434,6 +434,25 @@ class TestCorruptModelFile:
         assert self._analyze(fitted, tmp_path, json.dumps(payload)) == 1
         assert capsys.readouterr().err.startswith(f"error [lda]: model file {tmp_path / 'model.json'}: ")
 
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "no-compiler"])
+    @pytest.mark.parametrize("table", ["doc_topic", "topic_word"])
+    @pytest.mark.parametrize("cell, reason", [
+        (10**400, "holds an integer too large for a float64"),
+        ("0.5", "holds a string, not a number"),
+        (True, "holds a boolean, not a number"),
+    ], ids=["400-digit integer", "string", "true"])
+    def test_a_cell_that_is_not_a_float64_number_is_an_lda_error(
+        self, fitted, tmp_path, capsys, monkeypatch, compiled, table, cell, reason
+    ):
+        if not compiled:
+            monkeypatch.setattr(_gibbs, "load_sweep", lambda: None)
+        payload = json.loads(fitted[1])
+        payload[table][-1][-1] = cell
+        assert self._analyze(fitted, tmp_path, json.dumps(payload)) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error [lda]: model file {tmp_path / 'model.json'}: {table} {reason}\n"
+        )
+
     @pytest.mark.parametrize("text", ["{not json", "", "[1, 2]"])
     def test_undecodable_json_is_an_lda_error(self, fitted, tmp_path, capsys, text):
         assert self._analyze(fitted, tmp_path, text) == 1
@@ -841,18 +860,28 @@ class TestNonFiniteModel:
         assert not (out / "topics.json").exists()
 
 
-class TestReadPathImports:
-    def test_ingest_and_analyze_leave_the_compiler_plumbing_unloaded(self, corpus_path, tmp_path):
-        out = tmp_path / "out"
-        assert main(["fit", "--corpus", corpus_path, "--out", str(out)] + FIT_FLAGS) == 0
-        script = "\n".join([
-            "import sys",
-            "from lextopic.cli import main",
-            f"assert main(['ingest', '--corpus', {corpus_path!r}, '--out', {str(tmp_path / 'stats')!r}]) == 0",
-            f"assert main(['analyze', '--corpus', {corpus_path!r}, '--out', {str(out)!r}]) == 0",
-            "print(sorted({'lextopic._gibbs', 'subprocess'} & set(sys.modules)))",
-        ])
+class TestCommandImports:
+    def test_each_command_leaves_unneeded_modules_unloaded(self, corpus_path, tmp_path):
+        # ingest needs no kernel module (numpy itself imports ctypes). With the
+        # library already built, no command needs the compiler plumbing, nor
+        # numpy.ma, which a plain np.unique imports.
+        _gibbs.load_sweep()
+        out = str(tmp_path / "out")
+        unneeded = ["numpy.ma", "subprocess"]
+        commands = [
+            ("ingest", ["ingest", "--corpus", corpus_path, "--out", out], ["lextopic._gibbs", *unneeded]),
+            ("fit", ["fit", "--corpus", corpus_path, "--out", out] + FIT_FLAGS, unneeded),
+            ("sweep", ["sweep", "--corpus", corpus_path, "--out", out, "--k-grid", "2,3", "--sweeps", "5",
+                       "--burn-in", "1"], unneeded),
+            ("analyze", ["analyze", "--corpus", corpus_path, "--out", out], unneeded),
+        ]
+        script = ["import sys", "from lextopic.cli import main"]
+        for name, args, modules in commands:
+            script += [f"assert main({args!r}) == 0",
+                       f"print('loaded after {name}:', sorted(set({modules!r}) & set(sys.modules)))"]
         source_root = str(Path(lextopic.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-        assert result.stdout.splitlines()[-1] == "[]"
+        result = subprocess.run([sys.executable, "-c", "\n".join(script)], capture_output=True, text=True, env=env,
+                                check=True)
+        reports = [line for line in result.stdout.splitlines() if line.startswith("loaded after ")]
+        assert reports == [f"loaded after {name}: []" for name, _, _ in commands]

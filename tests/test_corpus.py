@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import SYNTH_CONFIG, jsonl_row, make_record, record_date, write_jsonl
 from lextopic.corpus import (
     Corpus,
@@ -349,6 +350,23 @@ class TestSyntheticCorpus:
         ]
         assert np.array_equal(truth_a.doc_topic, truth_b.doc_topic)
         assert np.array_equal(truth_a.topic_word, truth_b.topic_word)
+
+    @pytest.mark.parametrize("config", [
+        SYNTH_CONFIG,
+        SynthConfig(n_docs=5, n_topics=1, vocab_size=8, doc_length=6, seed=3),
+        SynthConfig(n_docs=30, n_topics=20, vocab_size=3000, doc_length=200, alpha=0.1, beta=0.01,
+                    years=(2019, 2020, 2021), seed=2**63 + 1),
+        SynthConfig(n_docs=12, n_topics=7, vocab_size=1, doc_length=1, alpha=5.0, seed=9),
+        SynthConfig(n_docs=8, n_topics=4, vocab_size=50, doc_length=500, alpha=0.01, beta=2.0, seed=4),
+    ], ids=["fixture", "one-topic", "fit-sampling-shape", "one-word", "sparse-mixtures"])
+    def test_equals_the_choice_reference(self, config):
+        # Equal records and truth from the CDFs built once: a numpy change to
+        # Generator.choice shows up here.
+        corpus, truth = generate_synthetic_corpus(config)
+        expected_corpus, expected_truth = reference.generate_synthetic_corpus(config)
+        assert corpus == expected_corpus
+        assert truth.doc_topic.tobytes() == expected_truth.doc_topic.tobytes()
+        assert truth.topic_word.tobytes() == expected_truth.topic_word.tobytes()
 
     def test_single_topic_degenerate_mixture(self):
         config = SynthConfig(n_docs=5, n_topics=1, vocab_size=8, doc_length=6, seed=3)

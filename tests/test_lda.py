@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import float_from_bits
 from lextopic import _gibbs, lda
 from lextopic.analyze import top_words
 from lextopic.errors import AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
@@ -727,17 +728,13 @@ class TestTokenProbabilities:
         assert perplexity(model, matrix) == compiled
 
 
-def _float_from_bits(bits: int) -> float:
-    return float(np.array(bits, dtype=np.uint64).view(np.float64))
-
-
 def _neighbours(value: float) -> list[float]:
     return [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
 
 
 EDGE_FLOATS = [
     0.0, -0.0, 0.1, -0.1, 1 / 3, 2 / 3, 1.0, -1.0, 0.5, 1.5, 123456789.125,
-    math.nan, -math.nan, math.inf, -math.inf, _float_from_bits(0x7FF8000000000001),
+    math.nan, -math.nan, math.inf, -math.inf, float_from_bits(0x7FF8000000000001),
     5e-324, -5e-324, 1e-323, 2.2250738585072009e-308, 2.225073858507201e-308,  # subnormals
     2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,  # smallest and largest normals
     1.2345678901234567e-308, 9007199254740991.0, 9007199254740992.0, 9007199254740994.0,
@@ -773,7 +770,7 @@ class TestFormatFloats:
     def test_equals_json_dumps(self, compiled_kernels, data):
         n_rows = data.draw(st.integers(0, 4), label="n_rows")
         n_cols = data.draw(st.integers(0, 6), label="n_cols")
-        elements = st.floats() | st.integers(0, 2**64 - 1).map(_float_from_bits)
+        elements = st.floats() | st.integers(0, 2**64 - 1).map(float_from_bits)
         values = data.draw(st.lists(elements, min_size=n_rows * n_cols, max_size=n_rows * n_cols), label="values")
         table = np.array(values, dtype=np.float64).reshape(n_rows, n_cols)
         assert compiled_kernels.format_floats(table) == json.dumps(table.tolist())

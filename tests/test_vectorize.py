@@ -513,6 +513,34 @@ class TestCountCorpus:
         with pytest.raises(ValueError, match="on_empty"):
             count_corpus(self._corpus(), on_empty="keep")
 
+    def test_term_entries_past_two_bitmap_words(self, kernels):
+        # 300 terms: five bitmap words, the last one partial. Records touch
+        # the first and the last word, hold tokens outside the vocabulary,
+        # and one record with terms has no row; every record after it must
+        # see its bitmap words cleared.
+        n_terms, n_tokens = 300, 320
+        rng = np.random.default_rng(5)
+        token_term = np.concatenate([rng.permutation(n_terms), np.full(n_tokens - n_terms, -1)])
+        token_of = {int(term): token for token, term in enumerate(token_term.tolist()) if term >= 0}
+        records = [[0, 299, 64, 5, 5], [1, 298, 130], [0, 63, 64, 127, 128, 299], [], [-1, -1]]
+        records += [rng.integers(-1, n_terms, size=rng.integers(0, 30)).tolist() for _ in range(60)]
+        record_doc = np.arange(len(records)) - 1
+        record_doc[1] = record_doc[0] = -1
+        chunk_tokens, chunk_ptr, occurrences = [], [0], []
+        for terms in records:
+            for term in terms:  # one chunk per occurrence; -1 stands for an out-of-vocabulary token
+                occurrences.append(len(chunk_ptr) - 1)
+                chunk_tokens.append(token_of[term] if term >= 0 else int(rng.integers(n_terms, n_tokens)))
+                chunk_ptr.append(len(chunk_tokens))
+        expected = [(int(doc), term, count) for terms, doc in zip(records, record_doc) if doc >= 0
+                    for term, count in sorted(Counter(term for term in terms if term >= 0).items())]
+        assert {term for terms in records for term in terms} >= {0, 63, 64, 256, 299}
+        docs, terms, values = kernels.term_entries(
+            [len(terms) for terms in records], occurrences, chunk_ptr, chunk_tokens, token_term, record_doc,
+            n_terms, len(expected),
+        )
+        assert list(zip(docs.tolist(), terms.tolist(), values.tolist())) == expected
+
     def test_a_generated_persian_corpus_equals_the_reference(self, tmp_path, monkeypatch):
         # The benchmark's generator: Arabic spellings, tatweel, half-spaces,
         # fused suffixes, broken plurals, both digit sets and Persian punctuation.
