@@ -1,20 +1,26 @@
-"""Build and load the compiled kernels in ``_gibbs.c``: the Gibbs sweep, the
-per-entry token probabilities of the log-likelihood, the chunk scan and
-term count behind ``vectorize.count_corpus``, ``format_floats``, which
-writes ``model.json``'s tables as ``json.dumps`` would, and
-``parse_table`` with ``value_end``, which ``lda.load_model`` reads them
-back with, as ``json.load`` would.
+"""Build and load the eight compiled kernels in ``_gibbs.c``.
 
-The shared library is compiled on first use with the system C compiler
-into a per-user cache (``$XDG_CACHE_HOME/lextopic``, else
+- ``lda``'s sampler and scores: the Gibbs ``sweep`` and the per-entry
+  ``token_probs`` of the log-likelihood.
+- ``vectorize.count_corpus``: the chunk scan ``scan_chunks`` and the
+  count loops ``token_counts`` and ``term_entries``.
+- ``model.json``: ``format_floats`` writes its tables as ``json.dumps``
+  would, and ``parse_table`` with ``value_end`` reads them back as
+  ``json.load`` would.
+
+Each has a Python equivalent that its callers fall back to, with equal
+results. The shared library is compiled on first use with the system C
+compiler into a per-user cache (``$XDG_CACHE_HOME/lextopic``, else
 ``~/.cache/lextopic``). Its file name carries the sha256 of the source
 and the compiler flags, so an edited source is never served a stale
 build. It is written to a temporary file and renamed into place, so
-concurrent first uses cannot load a half-written library.
+concurrent first uses cannot load a half-written library; the builds of
+other sources or flags in the cache are then deleted.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -26,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["Kernels", "load_sweep"]
+__all__ = ["Kernels", "load_kernels"]
 
 SOURCE = Path(__file__).with_name("_gibbs.c")
 # -ffp-contract=off keeps the compiler from fusing multiply-adds, which
@@ -35,6 +41,8 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 class Kernels(NamedTuple):
+    """The compiled library's functions, each documented in load_kernels or on itself."""
+
     sweep: Callable
     token_probs: Callable
     scan_chunks: Callable
@@ -100,7 +108,9 @@ def _build(cache_dir: Path, compiler: str | None) -> Path:
 
     A compile that fails raises RuntimeError with the compiler's exit status
     and messages. subprocess is imported only to compile, so a run that
-    finds its library in the cache does not load it.
+    finds its library in the cache does not load it. After a compile, every
+    other gibbs-*.so in the cache is deleted where it can be; the .gibbs-*
+    temporary files of compiles still running are left alone.
     """
     source = SOURCE.read_bytes()
     digest = hashlib.sha256(source + "\0".join(CFLAGS).encode()).hexdigest()
@@ -122,10 +132,14 @@ def _build(cache_dir: Path, compiler: str | None) -> Path:
     finally:
         if os.path.exists(temporary):
             os.unlink(temporary)
+    for stale in cache_dir.glob("gibbs-*.so"):
+        if stale != target:
+            with contextlib.suppress(OSError):
+                stale.unlink()
     return target
 
 
-def load_sweep() -> Kernels | None:
+def load_kernels() -> Kernels | None:
     """The compiled kernels, or None (with one logged warning) if they cannot be built.
 
     ``sweep`` takes (doc_ptr, tokens, z, n_dk, n_kw, n_k, uniforms, alpha,
@@ -156,7 +170,7 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
         import logging  # only a fallback logs, so a run that loads the library does not import it
 
         logging.getLogger(__name__).warning(
-            "compiled Gibbs sweep unavailable (%s); "
+            "compiled kernels unavailable (%s); "
             "using the Python sweep, log-likelihood, corpus count, float formatting and model parse", exc,
         )
         return None

@@ -1,11 +1,13 @@
 """Topic model fitting by collapsed Gibbs sampling, plus model scoring.
 
-``fit`` keeps its token slots and count tables in numpy arrays for the
-whole run and resamples them with the compiled sweep in ``_gibbs.c``.
-The pure-Python ``init_assignments`` / ``gibbs_sweep`` pair on nested
-lists is the reference it is tested against, and the fallback when no C
-compiler is available: both give the same assignments for the same seed.
-The log-likelihood trace and ``perplexity`` likewise use the compiled
+``fit`` is a loop over one ``_Sampler``, which holds the matrix's
+validated entries, the token slots, the count tables and the random
+stream. With the compiled kernels of ``_gibbs.c`` the slots and tables
+are numpy arrays that the compiled sweep resamples in place. Without a
+C compiler the sampler runs the pure-Python ``init_assignments`` /
+``gibbs_sweep`` pair on nested lists, which is also the reference the
+compiled path is tested against: both give the same assignments for the
+same seed. The log-likelihood trace and ``perplexity`` likewise use the compiled
 ``token_probs`` loop, with ``_token_probs`` as its numpy reference and
 fallback: both give the same bits. ``save_model`` writes θ and φ with the
 compiled ``format_floats``, and with ``json.dumps`` where it falls back:
@@ -102,7 +104,7 @@ class SamplerState:
     def recount(self) -> tuple[list[list[int]], list[list[int]], list[int], list[int]]:
         """Rebuild all four tables from assignments alone."""
         n_topics = len(self.n_k)
-        n_terms = len(self.n_kw[0]) if self.n_kw else 0
+        n_terms = len(self.n_kw[0])
         n_dk = [[0] * n_topics for _ in self.doc_tokens]
         n_kw = [[0] * n_terms for _ in range(n_topics)]
         n_k = [0] * n_topics
@@ -166,22 +168,12 @@ def init_assignments(matrix: DocTermMatrix, config: LdaConfig) -> SamplerState:
         raise EmptyMatrix()
     rng = np.random.default_rng(config.seed)
     doc_tokens = _expand_tokens(matrix)
-    n_topics = config.n_topics
-    n_dk = [[0] * n_topics for _ in doc_tokens]
-    n_kw = [[0] * matrix.n_terms for _ in range(n_topics)]
-    n_k = [0] * n_topics
-    n_d = [0] * len(doc_tokens)
-    assignments = []
-    for doc, tokens in enumerate(doc_tokens):
-        z_doc = rng.integers(0, n_topics, size=len(tokens)).tolist()
-        assignments.append(z_doc)
-        for slot, term in enumerate(tokens):
-            topic = z_doc[slot]
-            n_dk[doc][topic] += 1
-            n_kw[topic][term] += 1
-            n_k[topic] += 1
-            n_d[doc] += 1
-    return SamplerState(doc_tokens, assignments, n_dk, n_kw, n_k, n_d, rng)
+    assignments = [rng.integers(0, config.n_topics, size=len(tokens)).tolist() for tokens in doc_tokens]
+    # recount reads the table sizes from n_kw and n_k, then fills all four.
+    state = SamplerState(doc_tokens, assignments, [], [[0] * matrix.n_terms] * config.n_topics,
+                         [0] * config.n_topics, [], rng)
+    state.n_dk, state.n_kw, state.n_k, state.n_d = state.recount()
+    return state
 
 
 def gibbs_sweep(state: SamplerState, config: LdaConfig) -> SamplerState:
@@ -239,9 +231,16 @@ def _topic_word_estimate(n_kw: np.ndarray, n_k: np.ndarray, beta: float) -> np.n
     return (n_kw + beta) / (n_k[:, None] + n_kw.shape[1] * beta)
 
 
-def _entry_arrays(matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entry docs, terms and counts (as floats), in (doc, term) order."""
-    return matrix.docs, matrix.terms, matrix.values.astype(np.float64)
+def _entries(matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entry docs, terms and counts (as floats), in (doc, term) order; one outside the matrix raises EntryOutOfRange."""
+    docs, terms, counts = matrix.docs, matrix.terms, matrix.values.astype(np.float64)
+    bad = (docs < 0) | (docs >= matrix.n_docs) | (terms < 0) | (terms >= matrix.n_terms) | (counts < 0)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise EntryOutOfRange(
+            int(docs[first]), int(terms[first]), int(counts[first]), matrix.n_docs, matrix.n_terms
+        )
+    return docs, terms, counts
 
 
 def _token_probs(docs: np.ndarray, terms: np.ndarray, doc_topic: np.ndarray, topic_word: np.ndarray) -> np.ndarray:
@@ -267,8 +266,10 @@ def _log_likelihood(
     counts: np.ndarray,
     doc_topic: np.ndarray,
     topic_word: np.ndarray,
-    token_probs=_token_probs,
+    kernels=None,
 ) -> float:
+    """Sum over entries of count * log(probability), with the compiled token_probs where kernels are given."""
+    token_probs = _token_probs if kernels is None else kernels.token_probs
     return float(np.dot(counts, np.log(token_probs(docs, terms, doc_topic, topic_word))))
 
 
@@ -277,92 +278,63 @@ def _load_kernels():
     # scores nor reads a model, does not load the kernel module.
     from . import _gibbs
 
-    return _gibbs.load_sweep()
+    return _gibbs.load_kernels()
 
 
-@dataclass
-class _TokenArrays:
-    """Sampler state for fit: CSR token slots and int64 count tables.
+class _Sampler:
+    """One Gibbs chain over a matrix: its entries, token slots, count tables and random stream.
 
-    Slot order and table layout match SamplerState: tokens[doc_ptr[d]:
-    doc_ptr[d + 1]] are document d's term indices, (doc, term)-sorted.
+    entries is the matrix's validated (docs, terms, counts), and tables is
+    (n_dk, n_kw, n_k, n_d), laid out as in SamplerState. With the compiled
+    kernels the slots and tables are int64 arrays: tokens[doc_ptr[d]:
+    doc_ptr[d + 1]] are document d's term indices and z their topics, in
+    SamplerState's slot order, and one integers() call over all slots draws
+    init_assignments' stream. Without them, state is init_assignments'
+    SamplerState, whose lists the tables are. The same seed gives the same
+    assignments either way.
     """
 
-    doc_ptr: np.ndarray
-    tokens: np.ndarray
-    z: np.ndarray
-    n_dk: np.ndarray
-    n_kw: np.ndarray
-    n_k: np.ndarray
-    n_d: np.ndarray
-    rng: np.random.Generator
-
-
-def _check_entries(docs: np.ndarray, terms: np.ndarray, counts: np.ndarray, matrix: DocTermMatrix) -> None:
-    bad = (docs < 0) | (docs >= matrix.n_docs) | (terms < 0) | (terms >= matrix.n_terms) | (counts < 0)
-    if bad.any():
-        first = int(np.argmax(bad))
-        raise EntryOutOfRange(
-            int(docs[first]), int(terms[first]), int(counts[first]), matrix.n_docs, matrix.n_terms
+    def __init__(self, matrix: DocTermMatrix, config: LdaConfig):
+        if not matrix.values.size:
+            raise EmptyMatrix()
+        self.config = config
+        self.entries = docs, terms, counts = _entries(matrix)
+        self.kernels = _load_kernels()
+        if self.kernels is None:
+            self.state = init_assignments(matrix, config)
+            self.rng = self.state.rng
+            self.tables = (self.state.n_dk, self.state.n_kw, self.state.n_k, self.state.n_d)
+            return
+        n_topics, n_terms, n_docs = config.n_topics, matrix.n_terms, matrix.n_docs
+        lengths = counts.astype(np.int64)
+        self.tokens = np.repeat(terms, lengths)
+        token_docs = np.repeat(docs, lengths)
+        n_d = np.bincount(token_docs, minlength=n_docs)
+        self.doc_ptr = np.zeros(n_docs + 1, dtype=np.int64)
+        np.cumsum(n_d, out=self.doc_ptr[1:])
+        self.rng = np.random.default_rng(config.seed)
+        self.z = self.rng.integers(0, n_topics, size=self.tokens.size)
+        self.tables = (
+            np.bincount(token_docs * n_topics + self.z, minlength=n_docs * n_topics).reshape(n_docs, n_topics),
+            np.bincount(self.z * n_terms + self.tokens, minlength=n_topics * n_terms).reshape(n_topics, n_terms),
+            np.bincount(self.z, minlength=n_topics),
+            n_d,
         )
+        self._uniforms = np.empty(self.tokens.size)
 
+    def step(self) -> None:
+        """Resample every token slot once; one random() call draws gibbs_sweep's stream."""
+        if self.kernels is None:
+            gibbs_sweep(self.state, self.config)
+            return
+        self.rng.random(out=self._uniforms)
+        self.kernels.sweep(self.doc_ptr, self.tokens, self.z, *self.tables[:3], self._uniforms,
+                           self.config.alpha, self.config.beta)
 
-def _init_arrays(
-    docs: np.ndarray, terms: np.ndarray, counts: np.ndarray, matrix: DocTermMatrix, config: LdaConfig
-) -> _TokenArrays:
-    """init_assignments on arrays: the same seed gives the same assignments.
-
-    One integers() call over all slots draws the same stream as
-    init_assignments' one call per document.
-    """
-    n_topics, n_terms, n_docs = config.n_topics, matrix.n_terms, matrix.n_docs
-    lengths = counts.astype(np.int64)
-    tokens = np.repeat(terms, lengths)
-    token_docs = np.repeat(docs, lengths)
-    n_d = np.bincount(token_docs, minlength=n_docs)
-    doc_ptr = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(n_d, out=doc_ptr[1:])
-    rng = np.random.default_rng(config.seed)
-    z = rng.integers(0, n_topics, size=tokens.size)
-    n_dk = np.bincount(token_docs * n_topics + z, minlength=n_docs * n_topics).reshape(n_docs, n_topics)
-    n_kw = np.bincount(z * n_terms + tokens, minlength=n_topics * n_terms).reshape(n_topics, n_terms)
-    n_k = np.bincount(z, minlength=n_topics)
-    return _TokenArrays(doc_ptr, tokens, z, n_dk, n_kw, n_k, n_d, rng)
-
-
-def _compiled_step(state: _TokenArrays, config: LdaConfig, sweep):
-    """One compiled sweep per call; one random() call draws gibbs_sweep's stream."""
-    uniforms = np.empty(state.tokens.size)
-
-    def step() -> None:
-        state.rng.random(out=uniforms)
-        sweep(state.doc_ptr, state.tokens, state.z, state.n_dk, state.n_kw, state.n_k,
-              uniforms, config.alpha, config.beta)
-
-    return step
-
-
-def _python_step(state: _TokenArrays, config: LdaConfig):
-    """One gibbs_sweep per call on a list copy, written back to the arrays."""
-    bounds = list(zip(state.doc_ptr[:-1].tolist(), state.doc_ptr[1:].tolist()))
-    tokens, z = state.tokens.tolist(), state.z.tolist()
-    reference = SamplerState(
-        doc_tokens=[tokens[start:stop] for start, stop in bounds],
-        assignments=[z[start:stop] for start, stop in bounds],
-        n_dk=state.n_dk.tolist(),
-        n_kw=state.n_kw.tolist(),
-        n_k=state.n_k.tolist(),
-        n_d=state.n_d.tolist(),
-        rng=state.rng,
-    )
-
-    def step() -> None:
-        gibbs_sweep(reference, config)
-        state.n_dk[...] = reference.n_dk
-        state.n_kw[...] = reference.n_kw
-        state.n_k[...] = reference.n_k
-
-    return step
+    def estimates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The smoothed doc-topic and topic-word estimates of the current tables."""
+        n_dk, n_kw, n_k, n_d = map(np.asarray, self.tables)
+        return _doc_topic_estimate(n_dk, n_d, self.config.alpha), _topic_word_estimate(n_kw, n_k, self.config.beta)
 
 
 def fit(matrix: DocTermMatrix, config: LdaConfig, vocab: Vocabulary | None = None) -> LdaModel:
@@ -372,29 +344,18 @@ def fit(matrix: DocTermMatrix, config: LdaConfig, vocab: Vocabulary | None = Non
     available and through gibbs_sweep and _token_probs otherwise, with
     equal results.
     """
-    if not matrix.values.size:
-        raise EmptyMatrix()
-    docs, terms, counts = _entry_arrays(matrix)
-    _check_entries(docs, terms, counts, matrix)
-    state = _init_arrays(docs, terms, counts, matrix, config)
-    kernels = _load_kernels()
-    if kernels is None:
-        step, token_probs = _python_step(state, config), _token_probs
-    else:
-        step, token_probs = _compiled_step(state, config, kernels.sweep), kernels.token_probs
+    sampler = _Sampler(matrix, config)
     doc_topic_sum = np.zeros((matrix.n_docs, config.n_topics))
     topic_word_sum = np.zeros((config.n_topics, matrix.n_terms))
     trace: list[float] = []
-    samples = 0
     for sweep_index in range(config.sweeps):
-        step()
-        doc_topic = _doc_topic_estimate(state.n_dk, state.n_d, config.alpha)
-        topic_word = _topic_word_estimate(state.n_kw, state.n_k, config.beta)
-        trace.append(_log_likelihood(docs, terms, counts, doc_topic, topic_word, token_probs))
+        sampler.step()
+        doc_topic, topic_word = sampler.estimates()
+        trace.append(_log_likelihood(*sampler.entries, doc_topic, topic_word, sampler.kernels))
         if sweep_index >= config.burn_in:
             doc_topic_sum += doc_topic
             topic_word_sum += topic_word
-            samples += 1
+    samples = config.sweeps - config.burn_in
     return LdaModel(
         config=config,
         doc_topic=doc_topic_sum / samples,
@@ -525,13 +486,9 @@ def perplexity(model: LdaModel, matrix: DocTermMatrix) -> float:
         )
     if not matrix.values.size:
         raise EmptyMatrix()
-    docs, terms, counts = _entry_arrays(matrix)
-    _check_entries(docs, terms, counts, matrix)
-    total = counts.sum()
-    kernels = _load_kernels()
-    token_probs = _token_probs if kernels is None else kernels.token_probs
-    log_lik = _log_likelihood(docs, terms, counts, model.doc_topic, model.topic_word, token_probs)
-    return float(np.exp(-log_lik / total))
+    docs, terms, counts = _entries(matrix)
+    log_lik = _log_likelihood(docs, terms, counts, model.doc_topic, model.topic_word, _load_kernels())
+    return float(np.exp(-log_lik / counts.sum()))
 
 
 def coherence_umass(model: LdaModel, matrix: DocTermMatrix, top_m: int = 10) -> list[float]:
@@ -543,7 +500,7 @@ def coherence_umass(model: LdaModel, matrix: DocTermMatrix, top_m: int = 10) -> 
     """
     if top_m < 2:
         raise ValueError(f"top_m must be >= 2, got {top_m}")
-    _check_entries(matrix.docs, matrix.terms, matrix.values, matrix)
+    docs, terms, _ = _entries(matrix)
     top_terms = [model.top_term_indices(topic, top_m) for topic in range(model.topic_word.shape[0])]
     # Co-document counts of every pair of top words, from a 0/1 incidence
     # matrix over the union of the topics' top words.
@@ -552,18 +509,18 @@ def coherence_umass(model: LdaModel, matrix: DocTermMatrix, top_m: int = 10) -> 
     distinct = np.ones(columns.size, dtype=bool)
     distinct[1:] = columns[1:] != columns[:-1]
     columns = columns[distinct]
-    present = np.isin(matrix.terms, columns)
+    present = np.isin(terms, columns)
     incidence = np.zeros((matrix.n_docs, columns.size))
-    incidence[matrix.docs[present], np.searchsorted(columns, matrix.terms[present])] = 1.0
+    incidence[docs[present], np.searchsorted(columns, terms[present])] = 1.0
     codoc = (incidence.T @ incidence).astype(np.int64).tolist()
     scores = []
-    for topic, terms in enumerate(top_terms):
-        rows = np.searchsorted(columns, terms).tolist()
+    for topic, topic_terms in enumerate(top_terms):
+        rows = np.searchsorted(columns, topic_terms).tolist()
         score = 0.0
         for j in range(1, len(rows)):
             docs_j = codoc[rows[j]][rows[j]]
             if not docs_j:
-                raise AbsentTopWord(topic, terms[j])
+                raise AbsentTopWord(topic, topic_terms[j])
             for i in range(j):
                 score += math.log((codoc[rows[i]][rows[j]] + 1) / docs_j)
         scores.append(score)

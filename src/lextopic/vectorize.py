@@ -178,7 +178,7 @@ def count_corpus(
         raise ValueError(f"on_empty must be 'error' or 'drop', got {on_empty!r}")
     from . import _gibbs  # not at import time: ingest never needs the kernels
 
-    kernels = _gibbs.load_sweep()
+    kernels = _gibbs.load_kernels()
     if kernels is None:
         documents = preprocess_mod.preprocess_corpus(corpus, config, on_empty)
         vocab = build_vocabulary(documents, min_df, max_df_ratio)

@@ -226,7 +226,7 @@ def test_model(tmp_path, monkeypatch, kernels):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("LEXTOPIC_CONFIG", raising=False)
     if kernels == "fallback":
-        monkeypatch.setattr(_gibbs, "load_sweep", lambda: None)
+        monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
     words = ["budget", "finance", "tax", "court", "judge", "قانون", "law", "appeal"]
     write_jsonl(tmp_path / "corpus.jsonl", [
         jsonl_row(f"r{i}", content=" ".join(words[i * j % 8] for j in range(1, 9))) for i in range(6)

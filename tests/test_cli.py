@@ -445,7 +445,7 @@ class TestCorruptModelFile:
         self, fitted, tmp_path, capsys, monkeypatch, compiled, table, cell, reason
     ):
         if not compiled:
-            monkeypatch.setattr(_gibbs, "load_sweep", lambda: None)
+            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
         payload = json.loads(fitted[1])
         payload[table][-1][-1] = cell
         assert self._analyze(fitted, tmp_path, json.dumps(payload)) == 1
@@ -865,7 +865,7 @@ class TestCommandImports:
         # ingest needs no kernel module (numpy itself imports ctypes). With the
         # library already built, no command needs the compiler plumbing, nor
         # numpy.ma, which a plain np.unique imports.
-        _gibbs.load_sweep()
+        _gibbs.load_kernels()
         out = str(tmp_path / "out")
         unneeded = ["numpy.ma", "subprocess"]
         commands = [

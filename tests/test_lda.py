@@ -571,17 +571,12 @@ def token_lists_with_gaps(seed, n_docs=12, n_terms=15):
     return token_lists
 
 
-def array_tables(state):
-    return state.n_dk.tolist(), state.n_kw.tolist(), state.n_k.tolist(), state.n_d.tolist()
+def array_tables(sampler):
+    return tuple(table.tolist() for table in sampler.tables)
 
 
-def per_doc(state, values):
-    return [values[start:stop].tolist() for start, stop in zip(state.doc_ptr[:-1], state.doc_ptr[1:])]
-
-
-def array_state(matrix, config):
-    docs, terms, counts = lda._entry_arrays(matrix)
-    return lda._init_arrays(docs, terms, counts, matrix, config)
+def per_doc(sampler, values):
+    return [values[start:stop].tolist() for start, stop in zip(sampler.doc_ptr[:-1], sampler.doc_ptr[1:])]
 
 
 def assert_same_model(first, second):
@@ -592,7 +587,7 @@ def assert_same_model(first, second):
 
 @pytest.fixture(scope="module")
 def compiled_kernels():
-    kernels = _gibbs.load_sweep()
+    kernels = _gibbs.load_kernels()
     if kernels is None:
         assert _gibbs.find_compiler() is None, "a C compiler is on PATH but the compiled kernels did not load"
         pytest.skip("no C compiler on PATH")
@@ -605,23 +600,38 @@ def compiled_sweep(compiled_kernels):
 
 
 class TestArrayInit:
+    """The compiled sampler's array initialisation starts where init_assignments does."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.lists(st.integers(0, 5), max_size=12), min_size=1, max_size=8),
         st.integers(1, 25),
         st.integers(0, 2**64 - 1),
     )
-    def test_matches_init_assignments(self, token_lists, n_topics, seed):
+    def test_matches_init_assignments(self, compiled_kernels, token_lists, n_topics, seed):
         if not any(token_lists):
             token_lists[0] = [0]
         matrix = matrix_from_tokens(token_lists, n_terms=6)
         config = LdaConfig(n_topics=n_topics, sweeps=2, burn_in=1, seed=seed)
         reference = init_assignments(matrix, config)
-        state = array_state(matrix, config)
-        assert per_doc(state, state.tokens) == reference.doc_tokens
-        assert per_doc(state, state.z) == reference.assignments
-        assert array_tables(state) == (reference.n_dk, reference.n_kw, reference.n_k, reference.n_d)
-        assert state.rng.bit_generator.state == reference.rng.bit_generator.state
+        sampler = lda._Sampler(matrix, config)
+        assert per_doc(sampler, sampler.tokens) == reference.doc_tokens
+        assert per_doc(sampler, sampler.z) == reference.assignments
+        assert array_tables(sampler) == (reference.n_dk, reference.n_kw, reference.n_k, reference.n_d)
+        assert sampler.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_fallback_runs_the_reference(self, monkeypatch):
+        monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+        matrix = matrix_from_tokens([[0, 1, 1], [], [2, 0]], n_terms=3)
+        config = LdaConfig(n_topics=3, alpha=0.5, beta=0.1, sweeps=6, burn_in=1, seed=5)
+        reference = init_assignments(matrix, config)
+        sampler = lda._Sampler(matrix, config)
+        assert sampler.state.assignments == reference.assignments
+        for _ in range(5):
+            gibbs_sweep(reference, config)
+            sampler.step()
+            assert sampler.state.assignments == reference.assignments
+            assert sampler.tables == (reference.n_dk, reference.n_kw, reference.n_k, reference.n_d)
 
 
 class TestCompiledSweep:
@@ -631,39 +641,40 @@ class TestCompiledSweep:
         matrix = matrix_from_tokens(token_lists_with_gaps(seed), n_terms=15)
         config = LdaConfig(n_topics=n_topics, beta=0.05, sweeps=26, burn_in=1, seed=seed)
         reference = init_assignments(matrix, config)
-        state = array_state(matrix, config)
-        step = lda._compiled_step(state, config, compiled_sweep)
-        token_docs = np.repeat(np.arange(matrix.n_docs), np.diff(state.doc_ptr))
+        sampler = lda._Sampler(matrix, config)
+        token_docs = np.repeat(np.arange(matrix.n_docs), np.diff(sampler.doc_ptr))
         for _ in range(25):
             gibbs_sweep(reference, config)
-            step()
-            assert per_doc(state, state.z) == reference.assignments
-            assert array_tables(state) == (reference.n_dk, reference.n_kw, reference.n_k, reference.n_d)
-            n_dk = np.zeros_like(state.n_dk)
-            n_kw = np.zeros_like(state.n_kw)
-            np.add.at(n_dk, (token_docs, state.z), 1)
-            np.add.at(n_kw, (state.z, state.tokens), 1)
-            assert np.array_equal(n_dk, state.n_dk)
-            assert np.array_equal(n_kw, state.n_kw)
-            assert np.array_equal(n_kw.sum(axis=1), state.n_k)
+            sampler.step()
+            assert per_doc(sampler, sampler.z) == reference.assignments
+            assert array_tables(sampler) == (reference.n_dk, reference.n_kw, reference.n_k, reference.n_d)
+            state_n_dk, state_n_kw, state_n_k, _ = sampler.tables
+            n_dk = np.zeros_like(state_n_dk)
+            n_kw = np.zeros_like(state_n_kw)
+            np.add.at(n_dk, (token_docs, sampler.z), 1)
+            np.add.at(n_kw, (sampler.z, sampler.tokens), 1)
+            assert np.array_equal(n_dk, state_n_dk)
+            assert np.array_equal(n_kw, state_n_kw)
+            assert np.array_equal(n_kw.sum(axis=1), state_n_k)
 
     @pytest.mark.parametrize("n_topics", [1, 3, 10, 20])
     def test_fit_equals_python_path(self, compiled_sweep, monkeypatch, n_topics):
         matrix = matrix_from_tokens(token_lists_with_gaps(n_topics), n_terms=15)
         config = LdaConfig(n_topics=n_topics, sweeps=25, burn_in=5, seed=n_topics)
         compiled = fit(matrix, config)
-        monkeypatch.setattr(_gibbs, "load_sweep", lambda: None)
+        monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
         assert_same_model(compiled, fit(matrix, config))
 
     def test_rejects_inconsistent_arrays(self, compiled_sweep):
         matrix = matrix_from_tokens([[0, 1], [1]], n_terms=2)
-        state = array_state(matrix, LdaConfig(n_topics=2, sweeps=2, burn_in=1))
+        sampler = lda._Sampler(matrix, LdaConfig(n_topics=2, sweeps=2, burn_in=1))
+        n_dk, n_kw, n_k, _ = sampler.tables
         with pytest.raises(ValueError):
-            compiled_sweep(state.doc_ptr, state.tokens, state.z, state.n_dk, state.n_kw, state.n_k,
-                           np.zeros(state.tokens.size + 1), 1.0, 0.1)
+            compiled_sweep(sampler.doc_ptr, sampler.tokens, sampler.z, n_dk, n_kw, n_k,
+                           np.zeros(sampler.tokens.size + 1), 1.0, 0.1)
         with pytest.raises(ValueError):
-            compiled_sweep(state.doc_ptr, state.tokens, state.z.astype(np.int32), state.n_dk,
-                           state.n_kw, state.n_k, np.zeros(state.tokens.size), 1.0, 0.1)
+            compiled_sweep(sampler.doc_ptr, sampler.tokens, sampler.z.astype(np.int32), n_dk,
+                           n_kw, n_k, np.zeros(sampler.tokens.size), 1.0, 0.1)
 
 
 class TestTokenProbabilities:
@@ -698,7 +709,7 @@ class TestTokenProbabilities:
         token_probs = np.einsum("ek,ek->e", doc_topic[docs], topic_word[:, terms].T)
         expected = float(np.dot(counts, np.log(token_probs)))
         reference = lda._log_likelihood(docs, terms, counts, doc_topic, topic_word)
-        compiled = lda._log_likelihood(docs, terms, counts, doc_topic, topic_word, compiled_kernels.token_probs)
+        compiled = lda._log_likelihood(docs, terms, counts, doc_topic, topic_word, compiled_kernels)
         assert compiled == reference == expected
 
     def test_one_entry_matrix(self, compiled_kernels):
@@ -724,7 +735,7 @@ class TestTokenProbabilities:
         matrix = matrix_from_tokens(token_lists_with_gaps(9), n_terms=15)
         model = fit(matrix, LdaConfig(n_topics=9, sweeps=10, burn_in=2, seed=9))
         compiled = perplexity(model, matrix)
-        monkeypatch.setattr(_gibbs, "load_sweep", lambda: None)
+        monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
         assert perplexity(model, matrix) == compiled
 
 
@@ -800,6 +811,28 @@ class TestSweepFallback:
         assert len(warnings) == 1
         assert "using the Python sweep" in warnings[0].getMessage()
         assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+
+class TestKernelCache:
+    def test_build_deletes_the_stale_libraries(self, monkeypatch, tmp_path):
+        compiler = _gibbs.find_compiler()
+        if compiler is None:
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = _gibbs._cache_dir()
+        cache.mkdir(parents=True)
+        for name in ("gibbs-0000000000000000.so", "gibbs-1111111111111111.so"):
+            (cache / name).write_bytes(b"an older build")
+        (cache / ".gibbs-x1y2z3.so").write_bytes(b"another process's compile")
+        (cache / "gibbs-busy.so").mkdir()  # unlink fails on a directory
+        (cache / "notes.txt").write_text("not a build")
+        target = _gibbs._build(cache, compiler)
+        kept = [target.name, ".gibbs-x1y2z3.so", "gibbs-busy.so", "notes.txt"]
+        assert sorted(path.name for path in cache.iterdir()) == sorted(kept)
+        # A build found in the cache is returned without a look at the others.
+        (cache / "gibbs-2222222222222222.so").write_bytes(b"an older build")
+        assert _gibbs._build(cache, compiler) == target
+        assert sorted(path.name for path in cache.iterdir()) == sorted(kept + ["gibbs-2222222222222222.so"])
 
 
 class TestEntryBounds:

@@ -381,7 +381,7 @@ class TestTopWordsMatchFullSort:
 
 @pytest.fixture(scope="module")
 def kernels():
-    loaded = _gibbs.load_sweep()
+    loaded = _gibbs.load_kernels()
     if loaded is None:
         assert _gibbs.find_compiler() is None, "a C compiler is on PATH but the compiled kernels did not load"
         pytest.skip("no C compiler on PATH")
@@ -567,7 +567,7 @@ def _both_paths(path, monkeypatch):
 
     compiled = outcome()
     with monkeypatch.context() as patch:
-        patch.setattr(_gibbs, "load_sweep", lambda: None)
+        patch.setattr(_gibbs, "load_kernels", lambda: None)
         return compiled, outcome()
 
 

@@ -337,7 +337,7 @@ LETTERS = ["a", "B", "z", "7", "ا", "ی", "ي", "ك", "ـ", "۱", "،", "€", 
 
 @pytest.fixture(scope="module")
 def kernels():
-    loaded = _gibbs.load_sweep()
+    loaded = _gibbs.load_kernels()
     if loaded is None:
         assert _gibbs.find_compiler() is None, "a C compiler is on PATH but the compiled kernels did not load"
         pytest.skip("no C compiler on PATH")
