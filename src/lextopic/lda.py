@@ -268,9 +268,16 @@ def _log_likelihood(
     topic_word: np.ndarray,
     kernels=None,
 ) -> float:
-    """Sum over entries of count * log(probability), with the compiled token_probs where kernels are given."""
+    """Sum over entries of count * log(probability), with the compiled token_probs where kernels are given.
+
+    The sum is numpy's pairwise add.reduce, whose order is fixed; a BLAS
+    dot would split it by the thread count and change the last bits.
+    """
     token_probs = _token_probs if kernels is None else kernels.token_probs
-    return float(np.dot(counts, np.log(token_probs(docs, terms, doc_topic, topic_word))))
+    log_p = token_probs(docs, terms, doc_topic, topic_word)
+    np.log(log_p, out=log_p)
+    log_p *= counts
+    return float(np.add.reduce(log_p))
 
 
 def _load_kernels():

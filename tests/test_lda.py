@@ -6,7 +6,10 @@ import logging
 import math
 import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -707,7 +710,7 @@ class TestTokenProbabilities:
         doc_topic = rng.dirichlet(np.ones(n_topics), 500)
         topic_word = rng.dirichlet(np.ones(800), n_topics)
         token_probs = np.einsum("ek,ek->e", doc_topic[docs], topic_word[:, terms].T)
-        expected = float(np.dot(counts, np.log(token_probs)))
+        expected = float(np.add.reduce(counts * np.log(token_probs)))
         reference = lda._log_likelihood(docs, terms, counts, doc_topic, topic_word)
         compiled = lda._log_likelihood(docs, terms, counts, doc_topic, topic_word, compiled_kernels)
         assert compiled == reference == expected
@@ -737,6 +740,51 @@ class TestTokenProbabilities:
         compiled = perplexity(model, matrix)
         monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
         assert perplexity(model, matrix) == compiled
+
+
+# Prints the log-likelihood of 250,000 entries, which a BLAS dot would
+# split over its threads, and the seeded artifacts of a small fit and sweep.
+_THREAD_PROBE = """
+import contextlib, hashlib, io, sys
+from pathlib import Path
+import numpy as np
+from lextopic import cli, lda
+from lextopic.corpus import SynthConfig, generate_synthetic_corpus, save_corpus
+
+rng = np.random.default_rng(0)
+n_entries = 250_000
+docs = np.sort(rng.integers(0, 2_000, n_entries))
+terms = rng.integers(0, 3_000, n_entries)
+counts = rng.integers(1, 5, n_entries).astype(np.float64)
+doc_topic = rng.dirichlet(np.ones(10), 2_000)
+topic_word = rng.dirichlet(np.ones(3_000), 10)
+print(lda._log_likelihood(docs, terms, counts, doc_topic, topic_word).hex())
+out = Path(sys.argv[1])
+corpus, _ = generate_synthetic_corpus(SynthConfig(n_docs=80, n_topics=3, vocab_size=50, doc_length=40))
+save_corpus(corpus, out / "corpus.jsonl")
+common = ["--corpus", str(out / "corpus.jsonl"), "--sweeps", "4", "--burn-in", "1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["fit", "--out", str(out / "fit"), "--topics", "3", *common]) == 0
+    assert cli.main(["sweep", "--out", str(out / "sweep"), "--k-grid", "2,3", *common]) == 0
+for name in ("fit/trace.csv", "fit/model.json", "sweep/sweep.csv"):
+    print(name, hashlib.sha256((out / name).read_bytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="BLAS runs one thread on one CPU")
+def test_log_likelihood_does_not_depend_on_blas_threads(tmp_path):
+    source_root = str(Path(lda.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(out)], capture_output=True, text=True,
+                                env=env, check=True)
+        outputs.append(result.stdout.splitlines())
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
 
 
 def _neighbours(value: float) -> list[float]:
