@@ -48,6 +48,8 @@ def read_json_object(path, error) -> dict:
             payload = json.load(handle)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise error(f"not JSON: {exc}") from None
+    except RecursionError:
+        raise error("nested deeper than the recursion limit") from None
     if not isinstance(payload, dict):
         raise error("not a JSON object")
     return payload

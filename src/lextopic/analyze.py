@@ -105,13 +105,20 @@ def top_words(model: LdaModel, topic_id: int, n: int) -> list[tuple[str, float]]
 def load_labels(path) -> dict[int, str]:
     """Sidecar JSON object mapping topic id (as a string key) to label.
 
-    A file that is not such an object raises MalformedLabels.
+    A file that is not such an object, or a label that UTF-8 cannot hold
+    (a lone surrogate), raises MalformedLabels.
     """
     payload = read_json_object(path, lambda reason: MalformedLabels(path, reason))
     try:
-        return {int(key): str(value) for key, value in payload.items()}
+        labels = {int(key): str(value) for key, value in payload.items()}
     except ValueError as exc:
         raise MalformedLabels(path, f"topic ids must be integers: {exc}") from None
+    for topic, label in labels.items():
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedLabels(path, f"the label of topic {topic} is not UTF-8 text") from None
+    return labels
 
 
 def label_topics(

@@ -785,6 +785,27 @@ class TestUnreadableInputs:
         assert self._analyze_with_labels(fitted, tmp_path, b'{"first": "Economic"}') == 1
         assert "error [analyze]: label map" in capsys.readouterr().err
 
+    def test_label_that_utf8_cannot_hold(self, fitted, tmp_path, capsys):
+        assert self._analyze_with_labels(fitted, tmp_path, b'{"0": "Economic", "1": "\\ud800"}') == 1
+        assert capsys.readouterr().err.startswith(
+            f"error [analyze]: label map {tmp_path / 'labels.json'}: the label of topic 1 is not UTF-8 text")
+        assert sorted(path.name for path in (tmp_path / "o").iterdir()) == ["run_config.json"]
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--model", "error [lda]: model file {path}: "),
+        ("--config", "error [config]: config file {path}: "),
+        ("--labels", "error [analyze]: label map {path}: "),
+    ])
+    def test_json_file_nested_past_the_recursion_limit(self, fitted, tmp_path, capsys, flag, message):
+        corpus, model = fitted
+        path = tmp_path / "deep.json"
+        path.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        args = ["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o"), "--model", str(model)]
+        # --config goes before the command; a second --model overrides the first.
+        args = [flag, str(path)] + args if flag == "--config" else args + [flag, str(path)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(message.format(path=path) + "nested deeper than the recursion limit")
+
     @pytest.mark.parametrize("text, detail", [("{not json", "not JSON"), ("[1]", "not a JSON object")])
     def test_config_file_that_is_not_a_json_object(self, corpus_path, tmp_path, capsys, text, detail):
         config = tmp_path / "run.json"
