@@ -7,9 +7,10 @@ are numpy arrays that the compiled sweep resamples in place. Without a
 C compiler the sampler runs the pure-Python ``init_assignments`` /
 ``gibbs_sweep`` pair on nested lists, which is also the reference the
 compiled path is tested against: both give the same assignments for the
-same seed. The log-likelihood trace and ``perplexity`` likewise use the compiled
-``token_probs`` loop, with ``_token_probs`` as its numpy reference and
-fallback: both give the same bits. ``save_model`` writes θ and φ with the
+same seed. The log-likelihood trace and ``perplexity`` likewise use the
+compiled ``token_probs`` loop, with ``_token_probs`` as its numpy
+reference and fallback: both give the same bits, and both sum the
+count-weighted logs in one fixed order. ``save_model`` writes θ and φ with the
 compiled ``format_floats``, and with ``json.dumps`` where it falls back:
 both give the same bytes. ``load_model`` reads them back with the compiled
 ``parse_table``, and with ``json.load`` where it falls back: both give the

@@ -217,8 +217,7 @@ def test_sweep(fit_corpus, monkeypatch):
     )
 
 
-# The whole file, whichever path writes it: θ and φ as json.dumps writes them, and the trace
-# as the fixed-order sum writes it (with a BLAS dot it ended -135.38233016416643, ...).
+# The whole file, whichever path writes it: θ and φ as json.dumps writes them.
 MODEL_SHA256 = "43a1dcd122791e3163d3adccd6e8a73f9ea92c6daa4f21df55b89d8fa52bbd48"
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import lextopic
-from conftest import write_jsonl, jsonl_row
+from conftest import jsonl_row, write_jsonl
 from lextopic import _gibbs
 from test_vectorize import LETTERS, NEAR_MISSES, WHITESPACE
 
