@@ -4,8 +4,9 @@ Every CSV and JSON artifact is written by write_csv or write_json, except
 model.json, which lda.save_model writes through atomic_writer: CSV is
 comma-separated with CRLF line ends and floats (numpy's included) as
 Python's shortest repr; JSON is UTF-8 with non-ASCII text kept as is.
-JSON files are read whole by read_json_object, and model.json member by
-member by parse_json_object where the compiled table parser loads.
+JSON files are read whole by read_json_object; lda.load_model reads
+model.json in save_model's own layout where the compiled table parser
+loads, and through read_json_object otherwise.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import re
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -53,58 +53,6 @@ def read_json_object(path, error) -> dict:
     if not isinstance(payload, dict):
         raise error("not a JSON object")
     return payload
-
-
-_SPACE = re.compile(rb"[ \t\n\r]*")
-
-
-def parse_json_object(data: bytes, value_end, parsers: dict) -> dict | None:
-    """The JSON object that the UTF-8 text data holds, parsed member by member; None where it cannot say.
-
-    value_end(data, start) is the offset just past the value that starts at
-    byte start, or -1, and each key and value is json.loads of its own text.
-    A member named in parsers is parsed by parsers[name](data, start)
-    instead, which returns (value, end), or None to decline. A duplicate
-    key keeps its last value, as in json.load. None means that data is not
-    a JSON object, or that a parser declined: the caller then reads the
-    file with json.load, which gives the same object for any text this
-    function accepts.
-    """
-    members = {}
-    try:
-        at = _SPACE.match(data).end()
-        if data[at:at + 1] != b"{":
-            return None
-        at = _SPACE.match(data, at + 1).end()
-        closed = data[at:at + 1] == b"}"
-        while not closed:
-            end = value_end(data, at)
-            if end < 0:
-                return None
-            key = json.loads(data[at:end].decode("utf-8"))
-            at = _SPACE.match(data, end).end()
-            if not isinstance(key, str) or data[at:at + 1] != b":":
-                return None
-            at = _SPACE.match(data, at + 1).end()
-            if key in parsers:
-                parsed = parsers[key](data, at)
-                if parsed is None:
-                    return None
-                members[key], end = parsed
-            else:
-                end = value_end(data, at)
-                if end < 0:
-                    return None
-                members[key] = json.loads(data[at:end].decode("utf-8"))
-            at = _SPACE.match(data, end).end()
-            closed = data[at:at + 1] == b"}"
-            if not closed:
-                if data[at:at + 1] != b",":
-                    return None
-                at = _SPACE.match(data, at + 1).end()
-    except (ValueError, RecursionError):  # JSONDecodeError and UnicodeDecodeError included
-        return None
-    return members if _SPACE.match(data, at + 1).end() == len(data) else None
 
 
 def write_csv(path, header: list, rows) -> None:

@@ -11,8 +11,6 @@
  * n_dk is n_docs x n_topics, n_kw is n_topics x n_terms. weights is
  * scratch space of n_topics doubles. Indices are checked by the caller.
  */
-#define _GNU_SOURCE  /* strtod_l and newlocale */
-#include <locale.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -529,32 +527,21 @@ int64_t format_floats(const double *values, int64_t n_rows, int64_t n_cols, int6
  * double Python's float() gives for its token.
  *
  * A token is checked against the JSON number grammar and read as a
- * decimal w * 10**q. With at most 19 significant digits and an exponent
- * under 100000, w and q are exact and the Eisel-Lemire algorithm (Lemire, "Number Parsing at a Gigabyte per
+ * decimal w * 10**q. Only the tokens a float's repr can be are read:
+ * with a fraction or an exponent, at most 19 significant digits and an
+ * exponent under 100000, so that w and q are exact. The
+ * Eisel-Lemire algorithm (Lemire, "Number Parsing at a Gigabyte per
  * Second", Software: Practice and Experience 2021, as fast_float computes
- * it) gives the correctly rounded double from one or two 64 x 64-bit
+ * it) then gives the correctly rounded double from one or two 64 x 64-bit
  * products with a 128-bit power of 5. pow5_128[2 * (q + 342)] and the
  * word after it are the high and low words of 5**q, q in [-342, 308],
  * scaled to 128 bits with its top bit set (truncated, or for q < 0 one
- * more than the floor); lextopic._gibbs.pow5_128_table computes it. The
- * other tokens, and the rare product too close to a rounding boundary to
- * decide, go to strtod_l in the "C" locale, which rounds correctly and
- * does not read the process locale's decimal point.
+ * more than the floor); lextopic._gibbs.pow5_128_table computes it. Any
+ * other token, and the rare product too close to a rounding boundary to
+ * decide, is declined, and the caller reads the file with json.load.
  */
-static locale_t c_locale;
-
-__attribute__((constructor)) static void make_c_locale(void)
-{
-    c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
-}
-
 #define INFINITY_BITS (0x7FFULL << 52)
 #define UNDECIDED ((uint64_t)-1)
-
-static int is_json_space(uint8_t c)
-{
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-}
 
 static int is_digit(uint8_t c)
 {
@@ -563,7 +550,7 @@ static int is_digit(uint8_t c)
 
 static const uint8_t *skip_space(const uint8_t *p, const uint8_t *end)
 {
-    while (p < end && is_json_space(*p))
+    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
         p++;
     return p;
 }
@@ -571,20 +558,20 @@ static const uint8_t *skip_space(const uint8_t *p, const uint8_t *end)
 typedef struct {
     uint64_t w;       /* the significant digits */
     int64_t q;        /* the value is w * 10**q */
-    int exact;        /* w and q are exact: at most 19 significant digits and a short exponent */
     int negative;
-    int integer;      /* neither a fraction nor an exponent */
 } Decimal;
 
 /* Length of the JSON number token -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
- * at p, or 0 if none starts there; its decimal goes to d.
+ * at p, its decimal to d; 0 if none starts there, or if the token has
+ * neither a fraction nor an exponent, more than 19 significant digits or
+ * an exponent of 100000 or more.
  */
 static int64_t scan_number(const uint8_t *p, const uint8_t *end, Decimal *d)
 {
     const uint8_t *s = p;
     uint64_t w = 0;
     int64_t digits = 0, scale = 0, exponent = 0;
-    int long_exponent = 0;
+    int integer = 1;
     d->negative = s < end && *s == '-';
     s += d->negative;
     if (s == end || !is_digit(*s))
@@ -594,7 +581,6 @@ static int64_t scan_number(const uint8_t *p, const uint8_t *end, Decimal *d)
     else
         for (; s < end && is_digit(*s); s++, digits++)
             w = 10 * w + (uint64_t)(*s - '0');
-    d->integer = 1;
     if (s < end && *s == '.') {
         if (++s == end || !is_digit(*s))
             return 0;
@@ -602,7 +588,7 @@ static int64_t scan_number(const uint8_t *p, const uint8_t *end, Decimal *d)
             w = 10 * w + (uint64_t)(*s - '0');
             digits += digits > 0 || *s != '0';
         }
-        d->integer = 0;
+        integer = 0;
     }
     if (s < end && (*s == 'e' || *s == 'E')) {
         int negative = 0;
@@ -610,18 +596,18 @@ static int64_t scan_number(const uint8_t *p, const uint8_t *end, Decimal *d)
             negative = *s++ == '-';
         if (s == end || !is_digit(*s))
             return 0;
-        for (; s < end && is_digit(*s); s++) {
+        for (; s < end && is_digit(*s); s++)
             if (exponent < 100000)
                 exponent = 10 * exponent + (*s - '0');
-            else
-                long_exponent = 1;
-        }
+        if (exponent >= 100000)
+            return 0;
         exponent = negative ? -exponent : exponent;
-        d->integer = 0;
+        integer = 0;
     }
+    if (integer || digits > 19)
+        return 0;
     d->w = w;
     d->q = exponent - scale;
-    d->exact = digits <= 19 && !long_exponent;
     return s - p;
 }
 
@@ -673,46 +659,23 @@ static uint64_t eisel_lemire(uint64_t w, int64_t q, const uint64_t *pow5_128)
     return (uint64_t)power2 << 52 | (mantissa & ((1ULL << 52) - 1));
 }
 
-/* The double of a checked token of length bytes at p, as float() reads
- * it, or -1 if it is past the float64 range.
- */
-static int read_number(const uint8_t *p, int64_t length, const Decimal *d, const uint64_t *pow5_128,
-                       double *value)
-{
-    uint64_t bits = d->exact ? eisel_lemire(d->w, d->q, pow5_128) : UNDECIDED;
-    if (bits == UNDECIDED) {
-        char *stop;
-        const double parsed = fabs(strtod_l((const char *)p, &stop, c_locale));
-        if (stop != (const char *)p + length)
-            return -1;
-        memcpy(&bits, &parsed, sizeof bits);
-    }
-    if (bits >= INFINITY_BITS)
-        return -1;
-    if (d->negative && !(d->integer && bits == 0))  /* float(int("-0")) is +0.0 */
-        bits |= 1ULL << 63;
-    memcpy(value, &bits, sizeof bits);
-    return 0;
-}
-
 /* Parse the JSON array of number rows that starts at text[start], where
- * text holds length bytes and a NUL after them, and return the offset
- * just past its closing bracket. shape receives (rows, columns). With out
- * NULL the text is only checked; otherwise out, of capacity doubles,
- * receives the values in row order: a float token's correctly rounded
- * double, and an integer token's as float(int(token)) gives it, so "-0"
- * is +0.0. Only JSON whitespace is skipped. Returns -1, having written
- * part of out at most, for an empty table or row, rows of different
- * lengths, nesting other than two levels, a token outside the number
- * grammar (NaN and Infinity included), a number past the float64 range,
- * or more than capacity values.
+ * text holds length bytes, and return the offset just past its closing
+ * bracket. shape receives (rows, columns). With out NULL the text is only
+ * checked; otherwise out, of capacity doubles, receives the values in row
+ * order, each token's correctly rounded double. Only JSON whitespace is
+ * skipped. Returns -1, having written part of out at most, for an empty
+ * table or row, rows of different lengths, nesting other than two levels,
+ * a token that scan_number does not take (NaN and Infinity included), a
+ * number past the float64 range or too close to a rounding boundary to
+ * decide, or more than capacity values.
  */
 int64_t parse_table(const uint8_t *text, int64_t length, int64_t start, int64_t capacity,
                     const uint64_t *pow5_128, double *out, int64_t *shape)
 {
     const uint8_t *p = text + start, *end = text + length;
     int64_t n_rows = 0, n_cols = -1, n_values = 0;
-    if (c_locale == (locale_t)0 || p >= end || *p++ != '[')
+    if (p >= end || *p++ != '[')
         return -1;
     for (;;) {
         p = skip_space(p, end);
@@ -725,8 +688,13 @@ int64_t parse_table(const uint8_t *text, int64_t length, int64_t start, int64_t 
             const int64_t token = scan_number(p, end, &d);
             if (!token)
                 return -1;
-            if (out && (n_values == capacity || read_number(p, token, &d, pow5_128, out + n_values) < 0))
-                return -1;
+            if (out) {
+                const uint64_t bits = eisel_lemire(d.w, d.q, pow5_128);
+                if (n_values == capacity || bits >= INFINITY_BITS)  /* UNDECIDED included */
+                    return -1;
+                const uint64_t value = bits | (uint64_t)d.negative << 63;
+                memcpy(out + n_values, &value, sizeof value);
+            }
             n_values++;
             p = skip_space(p + token, end);
             if (p == end)
@@ -752,34 +720,4 @@ int64_t parse_table(const uint8_t *text, int64_t length, int64_t start, int64_t 
     shape[0] = n_rows;
     shape[1] = n_cols;
     return p + 1 - text;
-}
-
-/* The offset just past the JSON value that starts at text[start], found
- * by its brackets and strings alone, or -1 if the text ends first. The
- * value is not checked: the caller parses the span.
- */
-int64_t value_end(const uint8_t *text, int64_t length, int64_t start)
-{
-    const uint8_t *p = text + start, *end = text + length;
-    int64_t depth = 0;
-    do {
-        if (p >= end)
-            return -1;
-        const uint8_t c = *p++;
-        if (c == '"') {
-            while (p < end && *p != '"')
-                p += *p == '\\' ? 2 : 1;
-            if (p >= end)
-                return -1;
-            p++;
-        } else if (c == '[' || c == '{') {
-            depth++;
-        } else if (c == ']' || c == '}') {
-            depth--;
-        } else if (depth == 0) {  /* a bare word or number: up to the next delimiter */
-            while (p < end && !is_json_space(*p) && *p != ',' && *p != ']' && *p != '}')
-                p++;
-        }
-    } while (depth > 0);
-    return depth < 0 ? -1 : p - text;
 }

@@ -1,12 +1,12 @@
-"""Build and load the eight compiled kernels in ``_gibbs.c``.
+"""Build and load the seven compiled kernels in ``_gibbs.c``.
 
 - ``lda``'s sampler and scores: the Gibbs ``sweep`` and the per-entry
   ``token_probs`` of the log-likelihood.
 - ``vectorize.count_corpus``: the chunk scan ``scan_chunks`` and the
   count loops ``token_counts`` and ``term_entries``.
-- ``model.json``: ``format_floats`` writes its tables as ``json.dumps``
-  would, and ``parse_table`` with ``value_end`` reads them back as
-  ``json.load`` would.
+- ``model.json``: ``format_floats`` writes its tables and trace as
+  ``json.dumps`` would, and ``parse_table`` reads the tables back as
+  ``json.load`` would, or declines.
 
 Each has a Python equivalent that its callers fall back to, with equal
 results. The shared library is compiled on first use with the system C
@@ -50,7 +50,6 @@ class Kernels(NamedTuple):
     term_entries: Callable
     format_floats: Callable
     parse_table: Callable
-    value_end: Callable
 
 
 _POW5_BITS = 125
@@ -153,11 +152,11 @@ def load_kernels() -> Kernels | None:
     takes a C-contiguous 1-D or 2-D float64 array and returns
     ``json.dumps(array.tolist())``, each finite value as Python's shortest
     repr and the others as ``NaN``, ``Infinity`` and ``-Infinity``.
-    ``parse_table`` and ``value_end`` take a bytes object and a byte offset
-    in it: the first reads a JSON table of number rows into a float64
-    array, the second finds where any JSON value ends; each is documented
-    on itself. The result is kept per cache directory and compiler, so each
-    pair is built, loaded and warned about once per process.
+    ``parse_table`` takes a bytes object and a byte offset in it and reads
+    the JSON table of number rows there into a float64 array, or declines;
+    it is documented on itself. The result is kept per cache directory and
+    compiler, so each pair is built, loaded and warned about once per
+    process.
     """
     return _load(_cache_dir(), find_compiler())
 
@@ -195,9 +194,6 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
     table_function = library.parse_table
     table_function.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
     table_function.restype = ctypes.c_int64
-    end_function = library.value_end
-    end_function.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 2
-    end_function.restype = ctypes.c_int64
     pow5_inv, pow5 = pow5_tables()
     pow5_128 = pow5_128_table()
 
@@ -334,21 +330,20 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
                                   pow5_inv.ctypes.data, pow5.ctypes.data, out.ctypes.data)
         return str(out[:written], "ascii")  # decoded from the buffer, with no bytes copy between
 
-    def _check_text(data, start) -> None:
-        if not (type(data) is bytes and 0 <= start <= len(data)):
-            raise ValueError("the text must be bytes and the offset inside it")
-
     def parse_table(data, start):
         """(values, end) of the JSON table of number rows at byte start of data, or None.
 
         values is a C-contiguous rows x columns float64 array, equal bit for
         bit to np.array(json.loads(table), dtype=np.float64); end is the
-        offset just past the table. None where the kernel does not accept
-        the text: an empty or ragged table, other nesting, a token outside
-        the JSON number grammar, NaN, Infinity, or a number past the float64
-        range.
+        offset just past the table. Only the tokens a float's repr can be
+        are read: with a fraction or an exponent, at most 19 significant
+        digits and an exponent under 100000. None where the kernel does not
+        accept the text: an empty or ragged table, other nesting, any other
+        token (integers, NaN and Infinity included), a number past the
+        float64 range, or one too close to a rounding boundary to decide.
         """
-        _check_text(data, start)
+        if not (type(data) is bytes and 0 <= start <= len(data)):
+            raise ValueError("the text must be bytes and the offset inside it")
         shape = np.empty(2, dtype=np.int64)
         # The first call only checks the text and sizes the table.
         if table_function(data, len(data), start, 0, pow5_128.ctypes.data, None, shape.ctypes.data) < 0:
@@ -358,9 +353,4 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
                              values.ctypes.data, shape.ctypes.data)
         return None if end < 0 else (values, end)
 
-    def value_end(data, start) -> int:
-        """The offset just past the JSON value at byte start of data, by brackets and strings alone; -1 if none."""
-        _check_text(data, start)
-        return end_function(data, len(data), start)
-
-    return Kernels(sweep, token_probs, scan_chunks, token_counts, term_entries, format_floats, parse_table, value_end)
+    return Kernels(sweep, token_probs, scan_chunks, token_counts, term_entries, format_floats, parse_table)

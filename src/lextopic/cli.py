@@ -149,7 +149,9 @@ def _file_values(payload: dict) -> dict[tuple[str, ...], object]:
             raise InvalidConfig(f"{name} must be an object, got {json.dumps(value)}")
     for path in values:
         if path not in _BY_PATH:
-            raise InvalidConfig(f"unknown config key {'.'.join(path)}")
+            # A lone surrogate in the key is shown as its escape, as stderr would write it.
+            key = ".".join(path).encode("utf-8", "backslashreplace").decode("utf-8")
+            raise InvalidConfig(f"unknown config key {key}")
     return values
 
 

@@ -10,11 +10,12 @@ compiled path is tested against: both give the same assignments for the
 same seed. The log-likelihood trace and ``perplexity`` likewise use the
 compiled ``token_probs`` loop, with ``_token_probs`` as its numpy
 reference and fallback: both give the same bits, and both sum the
-count-weighted logs in one fixed order. ``save_model`` writes θ and φ with the
-compiled ``format_floats``, and with ``json.dumps`` where it falls back:
-both give the same bytes. ``load_model`` reads them back with the compiled
-``parse_table``, and with ``json.load`` where it falls back: both give the
-same model.
+count-weighted logs in one fixed order. ``save_model`` writes θ, φ and the
+trace with the compiled ``format_floats``, and with ``json.dumps`` where it
+falls back: both give the same bytes, laid out as ``_LAYOUT`` says.
+``load_model`` reads a file in that layout with the compiled ``parse_table``
+for θ and φ, and any other file, or any file where it falls back, with
+``json.load``: both give the same model.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from ._files import atomic_writer, parse_json_object, read_json_object
+from ._files import atomic_writer, read_json_object
 from .errors import AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
 from .vectorize import DocTermMatrix, Vocabulary
 
@@ -154,13 +155,11 @@ def _term_names(model: LdaModel) -> list[str]:
 
 
 def _expand_tokens(matrix: DocTermMatrix) -> list[list[int]]:
-    doc_tokens = []
-    for row in matrix.rows():
-        tokens: list[int] = []
-        for term, count in row:
-            tokens.extend([term] * count)
-        doc_tokens.append(tokens)
-    return doc_tokens
+    """Each document's term indices, each repeated by its count, in term order."""
+    tokens = np.repeat(matrix.terms, matrix.values).tolist()
+    bounds = np.searchsorted(matrix.docs, np.arange(matrix.n_docs + 1))
+    token_bounds = np.concatenate(([0], np.cumsum(matrix.values)))[bounds].tolist()
+    return [tokens[start:stop] for start, stop in zip(token_bounds[:-1], token_bounds[1:])]
 
 
 def init_assignments(matrix: DocTermMatrix, config: LdaConfig) -> SamplerState:
@@ -550,13 +549,21 @@ def _json_floats(array) -> str:
     return json.dumps(array.tolist()) if kernels is None else kernels.format_floats(array)
 
 
+# model.json is its head object (every member but these three) without its
+# closing brace, then each marker and its float list in this order, then
+# "}\n". save_model writes this layout and only this; the compiled branch
+# of load_model reads only this, and json.load reads every other text.
+_LAYOUT = {name: f', "{name}": ' for name in ("doc_topic", "topic_word", "log_likelihood")}
+
+
 def save_model(model: LdaModel, path) -> None:
     """Versioned compact JSON, UTF-8, ending in a newline; float repr round-trips, so reload is exact.
 
-    The text is json.dumps of the payload, with doc_topic and topic_word
-    written by _json_floats instead of from Python lists. It is built
-    whole before the file is opened, then written beside path and renamed
-    over it: a failed save leaves the old file.
+    The text is json.dumps of the payload, laid out as _LAYOUT says, with
+    doc_topic, topic_word and log_likelihood written by _json_floats
+    instead of from Python lists. It is built whole before the file is
+    opened, then written beside path and renamed over it: a failed save
+    leaves the old file.
     """
     head = json.dumps({
         "format": MODEL_FORMAT,
@@ -568,13 +575,10 @@ def save_model(model: LdaModel, path) -> None:
         else {"terms": model.vocab.terms, "df": model.vocab.df},
         "doc_ids": model.doc_ids,
     }, ensure_ascii=False)
-    text = [
-        head[:-1],  # without its closing brace
-        ', "doc_topic": ', _json_floats(model.doc_topic),
-        ', "topic_word": ', _json_floats(model.topic_word),
-        ', "log_likelihood": ', json.dumps(np.asarray(model.log_likelihood, dtype=np.float64).tolist()),
-        "}\n",
-    ]
+    text = [head[:-1]]  # without its closing brace
+    for name, marker in _LAYOUT.items():
+        text += [marker, _json_floats(getattr(model, name))]
+    text.append("}\n")
     with atomic_writer(path) as handle:
         handle.writelines(text)
 
@@ -582,10 +586,10 @@ def save_model(model: LdaModel, path) -> None:
 def load_model(path) -> LdaModel:
     """Read a save_model file; one that cannot hold a model raises CorruptModel.
 
-    Where the kernels load, the file is read once as bytes: the compiled
-    parse_table reads doc_topic and topic_word from their text straight
-    into float64, and json.loads every other member. If it declines a
-    table, or the text is not one JSON object, the file is read again with
+    Where the kernels load, a file in save_model's layout is read once as
+    bytes: the compiled parse_table reads doc_topic and topic_word from
+    their text straight into float64, and json.loads the rest. Any other
+    text, or a table that parse_table declines, is read again with
     json.load, which gives the same model and reports what is wrong.
     """
     payload = _compiled_payload(path)
@@ -600,19 +604,43 @@ def load_model(path) -> LdaModel:
         return _model_from_payload(payload)
     except KeyError as exc:
         raise CorruptModel(path, f"missing key {exc}") from None
-    except (IndexError, TypeError, ValueError) as exc:
+    except (IndexError, OverflowError, TypeError, ValueError) as exc:  # OverflowError: a seed of 1e400
         raise CorruptModel(path, str(exc)) from None
 
 
 def _compiled_payload(path) -> dict | None:
-    """The model file's members, θ and φ as arrays from parse_table; None where json.load must read it."""
+    """The file's members if its text is in save_model's layout, θ and φ as arrays from parse_table; else None.
+
+    The bytes before the first doc_topic marker, closed by "}", must be a
+    non-empty JSON object; θ and φ must follow, each after its marker; and
+    the rest, from the trace marker's comma, must be a JSON object once "{"
+    opens it. A JSON string holds no raw quote, so no marker starts inside
+    one: the whole text is then one object, whose members, later keys
+    winning, are json.load's. Each part is decoded strictly as UTF-8, as
+    json.load decodes the file.
+    """
     kernels = _load_kernels()
     if kernels is None:
         return None
     with open(path, "rb") as handle:
         data = handle.read()
-    tables = dict.fromkeys(("doc_topic", "topic_word"), kernels.parse_table)
-    return parse_json_object(data, kernels.value_end, tables)
+    *table_markers, trace_marker = (marker.encode() for marker in _LAYOUT.values())
+    at = data.find(table_markers[0])
+    try:
+        head = json.loads(data[:at].decode("utf-8") + "}") if at >= 0 else None
+        if not (isinstance(head, dict) and head):  # an empty head was "{, ..."
+            return None
+        for name, marker in zip(_LAYOUT, table_markers):
+            parsed = kernels.parse_table(data, at + len(marker)) if data.startswith(marker, at) else None
+            if parsed is None:
+                return None
+            head[name], at = parsed
+        if not data.startswith(trace_marker, at):
+            return None
+        tail = json.loads("{" + data[at + 1:].decode("utf-8"))  # the marker's comma opens the object
+    except (ValueError, RecursionError):  # JSONDecodeError and UnicodeDecodeError included
+        return None
+    return {**head, **tail}
 
 
 _JSON_KINDS = {str: "a string", bool: "a boolean", type(None): "null", dict: "an object"}
@@ -649,25 +677,38 @@ def _float_table(payload: dict, name: str) -> np.ndarray:
     return np.array(value, dtype=np.float64)
 
 
+_LIST_KINDS = {str: "strings", int: "integers"}
+
+
+def _list_of(value, kind: type, member: str) -> list:
+    """value, which must be a JSON list of kind (str or int, not bool); anything else raises ValueError naming member."""
+    if type(value) is not list or any(type(item) is not kind for item in value):
+        raise ValueError(f"{member} is not a list of {_LIST_KINDS[kind]}")
+    return value
+
+
 def _model_from_payload(payload: dict) -> LdaModel:
     vocab = None
     if payload["vocabulary"] is not None:
-        terms = list(payload["vocabulary"]["terms"])
+        terms = _list_of(payload["vocabulary"]["terms"], str, "vocabulary terms")
         vocab = Vocabulary(
             terms=terms,
             index={term: position for position, term in enumerate(terms)},
-            df=list(payload["vocabulary"]["df"]),
+            df=_list_of(payload["vocabulary"]["df"], int, "vocabulary df"),
         )
     topic_word = _float_table(payload, "topic_word")
     n_terms = topic_word.shape[-1]
     if payload["vocabulary_hash"] != _vocab_hash(vocab, n_terms):
         raise VocabularyMismatch("stored vocabulary hash does not match stored vocabulary")
+    trace = _float_table(payload, "log_likelihood")
+    if trace.ndim != 1:
+        raise ValueError("log_likelihood is not a flat list of numbers")
     model = LdaModel(
         config=LdaConfig(**payload["config"]),
         doc_topic=_float_table(payload, "doc_topic"),
         topic_word=topic_word,
-        doc_ids=list(payload["doc_ids"]),
-        log_likelihood=payload["log_likelihood"],
+        doc_ids=_list_of(payload["doc_ids"], str, "doc_ids"),
+        log_likelihood=trace.tolist(),
         vocab=vocab,
     )
     n_docs, n_topics = len(model.doc_ids), model.config.n_topics

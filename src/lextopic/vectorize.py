@@ -80,21 +80,14 @@ class DocTermMatrix(_EntryMatrix):
 
     counts = cached_property(_EntryMatrix._view)
 
-    def rows(self) -> list[list[tuple[int, int]]]:
-        """Per-document [(term, count), ...] lists, term-sorted."""
-        pairs = list(zip(self.terms.tolist(), self.values.tolist()))
-        bounds = np.searchsorted(self.docs, np.arange(self.n_docs + 1)).tolist()
-        return [pairs[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
-
 
 class TfidfMatrix(_EntryMatrix):
     """Float (doc, term) weights."""
 
     dtype = np.float64
 
-    def __init__(self, n_docs: int, n_terms: int, weights, doc_ids: list[str], norm: str = "l2"):
+    def __init__(self, n_docs: int, n_terms: int, weights, doc_ids: list[str]):
         super().__init__(n_docs, n_terms, weights, doc_ids)
-        self.norm = norm
 
     weights = cached_property(_EntryMatrix._view)
 
@@ -256,7 +249,6 @@ def tfidf(matrix: DocTermMatrix, norm: str = "l2") -> TfidfMatrix:
         n_terms=matrix.n_terms,
         weights=(matrix.docs, matrix.terms, weights),
         doc_ids=list(matrix.doc_ids),
-        norm=norm,
     )
 
 

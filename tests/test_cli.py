@@ -22,7 +22,7 @@ from lextopic import _gibbs
 from lextopic.cli import SETTINGS, build_parser, main
 from lextopic.corpus import SynthConfig, generate_synthetic_corpus, load_corpus, save_corpus
 from lextopic.errors import LextopicError
-from lextopic.lda import LdaConfig, coherence_umass, fit
+from lextopic.lda import _LAYOUT as LDA_LAYOUT, LdaConfig, coherence_umass, fit
 from lextopic.preprocess import Document, default_config
 from lextopic.vectorize import Vocabulary, count_matrix
 
@@ -720,6 +720,19 @@ def _corpus_files(draw) -> tuple[str, bytes]:
     return format, bytes(data)
 
 
+# model.json's layout markers, text the JSON inputs' readers must reject, and the splices above.
+_JSON_SPLICES = st.sampled_from([marker.encode() for marker in LDA_LAYOUT.values()] + [
+    b"1e400", b"-1e400", b"\\ud800", b'"\\ud800"', b"[" * 5000, b"]", b":", b"0", b"-", b"1.5", b"true", b"NaN",
+    b'"x"', b"[]", b"{}",
+]) | _SPLICES
+# Each input file as its flag and a copy of the file that loads; the model's is the fitted one.
+_JSON_INPUTS = {
+    "--labels": json.dumps({"0": "Economic", "1": "قانون"}, ensure_ascii=False).encode(),
+    "--config": json.dumps({"analyze": {"top_m": 3, "normalization": "per_year"}, "format": "jsonl"}).encode(),
+    "--model": None,
+}
+
+
 class TestUnreadableInputs:
     """Input files that cannot be read as intended end in `error [<module>]`, exit 1."""
 
@@ -791,6 +804,13 @@ class TestUnreadableInputs:
             f"error [analyze]: label map {tmp_path / 'labels.json'}: the label of topic 1 is not UTF-8 text")
         assert sorted(path.name for path in (tmp_path / "o").iterdir()) == ["run_config.json"]
 
+    def test_config_key_that_utf8_cannot_hold(self, corpus_path, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_bytes(b'{"analyze": {"\\ud800": 1}}')
+        args = ["--config", str(config), "ingest", "--corpus", corpus_path, "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error [config]: unknown config key analyze.\\ud800\n")
+
     @pytest.mark.parametrize("flag, message", [
         ("--model", "error [lda]: model file {path}: "),
         ("--config", "error [config]: config file {path}: "),
@@ -823,6 +843,53 @@ class TestUnreadableInputs:
         args = ["--config", str(config), "fit", "--corpus", corpus_path, "--out", str(tmp_path / "o")] + FIT_FLAGS
         assert main(args) == 1
         assert capsys.readouterr().err.startswith(f"error [preprocess]: word list {words}: not UTF-8")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda payload: payload.update(log_likelihood="abc"), "log_likelihood holds a string, not a number"),
+        (lambda payload: payload.update(log_likelihood=[[1.0]]), "log_likelihood is not a flat list of numbers"),
+        (lambda payload: payload.update(doc_ids=list(range(len(payload["doc_ids"])))),
+         "doc_ids is not a list of strings"),
+        (lambda payload: payload["vocabulary"]["df"].__setitem__(0, "1"), "vocabulary df is not a list of integers"),
+    ], ids=["string trace", "nested trace", "numeric doc_ids", "string df"])
+    def test_model_member_of_the_wrong_type(self, fitted, tmp_path, capsys, edit, message):
+        corpus, model = fitted
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        edit(payload)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        assert main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o"), "--model", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error [lda]: model file {path}: {message}")
+        assert sorted(entry.name for entry in (tmp_path / "o").iterdir()) == ["run_config.json"]
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_json_input_bytes_end_in_exit_0_or_a_lextopic_error(self, fitted, tmp_path, capsys, data):
+        corpus, model = fitted
+        flag = data.draw(st.sampled_from(sorted(_JSON_INPUTS)), label="flag")
+        if data.draw(st.integers(0, 4), label="any bytes") == 0:
+            content = data.draw(st.binary(max_size=300), label="content")
+        else:
+            content = bytearray(_JSON_INPUTS[flag] or model.read_bytes())
+            for _ in range(data.draw(st.integers(1, 3), label="edits")):
+                at = data.draw(st.integers(0, len(content)), label="at")
+                if data.draw(st.booleans(), label="splice"):
+                    content[at:at] = data.draw(_JSON_SPLICES, label="splice bytes")
+                else:
+                    del content[at:at + data.draw(st.integers(1, 40), label="cut")]
+        path = tmp_path / "input.json"
+        path.write_bytes(bytes(content))
+        out = tmp_path / "o"
+        shutil.rmtree(out, ignore_errors=True)
+        args = ["analyze", "--corpus", str(corpus), "--out", str(out), "--model", str(model)]
+        # --config goes before the command; a second --model overrides the first.
+        args = [flag, str(path)] + args if flag == "--config" else args + [flag, str(path)]
+        capsys.readouterr()
+        code = main(args)
+        event(f"{flag} exit {code}")
+        if code != 0:
+            assert code == 1 and capsys.readouterr().err.startswith("error [")
+            written = {entry.name for entry in out.iterdir()} if out.exists() else set()
+            assert written <= {"run_config.json"}
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(file=_corpus_files())

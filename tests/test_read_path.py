@@ -11,15 +11,15 @@ with no compiler.
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import float_from_bits
 from lextopic import _gibbs, lda
-from lextopic._files import parse_json_object
 from lextopic.analyze import _term_names, top_words
 from lextopic.corpus import (
     Corpus,
@@ -405,26 +405,45 @@ def _parsed(kernels, text: str):
     return values
 
 
+_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(?:\.([0-9]+))?(?:[eE][+-]?([0-9]+))?")
+
+
+def _readable(token: str) -> bool:
+    """Whether parse_table reads token, as it reads every float's repr.
+
+    That is a finite JSON number with a fraction or an exponent, at most 19
+    significant digits and an exponent under 100000.
+    """
+    match = _NUMBER.fullmatch(token)
+    if match is None or match[2] is None and match[3] is None:
+        return False
+    significant = (match[1] + (match[2] or "")).lstrip("0")
+    return len(significant) <= 19 and int(match[3] or 0) < 100000 and math.isfinite(float(token))
+
+
 HAND_PICKED = [
-    "-0", "-0.0", "0", "0.0", "5e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
-    "-2.4703282292062327e-324", "1.7976931348623157e+308", "1.7976931348623158e+308", "9007199254740993",
-    "123456789012345678901234567890", "-123456789012345678901234567890", "1E5", "1e+05", "1e-400", "-1e-400",
-    "0e999999", "2.2250738585072011e-308", "2.2250738585072012e-308", "2.2250738585072014e-308", "1e22", "1e23",
-    "7.2057594037927933e16", "9999999999999999999", "18446744073709551615", "18446744073709551616",
-    "0.1", "0.30000000000000004", "1.00000000000000011102230246251565404236316680908203125",
-    "1.00000000000000011102230246251565404236316680908203126", "0.000000000000000000000000000001234",
-    "4.9406564584124654e-324", "8.98846567431158e307", "1" + "0" * 308, "-" + "9" * 40 + ".5e-20",
-    "0." + "0" * 1000005 + "1e1000010", "1e-1000000000000", "0e1000000000000",
+    "-0.0", "0.0", "-0e5", "0e99999", "5e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+    "-2.4703282292062327e-324", "1.7976931348623157e+308", "1.7976931348623158e+308", "9007199254740993.0",
+    "1E5", "1e+05", "1e-400", "-1e-400", "2.2250738585072011e-308", "2.2250738585072012e-308",
+    "2.2250738585072014e-308", "1e22", "1e23", "7.2057594037927933e16", "999999999999999999.9",
+    "1.844674407370955161e19", "0.1", "0.30000000000000004", "0.000000000000000000000000000001234",
+    "4.9406564584124654e-324", "8.98846567431158e307", "1.000000000000000000", "1e-99999",
 ]
 DECLINED = ["01", "1.", ".5", "+1", "1e", "-", "0x1", "NaN", "1e400", "-1e400", "1" + "0" * 309, "Infinity",
             "-Infinity", '"1"', "true", "null", "1 2", "\u0661", "1.e5", "1e+", "--1", "-01", "0.5\u00a0", "[1]", "{}"]
+# Numbers that json.load reads but save_model never writes: integers, more
+# than 19 significant digits, and exponents of 100000 or more.
+NOT_REPR = ["0", "-0", "7", "9007199254740993", "18446744073709551616", "123456789012345678901234567890",
+            "1" + "0" * 308, "1.0000000000000000000", "9999999999999999999.0",
+            "1.00000000000000011102230246251565404236316680908203125", "-" + "9" * 40 + ".5e-20",
+            "0e100000", "1e-100000", "0." + "0" * 1000005 + "1e1000010", "1e-1000000000000"]
 SPACES = st.sampled_from(["", " ", "\n", "\t", "\r\n  "])
 FINITE = st.integers(0, 2**64 - 1).map(float_from_bits).filter(math.isfinite) | st.floats(allow_nan=False,
                                                                                             allow_infinity=False)
 
 
 def _token(data, label):
-    style = data.draw(st.sampled_from(["repr", "e", "E", "f", "integer"]), label=f"{label} style")
+    style = data.draw(st.sampled_from(["repr", "repr", "e", "E", "f", "integer"]), label=f"{label} style")
     if style == "integer":
         return str(data.draw(st.integers(-10**30, 10**30) | st.integers(-2**64, 2**64), label=label))
     value = data.draw(FINITE, label=label)
@@ -436,10 +455,15 @@ def _token(data, label):
 
 class TestParseTable:
     def test_hand_picked_tokens(self, kernels):
+        assert all(map(_readable, HAND_PICKED))
         text = "[[" + ", ".join(HAND_PICKED) + "]]"
         assert _parsed(kernels, text).tobytes() == _json_table(text).tobytes()
-        assert math.copysign(1.0, _parsed(kernels, "[[-0]]")[0, 0]) == 1.0
         assert math.copysign(1.0, _parsed(kernels, "[[-0.0]]")[0, 0]) == -1.0
+
+    @pytest.mark.parametrize("token", NOT_REPR)
+    def test_declines_a_number_that_repr_never_writes(self, kernels, token):
+        assert not _readable(token)
+        assert _parsed(kernels, f"[[0.5, {token}]]") is None
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -454,10 +478,9 @@ class TestParseTable:
                 + after + "]"
 
         text = joined([joined(row) for row in rows])
-        expected = _json_table(text)
-        if np.isfinite(expected).all():
-            assert _parsed(kernels, text).tobytes() == expected.tobytes()
-        else:  # a token past the float64 range, such as 2e+308
+        if all(_readable(token) for row in rows for token in row):
+            assert _parsed(kernels, text).tobytes() == _json_table(text).tobytes()
+        else:  # an integer, a long token, or one past the float64 range, such as 2e+308
             assert _parsed(kernels, text) is None
 
     @settings(max_examples=200, deadline=None)
@@ -483,6 +506,7 @@ class TestParseTable:
     ])
     def test_declines_other_shapes(self, kernels, text):
         assert _parsed(kernels, text) is None
+        assert _parsed(kernels, re.sub("[0-9]", r"\g<0>.0", text)) is None  # with tokens that it reads
 
     def test_rejects_text_that_is_not_bytes_or_an_offset_outside_it(self, kernels):
         with pytest.raises(ValueError):
@@ -490,52 +514,6 @@ class TestParseTable:
         with pytest.raises(ValueError):
             kernels.parse_table(b"[[1]]", 6)
         assert kernels.parse_table(b"[[1]]", 5) is None
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=4),
-    max_leaves=12,
-)
-
-
-class TestParseJsonObject:
-    """The member-by-member walk gives json.loads' object, or None; never another object."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=6), st.sampled_from([None, 0, 2]),
-           st.booleans(), st.sampled_from([(", ", ": "), (",", ":")]))
-    def test_equals_json_loads(self, kernels, payload, indent, ensure_ascii, separators):
-        text = json.dumps(payload, indent=indent, ensure_ascii=ensure_ascii, separators=separators)
-        parsed = parse_json_object(text.encode("utf-8", "surrogatepass"), kernels.value_end, {})
-        if any("\ud800" <= char <= "\udfff" for char in text):
-            assert parsed is None  # a lone surrogate is not UTF-8, and json.load reads no such file
-        else:
-            assert repr(parsed) == repr(json.loads(text))
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.dictionaries(st.sampled_from(["a", "b", "ü"]), JSON_VALUES, max_size=3), st.data())
-    def test_edited_text_gives_none_or_json_loads(self, kernels, payload, data):
-        text = json.dumps(payload, ensure_ascii=False).encode()
-        at = data.draw(st.integers(0, len(text)), label="at")
-        insert = data.draw(st.sampled_from([b"", b"{", b"}", b"[", b"]", b'"', b",", b":", b"\\", b" ", b"x", b"\xff",
-                                            b"\xef\xbb\xbf", b"\x00", b"0"]), label="insert")
-        cut = data.draw(st.integers(0, 2), label="cut")
-        edited = text[:at] + insert + text[at + cut:]
-        parsed = parse_json_object(edited, kernels.value_end, {})
-        try:
-            expected = json.loads(edited.decode("utf-8"))
-        except ValueError:
-            assert parsed is None
-        else:
-            assert parsed is None or repr(parsed) == repr(expected)
-            if isinstance(expected, dict) and b"\x00" not in edited:
-                assert parsed is not None
-
-    def test_duplicate_keys_keep_the_last_value_in_the_first_place(self, kernels):
-        text = b'{"a": 1, "b": [2], "a": {"c": 3}}'
-        parsed = parse_json_object(text, kernels.value_end, {})
-        assert list(parsed.items()) == list(json.loads(text).items()) == [("a", {"c": 3}), ("b", [2])]
 
 
 def _persian_model() -> LdaModel:
@@ -583,17 +561,19 @@ def _reordered(payload):
     return json.dumps({**tables, **payload}, ensure_ascii=False)
 
 
+def _head_cut(text):
+    """The text with everything between its opening brace and the first marker cut: invalid JSON."""
+    return "{" + text[text.index(', "doc_topic": '):]
+
+
 class TestLoadModelLayouts:
     @pytest.mark.parametrize("layout", [
         lambda text, payload: text,
         lambda text, payload: json.dumps(payload),
-        lambda text, payload: json.dumps(payload, indent=2, ensure_ascii=False),
-        lambda text, payload: _reordered(payload),
         lambda text, payload: '{"doc_topic": [[0.5, 0.5]], ' + text[1:],
-        lambda text, payload: text.replace('"doc_topic"', '"doc\\u005ftopic"'),
-        lambda text, payload: "\r\n\t " + text.replace(", ", " ,\n").replace("[", "[ ") + "\n\n",
-    ], ids=["save_model", "ascii escapes", "indent 2", "tables first", "duplicate doc_topic", "escaped key",
-            "spaced"])
+        lambda text, payload: '{"doc_topic": "not a table", ' + text[1:],
+        lambda text, payload: text[:-2] + ', "doc_ids": ' + json.dumps(payload["doc_ids"]) + "}\n",
+    ], ids=["save_model", "ascii escapes", "duplicate doc_topic", "invalid first duplicate", "duplicate in the tail"])
     def test_takes_the_compiled_path_to_the_same_model(self, kernels, tmp_path, monkeypatch, layout):
         path, model, payload = _saved(tmp_path)
         path.write_text(layout(path.read_text(encoding="utf-8"), payload), encoding="utf-8")
@@ -601,8 +581,20 @@ class TestLoadModelLayouts:
         compiled, fallback = _both_paths(path, monkeypatch)
         assert compiled == fallback == _state(model)
 
+    @pytest.mark.parametrize("layout", [
+        lambda text, payload: json.dumps(payload, indent=2, ensure_ascii=False),
+        lambda text, payload: _reordered(payload),
+        lambda text, payload: text.replace('"doc_topic"', '"doc\\u005ftopic"'),
+        lambda text, payload: "\r\n\t " + text.replace(", ", " ,\n").replace("[", "[ ") + "\n\n",
+    ], ids=["indent 2", "tables first", "escaped key", "spaced"])
+    def test_other_layouts_load_by_json_load(self, kernels, tmp_path, monkeypatch, layout):
+        path, model, payload = _saved(tmp_path)
+        path.write_text(layout(path.read_text(encoding="utf-8"), payload), encoding="utf-8")
+        assert lda._compiled_payload(path) is None
+        compiled, fallback = _both_paths(path, monkeypatch)
+        assert compiled == fallback == _state(model)
+
     @pytest.mark.parametrize("edit", [
-        lambda text: '{"doc_topic": "not a table", ' + text[1:],  # a duplicate that json.load drops
         lambda text: text.replace("[[", "[[1e400, ", 1),
         lambda text: text.replace("[[", "[[NaN, ", 1),
         lambda text: text.replace("[[", '[["0.5", ', 1),
@@ -613,15 +605,168 @@ class TestLoadModelLayouts:
         lambda text: text.replace('"doc_topic": [[', '"doc_topic": [', 1).replace("], [", ", ", 4),
         lambda text: text + "x",
         lambda text: "\ufeff" + text,
+        lambda text: text.replace("سند-0", "\ud800", 1),  # written as the bytes ED A0 80
+        lambda text: text[:-2] + ', "x": "\ud800"}\n',
+        lambda text: text.replace('"topic_word"', '"doc_topic": [[0.5]], "topic_word"'),
         lambda text: text[:-3],
         lambda text: text.replace(", ", " , , ", 1),
         lambda text: text.replace('"version": 1', '"version": 1,'),
         lambda text: "[" + text + "]",
-    ], ids=["invalid first duplicate", "1e400", "NaN", "string cell", "true cell", "400-digit integer", "ragged",
-            "3-D row", "1-D", "trailing text", "BOM", "cut short", "double comma", "trailing comma", "not an object"])
+        _head_cut,
+        lambda text: '"' + _head_cut(text)[1:],
+        lambda text: text.replace(', "log_likelihood": ', ' "log_likelihood": '),
+    ], ids=["1e400", "NaN", "string cell", "true cell", "400-digit integer", "ragged", "3-D row", "1-D",
+            "trailing text", "BOM", "surrogate in the head", "surrogate in the tail",
+            "a second doc_topic marker", "cut short", "double comma",
+            "trailing comma", "not an object", "empty head", "string head", "no trace comma"])
     def test_falls_back_to_json_load_with_its_result(self, kernels, tmp_path, monkeypatch, edit):
         path, model, _ = _saved(tmp_path)
-        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8", "surrogatepass"))
         assert lda._compiled_payload(path) is None
         compiled, fallback = _both_paths(path, monkeypatch)
         assert compiled == fallback
+
+    @pytest.mark.parametrize("member, value, message", [
+        ("log_likelihood", "abc", "log_likelihood holds a string, not a number"),
+        ("log_likelihood", [[1.0]], "log_likelihood is not a flat list of numbers"),
+        ("log_likelihood", [True, "x"], "log_likelihood holds a boolean, not a number"),
+        ("log_likelihood", {"a": 1}, "log_likelihood holds an object, not a number"),
+        ("log_likelihood", None, "log_likelihood holds null, not a number"),
+        ("log_likelihood", 1.5, "log_likelihood is not a flat list of numbers"),
+        ("doc_ids", "abcde", "doc_ids is not a list of strings"),
+        ("doc_ids", [1, 2, 3, 4, 5], "doc_ids is not a list of strings"),
+        ("terms", "قانونها", "vocabulary terms is not a list of strings"),
+        ("df", ["1", True, 2, 3, 1, 2, 3], "vocabulary df is not a list of integers"),
+        ("df", [1.0, 2, 3, 1, 2, 3, 1], "vocabulary df is not a list of integers"),
+        ("seed", float("inf"), "cannot convert float infinity to integer"),
+    ])
+    def test_rejects_a_member_of_the_wrong_type(self, kernels, tmp_path, monkeypatch, member, value, message):
+        path, _, payload = _saved(tmp_path)
+        sections = {"terms": payload["vocabulary"], "df": payload["vocabulary"], "seed": payload["config"]}
+        sections.get(member, payload)[member] = value
+        if member == "terms":  # so that the stored hash matches
+            payload["vocabulary_hash"] = lda._vocab_hash(Vocabulary(list(value), {}, []), 7)
+        path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        compiled, fallback = _both_paths(path, monkeypatch)
+        assert compiled == fallback == f"model file {path}: {message}"
+
+
+# --- model.json: the layout reader against json.load, on generated files -------------------
+
+_MARKERS = list(lda._LAYOUT.values())
+# Strings that a model's terms and ids may hold and that the layout reader
+# must not mistake for its own text.
+_AWKWARD = st.sampled_from(["doc_topic", "topic_word", "log_likelihood", '"', "\\", '\\"', "}", "{", ",", ": ",
+                            "قانون", "مالیات و عوارض", "\u200c", "\U0001f600", *_MARKERS, "}\n", "[[0.5]]"])
+_TERM = _AWKWARD | st.text(alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=5)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TERM,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(_TERM, children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _models(draw) -> LdaModel:
+    terms = draw(st.lists(_TERM, min_size=1, max_size=6, unique=True))
+    n_topics = draw(st.integers(1, 3))
+    n_docs = draw(st.integers(1, 4))
+    doc_topic = np.array(draw(st.lists(FINITE, min_size=n_docs * n_topics, max_size=n_docs * n_topics)))
+    topic_word = np.array(draw(st.lists(FINITE, min_size=n_topics * len(terms), max_size=n_topics * len(terms))))
+    return LdaModel(
+        config=LdaConfig(n_topics=n_topics, alpha=0.5, beta=0.1, sweeps=3, burn_in=1),
+        doc_topic=doc_topic.reshape(n_docs, n_topics),
+        topic_word=topic_word.reshape(n_topics, len(terms)),
+        doc_ids=draw(st.lists(_TERM, min_size=n_docs, max_size=n_docs)),
+        log_likelihood=draw(st.lists(st.floats(allow_nan=False), max_size=3)),
+        vocab=draw(st.sampled_from([None, Vocabulary(terms, {term: i for i, term in enumerate(terms)},
+                                                     list(range(len(terms))))])),
+    )
+
+
+def _plain(payload):
+    """The payload with its arrays as lists, as json.load gives them, in a form that tells every float apart."""
+    return repr({key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in payload.items()})
+
+
+def _json_load(path):
+    """json.load's object for the file, as load_model's fallback reads it, or None where it raises."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (ValueError, RecursionError):
+        return None
+
+
+def _layout_text(head: dict, tables: list, trace: list, tail: str) -> str:
+    text = json.dumps(head, ensure_ascii=False)[:-1]
+    for marker, value in zip(_MARKERS, [*tables, trace]):
+        text += marker + json.dumps(value)
+    return text + tail + "}\n"
+
+
+class TestLayoutReader:
+    """_compiled_payload gives json.load's object for the file, or None; never another object."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(model=_models())
+    def test_every_saved_model_takes_the_compiled_path(self, kernels, tmp_path, monkeypatch, model):
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        with monkeypatch.context() as patch:
+            patch.setattr(_gibbs, "load_kernels", lambda: None)
+            save_model(model, tmp_path / "fallback.json")
+        assert (tmp_path / "fallback.json").read_bytes() == path.read_bytes()
+        payload = lda._compiled_payload(path)
+        assert payload is not None
+        assert _plain(payload) == repr(_json_load(path))
+        compiled, fallback = _both_paths(path, monkeypatch)
+        assert compiled == fallback == _state(model)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        head=st.dictionaries(_TERM, JSON_VALUES, min_size=1, max_size=4),
+        tables=st.lists(st.integers(1, 3).flatmap(lambda n_cols: st.lists(
+            st.lists(FINITE, min_size=n_cols, max_size=n_cols), min_size=1, max_size=3)), min_size=2, max_size=2),
+        trace=st.lists(st.floats(), max_size=3),
+        tail=st.sampled_from(["", ', "doc_ids": []', ', "x": [1, {"doc_topic": 2}]', ', "doc_topic": null', "\n"]),
+        layout=st.sampled_from(["save", "indent", "compact", "ascii"]),
+    )
+    def test_any_payload_reads_as_json_load_or_declines(self, kernels, tmp_path, head, tables, trace, tail, layout):
+        if layout == "save":
+            text = _layout_text(head, tables, trace, tail)
+        else:
+            payload = {**head, **dict(zip(lda._LAYOUT, [*tables, trace]))}
+            text = json.dumps(payload, ensure_ascii=layout == "ascii", indent=2 if layout == "indent" else None,
+                              separators=(",", ":") if layout == "compact" else None)
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        payload = lda._compiled_payload(path)
+        if payload is not None:
+            assert _plain(payload) == repr(_json_load(path))
+        elif layout == "save":  # only a head whose own text holds the first marker declines
+            assert _MARKERS[0] in json.dumps(head, ensure_ascii=False)
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_edited_files_read_as_json_load_or_decline(self, kernels, tmp_path, data):
+        path, _, _ = _saved(tmp_path)
+        text = bytearray(path.read_bytes())
+        splices = [marker.encode() for marker in _MARKERS] + [
+            b"{", b"}", b"[", b"]", b'"', b",", b":", b"\\", b" ", b"\n", b"\xff", b"\xef\xbb\xbf", b"\xed\xa0\x80",
+            b'"\\ud800"', b"1e400", b"0", b"-", b"NaN", b"[" * 5000, b"}\n",
+        ]
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            at = data.draw(st.integers(0, len(text)), label="at")
+            if data.draw(st.booleans(), label="splice"):
+                text[at:at] = data.draw(st.sampled_from(splices), label="splice bytes")
+            else:
+                del text[at:at + data.draw(st.integers(1, 40), label="cut")]
+        path.write_bytes(bytes(text))
+        payload = lda._compiled_payload(path)
+        expected = _json_load(path)
+        event("declined" if payload is None else "compiled")
+        if expected is None:
+            assert payload is None
+        elif payload is not None:
+            assert _plain(payload) == repr(expected)

@@ -1,11 +1,11 @@
 """The compiled kernels under AddressSanitizer and UndefinedBehaviorSanitizer.
 
-Four kernels read bytes from files that a user passes in: parse_table,
-value_end, scan_chunks, and the count loops over its output. A child
-process compiles _gibbs.c with the sanitizers into a temporary cache,
-preloads the ASan runtime and makes Python allocate with malloc, so that
-its bytes objects are checked too, then runs every kernel on small and
-hostile inputs. Any report fails the test.
+Three kernels read bytes from files that a user passes in: parse_table,
+through load_model's layout reader, scan_chunks, and the count loops
+over its output. A child process compiles _gibbs.c with the sanitizers
+into a temporary cache, preloads the ASan runtime and makes Python
+allocate with malloc, so that its bytes objects are checked too, then
+runs every kernel on small and hostile inputs. Any report fails the test.
 """
 
 import os
@@ -28,8 +28,9 @@ CHILD = """
 import json, math, sys
 from pathlib import Path
 import numpy as np
-from lextopic import _gibbs, cli, vectorize
+from lextopic import _gibbs, cli, lda, vectorize
 from lextopic.corpus import Corpus, LawRecord, LawType, RecordDate
+from lextopic.errors import LextopicError
 
 _gibbs.CFLAGS = _gibbs.CFLAGS + SANITIZE
 kernels = _gibbs.load_kernels()
@@ -41,14 +42,25 @@ fit = ["fit", "--corpus", corpus_path, "--out", str(out), "--topics", "3", "--sw
 assert cli.main(fit) == 0
 assert cli.main(["analyze", "--corpus", corpus_path, "--out", str(out)]) == 0
 
-# The table parser and value scanner at every offset of truncated model files.
+# load_model, whose layout reader runs first, on every truncation of the
+# model file and on the file with a marker spliced in at every 16th byte;
+# the table parser at every offset of truncated model files.
 data = (out / "model.json").read_bytes()
-start = data.index(b'"doc_topic"')
+edited = out / "edited.json"
+markers = [marker.encode() for marker in lda._LAYOUT.values()]
+texts = [data[:length] for length in range(len(data) + 1)]
+texts += [data[:at] + marker + data[at:] for marker in markers for at in range(0, len(data), 16)]
+for text in texts:
+    edited.write_bytes(text)
+    try:
+        lda.load_model(edited)
+    except LextopicError:
+        pass
+start = data.index(markers[0])
 for length in sorted({*range(0, len(data) + 1, max(1, len(data) // 12)), *range(start, start + 80), len(data)}):
     text = data[:length]
     for offset in range(length + 1):
         kernels.parse_table(text, offset)
-        kernels.value_end(text, offset)
 
 # The chunk scan and count loops over whitespace, near misses and letters.
 date = RecordDate.from_jalali("1400/07/01", 1400, 7, 1)
