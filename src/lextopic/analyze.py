@@ -35,10 +35,10 @@ class TopicSummary:
     top_words: list[tuple[str, float]]
 
 
-def dominant_topic(theta_row) -> int:
-    """Argmax topic of one document's topic-share row; ties pick the
-    lowest index."""
-    return int(np.argmax(np.asarray(theta_row)))
+def dominant_topic(theta) -> int | np.ndarray:
+    """Argmax topic of one document's θ row, or an array of them for a θ matrix; ties pick the lowest index."""
+    dominant = np.argmax(np.asarray(theta), axis=-1)
+    return int(dominant) if dominant.ndim == 0 else dominant
 
 
 def _check_alignment(model: LdaModel, corpus: Corpus) -> None:
@@ -55,7 +55,11 @@ def _check_alignment(model: LdaModel, corpus: Corpus) -> None:
 
 
 def _topic_labels(n_topics: int, labels: dict[int, str] | None) -> list[str]:
+    """Each topic's label, "topic-k" where it has none; a label for a topic the model lacks raises UnknownTopicId."""
     labels = labels or {}
+    for topic_id in labels:
+        if not 0 <= topic_id < n_topics:
+            raise UnknownTopicId(topic_id)
     return [labels.get(topic, f"topic-{topic}") for topic in range(n_topics)]
 
 
@@ -65,8 +69,7 @@ def topic_shares(
     """Fraction of documents attributed to each topic, single 'all' column."""
     _check_alignment(model, corpus)
     n_topics = model.doc_topic.shape[1]
-    dominant = np.argmax(model.doc_topic, axis=1)
-    counts = [[count] for count in np.bincount(dominant, minlength=n_topics).tolist()]
+    counts = [[count] for count in np.bincount(dominant_topic(model.doc_topic), minlength=n_topics).tolist()]
     return build_trend_table(
         _topic_labels(n_topics, labels), ["all"], counts, normalization=PER_YEAR
     )
@@ -86,7 +89,7 @@ def yearly_topic_percentages(
     _check_alignment(model, corpus)
     n_topics = model.doc_topic.shape[1]
     return year_table(
-        _topic_labels(n_topics, labels), np.argmax(model.doc_topic, axis=1), corpus.records, normalization
+        _topic_labels(n_topics, labels), dominant_topic(model.doc_topic), corpus.records, normalization
     )
 
 
@@ -126,18 +129,10 @@ def label_topics(
 ) -> list[TopicSummary]:
     """Attach human-assigned labels; unlabeled topics get "topic-k"."""
     n_topics, n_terms = model.topic_word.shape
-    label_map = label_map or {}
-    for topic_id in label_map:
-        if not 0 <= topic_id < n_topics:
-            raise UnknownTopicId(topic_id)
     top_m = min(top_m, n_terms)
     return [
-        TopicSummary(
-            topic_id=topic,
-            label=label_map.get(topic, f"topic-{topic}"),
-            top_words=top_words(model, topic, top_m),
-        )
-        for topic in range(n_topics)
+        TopicSummary(topic_id=topic, label=label, top_words=top_words(model, topic, top_m))
+        for topic, label in enumerate(_topic_labels(n_topics, label_map))
     ]
 
 

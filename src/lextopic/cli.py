@@ -8,19 +8,17 @@ a run can be reproduced from its artifacts alone.
 Each setting is one row of SETTINGS: its dotted key in run_config.json,
 its check, its default, its flag and the commands that take the flag.
 The defaults, the parser's flags and the checks all come from that table.
+The lda rows are lda.SETTINGS, by which LdaConfig checks its own fields.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
-import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from . import analyze as analyze_mod
 from . import corpus as corpus_mod
@@ -29,65 +27,17 @@ from . import preprocess as preprocess_mod
 from . import vectorize as vectorize_mod
 from ._files import read_json_object, write_csv, write_json
 from .errors import AlignmentMismatch, EmptyContent, InvalidConfig, LextopicError
+from .lda import AT_LEAST_1, POSITIVE, Limit, Setting
 
 __all__ = ["RunConfig", "SETTINGS", "main"]
 
 CONFIG_ENV_VAR = "LEXTOPIC_CONFIG"
 
-
-class Limit(NamedTuple):
-    text: str
-    holds: Callable[[float], bool]
-
-
-_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
-# A JSON escape can name NUL or a lone surrogate, but no path or UTF-8 file can hold one.
-_UNWRITABLE = re.compile("[\x00\ud800-\udfff]")
-
-
-@dataclass(frozen=True)
-class Setting:
-    """One row of the settings table. A default of None also admits null."""
-
-    key: str  # dotted path in run_config.json
-    type: type  # int, float or str
-    default: object
-    flag: str | None = None
-    commands: tuple[str, ...] = ()
-    help: str | None = None
-    choices: tuple[str, ...] | None = None
-    limit: Limit | None = None
-
-    def describe(self) -> str:
-        text = "one of " + ", ".join(self.choices) if self.choices else _TYPE_NAMES[self.type]
-        text += f" {self.limit.text}" if self.limit else ""
-        return text + (" or null" if self.default is None else "")
-
-    def check(self, value):
-        """The value to store, or InvalidConfig naming the key."""
-        if value is None and self.default is None:
-            return value
-        if self.type is float and type(value) is int and abs(value) <= sys.float_info.max:
-            value = float(value)  # echoed as a float, as model.json stores it
-        if not (
-            type(value) is self.type  # so True is not an integer
-            and (self.type is not float or math.isfinite(value))
-            and (self.type is not str or not _UNWRITABLE.search(value))
-            and (not self.choices or value in self.choices)
-            and (self.limit is None or self.limit.holds(value))
-        ):
-            raise InvalidConfig(f"{self.key} must be {self.describe()}, got {json.dumps(value)}")
-        return value
-
-
 _ALL = ("ingest", "fit", "sweep", "analyze")
 _MODEL = ("fit", "sweep")
-_AT_LEAST_1 = Limit(">= 1", lambda value: value >= 1)
-_POSITIVE = Limit("> 0", lambda value: value > 0)
-_LDA = {field.name: field.default for field in fields(lda_mod.LdaConfig)}
 _PREPROCESS = {field.name: field.default for field in fields(preprocess_mod.PreprocessConfig)}
 
-# Row order is run_config.json's key order; the lda rows follow LdaConfig's fields.
+# Row order is run_config.json's key order; the lda rows are lda.SETTINGS.
 SETTINGS = (
     Setting("corpus", str, None, "--corpus", _ALL, "corpus file path"),
     Setting("format", str, "jsonl", "--format", _ALL, "corpus file format", choices=("jsonl", "csv")),
@@ -98,22 +48,15 @@ SETTINGS = (
     Setting("preprocess.min_token_length", int, _PREPROCESS["min_token_length"], help="shortest token kept"),
     Setting("preprocess.on_empty", str, "drop", help="a record that preprocesses to zero tokens",
             choices=("drop", "error")),
-    Setting("vectorize.min_df", int, 2, "--min-df", _MODEL, "minimum document frequency", limit=_AT_LEAST_1),
+    Setting("vectorize.min_df", int, 2, "--min-df", _MODEL, "minimum document frequency", limit=AT_LEAST_1),
     Setting("vectorize.max_df_ratio", float, 0.95, "--max-df-ratio", _MODEL, "maximum df ratio",
             limit=Limit("in (0, 1]", lambda value: 0 < value <= 1)),
     Setting("vectorize.norm", str, "l2", help="tf-idf row norm (tfidf-pseudo mode)", choices=("l2", "none")),
     Setting("vectorize.pseudo_scale", float, 10.0, help="tf-idf weight scale before rounding to pseudo-counts",
-            limit=_POSITIVE),
-    Setting("lda.n_topics", int, _LDA["n_topics"], "--topics", _MODEL, "number of topics"),
-    Setting("lda.alpha", float, _LDA["alpha"], "--alpha", _MODEL, "document-topic prior (default: 50/K)"),
-    Setting("lda.beta", float, _LDA["beta"], "--beta", _MODEL, "topic-word prior"),
-    Setting("lda.sweeps", int, _LDA["sweeps"], "--sweeps", _MODEL, "total Gibbs sweeps"),
-    Setting("lda.burn_in", int, _LDA["burn_in"], "--burn-in", _MODEL, "sweeps discarded before averaging"),
-    Setting("lda.seed", int, _LDA["seed"], "--seed", _MODEL, "random seed"),
-    Setting("lda.input_mode", str, _LDA["input_mode"], "--mode", _MODEL, "sampler input mode",
-            choices=lda_mod.INPUT_MODES),
+            limit=POSITIVE),
+    *lda_mod.SETTINGS,
     Setting("analyze.top_m", int, 10, "--top-m", ("sweep", "analyze"),
-            "top words per topic (sweep: for coherence)", limit=_AT_LEAST_1),
+            "top words per topic (sweep: for coherence)", limit=AT_LEAST_1),
     Setting("analyze.normalization", str, "per_topic", help="yearly trend percentages",
             choices=("per_topic", "per_year")),
     Setting("analyze.labels", str, None, "--labels", ("analyze",), "topic label sidecar JSON"),
@@ -172,11 +115,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             value = setting.check(given)
         section = settings.setdefault(path[0], {}) if len(path) == 2 else settings
         section[path[-1]] = value
-    try:
-        lda = lda_mod.LdaConfig(**settings["lda"])
-    except InvalidConfig as exc:  # its messages start with the field name
-        raise InvalidConfig(f"lda.{exc}") from None
-    return RunConfig(settings, lda)
+    return RunConfig(settings, lda_mod.LdaConfig(**settings["lda"]))
 
 
 def _require_file(path: str | None, what: str) -> str:

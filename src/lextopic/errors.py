@@ -100,9 +100,6 @@ class EmptyContent(CorpusError):
 class InvalidConfig(LextopicError):
     module = "config"
 
-    def __init__(self, message: str):
-        super().__init__(message)
-
 
 # ---------------------------------------------------------------------------
 # preprocess

@@ -23,8 +23,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import re
+import sys
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .vectorize import DocTermMatrix, Vocabulary
 
 __all__ = [
     "LdaConfig",
+    "SETTINGS",
     "SamplerState",
     "LdaModel",
     "init_assignments",
@@ -54,8 +58,65 @@ _ENUMERATION_BOUND = 10**6
 INPUT_MODES = ("counts", "tfidf-pseudo")
 
 
+class Limit(NamedTuple):
+    text: str
+    holds: Callable[[float], bool]
+
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+# A JSON escape can name NUL or a lone surrogate, but no path or UTF-8 file can hold one.
+_UNWRITABLE = re.compile("[\x00\ud800-\udfff]")
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One row of a settings table. A default of None also admits null."""
+
+    key: str  # dotted path in run_config.json
+    type: type  # int, float or str
+    default: object
+    flag: str | None = None
+    commands: tuple[str, ...] = ()
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    limit: Limit | None = None
+
+    def describe(self) -> str:
+        text = "one of " + ", ".join(self.choices) if self.choices else _TYPE_NAMES[self.type]
+        text += f" {self.limit.text}" if self.limit else ""
+        return text + (" or null" if self.default is None else "")
+
+    def check(self, value):
+        """The value to store, or InvalidConfig naming the key."""
+        if value is None and self.default is None:
+            return value
+        if isinstance(value, (np.integer, np.floating)):  # stored as the Python number it holds
+            value = int(value) if isinstance(value, np.integer) else float(value)
+        if self.type is float and type(value) is int and abs(value) <= sys.float_info.max:
+            value = float(value)  # echoed as a float, as model.json stores it
+        if not (
+            type(value) is self.type  # so True is not an integer
+            and (self.type is not float or math.isfinite(value))
+            and (self.type is not str or not _UNWRITABLE.search(value))
+            and (not self.choices or value in self.choices)
+            and (self.limit is None or self.limit.holds(value))
+        ):
+            try:
+                shown = json.dumps(value, default=repr)
+            except (ValueError, RecursionError):  # a 5,000-digit integer, a list that holds itself
+                shown = f"a {type(value).__name__}"
+            raise InvalidConfig(f"{self.key} must be {self.describe()}, got {shown}")
+        return value
+
+
+AT_LEAST_1 = Limit(">= 1", lambda value: value >= 1)
+POSITIVE = Limit("> 0", lambda value: value > 0)
+
+
 @dataclass
 class LdaConfig:
+    """Sampler settings, each checked by its row of SETTINGS."""
+
     n_topics: int = 10
     alpha: float | None = None
     beta: float = 0.01
@@ -65,24 +126,32 @@ class LdaConfig:
     input_mode: str = "counts"
 
     def __post_init__(self):
-        if self.n_topics < 1:
-            raise InvalidConfig(f"n_topics must be >= 1, got {self.n_topics}")
+        for setting in SETTINGS:  # field order, so 50/K below divides by a checked K
+            name = setting.key.removeprefix("lda.")
+            setattr(self, name, setting.check(getattr(self, name)))
         if self.alpha is None:
             # Classic heuristic: total document-topic mass of 50.
-            self.alpha = 50.0 / self.n_topics
-        for name, prior in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (math.isfinite(prior) and prior > 0):
-                raise InvalidConfig(f"{name} must be positive and finite, got {prior}")
-        if self.sweeps < 1:
-            raise InvalidConfig(f"sweeps must be >= 1, got {self.sweeps}")
-        if not 0 <= self.burn_in < self.sweeps:
-            raise InvalidConfig(
-                f"burn_in must satisfy 0 <= burn_in < sweeps, got {self.burn_in}/{self.sweeps}"
-            )
-        if not 0 <= int(self.seed) < 2**64:
-            raise InvalidConfig(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if self.input_mode not in INPUT_MODES:
-            raise InvalidConfig(f"input_mode must be 'counts' or 'tfidf-pseudo', got {self.input_mode!r}")
+            self.alpha = 50 / self.n_topics
+        if self.burn_in >= self.sweeps:
+            raise InvalidConfig(f"lda.burn_in must be < lda.sweeps ({self.sweeps}), got {self.burn_in}")
+
+
+_FIELDS = {field.name: field.default for field in fields(LdaConfig)}
+_MODEL = ("fit", "sweep")
+# One row per LdaConfig field, in field order; cli.SETTINGS holds these same rows.
+SETTINGS = (
+    Setting("lda.n_topics", int, _FIELDS["n_topics"], "--topics", _MODEL, "number of topics", limit=AT_LEAST_1),
+    Setting("lda.alpha", float, _FIELDS["alpha"], "--alpha", _MODEL, "document-topic prior (default: 50/K)",
+            limit=POSITIVE),
+    Setting("lda.beta", float, _FIELDS["beta"], "--beta", _MODEL, "topic-word prior", limit=POSITIVE),
+    Setting("lda.sweeps", int, _FIELDS["sweeps"], "--sweeps", _MODEL, "total Gibbs sweeps", limit=AT_LEAST_1),
+    Setting("lda.burn_in", int, _FIELDS["burn_in"], "--burn-in", _MODEL, "sweeps discarded before averaging",
+            limit=Limit(">= 0", lambda value: value >= 0)),
+    Setting("lda.seed", int, _FIELDS["seed"], "--seed", _MODEL, "random seed",
+            limit=Limit("in [0, 2**64)", lambda value: 0 <= value < 2**64)),
+    Setting("lda.input_mode", str, _FIELDS["input_mode"], "--mode", _MODEL, "sampler input mode",
+            choices=INPUT_MODES),
+)
 
 
 @dataclass
@@ -604,7 +673,7 @@ def load_model(path) -> LdaModel:
         return _model_from_payload(payload)
     except KeyError as exc:
         raise CorruptModel(path, f"missing key {exc}") from None
-    except (IndexError, OverflowError, TypeError, ValueError) as exc:  # OverflowError: a seed of 1e400
+    except (IndexError, InvalidConfig, TypeError, ValueError) as exc:
         raise CorruptModel(path, str(exc)) from None
 
 

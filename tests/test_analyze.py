@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
+from lextopic import analyze
 from lextopic.analyze import (
     TopicSummary,
     dominant_topic,
@@ -67,6 +68,10 @@ class TestDominantTopic:
     def test_scale_invariant(self):
         row = [0.1, 0.7, 0.2]
         assert dominant_topic(row) == dominant_topic([3 * x for x in row])
+
+    def test_theta_matrix_gives_each_rows_topic(self):
+        theta = np.array([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.1, 0.1, 0.8]])
+        assert dominant_topic(theta).tolist() == [dominant_topic(row) for row in theta] == [1, 0, 2]
 
 
 class TestTopicShares:
@@ -185,6 +190,14 @@ class TestDominantCounts:
         assert shares.counts == [[sum(row)] for row in expected]
         assert all(type(count) is int for row in trends.counts + shares.counts for count in row)
 
+    def test_both_tables_count_by_dominant_topic(self, monkeypatch):
+        # A changed rule, here the least likely topic, changes both tables.
+        monkeypatch.setattr(analyze, "dominant_topic", lambda theta: np.argmin(np.asarray(theta), axis=-1))
+        model = _model([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
+        corpus = _corpus_for(model, years=[2020, 2021, 2021])
+        assert topic_shares(model, corpus).counts == [[1], [2]]
+        assert yearly_topic_percentages(model, corpus).counts == [[0, 1], [1, 1]]
+
 
 class TestShareTableSums:
     """Every non-empty group of a share or trend table sums to 100; empty groups stay 0.0."""
@@ -244,6 +257,14 @@ class TestTopWords:
             top_words(model, 0, 4)
 
 
+_LABEL_CONSUMERS = {
+    "label_topics": label_topics,
+    "topic_shares": lambda model, labels: topic_shares(model, _corpus_for(model), labels=labels),
+    "yearly_topic_percentages": lambda model, labels: yearly_topic_percentages(model, _corpus_for(model),
+                                                                                labels=labels),
+}
+
+
 class TestLabelTopics:
     def test_partial_label_map(self):
         model = _model([[0.5, 0.5]], topic_word=[[0.5, 0.2, 0.3], [0.1, 0.6, 0.3]], vocab=VOCAB)
@@ -264,6 +285,14 @@ class TestLabelTopics:
         )
         with pytest.raises(UnknownTopicId):
             label_topics(model, {5: "Legal"})
+
+    @pytest.mark.parametrize("consumer", _LABEL_CONSUMERS.values(), ids=_LABEL_CONSUMERS)
+    @pytest.mark.parametrize("topic_id", [2, 99, -1])
+    def test_every_label_consumer_rejects_an_unknown_topic(self, consumer, topic_id):
+        model = _model([[0.5, 0.5]], topic_word=[[0.5, 0.2, 0.3], [0.1, 0.6, 0.3]], vocab=VOCAB)
+        consumer(model, {1: "Legal"})
+        with pytest.raises(UnknownTopicId):
+            consumer(model, {topic_id: "x"})
 
     def test_load_labels_sidecar(self, tmp_path):
         path = tmp_path / "labels.json"

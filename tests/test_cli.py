@@ -6,6 +6,7 @@ import io
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import lextopic
 
 from conftest import SYNTH_CONFIG, jsonl_row, write_jsonl
-from lextopic import _gibbs
+from lextopic import _gibbs, lda
 from lextopic.cli import SETTINGS, build_parser, main
 from lextopic.corpus import SynthConfig, generate_synthetic_corpus, load_corpus, save_corpus
 from lextopic.errors import LextopicError
@@ -859,6 +860,33 @@ class TestUnreadableInputs:
         path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
         assert main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o"), "--model", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error [lda]: model file {path}: {message}")
+        assert sorted(entry.name for entry in (tmp_path / "o").iterdir()) == ["run_config.json"]
+
+    @pytest.mark.parametrize("reader", ["layout", "json.load"])
+    @pytest.mark.parametrize("key, text, message", [
+        ("n_topics", "2.0", "an integer >= 1, got 2.0"),
+        ("n_topics", "0", "an integer >= 1, got 0"),
+        ("n_topics", "true", "an integer >= 1, got true"),
+        ("sweeps", "1e400", "an integer >= 1, got Infinity"),
+        ("seed", "true", "an integer in [0, 2**64), got true"),
+        ("seed", str(2**64), f"an integer in [0, 2**64), got {2**64}"),
+        ("beta", '"0.01"', 'a finite number > 0, got "0.01"'),
+    ])
+    def test_model_config_outside_its_row(self, fitted, tmp_path, capsys, monkeypatch, reader, key, text, message):
+        corpus, model = fitted
+        path = tmp_path / "model.json"
+        # Only the config member changes, so the file keeps save_model's layout.
+        edited, count = re.subn(rf'"{key}": [^,}}]+', f'"{key}": {text}', model.read_text(encoding="utf-8"), count=1)
+        assert count == 1
+        path.write_text(edited, encoding="utf-8")
+        if reader == "json.load":
+            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+        elif _gibbs.load_kernels() is None:
+            pytest.skip("the compiled kernels do not load")
+        else:
+            assert lda._compiled_payload(path) is not None
+        assert main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o"), "--model", str(path)]) == 1
+        assert capsys.readouterr().err == f"error [lda]: model file {path}: lda.{key} must be {message}\n"
         assert sorted(entry.name for entry in (tmp_path / "o").iterdir()) == ["run_config.json"]
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,13 +1,16 @@
-"""Source checks that need no linter: the README's imports, exports and unused imports."""
+"""Source checks that need no linter: the README's imports, exports, unused imports and the lda settings rows."""
 
 import ast
 import importlib
+import operator
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import lextopic
+from lextopic import cli, lda
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for path in (ROOT / "src" / "lextopic").glob("*.py") if path.name != "__init__.py")
@@ -71,3 +74,11 @@ def test_unused_import_check_catches_and_spares():
         "def f(): raise UnknownTopicId(json.dumps(1))\n"
     )
     assert unused_imports(source) == ["MissingYear (line 4)"]
+
+
+def test_lda_settings_are_one_row_per_ldaconfig_field():
+    assert [(row.key, row.default) for row in lda.SETTINGS] == [
+        (f"lda.{field.name}", field.default) for field in fields(lda.LdaConfig)
+    ]
+    cli_rows = tuple(row for row in cli.SETTINGS if row.key.startswith("lda."))
+    assert cli_rows == lda.SETTINGS and all(map(operator.is_, cli_rows, lda.SETTINGS))

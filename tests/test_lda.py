@@ -76,8 +76,32 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [{"beta": math.nan}, {"alpha": math.nan}, {"alpha": math.inf}, {"beta": math.inf}])
     def test_rejects_non_finite_priors(self, kwargs):
-        with pytest.raises(InvalidConfig, match="positive and finite"):
+        with pytest.raises(InvalidConfig, match="must be a finite number > 0"):
             LdaConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_topics": 2.0}, {"n_topics": True}, {"n_topics": "3"}, {"n_topics": np.float64(2.0)},
+        {"n_topics": object()}, {"sweeps": math.inf}, {"seed": True}, {"seed": np.bool_(True)}, {"seed": 2**64},
+        {"beta": "0.01"}, {"beta": 10**5000}, {"beta": [0.1]}, {"input_mode": None},
+    ])
+    def test_rejects_a_value_outside_its_row(self, kwargs):
+        [(name, _)] = kwargs.items()
+        with pytest.raises(InvalidConfig, match=rf"^lda\.{name} must be "):
+            LdaConfig(**kwargs)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        config = LdaConfig(n_topics=np.int64(4), beta=np.float32(0.5), sweeps=np.int32(3), burn_in=np.uint8(1),
+                           seed=np.uint64(2**64 - 1), alpha=np.longdouble(0.25))
+        assert [(type(value), value) for value in vars(config).values()] == [
+            (int, 4), (float, 0.25), (float, 0.5), (int, 3), (int, 1), (int, 2**64 - 1), (str, "counts"),
+        ]
+        assert LdaConfig(n_topics=np.int16(5)).alpha == 10.0
+
+    def test_model_fitted_with_numpy_settings_saves_and_reloads(self, tmp_path):
+        matrix = matrix_from_tokens([[0, 0, 1], [2, 1]], n_terms=3)
+        model = fit(matrix, LdaConfig(n_topics=np.int64(2), sweeps=np.int64(3), burn_in=np.int64(1)))
+        save_model(model, tmp_path / "model.json")
+        assert load_model(tmp_path / "model.json").config == model.config == LdaConfig(n_topics=2, sweeps=3, burn_in=1)
 
 
 class TestInitAssignments:

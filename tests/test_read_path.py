@@ -638,7 +638,7 @@ class TestLoadModelLayouts:
         ("terms", "قانونها", "vocabulary terms is not a list of strings"),
         ("df", ["1", True, 2, 3, 1, 2, 3], "vocabulary df is not a list of integers"),
         ("df", [1.0, 2, 3, 1, 2, 3, 1], "vocabulary df is not a list of integers"),
-        ("seed", float("inf"), "cannot convert float infinity to integer"),
+        ("seed", float("inf"), "lda.seed must be an integer in [0, 2**64), got Infinity"),
     ])
     def test_rejects_a_member_of_the_wrong_type(self, kernels, tmp_path, monkeypatch, member, value, message):
         path, _, payload = _saved(tmp_path)
