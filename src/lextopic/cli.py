@@ -208,7 +208,7 @@ def _align_corpus(corpus: corpus_mod.Corpus, model: lda_mod.LdaModel) -> corpus_
         if record is None:
             raise AlignmentMismatch(f"model document {doc_id!r} not found in the corpus")
         records.append(record)
-    return corpus_mod.Corpus(records, source_description=corpus.source_description)
+    return corpus_mod.Corpus(records)
 
 
 def cmd_ingest(config: RunConfig) -> int:

@@ -120,23 +120,40 @@ _MDY = re.compile(r"(\d{1,2})[/-](\d{1,2})[/-](\d{4})$")
 _NAMED = re.compile(r"(?:[A-Za-z]+,\s*)?([A-Za-z]+)\s+(\d{1,2}),\s*(\d{4})$")
 
 
+def _date_number(number, value) -> int:
+    """A dict date's year, month or day: an integer, a float with no fraction, or an integer string."""
+    if type(number) is int:  # not a bool
+        return number
+    if isinstance(number, str):
+        try:
+            return int(number)
+        except ValueError:
+            raise MalformedDate(value) from None
+    if type(number) is float and number.is_integer():  # False for inf and nan
+        return int(number)
+    raise MalformedDate(value)  # a bool, a fraction, null, a list, an object
+
+
 def parse_record_date(value, row: int | None = None) -> RecordDate:
     """Build a RecordDate from serialized dict or published string forms.
 
     Accepted strings: "1402/04/06" (year first), "04/06/1402" (year
     last), and "Saturday, July 10, 1402" where the weekday is ignored
-    and the month name indexes the Jalali month.
+    and the month name indexes the Jalali month. A dict's year, like a
+    string's four digits, is in 1-9999.
     """
     if isinstance(value, RecordDate):
         return value
     try:
         if isinstance(value, dict):
             try:
-                y = int(value["year"])
-                m = int(value["month"])
-                d = int(value["day"])
-            except (KeyError, TypeError, ValueError):
+                y, m, d = value["year"], value["month"], value["day"]
+            except KeyError:
                 raise MalformedDate(value) from None
+            if type(y) is not int or type(m) is not int or type(d) is not int:
+                y, m, d = _date_number(y, value), _date_number(m, value), _date_number(d, value)
+            if not 1 <= y <= 9999:
+                raise MalformedDate(value)
             raw = value.get("raw")
             raw = f"{y:04d}/{m:02d}/{d:02d}" if raw is None else str(raw)
             return RecordDate.from_jalali(raw, y, m, d)
@@ -184,13 +201,9 @@ class LawRecord:
 @dataclass
 class Corpus:
     records: list[LawRecord]
-    source_description: str = ""
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
 
 
 # On-disk field names; "type"/"categories" are the header spellings used
@@ -360,7 +373,7 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
                     raise MalformedRow(None if row is None else row + 1, str(exc), "CSV") from None
     except UnicodeDecodeError:
         raise UndecodableCorpus(path, *_undecodable_row(path, format)) from None
-    return Corpus(records, source_description=str(path))
+    return Corpus(records)
 
 
 def _date_payload(date: RecordDate | None):
@@ -511,7 +524,7 @@ def parse_html_record(html: str) -> LawRecord:
 
 def filter_by_type(corpus: Corpus, law_type: LawType) -> Corpus:
     kept = [record for record in corpus.records if record.law_type is law_type]
-    return Corpus(kept, source_description=corpus.source_description)
+    return Corpus(kept)
 
 
 def type_counts_by_year(corpus: Corpus) -> TrendTable:
@@ -603,5 +616,4 @@ def generate_synthetic_corpus(config: SynthConfig) -> tuple[Corpus, GroundTruth]
                 date=_synthetic_date(config.years[doc % len(config.years)]),
             )
         )
-    corpus = Corpus(records, source_description=f"synthetic corpus seed={config.seed}")
-    return corpus, GroundTruth(doc_topic=doc_topic, topic_word=topic_word)
+    return Corpus(records), GroundTruth(doc_topic=doc_topic, topic_word=topic_word)

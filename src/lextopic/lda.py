@@ -126,12 +126,12 @@ class LdaConfig:
     input_mode: str = "counts"
 
     def __post_init__(self):
-        for setting in SETTINGS:  # field order, so 50/K below divides by a checked K
+        for setting in SETTINGS:  # field order, so 50/K divides by a checked K
             name = setting.key.removeprefix("lda.")
-            setattr(self, name, setting.check(getattr(self, name)))
-        if self.alpha is None:
-            # Classic heuristic: total document-topic mass of 50.
-            self.alpha = 50 / self.n_topics
+            value = getattr(self, name)
+            if name == "alpha" and value is None:
+                value = 50 / self.n_topics  # classic heuristic: total document-topic mass of 50
+            setattr(self, name, setting.check(value))
         if self.burn_in >= self.sweeps:
             raise InvalidConfig(f"lda.burn_in must be < lda.sweeps ({self.sweeps}), got {self.burn_in}")
 
@@ -674,7 +674,8 @@ def load_model(path) -> LdaModel:
     except KeyError as exc:
         raise CorruptModel(path, f"missing key {exc}") from None
     except (IndexError, InvalidConfig, TypeError, ValueError) as exc:
-        raise CorruptModel(path, str(exc)) from None
+        # A JSON escape can put a lone surrogate in a config key that a TypeError names; stderr cannot print it.
+        raise CorruptModel(path, str(exc).encode("utf-8", "backslashreplace").decode("utf-8")) from None
 
 
 def _compiled_payload(path) -> dict | None:

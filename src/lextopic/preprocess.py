@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, LawRecord
-from .errors import EmptyDocument, InvalidConfig, MissingYear, UndecodableWordList
+from .errors import EmptyDocument, MissingYear, UndecodableWordList
 
 __all__ = [
     "PreprocessConfig",
@@ -40,8 +40,9 @@ __all__ = [
     "default_config",
 ]
 
-# Arabic-codepoint variants folded to the Persian letters, Arabic-Indic
-# and extended digits to Latin digits, elongation and half-space removed.
+# The one normalize table and punctuation set. Arabic-codepoint variants
+# folded to the Persian letters, Arabic-Indic and extended digits to Latin
+# digits, elongation and half-space removed.
 DEFAULT_NORMALIZE_CHARS: dict[str, str] = {
     "ي": "ی",  # Arabic Yeh -> Persian Yeh
     "ك": "ک",  # Arabic Kaf -> Persian Kaf
@@ -103,10 +104,8 @@ class LemmaRules:
 @dataclass
 class PreprocessConfig:
     stopword_list: set[str] = field(default_factory=set)
-    punctuation_set: frozenset = DEFAULT_PUNCTUATION
     lemma_rules: LemmaRules = field(default_factory=LemmaRules)
     min_token_length: int = 2
-    normalize_chars: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_NORMALIZE_CHARS))
 
 
 @dataclass
@@ -116,22 +115,18 @@ class Document:
     gregorian_year: int
 
 
-def normalize(text: str, normalize_chars: dict[str, str] | None = None) -> str:
+def normalize(text: str) -> str:
     """Fold character variants, lowercase, and collapse whitespace runs.
 
     Lowercasing keeps Latin-alphabet material (loanwords, test fixtures)
     on one casing; Persian script has no case so it is a no-op there.
-    normalize_chars is a str.maketrans mapping.
     """
-    table = _DEFAULT_TABLE if normalize_chars is None else str.maketrans(dict(normalize_chars))
-    return " ".join(text.translate(table).lower().split())
+    return " ".join(text.translate(_DEFAULT_TABLE).lower().split())
 
 
-def remove_punctuation(text: str, punctuation_set=None) -> str:
-    """Replace each mark with a space."""
-    if punctuation_set is None:
-        return text.translate(_DEFAULT_PUNCTUATION_TABLE)
-    return text.translate({ord(mark): " " for mark in punctuation_set})
+def remove_punctuation(text: str) -> str:
+    """Replace each mark of DEFAULT_PUNCTUATION with a space."""
+    return text.translate(_DEFAULT_PUNCTUATION_TABLE)
 
 
 def tokenize(text: str, min_token_length: int = 1) -> list[str]:
@@ -146,9 +141,9 @@ def lemmatize(tokens: list[str], lemma_rules: LemmaRules) -> list[str]:
     return [lemma_rules.apply(token) for token in tokens]
 
 
-def _parse_stopwords(text: str, normalize_chars: dict[str, str] | None = None) -> set[str]:
+def _parse_stopwords(text: str) -> set[str]:
     lines = (line.strip() for line in text.splitlines())
-    return {normalize(line, normalize_chars) for line in lines if line and not line.startswith("#")}
+    return {normalize(line) for line in lines if line and not line.startswith("#")}
 
 
 def _read_word_list(path) -> str:
@@ -158,49 +153,45 @@ def _read_word_list(path) -> str:
         raise UndecodableWordList(path, f"{exc.reason} at byte {exc.start}") from None
 
 
-def load_stopwords(path, normalize_chars: dict[str, str] | None = None) -> set[str]:
+def load_stopwords(path) -> set[str]:
     """One token per line; blank lines and '#' comment lines skipped.
 
     Entries are normalized on load so that normalizing a stopword is
     always a no-op at match time.
     """
-    return _parse_stopwords(_read_word_list(path), normalize_chars)
+    return _parse_stopwords(_read_word_list(path))
 
 
-def _parse_lemma_rules(text: str, normalize_chars: dict[str, str] | None = None) -> LemmaRules:
+def _parse_lemma_rules(text: str) -> LemmaRules:
     rules = LemmaRules()
     for line in text.splitlines():
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) >= 3 and parts[1].strip() == "=":
-            word = normalize(parts[0], normalize_chars)
-            lemma = normalize(parts[2], normalize_chars)
+            word = normalize(parts[0])
+            lemma = normalize(parts[2])
             rules.exceptions[word] = lemma
         else:
-            suffix = normalize(parts[0], normalize_chars)
-            replacement = normalize(parts[1], normalize_chars) if len(parts) > 1 else ""
+            suffix = normalize(parts[0])
+            replacement = normalize(parts[1]) if len(parts) > 1 else ""
             if suffix:
                 rules.suffix_rules.append((suffix, replacement))
     return rules
 
 
-def load_lemma_rules(path, normalize_chars: dict[str, str] | None = None) -> LemmaRules:
-    return _parse_lemma_rules(_read_word_list(path), normalize_chars)
+def load_lemma_rules(path) -> LemmaRules:
+    return _parse_lemma_rules(_read_word_list(path))
 
 
 @lru_cache(maxsize=1)
 def default_config() -> PreprocessConfig:
     """Config backed by the bundled Persian stopword and lemma-rule files."""
     data = resources.files("lextopic").joinpath("data")
-    config = PreprocessConfig()
-    config.stopword_list = _parse_stopwords(
-        data.joinpath("stopwords_fa.txt").read_text(encoding="utf-8"), config.normalize_chars
+    return PreprocessConfig(
+        stopword_list=_parse_stopwords(data.joinpath("stopwords_fa.txt").read_text(encoding="utf-8")),
+        lemma_rules=_parse_lemma_rules(data.joinpath("lemma_rules_fa.txt").read_text(encoding="utf-8")),
     )
-    config.lemma_rules = _parse_lemma_rules(
-        data.joinpath("lemma_rules_fa.txt").read_text(encoding="utf-8"), config.normalize_chars
-    )
-    return config
 
 
 def preprocess_document(record: LawRecord, config: PreprocessConfig | None = None) -> Document:
@@ -214,8 +205,7 @@ def preprocess_document(record: LawRecord, config: PreprocessConfig | None = Non
         config = default_config()
     if record.date is None:
         raise MissingYear(record.id)
-    text = normalize(f"{record.title} {record.content}", config.normalize_chars)
-    text = remove_punctuation(text, config.punctuation_set)
+    text = remove_punctuation(normalize(f"{record.title} {record.content}"))
     tokens = tokenize(text, config.min_token_length)
     tokens = remove_stopwords(tokens, config.stopword_list)
     tokens = lemmatize(tokens, config.lemma_rules)
@@ -237,10 +227,9 @@ def _utf32(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
-def _image(text: str, normalize_table, punctuation_table) -> str:
-    """text translated, lowercased and punctuation-spaced, each whitespace character as " "."""
-    image = text.translate(normalize_table).lower().translate(punctuation_table)
-    return "".join(" " if char.isspace() else char for char in image)
+def _image(text: str) -> str:
+    """text translated, lowercased and punctuation-spaced."""
+    return text.translate(_DEFAULT_TABLE).lower().translate(_DEFAULT_PUNCTUATION_TABLE)
 
 
 def _preprocess_chunks(chunk_text: str, config: PreprocessConfig | None) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -254,25 +243,19 @@ def _preprocess_chunks(chunk_text: str, config: PreprocessConfig | None) -> tupl
     A chunk's text after normalize and remove_punctuation, up to the
     split, is the concatenation of its characters' images. A character's
     image is the character translated by the normalize table, lowercased,
-    and turned into a space if it is a punctuation mark; it may be empty,
-    longer than one character (İ) or hold whitespace, which only separates
-    tokens and so becomes " ". Each distinct code point's image is computed
-    once, and numpy gathers the images for every position and splits the
-    result once. Lone surrogates pass through, as they do in str methods.
-    CPython lowers each character on its own except the capital sigma,
-    which becomes a final sigma at the end of a word and σ elsewhere. So a
-    chunk whose translated text holds Σ takes its image from the whole
-    chunk. The stopword, length and lemma rules then run once per distinct
-    raw token.
+    and turned into a space if it is a punctuation mark; it may be empty or
+    longer than one character (İ). No table value, and no lowercase form
+    of a character that is not whitespace, holds whitespace, so " " is the
+    only whitespace an image of a chunk's character can hold. Each distinct
+    code point's image is computed once, and numpy gathers the images for
+    every position and splits the result once. Lone surrogates pass
+    through, as they do in str methods. CPython lowers each character on
+    its own except the capital sigma, which becomes a final sigma at the
+    end of a word and σ elsewhere; no table value holds it. So a chunk
+    that holds Σ takes its image from the whole chunk. The stopword,
+    length and lemma rules then run once per distinct raw token.
     """
     config = default_config() if config is None else config
-    normalize_table = str.maketrans(dict(config.normalize_chars))
-    punctuation_table = {ord(mark): " " for mark in config.punctuation_set}
-    joining = next((chr(code) for code in normalize_table if chr(code).isspace()), None)
-    if joining is not None:
-        # It could join two chunks into one token, which preprocess_document would then see.
-        raise InvalidConfig(f"normalize_chars must have no whitespace key, got {joining!r}")
-
     codes = _utf32(chunk_text)
     row_of = np.zeros(int(codes.max(initial=0)) + 1, dtype=np.intp)
     row_of[codes] = 1
@@ -281,8 +264,7 @@ def _preprocess_chunks(chunk_text: str, config: PreprocessConfig | None) -> tupl
     rows = row_of[codes]
     del row_of
 
-    chars = [chr(code) for code in distinct.tolist()]
-    images = [_image(char, normalize_table, punctuation_table) for char in chars]
+    images = [_image(chr(code)) for code in distinct.tolist()]
     # One row of code points per distinct character, padded to the longest image.
     table = np.full((len(images), max([1, *map(len, images)])), _PAD, dtype=np.uint32)
     for row, image in enumerate(images):
@@ -293,13 +275,11 @@ def _preprocess_chunks(chunk_text: str, config: PreprocessConfig | None) -> tupl
     separator_out = np.flatnonzero(out == _SEPARATOR)
     out[separator_out] = ord(" ")
 
-    sigma = np.array(["\u03a3" in char.translate(normalize_table) for char in chars], dtype=bool)
     separators = np.flatnonzero(codes == ord(" "))
-    for chunk in dict.fromkeys(np.searchsorted(separators, np.flatnonzero(sigma[rows])).tolist()):
+    for chunk in dict.fromkeys(np.searchsorted(separators, np.flatnonzero(codes == ord("\u03a3"))).tolist()):
         start = separators[chunk - 1] + 1 if chunk else 0
         out_start = separator_out[chunk - 1] + 1 if chunk else 0
-        image = _image(chunk_text[start : separators[chunk]], normalize_table, punctuation_table)
-        out[out_start : separator_out[chunk]] = _utf32(image)
+        out[out_start : separator_out[chunk]] = _utf32(_image(chunk_text[start : separators[chunk]]))
     del codes, rows
 
     spaces = out == ord(" ")

@@ -56,8 +56,7 @@ def mixed_corpus() -> Corpus:
             make_record("r3", LawType.REGULATION, 2022),
             make_record("r4", LawType.OPINION, 2020),
             make_record("r5", LawType.PLAN, 2022),
-        ],
-        source_description="fixture",
+        ]
     )
 
 

@@ -61,5 +61,4 @@ def generate_synthetic_corpus(config: SynthConfig) -> tuple[Corpus, GroundTruth]
                 date=_synthetic_date(config.years[doc % len(config.years)]),
             )
         )
-    corpus = Corpus(records, source_description=f"synthetic corpus seed={config.seed}")
-    return corpus, GroundTruth(doc_topic=doc_topic, topic_word=topic_word)
+    return Corpus(records), GroundTruth(doc_topic=doc_topic, topic_word=topic_word)

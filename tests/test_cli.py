@@ -362,6 +362,33 @@ class TestErrors:
             f"error [corpus]: row 1: {message}{'x' * 77}'... (100000 characters)\n"
         )
 
+    @pytest.mark.parametrize("date", [
+        '{"year": 1e400, "month": 1, "day": 1}',
+        '{"year": 100000000000000000000000, "month": 1, "day": 1}',
+        '{"year": 10000, "month": 1, "day": 1}',
+        '{"year": true, "month": 1, "day": 1}',
+        '{"year": 1400, "month": 4.5, "day": 1}',
+        '{"year": 1400, "month": 7, "day": NaN}',
+    ])
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_a_dict_date_that_is_no_calendar_date_is_a_corpus_error(self, tmp_path, capsys, date, format):
+        rows = [jsonl_row("first"), jsonl_row("second")]
+        path = tmp_path / f"corpus.{format}"
+        if format == "jsonl":
+            lines = [json.dumps(row) for row in rows]
+            lines[1] = lines[1].replace(json.dumps(rows[1]["date"]), date)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["id", "title", "content", "law_type", "date"])
+                for row, cell in zip(rows, [json.dumps(rows[0]["date"]), date]):
+                    writer.writerow([row["id"], row["title"], row["content"], row["law_type"], cell])
+        out = tmp_path / "o"
+        assert main(["ingest", "--corpus", str(path), "--format", format, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error [corpus]: row 2: malformed date ")
+        assert not out.exists()
+
     def test_unfitted_analyze_fails_cleanly(self, corpus_path, tmp_path, capsys):
         args = ["analyze", "--corpus", corpus_path, "--out", str(tmp_path / "empty")]
         assert main(args) == 1
@@ -612,6 +639,8 @@ class TestSettingsTable:
         (["fit", "--beta", "0"], "lda.beta"),
         (["fit", "--seed", "-1"], "lda.seed"),
         (["fit", "--sweeps", "5", "--burn-in", "5"], "lda.burn_in"),
+        # 50/K underflows to 0.0, which the alpha row rejects.
+        (["fit", "--topics", str(10**400)], "lda.alpha"),
     ])
     def test_bad_flag_value(self, corpus_path, tmp_path, capsys, flags, key):
         out = tmp_path / "out"
@@ -811,6 +840,17 @@ class TestUnreadableInputs:
         args = ["--config", str(config), "ingest", "--corpus", corpus_path, "--out", str(tmp_path / "o")]
         assert main(args) == 1
         assert capsys.readouterr().err.startswith("error [config]: unknown config key analyze.\\ud800\n")
+
+    @pytest.mark.parametrize("reader", ["layout", "json.load"])
+    def test_model_config_key_that_utf8_cannot_hold(self, fitted, tmp_path, capsys, monkeypatch, reader):
+        corpus, model = fitted
+        path = tmp_path / "model.json"
+        path.write_text(model.read_text(encoding="utf-8").replace('"alpha": ', '"\\ud800alpha": ', 1), encoding="utf-8")
+        if reader == "json.load":
+            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+        assert main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o"), "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [lda]: model file {path}: ") and "\\ud800alpha" in err
 
     @pytest.mark.parametrize("flag, message", [
         ("--model", "error [lda]: model file {path}: "),

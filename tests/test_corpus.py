@@ -260,7 +260,21 @@ class TestDateParsing:
         date = parse_record_date({"year": "1399", "month": 7, "day": 1, **parts})
         assert date.raw == "1399/07/01"
 
-    @pytest.mark.parametrize("bad", ["", "6 July 1402", "1402/13/01", {"year": 1400}, 42])
+    @pytest.mark.parametrize("parts", [
+        {"year": "1399", "month": "07", "day": " 1 "},
+        {"year": 1399.0, "month": 7.0, "day": 1.0},
+        {"year": "۱۳۹۹", "month": 7, "day": "١"},
+    ])
+    def test_dict_fields_that_name_an_integer_give_the_integer_date(self, parts):
+        assert parse_record_date(parts) == parse_record_date({"year": 1399, "month": 7, "day": 1})
+
+    @pytest.mark.parametrize("bad", [
+        "", "6 July 1402", "1402/13/01", {"year": 1400}, 42,
+        {"year": True, "month": 7, "day": 1}, {"year": 1400, "month": 4.5, "day": 1},
+        {"year": 1400, "month": 7, "day": float("inf")}, {"year": float("nan"), "month": 7, "day": 1},
+        {"year": 0, "month": 7, "day": 1}, {"year": 10_000, "month": 7, "day": 1}, {"year": "1" * 24, "month": 7, "day": 1},
+        {"year": None, "month": 7, "day": 1}, {"year": 1400, "month": [7], "day": 1},
+    ])
     def test_malformed_inputs_raise(self, bad):
         with pytest.raises(MalformedDate):
             parse_record_date(bad)

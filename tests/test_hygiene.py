@@ -1,7 +1,8 @@
-"""Source checks that need no linter: the README's imports, exports, unused imports and the lda settings rows."""
+"""Source checks that need no linter: the README's imports, exports, unused imports and the settings rows."""
 
 import ast
 import importlib
+import json
 import operator
 import re
 from dataclasses import fields
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lextopic
-from lextopic import cli, lda
+from lextopic import cli, lda, preprocess
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for path in (ROOT / "src" / "lextopic").glob("*.py") if path.name != "__init__.py")
@@ -82,3 +83,14 @@ def test_lda_settings_are_one_row_per_ldaconfig_field():
     ]
     cli_rows = tuple(row for row in cli.SETTINGS if row.key.startswith("lda."))
     assert cli_rows == lda.SETTINGS and all(map(operator.is_, cli_rows, lda.SETTINGS))
+
+
+def test_every_preprocess_config_field_has_a_setting(tmp_path):
+    (tmp_path / "stopwords.txt").write_text("budget\n", encoding="utf-8")
+    (tmp_path / "rules.txt").write_text("s\t\n", encoding="utf-8")
+    (tmp_path / "run.json").write_text(json.dumps({"preprocess": {
+        "stopwords": str(tmp_path / "stopwords.txt"), "lemma_rules": str(tmp_path / "rules.txt"), "min_token_length": 3,
+    }}), encoding="utf-8")
+    config = cli._merge_config(cli.build_parser().parse_args(["--config", str(tmp_path / "run.json"), "ingest"]))
+    result, default = cli._preprocess_config(config), preprocess.default_config()
+    assert [field.name for field in fields(result) if getattr(result, field.name) == getattr(default, field.name)] == []

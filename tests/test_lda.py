@@ -68,6 +68,9 @@ class TestConfig:
             {"burn_in": -1},
             {"seed": -3},
             {"input_mode": "embeddings"},
+            # 50/K rounds to 0.0, which the alpha row rejects.
+            {"n_topics": 10**400},
+            {"n_topics": 2**1100},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -1,7 +1,7 @@
 """Cleaning pipeline stages and their composition."""
 
+import sys
 from itertools import chain
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
-from lextopic.errors import EmptyDocument, InvalidConfig
+from lextopic.errors import EmptyDocument
 from lextopic.preprocess import (
     DEFAULT_NORMALIZE_CHARS,
     DEFAULT_PUNCTUATION,
@@ -70,19 +70,6 @@ class TestRemovePunctuation:
 class TestTableSubstitution:
     """normalize and remove_punctuation equal the str.translate forms they replaced."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.dictionaries(st.characters(), st.one_of(st.none(), st.text(max_size=3)), max_size=8),
-        st.data(),
-    )
-    def test_equals_str_translate(self, mapping, data):
-        alphabet = st.sampled_from(sorted(mapping)) | st.characters() if mapping else st.characters()
-        text = data.draw(st.text(alphabet=alphabet, max_size=40))
-        translated = text.translate(str.maketrans(mapping))
-        assert normalize(text, mapping) == " ".join(translated.lower().split())
-        marks = set(mapping)
-        assert remove_punctuation(text, marks) == text.translate({ord(mark): " " for mark in marks})
-
     @given(st.text(alphabet=st.sampled_from("يك٤۵ـ\u200c.،«» a") | st.characters(), max_size=40))
     def test_defaults_equal_str_translate(self, text):
         table = str.maketrans(DEFAULT_NORMALIZE_CHARS)
@@ -90,20 +77,19 @@ class TestTableSubstitution:
         marks = {ord(mark): " " for mark in DEFAULT_PUNCTUATION}
         assert remove_punctuation(text) == text.translate(marks)
 
-    def test_ordinal_keys_and_values(self):
-        assert normalize("abc", {ord("a"): ord("x"), "b": None}) == "xc"
 
-    def test_read_only_maps_equal_dicts(self):
-        text = "علي كتاب، Σ"
-        mapping = {"ي": "ی", "ك": "ک"}
-        assert normalize(text, MappingProxyType(mapping)) == normalize(text, mapping) == "علی کتاب، σ"
-        marks = MappingProxyType({"،": "", "Σ": ""})
-        assert remove_punctuation(text, marks) == remove_punctuation(text, {"،", "Σ"})
-        record = make_record("r1", title=text, content="كتاب")
-        config = PreprocessConfig(normalize_chars=MappingProxyType(mapping))
-        expected = preprocess_document(record, PreprocessConfig(normalize_chars=mapping))
-        assert preprocess_document(record, config) == expected
-        assert preprocess_corpus(Corpus([record]), config) == [expected]
+class TestFixedTables:
+    """The facts about the tables that _preprocess_chunks relies on."""
+
+    def test_no_image_of_a_chunk_character_holds_whitespace_but_a_space(self):
+        assert not any(key.isspace() for key in DEFAULT_NORMALIZE_CHARS)
+        assert not any(char.isspace() for value in DEFAULT_NORMALIZE_CHARS.values() for char in value)
+        assert not any(mark.isspace() for mark in DEFAULT_PUNCTUATION)
+        lowered = (chr(code).lower() for code in range(sys.maxunicode + 1) if not chr(code).isspace())
+        assert not any(char.isspace() for text in lowered for char in text)
+
+    def test_no_table_value_holds_capital_sigma(self):
+        assert not any("\u03a3" in value for value in DEFAULT_NORMALIZE_CHARS.values())
 
 
 class TestTokenize:
@@ -259,34 +245,35 @@ class TestPreprocessCorpus:
         config = PreprocessConfig(lemma_rules=rules, min_token_length=2)
         assert preprocess_corpus(corpus, config)[0].tokens == ["go", "home", "go", "away"]
         rules.exceptions["went"] = "leave"
-        config.normalize_chars["y"] = ""
-        assert preprocess_corpus(corpus, config)[0].tokens == ["leave", "home", "leave", "awa"]
+        assert preprocess_corpus(corpus, config)[0].tokens == ["leave", "home", "leave", "away"]
 
 
 WHITESPACE = "\t\n \xa0\x1c\x85\u3000"
-MEMO_ALPHABET = WHITESPACE + "\u200cـيك۱۴٤.،«»(Σσİiabقانونها"
+# Every key of the normalize table and every punctuation mark, beside the
+# letters of the small lexicon and the characters that lower oddly.
+TABLE_CHARS = "".join(DEFAULT_NORMALIZE_CHARS) + "".join(sorted(DEFAULT_PUNCTUATION))
+WORD_CHARS = "Σσİiabقانونها"
 
 
-def _small_config(normalize_chars=None, punctuation="", min_token_length=1):
+def memo_text(max_size, min_size=0, whitespace=WHITESPACE):
+    alphabet = st.sampled_from(TABLE_CHARS) | st.sampled_from(WORD_CHARS + whitespace)
+    return st.text(alphabet, min_size=min_size, max_size=max_size)
+
+
+def _small_config(min_token_length=1):
     return PreprocessConfig(
         stopword_list={"ab", "قانون", "σ"},
-        punctuation_set=DEFAULT_PUNCTUATION | frozenset(punctuation),
         lemma_rules=LemmaRules(exceptions={"ها": "ab"}, suffix_rules=[("ها", ""), ("b", "")]),
         min_token_length=min_token_length,
-        normalize_chars={**DEFAULT_NORMALIZE_CHARS, **(normalize_chars or {})},
     )
 
 
 @st.composite
 def memo_configs(draw):
-    """The default config, or one with a small lexicon, a length floor of
-    1-3 and extra normalize keys, with values that may be whitespace."""
+    """The default config, or one with a small lexicon and a length floor of 1-3."""
     if draw(st.booleans()):
         return default_config()
-    extra = st.dictionaries(
-        st.sampled_from("a-Σ"), st.sampled_from(["", " ", "\n", "b", "Σ"]), max_size=3
-    )
-    return _small_config(draw(extra), min_token_length=draw(st.integers(1, 3)))
+    return _small_config(draw(st.integers(1, 3)))
 
 
 class TestChunkMemo:
@@ -295,7 +282,7 @@ class TestChunkMemo:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(st.tuples(st.text(MEMO_ALPHABET, max_size=12), st.text(MEMO_ALPHABET, max_size=30)), max_size=6),
+        st.lists(st.tuples(memo_text(12), memo_text(30)), max_size=6),
         memo_configs(),
     )
     def test_equals_document_by_document(self, texts, config):
@@ -316,20 +303,12 @@ class TestChunkMemo:
         else:
             assert preprocess_corpus(corpus, config, on_empty="error") == expected
 
-    def test_a_whitespace_normalize_key_is_rejected(self):
-        # Such a key can join two whitespace chunks into one token.
-        corpus = Corpus([make_record("r1", title="ab\tcd", content="x\ty")])
-        for key in WHITESPACE:
-            config = PreprocessConfig(normalize_chars={**DEFAULT_NORMALIZE_CHARS, key: ""})
-            with pytest.raises(InvalidConfig, match="normalize_chars"):
-                preprocess_corpus(corpus, config)
-
 
 def _chunk_by_chunk(chunks, config):
     """Each chunk's tokens from the public stages, one chunk at a time."""
     result = []
     for chunk in chunks:
-        text = remove_punctuation(normalize(chunk, config.normalize_chars), config.punctuation_set)
+        text = remove_punctuation(normalize(chunk))
         tokens = remove_stopwords(tokenize(text, config.min_token_length), config.stopword_list)
         tokens = lemmatize(tokens, config.lemma_rules)
         result.append([token for token in tokens
@@ -341,19 +320,13 @@ class TestPreprocessChunks:
     """_preprocess_chunks equals the public stages run on each chunk alone."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.text(MEMO_ALPHABET.translate({ord(space): None for space in WHITESPACE}),
-                            min_size=1, max_size=12), max_size=8),
-           memo_configs())
+    @given(st.lists(memo_text(12, min_size=1, whitespace=""), max_size=8), memo_configs())
     # Σ lowers to ς at the end of a word and to σ elsewhere.
     @example(["ΑΣ", "ΑΣΑ", "aΣ.", "Σ", "ΣΑ", "Α.Σ"], default_config())
-    @example(["Aa", "aA", "a", "ΑΣ"], _small_config({"a": "Σ"}))
-    @example(["ab", "xa", "a"], _small_config({"a": "bΣ"}))
     # İ lowers to two characters.
     @example(["İ", "Kİ", "İİ"], default_config())
-    # Images that are empty, longer than one character, or whitespace.
-    @example(["\u0640\u200c", "a\u0640b", "xay", "bxb", "ab\u200cها"],
-             _small_config({"x": "bcd", "a": " ", "b": "\n"}))
-    @example(["xay", "a", "ya."], _small_config({"a": "\n", "x": "\u3000"}, punctuation="\n\u3000"))
+    # Images that are empty or longer than one character.
+    @example(["\u0640\u200c", "a\u0640b", "İ\u0640ab", "ab\u200cها"], _small_config())
     @example(["\ud800x", "x\ud800", "\udfff"], default_config())
     # Chunks that lose every token.
     @example(["،.", "ab", "(«»)", "ها"], _small_config())
@@ -383,7 +356,7 @@ class TestDataFiles:
     def test_stopwords_are_normalization_fixed_points(self):
         config = default_config()
         for word in config.stopword_list:
-            assert normalize(word, config.normalize_chars) == word
+            assert normalize(word) == word
 
     def test_loaders_skip_comments(self, tmp_path):
         stop = tmp_path / "stop.txt"

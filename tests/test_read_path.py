@@ -120,7 +120,7 @@ def reference_load(path, format: str) -> Corpus:
         with open(path, encoding="utf-8", newline="") as handle:
             for row, mapping in enumerate(csv.DictReader(handle), start=1):
                 records.append(_reference_record(mapping, row, seen_ids))
-    return Corpus(records, source_description=str(path))
+    return Corpus(records)
 
 
 def _outcome(load, path, format):

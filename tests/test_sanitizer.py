@@ -70,7 +70,7 @@ records = [
     LawRecord(f"r{index}", "", "".join(rng.choice(alphabet, size=int(rng.integers(0, 30)))), LawType.REGULATION, date)
     for index in range(300)
 ]
-vectorize.count_corpus(Corpus(records, "alphabet"), min_df=1, max_df_ratio=1.0, on_empty="drop")
+vectorize.count_corpus(Corpus(records), min_df=1, max_df_ratio=1.0, on_empty="drop")
 
 # The float formatter on signed zeros, subnormals and non-finite values.
 values = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.nan, math.inf, -math.inf])

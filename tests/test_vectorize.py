@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 from conftest import make_record
 from lextopic import _gibbs
 from lextopic.corpus import Corpus, LawType, load_corpus
-from lextopic.errors import AllZero, EmptyDocument, EmptyVocabulary, InvalidConfig, MissingYear, NoDocuments
+from lextopic.errors import AllZero, EmptyDocument, EmptyVocabulary, MissingYear, NoDocuments
 from lextopic.preprocess import (
-    DEFAULT_NORMALIZE_CHARS, Document, LemmaRules, PreprocessConfig, default_config, preprocess_corpus,
-    preprocess_document,
+    Document, LemmaRules, PreprocessConfig, default_config, preprocess_corpus, preprocess_document,
 )
 from lextopic.vectorize import (
     DocTermMatrix,
@@ -493,14 +492,6 @@ class TestCountCorpus:
             assert _outcome(lambda: count_corpus(corpus, None, 1, 1.0, "drop")) == expected
         warnings = [record.getMessage() for record in caplog.records if record.levelno == logging.WARNING]
         assert len(warnings) == 1 and "corpus count" in warnings[0]
-
-    def test_a_whitespace_normalize_key_is_rejected(self):
-        corpus = self._corpus()
-        config = PreprocessConfig(normalize_chars={**DEFAULT_NORMALIZE_CHARS, "\t": ""})
-        with pytest.raises(InvalidConfig, match="normalize_chars"):
-            count_corpus(corpus, config, 1, 1.0, "drop")
-        with pytest.raises(InvalidConfig, match="normalize_chars"):
-            preprocess_corpus(corpus, config)
 
     def test_zero_documents(self):
         corpus = Corpus([make_record("r0", title="a", content="b c")])
