@@ -304,8 +304,9 @@ def _parse_k_grid(text: str) -> list[int]:
         raise InvalidConfig(f"--k-grid expects comma-separated integers, got {text!r}") from None
     if not values:
         raise InvalidConfig("--k-grid is empty")
-    if min(values) < 1 or len(set(values)) < len(values):
-        raise InvalidConfig(f"--k-grid expects distinct topic counts >= 1, got {text!r}")
+    limit = _BY_PATH[("lda", "n_topics")].limit
+    if not all(limit.holds(value) for value in values) or len(set(values)) < len(values):
+        raise InvalidConfig(f"--k-grid expects distinct topic counts {limit.text}, got {text!r}")
     return values
 
 

@@ -8,6 +8,7 @@ table can key on it without re-converting.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import re
@@ -325,11 +326,22 @@ def _undecodable_row(path: Path, format: str) -> tuple[int | None, str]:
     return rows, reason
 
 
+# json.loads's own C scanner, called without the decode() layer around it.
+_scan_object = json.JSONDecoder().scan_once
+
+
 def load_corpus(path, format: str = "jsonl") -> Corpus:
     """Read law records from a JSONL or CSV file, validating every row.
 
     Row numbers in errors are 1-based over data rows (the CSV header is
     not counted). A file that is not UTF-8 raises UndecodableCorpus.
+
+    The cyclic garbage collector is paused for the call: records hold no
+    reference cycles, so a collection during the load would traverse new
+    records and free nothing. A JSONL line whose value spans the whole
+    line, up to its final newline, is taken from json's C scanner as
+    json.loads would return it; any other line, or any line the scanner
+    rejects, goes through json.loads itself.
     """
     path = Path(path)
     if format not in ("jsonl", "csv"):
@@ -337,6 +349,8 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
     records: list[LawRecord] = []
     seen_ids: set = set()
     law_types: dict = {}
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         if format == "jsonl":
             with path.open(encoding="utf-8") as handle:
@@ -346,11 +360,17 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
                         continue
                     row += 1
                     try:
-                        mapping = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise MalformedRow(row, str(exc)) from None
-                    except RecursionError:
-                        raise MalformedRow(row, "nested deeper than the recursion limit") from None
+                        mapping, end = _scan_object(line, 0)
+                    except (StopIteration, ValueError, RecursionError):
+                        end = -1
+                    # json.loads allows only whitespace after the value: kept where only the line's "\n" follows.
+                    if not (end == len(line) or (end == len(line) - 1 and line[end] == "\n")):
+                        try:
+                            mapping = json.loads(line)
+                        except json.JSONDecodeError as exc:
+                            raise MalformedRow(row, str(exc)) from None
+                        except RecursionError:
+                            raise MalformedRow(row, "nested deeper than the recursion limit") from None
                     if not isinstance(mapping, dict):
                         raise MalformedRow(row, f"expected an object, got {type(mapping).__name__}")
                     record = _record_from_mapping(mapping, row, seen_ids, law_types)
@@ -371,9 +391,12 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
                         records.append(record)
                 except csv.Error as exc:  # a cell over csv.field_size_limit()
                     raise MalformedRow(None if row is None else row + 1, str(exc), "CSV") from None
+        return Corpus(records)
     except UnicodeDecodeError:
         raise UndecodableCorpus(path, *_undecodable_row(path, format)) from None
-    return Corpus(records)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _date_payload(date: RecordDate | None):

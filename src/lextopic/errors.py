@@ -6,22 +6,39 @@ attribute ``module``, so the CLI can report module-qualified failures.
 
 from __future__ import annotations
 
+import json
+from typing import Callable
+
 _QUOTE_LIMIT = 80
 
 
-def _quoted(value: object) -> str:
-    """repr(value); past _QUOTE_LIMIT characters, only the first ones and the total length.
+def _quoted(value: object, show: Callable[[object], str] = repr) -> str:
+    """repr(value) for a string, else show(value); cut past _QUOTE_LIMIT characters.
 
-    A string is cut by its own characters, any other value by its repr's.
+    A cut quote keeps the first characters and gives the total length. A
+    string is cut by its own characters, any other value by its shown text's.
     """
     if isinstance(value, str):
         if len(value) <= _QUOTE_LIMIT:
             return repr(value)
         return f"{value[:_QUOTE_LIMIT]!r}... ({len(value)} characters)"
-    text = repr(value)
+    text = show(value)
     if len(text) <= _QUOTE_LIMIT:
         return text
     return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
+def _as_json(value: object) -> str:
+    """value as JSON text; repr(value) where JSON cannot hold it.
+
+    A lone surrogate is shown as its escape, as repr shows it, so that the
+    message stays printable on a strict UTF-8 stream.
+    """
+    try:
+        text = json.dumps(value, ensure_ascii=False)
+    except (TypeError, ValueError, RecursionError):  # not a JSON value, or one that holds itself
+        return repr(value)
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 class LextopicError(Exception):
@@ -66,7 +83,7 @@ class MalformedDate(CorpusError):
         self.raw = raw
         self.row = row
         where = f"row {row}: " if row is not None else ""
-        super().__init__(f"{where}malformed date {_quoted(raw)}")
+        super().__init__(f"{where}malformed date {_quoted(raw, _as_json)}")
 
 
 class MalformedRow(CorpusError):

@@ -140,7 +140,9 @@ _FIELDS = {field.name: field.default for field in fields(LdaConfig)}
 _MODEL = ("fit", "sweep")
 # One row per LdaConfig field, in field order; cli.SETTINGS holds these same rows.
 SETTINGS = (
-    Setting("lda.n_topics", int, _FIELDS["n_topics"], "--topics", _MODEL, "number of topics", limit=AT_LEAST_1),
+    # rng.integers and the int64 count tables take a K below 2**63.
+    Setting("lda.n_topics", int, _FIELDS["n_topics"], "--topics", _MODEL, "number of topics",
+            limit=Limit("in [1, 2**63)", lambda value: 1 <= value < 2**63)),
     Setting("lda.alpha", float, _FIELDS["alpha"], "--alpha", _MODEL, "document-topic prior (default: 50/K)",
             limit=POSITIVE),
     Setting("lda.beta", float, _FIELDS["beta"], "--beta", _MODEL, "topic-word prior", limit=POSITIVE),

@@ -293,12 +293,14 @@ class TestSweep:
         assert main(args) == 1
         assert "error [config]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["0,2", "2,2"])
+    # A K of 2**63 or more is checked by the lda.n_topics row, as --topics is.
+    @pytest.mark.parametrize("grid", ["0,2", "2,2", f"2,{2**63}", str(10**30)])
     def test_grid_below_one_or_repeated_writes_nothing(self, corpus_path, tmp_path, capsys, grid):
         out = tmp_path / "out"
         args = ["sweep", "--corpus", corpus_path, "--out", str(out), "--k-grid", grid]
         assert main(args) == 1
-        assert capsys.readouterr().err.startswith("error [config]: --k-grid ")
+        expected = f"error [config]: --k-grid expects distinct topic counts in [1, 2**63), got {grid!r}\n"
+        assert capsys.readouterr().err == expected
         assert not out.exists()
 
     def test_true_topic_count_scores_higher_than_inflated(self):
@@ -386,8 +388,30 @@ class TestErrors:
                     writer.writerow([row["id"], row["title"], row["content"], row["law_type"], cell])
         out = tmp_path / "o"
         assert main(["ingest", "--corpus", str(path), "--format", format, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error [corpus]: row 2: malformed date ")
+        # Quoted as JSON; only the parsed value is left, so 1e400 reads Infinity.
+        shown = date.replace("1e400", "Infinity")
+        assert capsys.readouterr().err == f"error [corpus]: row 2: malformed date {shown}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("date, shown", [
+        ('{"year": "\\ud800", "month": 1, "day": 1, "raw": "تاریخ"}',
+         '{"year": "\\ud800", "month": 1, "day": 1, "raw": "تاریخ"}'),
+        ('{"year": null, "month": [1], "day": {"d": false}}', '{"year": null, "month": [1], "day": {"d": false}}'),
+        (f'{{"year": "{"x" * 100}", "month": 1, "day": 1}}', f'{{"year": "{"x" * 70}... (134 characters)'),
+    ], ids=["surrogate", "nested", "long"])
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_a_bad_dict_date_is_quoted_as_json(self, tmp_path, capsys, date, shown, format):
+        path = tmp_path / f"corpus.{format}"
+        if format == "jsonl":
+            path.write_text(json.dumps(jsonl_row("r1", date="D")).replace('"D"', date) + "\n", encoding="utf-8")
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                csv.writer(handle).writerows([["id", "title", "content", "law_type", "date"],
+                                              ["r1", "t", "body", "Regulation", date]])
+        assert main(["ingest", "--corpus", str(path), "--format", format, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error [corpus]: row 1: malformed date {shown}\n"
+        err.encode("utf-8")  # a lone surrogate shows as its escape, so a strict UTF-8 stderr can print the line
 
     def test_unfitted_analyze_fails_cleanly(self, corpus_path, tmp_path, capsys):
         args = ["analyze", "--corpus", corpus_path, "--out", str(tmp_path / "empty")]
@@ -639,8 +663,9 @@ class TestSettingsTable:
         (["fit", "--beta", "0"], "lda.beta"),
         (["fit", "--seed", "-1"], "lda.seed"),
         (["fit", "--sweeps", "5", "--burn-in", "5"], "lda.burn_in"),
-        # 50/K underflows to 0.0, which the alpha row rejects.
-        (["fit", "--topics", str(10**400)], "lda.alpha"),
+        # A K that rng.integers and the int64 count tables cannot take.
+        (["fit", "--topics", str(10**400)], "lda.n_topics"),
+        (["fit", "--topics", str(2**63)], "lda.n_topics"),
     ])
     def test_bad_flag_value(self, corpus_path, tmp_path, capsys, flags, key):
         out = tmp_path / "out"
@@ -904,9 +929,10 @@ class TestUnreadableInputs:
 
     @pytest.mark.parametrize("reader", ["layout", "json.load"])
     @pytest.mark.parametrize("key, text, message", [
-        ("n_topics", "2.0", "an integer >= 1, got 2.0"),
-        ("n_topics", "0", "an integer >= 1, got 0"),
-        ("n_topics", "true", "an integer >= 1, got true"),
+        ("n_topics", "2.0", "an integer in [1, 2**63), got 2.0"),
+        ("n_topics", "0", "an integer in [1, 2**63), got 0"),
+        ("n_topics", "true", "an integer in [1, 2**63), got true"),
+        ("n_topics", str(2**63), f"an integer in [1, 2**63), got {2**63}"),
         ("sweeps", "1e400", "an integer >= 1, got Infinity"),
         ("seed", "true", "an integer in [0, 2**64), got true"),
         ("seed", str(2**64), f"an integer in [0, 2**64), got {2**64}"),

@@ -1,6 +1,7 @@
 """Record loading, validation, filtering, dates, and synthetic corpora."""
 
 import csv
+import gc
 import json
 import tracemalloc
 
@@ -144,6 +145,46 @@ class TestLoadCorpus:
             tracemalloc.stop()
         assert len(corpus) == 800
         assert peak - kept < 0.25 * size
+
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_no_collection_runs_during_the_load(self, tmp_path, format):
+        # Records hold no cycles, so a collection during the load would free nothing.
+        path = tmp_path / f"c.{format}"
+        rows = [jsonl_row(f"r{i}") for i in range(2000)]
+        if format == "jsonl":
+            write_jsonl(path, rows)
+        else:
+            _write_csv(path, rows)
+        generations = []
+
+        def record(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.callbacks.append(record)
+        try:
+            corpus = load_corpus(path, format)
+        finally:
+            gc.callbacks.remove(record)
+        assert len(corpus) == 2000
+        assert generations == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+    @pytest.mark.parametrize("second_line", [json.dumps(jsonl_row("r2")), "{bad"], ids=["loads", "raises"])
+    def test_the_collector_is_left_as_the_caller_had_it(self, tmp_path, enabled, second_line):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(jsonl_row("r1")) + "\n" + second_line + "\n", encoding="utf-8")
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if second_line == "{bad":
+                with pytest.raises(MalformedRow):
+                    load_corpus(path)
+            else:
+                assert len(load_corpus(path)) == 2
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 def _write_csv(path, rows):

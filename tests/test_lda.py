@@ -56,6 +56,7 @@ class TestConfig:
     def test_alpha_defaults_to_fifty_over_k(self):
         assert LdaConfig(n_topics=10).alpha == pytest.approx(5.0)
         assert LdaConfig(n_topics=25).alpha == pytest.approx(2.0)
+        assert LdaConfig(n_topics=2**63 - 1).alpha == 50 / (2**63 - 1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -68,9 +69,10 @@ class TestConfig:
             {"burn_in": -1},
             {"seed": -3},
             {"input_mode": "embeddings"},
-            # 50/K rounds to 0.0, which the alpha row rejects.
+            # At or above 2**63, past what rng.integers and the int64 count tables take.
             {"n_topics": 10**400},
             {"n_topics": 2**1100},
+            {"n_topics": 2**63},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

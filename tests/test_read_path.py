@@ -224,6 +224,11 @@ _ROWS = st.lists(
 _LINE_PREFIX = st.sampled_from([""] * 10 + [" ", "\t", "\ufeff", "\xa0"])
 _LINE_SUFFIX = st.sampled_from([""] * 10 + [" ", "\r", " \t", " x", "{}", "\xa0", "\u2028"])
 _BLANK_LINE = st.sampled_from([" ", "\t", "\xa0", "\x1c", "\u3000"])
+# Written as JSON text, after the row's own members: values json.dumps does not
+# write as such, and repeated keys, of which the last one counts.
+_LAST_MEMBER = st.sampled_from([""] * 6 + [
+    '"extra": NaN', '"extra": 1e400', '"extra": 123456789012345678901234567890', '"id": "a"', '"title": " "',
+])
 
 
 def _csv_cell(value) -> str:
@@ -239,21 +244,41 @@ class TestLoaderMatchesReference:
     @given(
         rows=_ROWS,
         layout=st.lists(
-            st.tuples(_LINE_PREFIX, _LINE_SUFFIX, st.booleans(), st.one_of(st.none(), _BLANK_LINE)),
+            st.tuples(_LINE_PREFIX, _LINE_SUFFIX, st.booleans(), st.one_of(st.none(), _BLANK_LINE), _LAST_MEMBER),
             min_size=4, max_size=4,
         ),
         stray=st.sampled_from([None] * 12 + ["42", "[1]", "null", '"text"']),
+        final_newline=st.booleans(),
     )
-    def test_jsonl(self, tmp_path_factory, rows, layout, stray):
+    def test_jsonl(self, tmp_path_factory, rows, layout, stray, final_newline):
         lines = []
-        for row, (prefix, suffix, ascii_only, blank) in zip(rows, layout):
+        for row, (prefix, suffix, ascii_only, blank, member) in zip(rows, layout):
             if blank is not None:
                 lines.append(blank)
-            lines.append(prefix + json.dumps(row, ensure_ascii=ascii_only) + suffix)
+            text = json.dumps(row, ensure_ascii=ascii_only)
+            if member:
+                text = text[:-1] + (", " if row else "") + member + "}"
+            lines.append(prefix + text + suffix)
         if stray is not None:
             lines.insert(len(lines) // 2, stray)
         path = tmp_path_factory.mktemp("jsonl") / "c.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text("\n".join(lines) + ("\n" if final_newline else ""), encoding="utf-8")
+        assert _outcome(load_corpus, path, "jsonl") == _outcome(reference_load, path, "jsonl")
+
+    @pytest.mark.parametrize("text", [
+        json.dumps(_COMPLETE),
+        json.dumps(_COMPLETE) + "\xa0",
+        json.dumps(_COMPLETE) + "\u2028",
+        json.dumps(_COMPLETE) + "{}\n",
+        json.dumps(_COMPLETE)[:-1] + ', "id": "d", "id": "e"}\n',
+        json.dumps(_COMPLETE)[:-1] + ', "extra": NaN}\n',
+        json.dumps(_COMPLETE)[:-1] + ', "extra": 1e400}\n',
+        json.dumps(_COMPLETE)[:-1] + ', "extra": 123456789012345678901234567890}\n',
+    ], ids=["no-final-newline", "no-final-newline-nbsp", "no-final-newline-u2028", "object-then-object",
+            "repeated-key", "nan", "1e400", "30-digit-integer"])
+    def test_jsonl_line_ends_and_values(self, tmp_path, text):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({**_COMPLETE, "id": "first"}) + "\n" + text, encoding="utf-8")
         assert _outcome(load_corpus, path, "jsonl") == _outcome(reference_load, path, "jsonl")
 
     @settings(max_examples=150, deadline=None)
