@@ -6,7 +6,8 @@ comma-separated with CRLF line ends and floats (numpy's included) as
 Python's shortest repr; JSON is UTF-8 with non-ASCII text kept as is.
 JSON files are read whole by read_json_object; lda.load_model reads
 model.json in save_model's own layout where the compiled table parser
-loads, and through read_json_object otherwise.
+loads, and through read_json_object otherwise. Every JSON text an input
+holds, a file or a corpus row or cell, is decoded by decode_json.
 """
 
 from __future__ import annotations
@@ -41,15 +42,30 @@ def atomic_writer(path, newline: str | None = None):
         temporary.unlink(missing_ok=True)
 
 
+def decode_json(text: str, error, not_json: str = ""):
+    """json.loads(text); text it rejects raises error(reason), a LextopicError, with no exception chained.
+
+    The reason is not_json followed by the decoder's message, or "nested
+    deeper than the recursion limit". A number of more digits than
+    Python's integer string limit is a ValueError like any syntax error.
+    Only the decode is caught, so the caller's own errors pass through.
+    """
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError and the integer digit limit
+        raise error(f"{not_json}{exc}") from None
+    except RecursionError:
+        raise error("nested deeper than the recursion limit") from None
+
+
 def read_json_object(path, error) -> dict:
     """The JSON object in the UTF-8 file at path; anything else raises error(reason)."""
     try:
         with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            text = handle.read()
+    except UnicodeDecodeError as exc:
         raise error(f"not JSON: {exc}") from None
-    except RecursionError:
-        raise error("nested deeper than the recursion limit") from None
+    payload = decode_json(text, error, "not JSON: ")
     if not isinstance(payload, dict):
         raise error("not a JSON object")
     return payload

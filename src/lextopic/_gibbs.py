@@ -1,7 +1,7 @@
 """Build and load the seven compiled kernels in ``_gibbs.c``.
 
 - ``lda``'s sampler and scores: the Gibbs ``sweep`` and the per-entry
-  ``token_probs`` of the log-likelihood.
+  ``token_probs`` of ``perplexity``.
 - ``vectorize.count_corpus``: the chunk scan ``scan_chunks`` and the
   count loops ``token_counts`` and ``term_entries``.
 - ``model.json``: ``format_floats`` writes its tables and trace as
@@ -170,7 +170,7 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
 
         logging.getLogger(__name__).warning(
             "compiled kernels unavailable (%s); "
-            "using the Python sweep, log-likelihood, corpus count, float formatting and model parse", exc,
+            "using the Python sweep, perplexity, corpus count, float formatting and model parse", exc,
         )
         return None
     sweep_function = library.gibbs_sweep

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_writer
+from ._files import atomic_writer, decode_json
 from .errors import (
     DuplicateId,
     EmptyContent,
@@ -221,10 +221,7 @@ def _as_string_list(value, row: int, name: str) -> list[str]:
         text = value.strip()
         if not text.startswith("["):
             return [part.strip() for part in text.split(",") if part.strip()]
-        try:
-            value = json.loads(text)
-        except (json.JSONDecodeError, RecursionError):
-            raise MissingField(row, name) from None
+        value = decode_json(text, lambda reason: MissingField(row, name))
     elif value is None:
         return []
     if isinstance(value, list):
@@ -259,10 +256,7 @@ def _record_from_mapping(mapping: dict, row: int, seen_ids: set, law_types: dict
     seen_ids.add(record_id)
 
     if isinstance(date_value, str) and date_value.strip().startswith("{"):
-        try:
-            date_value = json.loads(date_value)
-        except (json.JSONDecodeError, RecursionError):
-            raise MalformedDate(date_value, row) from None
+        date_value = decode_json(date_value, lambda reason: MalformedDate(date_value, row))
     law_type = str(law_type)
     parsed_type = law_types.get(law_type)
     if parsed_type is None:
@@ -341,7 +335,8 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
     records and free nothing. A JSONL line whose value spans the whole
     line, up to its final newline, is taken from json's C scanner as
     json.loads would return it; any other line, or any line the scanner
-    rejects, goes through json.loads itself.
+    rejects, goes through decode_json, json.loads with its errors mapped to
+    MalformedRow.
     """
     path = Path(path)
     if format not in ("jsonl", "csv"):
@@ -365,12 +360,7 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
                         end = -1
                     # json.loads allows only whitespace after the value: kept where only the line's "\n" follows.
                     if not (end == len(line) or (end == len(line) - 1 and line[end] == "\n")):
-                        try:
-                            mapping = json.loads(line)
-                        except json.JSONDecodeError as exc:
-                            raise MalformedRow(row, str(exc)) from None
-                        except RecursionError:
-                            raise MalformedRow(row, "nested deeper than the recursion limit") from None
+                        mapping = decode_json(line, lambda reason: MalformedRow(row, reason))
                     if not isinstance(mapping, dict):
                         raise MalformedRow(row, f"expected an object, got {type(mapping).__name__}")
                     record = _record_from_mapping(mapping, row, seen_ids, law_types)

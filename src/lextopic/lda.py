@@ -1,18 +1,20 @@
 """Topic model fitting by collapsed Gibbs sampling, plus model scoring.
 
-``fit`` is a loop over one ``_Sampler``, which holds the matrix's
-validated entries, the token slots, the count tables and the random
-stream. With the compiled kernels of ``_gibbs.c`` the slots and tables
-are numpy arrays that the compiled sweep resamples in place. Without a
+``fit`` is a loop over one ``_Sampler``, which holds the token slots,
+the count tables, the random stream and the lgamma table of the trace.
+With the compiled kernels of ``_gibbs.c`` the slots and tables are numpy
+arrays that the compiled sweep resamples in place. Without a
 C compiler the sampler runs the pure-Python ``init_assignments`` /
 ``gibbs_sweep`` pair on nested lists, which is also the reference the
 compiled path is tested against: both give the same assignments for the
-same seed. The log-likelihood trace and ``perplexity`` likewise use the
-compiled ``token_probs`` loop, with ``_token_probs`` as its numpy
-reference and fallback: both give the same bits, and both sum the
-count-weighted logs in one fixed order. ``save_model`` writes θ, φ and the
-trace with the compiled ``format_floats``, and with ``json.dumps`` where it
-falls back: both give the same bytes, laid out as ``_LAYOUT`` says.
+same seed. Each sweep's trace entry is the collapsed log p(w | z), read
+from the count tables by one numpy path on either sampler, so both record
+the same bits. ``perplexity`` uses the compiled ``token_probs`` loop, with
+``_token_probs`` as its numpy reference and fallback: both give the same
+bits, and both sum the count-weighted logs in one fixed order.
+``save_model`` writes θ, φ and the trace with the compiled
+``format_floats``, and with ``json.dumps`` where it falls back: both give
+the same bytes, laid out as ``_LAYOUT`` says.
 ``load_model`` reads a file in that layout with the compiled ``parse_table``
 for θ and φ, and any other file, or any file where it falls back, with
 ``json.load``: both give the same model.
@@ -26,6 +28,7 @@ import math
 import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -303,8 +306,8 @@ def _topic_word_estimate(n_kw: np.ndarray, n_k: np.ndarray, beta: float) -> np.n
 
 
 def _entries(matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entry docs, terms and counts (as floats), in (doc, term) order; one outside the matrix raises EntryOutOfRange."""
-    docs, terms, counts = matrix.docs, matrix.terms, matrix.values.astype(np.float64)
+    """Entry docs, terms and counts, in (doc, term) order; one outside the matrix raises EntryOutOfRange."""
+    docs, terms, counts = matrix.docs, matrix.terms, matrix.values
     bad = (docs < 0) | (docs >= matrix.n_docs) | (terms < 0) | (terms >= matrix.n_terms) | (counts < 0)
     if bad.any():
         first = int(np.argmax(bad))
@@ -351,6 +354,32 @@ def _log_likelihood(
     return float(np.add.reduce(log_p))
 
 
+def _word_table(max_count: int, beta: float) -> np.ndarray:
+    """lgamma(n + beta) - lgamma(beta) for n = 0 .. max_count, each by math.lgamma."""
+    lgamma = math.lgamma
+    lgamma_beta = lgamma(beta)
+    return np.array([lgamma(n + beta) - lgamma_beta for n in range(max_count + 1)])
+
+
+def _log_p_words(n_kw: np.ndarray, n_k: np.ndarray, beta: float, word_table: np.ndarray) -> float:
+    """The collapsed log p(w | z) of the count tables (Griffiths & Steyvers, PNAS 2004).
+
+    sum over k of lgamma(V*beta) - lgamma(n_k + V*beta), plus sum over
+    (k, w) of lgamma(n_kw + beta) - lgamma(beta). The cell terms are
+    looked up in word_table, which must reach the largest n_kw, and summed
+    by numpy's pairwise add.reduce, whose order is fixed; the K topic
+    terms are then added in topic order. It reads no alpha and no
+    estimate, and relabelling the topics changes only its rounding.
+    """
+    log_p = float(np.add.reduce(word_table[n_kw.ravel()]))
+    lgamma = math.lgamma
+    vbeta = n_kw.shape[1] * beta
+    lgamma_vbeta = lgamma(vbeta)
+    for count in n_k.tolist():
+        log_p += lgamma_vbeta - lgamma(count + vbeta)
+    return log_p
+
+
 def _load_kernels():
     # Imported here, not at the top, so that ingest, which neither samples,
     # scores nor reads a model, does not load the kernel module.
@@ -360,11 +389,10 @@ def _load_kernels():
 
 
 class _Sampler:
-    """One Gibbs chain over a matrix: its entries, token slots, count tables and random stream.
+    """One Gibbs chain over a matrix: its token slots, count tables and random stream.
 
-    entries is the matrix's validated (docs, terms, counts), and tables is
-    (n_dk, n_kw, n_k, n_d), laid out as in SamplerState. With the compiled
-    kernels the slots and tables are int64 arrays: tokens[doc_ptr[d]:
+    tables is (n_dk, n_kw, n_k, n_d), laid out as in SamplerState. With the
+    compiled kernels the slots and tables are int64 arrays: tokens[doc_ptr[d]:
     doc_ptr[d + 1]] are document d's term indices and z their topics, in
     SamplerState's slot order, and one integers() call over all slots draws
     init_assignments' stream. Without them, state is init_assignments'
@@ -376,7 +404,7 @@ class _Sampler:
         if not matrix.values.size:
             raise EmptyMatrix()
         self.config = config
-        self.entries = docs, terms, counts = _entries(matrix)
+        docs, terms, counts = _entries(matrix)
         self.kernels = _load_kernels()
         if self.kernels is None:
             self.state = init_assignments(matrix, config)
@@ -384,9 +412,8 @@ class _Sampler:
             self.tables = (self.state.n_dk, self.state.n_kw, self.state.n_k, self.state.n_d)
             return
         n_topics, n_terms, n_docs = config.n_topics, matrix.n_terms, matrix.n_docs
-        lengths = counts.astype(np.int64)
-        self.tokens = np.repeat(terms, lengths)
-        token_docs = np.repeat(docs, lengths)
+        self.tokens = np.repeat(terms, counts)
+        token_docs = np.repeat(docs, counts)
         n_d = np.bincount(token_docs, minlength=n_docs)
         self.doc_ptr = np.zeros(n_docs + 1, dtype=np.int64)
         np.cumsum(n_d, out=self.doc_ptr[1:])
@@ -414,13 +441,29 @@ class _Sampler:
         n_dk, n_kw, n_k, n_d = map(np.asarray, self.tables)
         return _doc_topic_estimate(n_dk, n_d, self.config.alpha), _topic_word_estimate(n_kw, n_k, self.config.beta)
 
+    @cached_property
+    def word_table(self) -> np.ndarray:
+        """_word_table up to the largest column total of n_kw, which no cell can pass.
+
+        A column sums to its term's count in the matrix, so a sweep does
+        not change the totals, and the table is built once.
+        """
+        return _word_table(int(np.asarray(self.tables[1]).sum(axis=0).max()), self.config.beta)
+
+    def log_p_words(self) -> float:
+        """The collapsed log p(w | z) of the current tables."""
+        _, n_kw, n_k, _ = self.tables
+        return _log_p_words(np.asarray(n_kw), np.asarray(n_k), self.config.beta, self.word_table)
+
 
 def fit(matrix: DocTermMatrix, config: LdaConfig, vocab: Vocabulary | None = None) -> LdaModel:
-    """Run the Gibbs sampler and average estimators past burn-in.
+    """Run the Gibbs sampler, trace log p(w | z) each sweep, and average estimators past burn-in.
 
-    Sweeps and the log-likelihood trace run compiled when a C compiler is
-    available and through gibbs_sweep and _token_probs otherwise, with
-    equal results.
+    Sweeps run compiled when a C compiler is available and through
+    gibbs_sweep otherwise, with equal results. The trace, stored as the
+    model's log_likelihood, is the collapsed log p(w | z) of the count
+    tables after each sweep, from the same numpy code on either path.
+    θ̂ and φ̂ are formed only on the sweeps they are averaged over.
     """
     sampler = _Sampler(matrix, config)
     doc_topic_sum = np.zeros((matrix.n_docs, config.n_topics))
@@ -428,9 +471,9 @@ def fit(matrix: DocTermMatrix, config: LdaConfig, vocab: Vocabulary | None = Non
     trace: list[float] = []
     for sweep_index in range(config.sweeps):
         sampler.step()
-        doc_topic, topic_word = sampler.estimates()
-        trace.append(_log_likelihood(*sampler.entries, doc_topic, topic_word, sampler.kernels))
+        trace.append(sampler.log_p_words())
         if sweep_index >= config.burn_in:
+            doc_topic, topic_word = sampler.estimates()
             doc_topic_sum += doc_topic
             topic_word_sum += topic_word
     samples = config.sweeps - config.burn_in
@@ -565,6 +608,7 @@ def perplexity(model: LdaModel, matrix: DocTermMatrix) -> float:
     if not matrix.values.size:
         raise EmptyMatrix()
     docs, terms, counts = _entries(matrix)
+    counts = counts.astype(np.float64)
     log_lik = _log_likelihood(docs, terms, counts, model.doc_topic, model.topic_word, _load_kernels())
     return float(np.exp(-log_lik / counts.sum()))
 

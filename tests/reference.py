@@ -4,6 +4,8 @@ They live beside the tests because no command uses them: the package
 keeps only the code its pipeline runs.
 """
 
+import math
+
 import numpy as np
 
 from lextopic.corpus import Corpus, GroundTruth, LawRecord, LawType, SynthConfig, _synthetic_date
@@ -33,6 +35,22 @@ def gibbs_conditional(
             / (state.n_k[k] - drop + vbeta)
         )
     return weights / weights.sum()
+
+
+def log_p_words(n_kw: list[list[int]], n_k: list[int], beta: float) -> float:
+    """The collapsed log p(w | z) of Griffiths & Steyvers (PNAS 2004), term by term with math.lgamma.
+
+    Per topic k, lgamma(V*beta) - lgamma(n_k + V*beta), then each of its
+    cells' lgamma(n_kw + beta) - lgamma(beta), summed in that order.
+    """
+    lgamma = math.lgamma
+    vbeta = len(n_kw[0]) * beta
+    log_p = 0.0
+    for topic, row in enumerate(n_kw):
+        log_p += lgamma(vbeta) - lgamma(n_k[topic] + vbeta)
+        for count in row:
+            log_p += lgamma(count + beta) - lgamma(beta)
+    return log_p
 
 
 def generate_synthetic_corpus(config: SynthConfig) -> tuple[Corpus, GroundTruth]:

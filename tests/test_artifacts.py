@@ -217,8 +217,11 @@ def test_sweep(fit_corpus, monkeypatch):
     )
 
 
-# The whole file, whichever path writes it: θ and φ as json.dumps writes them.
-MODEL_SHA256 = "43a1dcd122791e3163d3adccd6e8a73f9ea92c6daa4f21df55b89d8fa52bbd48"
+# The whole file, whichever path writes it: θ and φ as json.dumps writes them, and the log p(w | z) trace.
+MODEL_SHA256 = "46eb803974f2463a698e65e38ec6f706c52b5af94bb9d5f541cdff5bf1dcc2a7"
+# The bytes before the trace (config, vocabulary, doc_ids, θ and φ), pinned apart from it: a change to the
+# traced statistic moves MODEL_SHA256 but must leave these.
+MODEL_HEAD_SHA256 = "6d6d857ccc2fdbbb8b74c5075320f921c31ed7f5f65c226be99e9c06d666b76b"
 
 
 @pytest.mark.parametrize("kernels", ["compiled", "fallback"])
@@ -236,6 +239,7 @@ def test_model(tmp_path, monkeypatch, kernels):
                  "--burn-in", "1", "--seed", "7", "--beta", "1e-6", "--min-df", "1", "--max-df-ratio", "1"]) == 0
     text = _bytes("out/model.json")
     assert b"e-08, " in text and text.endswith(b"]}\n")
+    assert hashlib.sha256(text[:text.index(b', "log_likelihood": ')]).hexdigest() == MODEL_HEAD_SHA256
     assert hashlib.sha256(text).hexdigest() == MODEL_SHA256
 
 

@@ -737,10 +737,11 @@ _DATE = jsonl_row("r")["date"]
 # A BOM, CR, NUL, and JSON and CSV syntax; a lone surrogate only where a CSV cell holds JSON.
 _AWKWARD_TEXT = st.text(st.sampled_from("a ,[ك\ufeff\r\n\x00\\\""), max_size=4)
 _OR_SURROGATE = _AWKWARD_TEXT | st.sampled_from(["\ud800", "a\udfff"])
-# The same as bytes, with bytes that are not UTF-8 and escapes to a lone surrogate.
+# The same as bytes, with bytes that are not UTF-8, escapes to a lone surrogate, and more digits than
+# Python's integer string limit (4,300) lets json parse.
 _SPLICES = st.sampled_from([
     b"\xef\xbb\xbf", b"\r", b"\x00", b"\\u0000", b"\xff", b"\xed\xa0\x80", b"\\ud800", b"\\udfff", b"\\",
-    b'"', b",", b"\n", b"[", b"{", b"}", b"null",
+    b'"', b",", b"\n", b"[", b"{", b"}", b"null", b"9" * 4301,
 ])
 
 
@@ -843,6 +844,31 @@ class TestUnreadableInputs:
         assert main(["ingest", "--corpus", str(path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(
             "error [corpus]: row 2: malformed JSON line: nested deeper than the recursion limit")
+
+    def test_jsonl_integer_past_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "digits.jsonl"
+        write_jsonl(path, [jsonl_row("first")])
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(jsonl_row("second"))[:-1] + ', "extra": ' + "9" * 5000 + "}\n")
+        assert main(["ingest", "--corpus", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error [corpus]: row 2: malformed JSON line: Exceeds the limit (4300 digits) for integer string conversion")
+
+    @pytest.mark.parametrize("name, cell, message", [
+        ("tags", "[" + "9" * 5000 + "]", "missing or empty required field 'tags'"),
+        ("classes", "[" + "9" * 5000 + "]", "missing or empty required field 'classes'"),
+        ("date", '{"year": ' + "9" * 5000 + "}", "malformed date '{\"year\": 999"),
+    ], ids=["tags", "classes", "date"])
+    def test_csv_cell_integer_past_the_digit_limit(self, tmp_path, capsys, name, cell, message):
+        row = {key: value if isinstance(value, str) else json.dumps(value) for key, value in jsonl_row("r").items()}
+        path = tmp_path / "digits.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(row))
+            writer.writeheader()
+            writer.writerow({**row, name: cell})
+        args = ["ingest", "--corpus", str(path), "--format", "csv", "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error [corpus]: row 1: {message}")
 
     @pytest.mark.parametrize("payload, detail", [(b"{not json", "not JSON"), (b"[1]", "not a JSON object")])
     def test_labels_file_that_is_not_a_json_object(self, fitted, tmp_path, capsys, payload, detail):

@@ -36,7 +36,7 @@ from lextopic.lda import (
     save_model,
 )
 from lextopic.vectorize import DocTermMatrix, Vocabulary
-from reference import gibbs_conditional
+from reference import gibbs_conditional, log_p_words
 
 
 def matrix_from_tokens(token_lists, n_terms):
@@ -769,6 +769,83 @@ class TestTokenProbabilities:
         compiled = perplexity(model, matrix)
         monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
         assert perplexity(model, matrix) == compiled
+
+
+def assert_same_sum(got, want, n_kw, n_k, beta):
+    """got and want differ by at most 1e-12 of the sum of |term| over log p(w | z)'s terms.
+
+    That sum is the scale of the rounding error of adding the terms in
+    any order; the value itself can be far smaller, where terms cancel.
+    """
+    lgamma = math.lgamma
+    vbeta = len(n_kw[0]) * beta
+    magnitude = (sum(abs(lgamma(vbeta) - lgamma(count + vbeta)) for count in n_k)
+                 + sum(abs(lgamma(count + beta) - lgamma(beta)) for row in n_kw for count in row))
+    assert abs(got - want) <= 1e-12 * magnitude
+
+
+@st.composite
+def _count_tables(draw):
+    """n_kw of 1-6 topics over 1-8 terms, n_k its row sums, and a beta."""
+    n_topics = draw(st.integers(1, 6), label="n_topics")
+    n_terms = draw(st.integers(1, 8), label="n_terms")
+    counts = st.integers(0, 40) | st.integers(0, 3000)
+    n_kw = draw(st.lists(st.lists(counts, min_size=n_terms, max_size=n_terms), min_size=n_topics,
+                         max_size=n_topics), label="n_kw")
+    beta = draw(st.sampled_from([1e-6, 0.01, 0.1, 0.5, 1.0]) | st.floats(1e-4, 10.0), label="beta")
+    return n_kw, [sum(row) for row in n_kw], beta
+
+
+def _traced(n_kw, n_k, beta):
+    """lda's log p(w | z), with the lgamma table built as _Sampler builds it: up to the largest column total."""
+    table = lda._word_table(max(map(sum, zip(*n_kw))), beta)
+    return lda._log_p_words(np.array(n_kw, dtype=np.int64), np.array(n_k, dtype=np.int64), beta, table)
+
+
+class TestTraceLogPWords:
+    """fit's trace, log p(w | z) from the count tables, against a plain math.lgamma loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_count_tables())
+    def test_matches_reference(self, tables):
+        n_kw, n_k, beta = tables
+        assert_same_sum(_traced(n_kw, n_k, beta), log_p_words(n_kw, n_k, beta), n_kw, n_k, beta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_count_tables(), st.data())
+    def test_unchanged_by_relabelling_topics(self, tables, data):
+        n_kw, n_k, beta = tables
+        order = data.draw(st.permutations(range(len(n_k))), label="topic order")
+        relabelled = _traced([n_kw[k] for k in order], [n_k[k] for k in order], beta)
+        assert_same_sum(relabelled, _traced(n_kw, n_k, beta), n_kw, n_k, beta)
+
+    def test_empty_tables_give_zero(self):
+        assert _traced([[0, 0], [0, 0]], [0, 0], 0.01) == 0.0 == log_p_words([[0, 0], [0, 0]], [0, 0], 0.01)
+
+    @pytest.mark.parametrize("kernels", ["compiled", "fallback"])
+    def test_each_sweep_traces_its_tables(self, monkeypatch, kernels):
+        if kernels == "fallback":
+            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+        matrix = matrix_from_tokens(token_lists_with_gaps(4), n_terms=15)
+        config = LdaConfig(n_topics=4, beta=0.05, sweeps=8, burn_in=2, seed=4)
+        sampler = lda._Sampler(matrix, config)
+        # The largest column total: every token of the most frequent term in one topic.
+        assert sampler.word_table.size == max(Counter(np.repeat(matrix.terms, matrix.values).tolist()).values()) + 1
+        trace = []
+        for _ in range(config.sweeps):
+            sampler.step()
+            _, n_kw, n_k, _ = (np.asarray(table).tolist() for table in sampler.tables)
+            trace.append(sampler.log_p_words())
+            assert_same_sum(trace[-1], log_p_words(n_kw, n_k, config.beta), n_kw, n_k, config.beta)
+        assert fit(matrix, config).log_likelihood == trace
+
+    @pytest.mark.parametrize("n_topics", [1, 7, 20])
+    def test_compiled_and_fallback_record_equal_bits(self, compiled_kernels, monkeypatch, n_topics):
+        matrix = matrix_from_tokens(token_lists_with_gaps(n_topics + 1), n_terms=15)
+        config = LdaConfig(n_topics=n_topics, sweeps=12, burn_in=3, seed=n_topics)
+        compiled = np.array(fit(matrix, config).log_likelihood)
+        monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+        assert compiled.tobytes() == np.array(fit(matrix, config).log_likelihood).tobytes()
 
 
 # Prints the log-likelihood of 250,000 entries, which a BLAS dot would
