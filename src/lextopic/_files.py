@@ -4,10 +4,9 @@ Every CSV and JSON artifact is written by write_csv or write_json, except
 model.json, which lda.save_model writes through atomic_writer: CSV is
 comma-separated with CRLF line ends and floats (numpy's included) as
 Python's shortest repr; JSON is UTF-8 with non-ASCII text kept as is.
-JSON files are read whole by read_json_object; lda.load_model reads
-model.json in save_model's own layout where the compiled table parser
-loads, and through read_json_object otherwise. Every JSON text an input
-holds, a file or a corpus row or cell, is decoded by decode_json.
+JSON files, model.json included, are read whole by read_json_object.
+Every JSON text an input holds, a file or a corpus row or cell, is
+decoded by decode_json.
 """
 
 from __future__ import annotations

@@ -1,12 +1,9 @@
-"""Build and load the seven compiled kernels in ``_gibbs.c``.
+"""Build and load the five compiled kernels in ``_gibbs.c``.
 
 - ``lda``'s sampler and scores: the Gibbs ``sweep`` and the per-entry
   ``token_probs`` of ``perplexity``.
 - ``vectorize.count_corpus``: the chunk scan ``scan_chunks`` and the
   count loops ``token_counts`` and ``term_entries``.
-- ``model.json``: ``format_floats`` writes its tables and trace as
-  ``json.dumps`` would, and ``parse_table`` reads the tables back as
-  ``json.load`` would, or declines.
 
 Each has a Python equivalent that its callers fall back to, with equal
 results. The shared library is compiled on first use with the system C
@@ -48,50 +45,6 @@ class Kernels(NamedTuple):
     scan_chunks: Callable
     token_counts: Callable
     term_entries: Callable
-    format_floats: Callable
-    parse_table: Callable
-
-
-_POW5_BITS = 125
-
-
-def pow5_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Ryu's power-of-5 tables for ``format_floats``, computed with exact integers.
-
-    pow5_inv[q] is floor(2**(b - 1 + 125) / 5**q) + 1 for q < 342, and
-    pow5[i] is floor(5**i * 2**(125 - b)) for i < 326, b being the bit
-    length of the power of 5. Each row is a 125-bit number's (low, high)
-    64-bit words.
-    """
-    def words(numbers):
-        return np.array([(number & (2**64 - 1), number >> 64) for number in numbers], dtype=np.uint64)
-
-    inverse = (2 ** (_POW5_BITS - 1 + (5**q).bit_length()) // 5**q + 1 for q in range(342))
-    direct = ((5**i << _POW5_BITS) >> (5**i).bit_length() for i in range(326))
-    return words(inverse), words(direct)
-
-
-def pow5_128_table() -> np.ndarray:
-    """Eisel-Lemire's powers of 5 for ``parse_table``, computed with exact integers.
-
-    Row q + 342, for q in [-342, 308], is 5**q scaled by a power of 2 to a
-    128-bit number with its top bit set, as (high, low) 64-bit words: for
-    q >= 0 truncated; for q < 0 floor(2**b / 5**-q) + 1 with b = z + 127
-    for q >= -27 and b = 2z + 128 below (z the bit length of 5**-q - 1),
-    then truncated, as fast_float's table generator computes it.
-    """
-    def scaled(q):
-        if q >= 0:
-            power = 5**q
-            length = power.bit_length()
-            return power << (128 - length) if length < 128 else power >> (length - 128)
-        power = 5**-q
-        z = (power - 1).bit_length()
-        value = 2 ** (z + 127 if q >= -27 else 2 * z + 128) // power + 1
-        return value >> max(0, value.bit_length() - 128)
-
-    values = [scaled(q) for q in range(-342, 309)]
-    return np.array([(value >> 64, value & (2**64 - 1)) for value in values], dtype=np.uint64)
 
 
 def find_compiler() -> str | None:
@@ -148,15 +101,9 @@ def load_kernels() -> Kernels | None:
     probability, bit for bit as ``lda._token_probs``. The sweep's term and
     topic indices must already be in range; ``token_probs`` checks its own.
     ``scan_chunks``, ``token_counts`` and ``term_entries`` are the corpus
-    count, documented on each and checked by each. ``format_floats``
-    takes a C-contiguous 1-D or 2-D float64 array and returns
-    ``json.dumps(array.tolist())``, each finite value as Python's shortest
-    repr and the others as ``NaN``, ``Infinity`` and ``-Infinity``.
-    ``parse_table`` takes a bytes object and a byte offset in it and reads
-    the JSON table of number rows there into a float64 array, or declines;
-    it is documented on itself. The result is kept per cache directory and
-    compiler, so each pair is built, loaded and warned about once per
-    process.
+    count, documented on each and checked by each. The result is kept per
+    cache directory and compiler, so each pair is built, loaded and warned
+    about once per process.
     """
     return _load(_cache_dir(), find_compiler())
 
@@ -170,7 +117,7 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
 
         logging.getLogger(__name__).warning(
             "compiled kernels unavailable (%s); "
-            "using the Python sweep, perplexity, corpus count, float formatting and model parse", exc,
+            "using the Python sweep, perplexity and corpus count", exc,
         )
         return None
     sweep_function = library.gibbs_sweep
@@ -188,14 +135,6 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
     entries_function = library.term_entries
     entries_function.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 8 + [ctypes.c_int64] + [ctypes.c_void_p] * 3
     entries_function.restype = ctypes.c_int64
-    format_function = library.format_floats
-    format_function.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
-    format_function.restype = ctypes.c_int64
-    table_function = library.parse_table
-    table_function.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3
-    table_function.restype = ctypes.c_int64
-    pow5_inv, pow5 = pow5_tables()
-    pow5_128 = pow5_128_table()
 
     def sweep(doc_ptr, tokens, z, n_dk, n_kw, n_k, uniforms, alpha, beta) -> None:
         n_docs, n_topics = n_dk.shape
@@ -318,39 +257,4 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
             raise ValueError(f"expected {n_entries} entries, the records hold {'more' if written < 0 else written}")
         return docs, terms, values
 
-    def format_floats(values) -> str:
-        """json.dumps(values.tolist()) of a C-contiguous 1-D or 2-D float64 array."""
-        if not (values.dtype == np.float64 and values.flags.c_contiguous and values.ndim in (1, 2)):
-            raise ValueError("format_floats takes a C-contiguous 1-D or 2-D float64 array")
-        n_rows, n_cols = values.shape if values.ndim == 2 else (1, values.size)
-        # At most 24 characters a value (-1.2345678901234567e-308) and ", "
-        # after it; "[", "]" and ", " a row; "[" and "]" around the rows.
-        out = np.empty(26 * values.size + 4 * n_rows + 2, dtype=np.uint8)
-        written = format_function(values.ctypes.data, n_rows, n_cols, values.ndim == 2,
-                                  pow5_inv.ctypes.data, pow5.ctypes.data, out.ctypes.data)
-        return str(out[:written], "ascii")  # decoded from the buffer, with no bytes copy between
-
-    def parse_table(data, start):
-        """(values, end) of the JSON table of number rows at byte start of data, or None.
-
-        values is a C-contiguous rows x columns float64 array, equal bit for
-        bit to np.array(json.loads(table), dtype=np.float64); end is the
-        offset just past the table. Only the tokens a float's repr can be
-        are read: with a fraction or an exponent, at most 19 significant
-        digits and an exponent under 100000. None where the kernel does not
-        accept the text: an empty or ragged table, other nesting, any other
-        token (integers, NaN and Infinity included), a number past the
-        float64 range, or one too close to a rounding boundary to decide.
-        """
-        if not (type(data) is bytes and 0 <= start <= len(data)):
-            raise ValueError("the text must be bytes and the offset inside it")
-        shape = np.empty(2, dtype=np.int64)
-        # The first call only checks the text and sizes the table.
-        if table_function(data, len(data), start, 0, pow5_128.ctypes.data, None, shape.ctypes.data) < 0:
-            return None
-        values = np.empty(tuple(shape.tolist()))
-        end = table_function(data, len(data), start, values.size, pow5_128.ctypes.data,
-                             values.ctypes.data, shape.ctypes.data)
-        return None if end < 0 else (values, end)
-
-    return Kernels(sweep, token_probs, scan_chunks, token_counts, term_entries, format_floats, parse_table)
+    return Kernels(sweep, token_probs, scan_chunks, token_counts, term_entries)

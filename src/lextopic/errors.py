@@ -192,9 +192,9 @@ class CorruptModel(LdaError):
 
 
 class EntryOutOfRange(LdaError):
-    def __init__(self, doc: int, term: int, count: int, n_docs: int, n_terms: int):
+    def __init__(self, doc: int, term: int, count: object, n_docs: int, n_terms: int):
         super().__init__(
-            f"matrix entry (doc {doc}, term {term}) = {count} is not a non-negative count "
+            f"matrix entry (doc {doc}, term {term}) = {count} is not a non-negative integer count "
             f"inside a {n_docs} x {n_terms} matrix"
         )
 

@@ -12,16 +12,14 @@ from the count tables by one numpy path on either sampler, so both record
 the same bits. ``perplexity`` uses the compiled ``token_probs`` loop, with
 ``_token_probs`` as its numpy reference and fallback: both give the same
 bits, and both sum the count-weighted logs in one fixed order.
-``save_model`` writes θ, φ and the trace with the compiled
-``format_floats``, and with ``json.dumps`` where it falls back: both give
-the same bytes, laid out as ``_LAYOUT`` says.
-``load_model`` reads a file in that layout with the compiled ``parse_table``
-for θ and φ, and any other file, or any file where it falls back, with
-``json.load``: both give the same model.
+``save_model`` writes one JSON object in which θ and φ are the base64 of
+their little-endian float64 bytes and the trace is a list of floats, and
+``load_model`` reads it back bit for bit. Model I/O needs no kernel.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -56,7 +54,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "lextopic-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 _ENUMERATION_BOUND = 10**6
 INPUT_MODES = ("counts", "tfidf-pseudo")
 
@@ -306,13 +304,19 @@ def _topic_word_estimate(n_kw: np.ndarray, n_k: np.ndarray, beta: float) -> np.n
 
 
 def _entries(matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entry docs, terms and counts, in (doc, term) order; one outside the matrix raises EntryOutOfRange."""
+    """Entry docs, terms and counts, in (doc, term) order.
+
+    An entry outside the matrix or below 0 raises EntryOutOfRange, and so
+    does the first entry of counts whose dtype is not an integer one: the
+    int64 count tables would truncate a float, even a whole one.
+    """
     docs, terms, counts = matrix.docs, matrix.terms, matrix.values
-    bad = (docs < 0) | (docs >= matrix.n_docs) | (terms < 0) | (terms >= matrix.n_terms) | (counts < 0)
+    bad = (docs < 0) | (docs >= matrix.n_docs) | (terms < 0) | (terms >= matrix.n_terms)
+    bad |= (counts < 0) if np.issubdtype(counts.dtype, np.integer) else True
     if bad.any():
         first = int(np.argmax(bad))
         raise EntryOutOfRange(
-            int(docs[first]), int(terms[first]), int(counts[first]), matrix.n_docs, matrix.n_terms
+            int(docs[first]), int(terms[first]), counts[first].item(), matrix.n_docs, matrix.n_terms
         )
     return docs, terms, counts
 
@@ -381,8 +385,8 @@ def _log_p_words(n_kw: np.ndarray, n_k: np.ndarray, beta: float, word_table: np.
 
 
 def _load_kernels():
-    # Imported here, not at the top, so that ingest, which neither samples,
-    # scores nor reads a model, does not load the kernel module.
+    # Imported here, not at the top, so that ingest and analyze, which
+    # neither sample nor score, do not load the kernel module.
     from . import _gibbs
 
     return _gibbs.load_kernels()
@@ -657,30 +661,20 @@ def _vocab_hash(vocab: Vocabulary | None, n_terms: int) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _json_floats(array) -> str:
-    """json.dumps(array.tolist()) of a 1-D or 2-D float64 array, compiled where the kernels load."""
-    array = np.ascontiguousarray(array, dtype=np.float64)
-    kernels = _load_kernels()
-    return json.dumps(array.tolist()) if kernels is None else kernels.format_floats(array)
-
-
-# model.json is its head object (every member but these three) without its
-# closing brace, then each marker and its float list in this order, then
-# "}\n". save_model writes this layout and only this; the compiled branch
-# of load_model reads only this, and json.load reads every other text.
-_LAYOUT = {name: f', "{name}": ' for name in ("doc_topic", "topic_word", "log_likelihood")}
+def _encode_table(array: np.ndarray) -> dict:
+    """A 2-D float64 table as model.json stores it: dtype, shape and its little-endian bytes in base64."""
+    array = np.ascontiguousarray(array, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(array.shape), "base64": base64.b64encode(array).decode("ascii")}
 
 
 def save_model(model: LdaModel, path) -> None:
-    """Versioned compact JSON, UTF-8, ending in a newline; float repr round-trips, so reload is exact.
+    """Versioned compact JSON, UTF-8, ending in a newline; θ and φ as _encode_table's objects, so reload is exact.
 
-    The text is json.dumps of the payload, laid out as _LAYOUT says, with
-    doc_topic, topic_word and log_likelihood written by _json_floats
-    instead of from Python lists. It is built whole before the file is
-    opened, then written beside path and renamed over it: a failed save
-    leaves the old file.
+    The trace is a list of floats, whose repr round-trips. The text is
+    built whole before the file is opened, then written beside path and
+    renamed over it: a failed save leaves the old file.
     """
-    head = json.dumps({
+    text = json.dumps({
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "config": asdict(model.config),
@@ -689,32 +683,23 @@ def save_model(model: LdaModel, path) -> None:
         if model.vocab is None
         else {"terms": model.vocab.terms, "df": model.vocab.df},
         "doc_ids": model.doc_ids,
+        "doc_topic": _encode_table(model.doc_topic),
+        "topic_word": _encode_table(model.topic_word),
+        "log_likelihood": [float(value) for value in model.log_likelihood],
     }, ensure_ascii=False)
-    text = [head[:-1]]  # without its closing brace
-    for name, marker in _LAYOUT.items():
-        text += [marker, _json_floats(getattr(model, name))]
-    text.append("}\n")
     with atomic_writer(path) as handle:
-        handle.writelines(text)
+        handle.write(text + "\n")
 
 
 def load_model(path) -> LdaModel:
-    """Read a save_model file; one that cannot hold a model raises CorruptModel.
-
-    Where the kernels load, a file in save_model's layout is read once as
-    bytes: the compiled parse_table reads doc_topic and topic_word from
-    their text straight into float64, and json.loads the rest. Any other
-    text, or a table that parse_table declines, is read again with
-    json.load, which gives the same model and reports what is wrong.
-    """
-    payload = _compiled_payload(path)
-    if payload is None:
-        payload = read_json_object(path, lambda reason: CorruptModel(path, reason))
-    if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
-        raise VocabularyMismatch(
-            f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: "
-            f"{payload.get('format')!r} v{payload.get('version')!r}"
-        )
+    """Read a save_model file; one that cannot hold a model, or of another format or version, raises CorruptModel."""
+    payload = read_json_object(path, lambda reason: CorruptModel(path, reason))
+    found = (payload.get("format"), payload.get("version"))
+    if found != (MODEL_FORMAT, MODEL_VERSION):
+        reason = f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: {found[0]!r} v{found[1]!r}"
+        if found == (MODEL_FORMAT, 1):
+            reason += "; this version of lextopic does not read v1 files, so refit the model"
+        raise CorruptModel(path, reason)
     try:
         return _model_from_payload(payload)
     except KeyError as exc:
@@ -724,80 +709,34 @@ def load_model(path) -> LdaModel:
         raise CorruptModel(path, str(exc).encode("utf-8", "backslashreplace").decode("utf-8")) from None
 
 
-def _compiled_payload(path) -> dict | None:
-    """The file's members if its text is in save_model's layout, θ and φ as arrays from parse_table; else None.
-
-    The bytes before the first doc_topic marker, closed by "}", must be a
-    non-empty JSON object; θ and φ must follow, each after its marker; and
-    the rest, from the trace marker's comma, must be a JSON object once "{"
-    opens it. A JSON string holds no raw quote, so no marker starts inside
-    one: the whole text is then one object, whose members, later keys
-    winning, are json.load's. Each part is decoded strictly as UTF-8, as
-    json.load decodes the file.
-    """
-    kernels = _load_kernels()
-    if kernels is None:
-        return None
-    with open(path, "rb") as handle:
-        data = handle.read()
-    *table_markers, trace_marker = (marker.encode() for marker in _LAYOUT.values())
-    at = data.find(table_markers[0])
-    try:
-        head = json.loads(data[:at].decode("utf-8") + "}") if at >= 0 else None
-        if not (isinstance(head, dict) and head):  # an empty head was "{, ..."
-            return None
-        for name, marker in zip(_LAYOUT, table_markers):
-            parsed = kernels.parse_table(data, at + len(marker)) if data.startswith(marker, at) else None
-            if parsed is None:
-                return None
-            head[name], at = parsed
-        if not data.startswith(trace_marker, at):
-            return None
-        tail = json.loads("{" + data[at + 1:].decode("utf-8"))  # the marker's comma opens the object
-    except (ValueError, RecursionError):  # JSONDecodeError and UnicodeDecodeError included
-        return None
-    return {**head, **tail}
-
-
-_JSON_KINDS = {str: "a string", bool: "a boolean", type(None): "null", dict: "an object"}
-
-
 def _float_table(payload: dict, name: str) -> np.ndarray:
-    """payload[name] as a float64 array, whose cells must be JSON numbers that a float64 holds.
-
-    The compiled parser gives an array. json.load gives nested lists, in
-    which np.array would take "0.5" and true as numbers and fail on a
-    400-digit integer with an OverflowError, so their cells are checked
-    first; a cell that fails raises ValueError naming the table.
-    """
-    value = payload[name]
-    if isinstance(value, np.ndarray):
-        return value
-    pending = [value]
-    while pending:
-        item = pending.pop()
-        cells = item if type(item) is list else [item]
-        kinds = set(map(type, cells))
-        if list in kinds:
-            kinds.discard(list)
-            pending.extend(cell for cell in cells if type(cell) is list)
-        if not kinds <= {float, int}:
-            kind = min(kinds - {float, int}, key=str)
-            raise ValueError(f"{name} holds {_JSON_KINDS.get(kind, kind.__name__)}, not a number")
-        if int in kinds:
-            try:
-                for cell in cells:
-                    float(cell)
-            except OverflowError:
-                raise ValueError(f"{name} holds an integer too large for a float64") from None
-    return np.array(value, dtype=np.float64)
+    """payload[name], an _encode_table object, as a writable C-contiguous float64 array; a flaw raises ValueError."""
+    table = payload[name]
+    if type(table) is not dict:
+        raise ValueError(f"{name} is not an object")
+    if table.get("dtype") != "<f8":
+        raise ValueError(f"{name} dtype is not '<f8'")
+    shape = table.get("shape")
+    if not (type(shape) is list and len(shape) == 2 and all(type(n) is int and 0 <= n < 2**63 for n in shape)):
+        raise ValueError(f"{name} shape is not two integers in [0, 2**63)")
+    n_bytes = 8 * shape[0] * shape[1]  # Python ints: no overflow, and no array yet
+    encoded = table.get("base64")
+    if type(encoded) is not str:
+        raise ValueError(f"{name} base64 is not a string")
+    try:
+        data = base64.b64decode(encoded, validate=True)
+    except ValueError as exc:  # binascii.Error, and a non-ASCII character
+        raise ValueError(f"{name} base64 does not decode: {exc}") from None
+    if len(data) != n_bytes:
+        raise ValueError(f"{name} holds {len(data)} bytes, not the {n_bytes} of its shape {shape}")
+    return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-_LIST_KINDS = {str: "strings", int: "integers"}
+_LIST_KINDS = {str: "strings", int: "integers", float: "floats"}
 
 
 def _list_of(value, kind: type, member: str) -> list:
-    """value, which must be a JSON list of kind (str or int, not bool); anything else raises ValueError naming member."""
+    """value, which must be a JSON list of kind (str, int or float, not bool); else ValueError naming member."""
     if type(value) is not list or any(type(item) is not kind for item in value):
         raise ValueError(f"{member} is not a list of {_LIST_KINDS[kind]}")
     return value
@@ -816,15 +755,12 @@ def _model_from_payload(payload: dict) -> LdaModel:
     n_terms = topic_word.shape[-1]
     if payload["vocabulary_hash"] != _vocab_hash(vocab, n_terms):
         raise VocabularyMismatch("stored vocabulary hash does not match stored vocabulary")
-    trace = _float_table(payload, "log_likelihood")
-    if trace.ndim != 1:
-        raise ValueError("log_likelihood is not a flat list of numbers")
     model = LdaModel(
         config=LdaConfig(**payload["config"]),
         doc_topic=_float_table(payload, "doc_topic"),
         topic_word=topic_word,
         doc_ids=_list_of(payload["doc_ids"], str, "doc_ids"),
-        log_likelihood=trace.tolist(),
+        log_likelihood=_list_of(payload["log_likelihood"], float, "log_likelihood"),
         vocab=vocab,
     )
     n_docs, n_topics = len(model.doc_ids), model.config.n_topics

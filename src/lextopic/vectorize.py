@@ -14,7 +14,7 @@ import numpy as np
 from . import preprocess as preprocess_mod
 from ._files import write_csv
 from .corpus import Corpus
-from .errors import AllZero, EmptyDocument, EmptyVocabulary, MissingYear, NoDocuments
+from .errors import AllZero, EmptyDocument, EmptyVocabulary, EntryOutOfRange, MissingYear, NoDocuments
 from .preprocess import Document, PreprocessConfig
 
 __all__ = [
@@ -73,9 +73,13 @@ class _EntryMatrix:
 
 
 class DocTermMatrix(_EntryMatrix):
-    """Integer (doc, term) counts."""
+    """Integer (doc, term) counts. A dict count that is not an integer (a float or a bool) raises EntryOutOfRange."""
 
     def __init__(self, n_docs: int, n_terms: int, counts, doc_ids: list[str]):
+        if isinstance(counts, Mapping):  # checked before the int64 cast, which would truncate 1.5 to 1
+            for (doc, term), count in counts.items():
+                if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                    raise EntryOutOfRange(doc, term, count, n_docs, n_terms)
         super().__init__(n_docs, n_terms, counts, doc_ids)
 
     counts = cached_property(_EntryMatrix._view)

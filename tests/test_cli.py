@@ -1,6 +1,7 @@
 """End-to-end command-line runs against a small on-disk corpus."""
 
 import argparse
+import base64
 import csv
 import io
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from lextopic import _gibbs, lda
 from lextopic.cli import SETTINGS, build_parser, main
 from lextopic.corpus import SynthConfig, generate_synthetic_corpus, load_corpus, save_corpus
 from lextopic.errors import LextopicError
-from lextopic.lda import _LAYOUT as LDA_LAYOUT, LdaConfig, coherence_umass, fit
+from lextopic.lda import LdaConfig, coherence_umass, fit
 from lextopic.preprocess import Document, default_config
 from lextopic.vectorize import Vocabulary, count_matrix
 
@@ -455,9 +457,14 @@ def _drop_last_doc_id(payload):
     payload["doc_ids"].pop()
 
 
+def _table(table: dict) -> np.ndarray:
+    """A writable copy of a model.json table object's float64 array."""
+    return np.frombuffer(base64.b64decode(table["base64"]), "<f8").reshape(table["shape"]).copy()
+
+
 def _widen_topic_word(payload):
-    for row in payload["topic_word"]:
-        row.append(0.0)
+    topic_word = _table(payload["topic_word"])
+    payload["topic_word"] = lda._encode_table(np.hstack([topic_word, np.zeros((len(topic_word), 1))]))
 
 
 def _drop_last_df(payload):
@@ -486,23 +493,15 @@ class TestCorruptModelFile:
         assert self._analyze(fitted, tmp_path, json.dumps(payload)) == 1
         assert capsys.readouterr().err.startswith(f"error [lda]: model file {tmp_path / 'model.json'}: ")
 
-    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "no-compiler"])
-    @pytest.mark.parametrize("table", ["doc_topic", "topic_word"])
-    @pytest.mark.parametrize("cell, reason", [
-        (10**400, "holds an integer too large for a float64"),
-        ("0.5", "holds a string, not a number"),
-        (True, "holds a boolean, not a number"),
-    ], ids=["400-digit integer", "string", "true"])
-    def test_a_cell_that_is_not_a_float64_number_is_an_lda_error(
-        self, fitted, tmp_path, capsys, monkeypatch, compiled, table, cell, reason
-    ):
-        if not compiled:
-            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+    def test_a_version_1_model_asks_for_a_refit(self, fitted, tmp_path, capsys):
         payload = json.loads(fitted[1])
-        payload[table][-1][-1] = cell
+        # Version 1 stored θ and φ as nested lists of decimal floats.
+        payload.update(version=1, doc_topic=_table(payload["doc_topic"]).tolist(),
+                       topic_word=_table(payload["topic_word"]).tolist())
         assert self._analyze(fitted, tmp_path, json.dumps(payload)) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error [lda]: model file {tmp_path / 'model.json'}: {table} {reason}\n"
+        assert capsys.readouterr().err == (
+            f"error [lda]: model file {tmp_path / 'model.json'}: not a lextopic-model v2 file: 'lextopic-model' v1; "
+            "this version of lextopic does not read v1 files, so refit the model\n"
         )
 
     @pytest.mark.parametrize("text", ["{not json", "", "[1, 2]"])
@@ -776,8 +775,8 @@ def _corpus_files(draw) -> tuple[str, bytes]:
     return format, bytes(data)
 
 
-# model.json's layout markers, text the JSON inputs' readers must reject, and the splices above.
-_JSON_SPLICES = st.sampled_from([marker.encode() for marker in LDA_LAYOUT.values()] + [
+# model.json's table markers, text the JSON inputs' readers must reject, and the splices above.
+_JSON_SPLICES = st.sampled_from([b'"base64": "', b'"shape": [1, 1]', b'"dtype": "<f8"'] + [
     b"1e400", b"-1e400", b"\\ud800", b'"\\ud800"', b"[" * 5000, b"]", b":", b"0", b"-", b"1.5", b"true", b"NaN",
     b'"x"', b"[]", b"{}",
 ]) | _SPLICES
@@ -892,13 +891,10 @@ class TestUnreadableInputs:
         assert main(args) == 1
         assert capsys.readouterr().err.startswith("error [config]: unknown config key analyze.\\ud800\n")
 
-    @pytest.mark.parametrize("reader", ["layout", "json.load"])
-    def test_model_config_key_that_utf8_cannot_hold(self, fitted, tmp_path, capsys, monkeypatch, reader):
+    def test_model_config_key_that_utf8_cannot_hold(self, fitted, tmp_path, capsys):
         corpus, model = fitted
         path = tmp_path / "model.json"
         path.write_text(model.read_text(encoding="utf-8").replace('"alpha": ', '"\\ud800alpha": ', 1), encoding="utf-8")
-        if reader == "json.load":
-            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
         assert main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o"), "--model", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error [lda]: model file {path}: ") and "\\ud800alpha" in err
@@ -937,8 +933,8 @@ class TestUnreadableInputs:
         assert capsys.readouterr().err.startswith(f"error [preprocess]: word list {words}: not UTF-8")
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda payload: payload.update(log_likelihood="abc"), "log_likelihood holds a string, not a number"),
-        (lambda payload: payload.update(log_likelihood=[[1.0]]), "log_likelihood is not a flat list of numbers"),
+        (lambda payload: payload.update(log_likelihood="abc"), "log_likelihood is not a list of floats"),
+        (lambda payload: payload.update(log_likelihood=[[1.0]]), "log_likelihood is not a list of floats"),
         (lambda payload: payload.update(doc_ids=list(range(len(payload["doc_ids"])))),
          "doc_ids is not a list of strings"),
         (lambda payload: payload["vocabulary"]["df"].__setitem__(0, "1"), "vocabulary df is not a list of integers"),
@@ -953,7 +949,6 @@ class TestUnreadableInputs:
         assert capsys.readouterr().err.startswith(f"error [lda]: model file {path}: {message}")
         assert sorted(entry.name for entry in (tmp_path / "o").iterdir()) == ["run_config.json"]
 
-    @pytest.mark.parametrize("reader", ["layout", "json.load"])
     @pytest.mark.parametrize("key, text, message", [
         ("n_topics", "2.0", "an integer in [1, 2**63), got 2.0"),
         ("n_topics", "0", "an integer in [1, 2**63), got 0"),
@@ -964,19 +959,12 @@ class TestUnreadableInputs:
         ("seed", str(2**64), f"an integer in [0, 2**64), got {2**64}"),
         ("beta", '"0.01"', 'a finite number > 0, got "0.01"'),
     ])
-    def test_model_config_outside_its_row(self, fitted, tmp_path, capsys, monkeypatch, reader, key, text, message):
+    def test_model_config_outside_its_row(self, fitted, tmp_path, capsys, key, text, message):
         corpus, model = fitted
         path = tmp_path / "model.json"
-        # Only the config member changes, so the file keeps save_model's layout.
         edited, count = re.subn(rf'"{key}": [^,}}]+', f'"{key}": {text}', model.read_text(encoding="utf-8"), count=1)
         assert count == 1
         path.write_text(edited, encoding="utf-8")
-        if reader == "json.load":
-            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
-        elif _gibbs.load_kernels() is None:
-            pytest.skip("the compiled kernels do not load")
-        else:
-            assert lda._compiled_payload(path) is not None
         assert main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o"), "--model", str(path)]) == 1
         assert capsys.readouterr().err == f"error [lda]: model file {path}: lda.{key} must be {message}\n"
         assert sorted(entry.name for entry in (tmp_path / "o").iterdir()) == ["run_config.json"]
@@ -1058,8 +1046,9 @@ class TestNonFiniteModel:
         assert main(["fit", "--corpus", corpus_path, "--out", str(out)] + FIT_FLAGS) == 0
         model = out / "model.json"
         payload = json.loads(model.read_text(encoding="utf-8"))
-        payload["doc_topic"][0][0] = float("inf")
-        payload["topic_word"][1][0] = float("nan")
+        doc_topic, topic_word = _table(payload["doc_topic"]), _table(payload["topic_word"])
+        doc_topic[0, 0], topic_word[1, 0] = float("inf"), float("nan")
+        payload.update(doc_topic=lda._encode_table(doc_topic), topic_word=lda._encode_table(topic_word))
         model.write_text(json.dumps(payload), encoding="utf-8")
         capsys.readouterr()
         assert main(["analyze", "--corpus", corpus_path, "--out", str(out)]) == 1
@@ -1070,9 +1059,10 @@ class TestNonFiniteModel:
 
 class TestCommandImports:
     def test_each_command_leaves_unneeded_modules_unloaded(self, corpus_path, tmp_path):
-        # ingest needs no kernel module (numpy itself imports ctypes). With the
-        # library already built, no command needs the compiler plumbing, nor
-        # numpy.ma, which a plain np.unique imports.
+        # ingest and analyze need no kernel module (numpy itself imports
+        # ctypes). With the library already built, no command needs the
+        # compiler plumbing, nor numpy.ma, which a plain np.unique imports.
+        # Each command runs in a fresh process, after those before it.
         _gibbs.load_kernels()
         out = str(tmp_path / "out")
         unneeded = ["numpy.ma", "subprocess"]
@@ -1081,15 +1071,15 @@ class TestCommandImports:
             ("fit", ["fit", "--corpus", corpus_path, "--out", out] + FIT_FLAGS, unneeded),
             ("sweep", ["sweep", "--corpus", corpus_path, "--out", out, "--k-grid", "2,3", "--sweeps", "5",
                        "--burn-in", "1"], unneeded),
-            ("analyze", ["analyze", "--corpus", corpus_path, "--out", out], unneeded),
+            ("analyze", ["analyze", "--corpus", corpus_path, "--out", out], ["lextopic._gibbs", *unneeded]),
         ]
-        script = ["import sys", "from lextopic.cli import main"]
-        for name, args, modules in commands:
-            script += [f"assert main({args!r}) == 0",
-                       f"print('loaded after {name}:', sorted(set({modules!r}) & set(sys.modules)))"]
         source_root = str(Path(lextopic.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-c", "\n".join(script)], capture_output=True, text=True, env=env,
-                                check=True)
-        reports = [line for line in result.stdout.splitlines() if line.startswith("loaded after ")]
+        reports = []
+        for name, args, modules in commands:
+            script = ["import sys", "from lextopic.cli import main", f"assert main({args!r}) == 0",
+                      f"print('loaded after {name}:', sorted(set({modules!r}) & set(sys.modules)))"]
+            result = subprocess.run([sys.executable, "-c", "\n".join(script)], capture_output=True, text=True,
+                                    env=env, check=True)
+            reports += [line for line in result.stdout.splitlines() if line.startswith("loaded after ")]
         assert reports == [f"loaded after {name}: []" for name, _, _ in commands]

@@ -1,4 +1,4 @@
-"""Source checks that need no linter: the README's imports, exports, unused imports and the settings rows."""
+"""Source checks that need no linter: README imports, exports, unused imports, settings rows and kernels."""
 
 import ast
 import importlib
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lextopic
-from lextopic import cli, lda, preprocess
+from lextopic import _gibbs, cli, lda, preprocess
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for path in (ROOT / "src" / "lextopic").glob("*.py") if path.name != "__init__.py")
@@ -94,3 +94,14 @@ def test_every_preprocess_config_field_has_a_setting(tmp_path):
     config = cli._merge_config(cli.build_parser().parse_args(["--config", str(tmp_path / "run.json"), "ingest"]))
     result, default = cli._preprocess_config(config), preprocess.default_config()
     assert [field.name for field in fields(result) if getattr(result, field.name) == getattr(default, field.name)] == []
+
+
+KERNELS = {"gibbs_sweep", "token_probs", "scan_chunks", "token_counts", "term_entries"}
+
+
+def test_every_compiled_kernel_is_bound_and_no_other_is_defined():
+    # The non-static top-level function definitions of _gibbs.c, and the library functions _gibbs.py binds.
+    defined = re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(", _gibbs.SOURCE.read_text(encoding="utf-8"), re.M)
+    bound = re.findall(r"\blibrary\.(\w+)", Path(_gibbs.__file__).read_text(encoding="utf-8"))
+    assert (sorted(defined), sorted(bound)) == (sorted(KERNELS), sorted(KERNELS))
+    assert len(_gibbs.Kernels._fields) == len(KERNELS)

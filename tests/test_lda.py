@@ -1,10 +1,12 @@
 """Collapsed Gibbs sampler, exact-enumeration oracle, and model metrics."""
 
+import base64
 import copy
 import json
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -560,7 +562,8 @@ class TestSaveLoad:
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"format": "other", "version": 1}), encoding="utf-8")
-        with pytest.raises(VocabularyMismatch):
+        with pytest.raises(CorruptModel, match=f"^model file {re.escape(str(path))}: not a lextopic-model v2 file: "
+                                               "'other' v1$"):
             load_model(path)
 
     @pytest.mark.parametrize("failure", ["unserializable", "replace"])
@@ -592,6 +595,150 @@ class TestSaveLoad:
         loaded = load_model(path)
         assert loaded.vocab is None
         assert loaded.doc_topic.tobytes() == model.doc_topic.tobytes()
+
+
+def _persian_model() -> LdaModel:
+    rng = np.random.default_rng(3)
+    terms = ["قانون", "مالیات", "دادگاه", "بودجه", "tax", "court\"s", "ab\\c"]
+    n_topics, n_docs = 3, 5
+    return LdaModel(
+        config=LdaConfig(n_topics=n_topics, alpha=0.5, beta=0.1, sweeps=4, burn_in=1, seed=7),
+        doc_topic=rng.dirichlet(np.full(n_topics, 0.3), n_docs),
+        topic_word=rng.dirichlet(np.full(len(terms), 0.3), n_topics),
+        doc_ids=[f"سند-{doc}" for doc in range(n_docs)],
+        log_likelihood=[-12.5, -11.25, -1e-300],
+        vocab=Vocabulary(terms=terms, index={term: i for i, term in enumerate(terms)}, df=[1, 2, 3, 1, 2, 3, 1]),
+    )
+
+
+def _saved_payload(tmp_path) -> tuple:
+    path = tmp_path / "model.json"
+    save_model(_persian_model(), path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def _encoded(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+FINITE = st.integers(0, 2**64 - 1).map(float_from_bits).filter(math.isfinite)
+AWKWARD_TEXT = st.sampled_from(["doc_topic", "base64", '"', "\\", "}", "قانون", "\u200c", "\U0001f600"]) | st.text(
+    alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=5)
+
+
+class TestModelFile:
+    """model.json's θ and φ: base64 of their little-endian float64 bytes, read back bit for bit or rejected."""
+
+    def test_tables_read_back_as_the_v1_decimal_text_did(self, tmp_path):
+        matrix = matrix_from_tokens(token_lists_with_gaps(5), n_terms=15)
+        model = fit(matrix, LdaConfig(n_topics=4, sweeps=12, burn_in=4, seed=5))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        # Version 1 wrote the three float members as json.dumps lists, last, in this order.
+        v1_text = json.dumps({**payload, "version": 1, "doc_topic": model.doc_topic.tolist(),
+                              "topic_word": model.topic_word.tolist(), "log_likelihood": model.log_likelihood})
+        v1 = json.loads(v1_text)
+        loaded = load_model(path)
+        assert loaded.doc_topic.tobytes() == np.array(v1["doc_topic"]).tobytes()
+        assert loaded.topic_word.tobytes() == np.array(v1["topic_word"]).tobytes()
+        assert np.array(loaded.log_likelihood).tobytes() == np.array(v1["log_likelihood"]).tobytes()
+        for table in (loaded.doc_topic, loaded.topic_word):
+            assert table.dtype == np.float64 and table.flags.c_contiguous and table.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_model_round_trips_bit_for_bit(self, tmp_path_factory, data):
+        terms = data.draw(st.lists(AWKWARD_TEXT, min_size=1, max_size=6, unique=True), label="terms")
+        n_topics, n_docs = data.draw(st.integers(1, 3), label="n_topics"), data.draw(st.integers(0, 4), label="n_docs")
+        cells = st.lists(FINITE, min_size=n_topics * (n_docs + len(terms)), max_size=n_topics * (n_docs + len(terms)))
+        values = np.array(data.draw(cells, label="cells"), dtype=np.float64)
+        model = LdaModel(
+            config=LdaConfig(n_topics=n_topics, alpha=0.5, beta=0.1, sweeps=3, burn_in=1),
+            doc_topic=values[: n_docs * n_topics].reshape(n_docs, n_topics),
+            topic_word=values[n_docs * n_topics:].reshape(n_topics, len(terms)),
+            doc_ids=data.draw(st.lists(AWKWARD_TEXT, min_size=n_docs, max_size=n_docs), label="doc_ids"),
+            log_likelihood=data.draw(st.lists(st.floats(allow_nan=False), max_size=3), label="trace"),
+            vocab=data.draw(st.sampled_from([None, Vocabulary(terms, {term: i for i, term in enumerate(terms)},
+                                                              list(range(len(terms))))]), label="vocab"),
+        )
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.doc_topic.tobytes() == model.doc_topic.tobytes()
+        assert loaded.topic_word.tobytes() == model.topic_word.tobytes()
+        assert loaded.doc_topic.shape == model.doc_topic.shape and loaded.topic_word.shape == model.topic_word.shape
+        assert np.array(loaded.log_likelihood).tobytes() == np.array(model.log_likelihood).tobytes()
+        assert (loaded.config, loaded.doc_ids, loaded.vocab) == (model.config, model.doc_ids, model.vocab)
+
+    @pytest.mark.parametrize("name", ["doc_topic", "topic_word"])
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda table: table.update(base64="!" + table["base64"]), "base64 does not decode: "),
+        (lambda table: table.update(base64=" " + table["base64"]), "base64 does not decode: "),
+        (lambda table: table.update(base64="\u0100" + table["base64"][1:]), "base64 does not decode: "),
+        (lambda table: table.update(base64=table["base64"][:-1]), "base64 does not decode: "),
+        (lambda table: table.update(base64=table["base64"] + "AA"), "base64 does not decode: "),
+        (lambda table: table.update(base64=table["base64"][:-4]), "holds "),
+        (lambda table: table.update(base64=_encoded([0.5])), "holds 8 bytes, not the "),
+        (lambda table: table.update(base64=1), "base64 is not a string"),
+        (lambda table: table.update(dtype=">f8"), "dtype is not '<f8'"),
+        (lambda table: table.update(dtype="<f4"), "dtype is not '<f8'"),
+        (lambda table: table.pop("dtype"), "dtype is not '<f8'"),
+        (lambda table: table["shape"].__setitem__(0, True), "shape is not two integers in [0, 2**63)"),
+        (lambda table: table["shape"].__setitem__(1, 1.5), "shape is not two integers in [0, 2**63)"),
+        (lambda table: table["shape"].__setitem__(0, -1), "shape is not two integers in [0, 2**63)"),
+        (lambda table: table.update(shape=[2**63, 0], base64=""), "shape is not two integers in [0, 2**63)"),
+        (lambda table: table["shape"].append(1), "shape is not two integers in [0, 2**63)"),
+        (lambda table: table.update(shape="3x2"), "shape is not two integers in [0, 2**63)"),
+        (lambda table: table.update(shape=table["shape"][::-1]), "shapes of doc_topic, topic_word"),
+        (lambda table: table.update(base64=_encoded(np.full(table["shape"], np.inf))), "holds a non-finite value"),
+        (lambda table: table.update(base64=_encoded(np.full(table["shape"], np.nan))), "holds a non-finite value"),
+    ], ids=["non-base64 character", "space", "non-ASCII character", "bad padding", "excess data", "short by 3 bytes",
+            "fewer cells than the shape", "number", "big-endian", "float32", "no dtype", "true dimension",
+            "1.5 dimension", "negative dimension", "2**63 rows", "three dimensions", "string shape",
+            "transposed", "infinity", "NaN"])
+    def test_a_flawed_table_is_a_corrupt_model(self, tmp_path, name, edit, reason):
+        path, payload = _saved_payload(tmp_path)
+        edit(payload[name])
+        path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        with pytest.raises(CorruptModel) as caught:
+            load_model(path)
+        prefix = f"model file {path}: "
+        assert str(caught.value).startswith(prefix + (reason if reason.startswith("shapes") else f"{name} {reason}"))
+
+    @pytest.mark.parametrize("name", ["doc_topic", "topic_word"])
+    @pytest.mark.parametrize("value", [[[0.5, 0.5]], "AAAAAAAA4D8=", None, 0.5])
+    def test_a_table_that_is_not_an_object_is_a_corrupt_model(self, tmp_path, name, value):
+        path, payload = _saved_payload(tmp_path)
+        payload[name] = value
+        path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        with pytest.raises(CorruptModel, match=f": {name} is not an object$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("member, value, message", [
+        ("log_likelihood", "abc", "log_likelihood is not a list of floats"),
+        ("log_likelihood", [[1.0]], "log_likelihood is not a list of floats"),
+        ("log_likelihood", [True, "x"], "log_likelihood is not a list of floats"),
+        ("log_likelihood", {"a": 1}, "log_likelihood is not a list of floats"),
+        ("log_likelihood", None, "log_likelihood is not a list of floats"),
+        ("log_likelihood", 1.5, "log_likelihood is not a list of floats"),
+        ("doc_ids", "abcde", "doc_ids is not a list of strings"),
+        ("doc_ids", [1, 2, 3, 4, 5], "doc_ids is not a list of strings"),
+        ("terms", "قانونها", "vocabulary terms is not a list of strings"),
+        ("df", ["1", True, 2, 3, 1, 2, 3], "vocabulary df is not a list of integers"),
+        ("df", [1.0, 2, 3, 1, 2, 3, 1], "vocabulary df is not a list of integers"),
+        ("seed", float("inf"), "lda.seed must be an integer in [0, 2**64), got Infinity"),
+    ])
+    def test_rejects_a_member_of_the_wrong_type(self, tmp_path, member, value, message):
+        path, payload = _saved_payload(tmp_path)
+        sections = {"terms": payload["vocabulary"], "df": payload["vocabulary"], "seed": payload["config"]}
+        sections.get(member, payload)[member] = value
+        if member == "terms":  # so that the stored hash matches
+            payload["vocabulary_hash"] = lda._vocab_hash(Vocabulary(list(value), {}, []), 7)
+        path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        with pytest.raises(CorruptModel) as caught:
+            load_model(path)
+        assert str(caught.value) == f"model file {path}: {message}"
 
 
 def token_lists_with_gaps(seed, n_docs=12, n_terms=15):
@@ -893,63 +1040,6 @@ def test_log_likelihood_does_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def _neighbours(value: float) -> list[float]:
-    return [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
-
-
-EDGE_FLOATS = [
-    0.0, -0.0, 0.1, -0.1, 1 / 3, 2 / 3, 1.0, -1.0, 0.5, 1.5, 123456789.125,
-    math.nan, -math.nan, math.inf, -math.inf, float_from_bits(0x7FF8000000000001),
-    5e-324, -5e-324, 1e-323, 2.2250738585072009e-308, 2.225073858507201e-308,  # subnormals
-    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,  # smallest and largest normals
-    1.2345678901234567e-308, 9007199254740991.0, 9007199254740992.0, 9007199254740994.0,
-    *(float(n) for n in (2, 7, 10, 99, 100, 1001, 65536, 999999999999999, 10**15 + 1)),
-    *_neighbours(1e-4), *_neighbours(1e-5), *_neighbours(1e16), *_neighbours(1e17),
-    9.9999e-05, 0.00010000000000001, 9999999999999998.0, 1e16 + 2.0, 1.2345e16, 99999999999999990.0,
-]
-
-
-class TestFormatFloats:
-    """The compiled format_floats writes exactly what json.dumps(array.tolist()) writes."""
-
-    def test_edge_values(self, compiled_kernels):
-        values = np.array(EDGE_FLOATS)
-        assert compiled_kernels.format_floats(values) == json.dumps(values.tolist())
-        switches = np.array([[-0.0, 0.0001, 1e-05, 1e15, 1e16], [5e-324, 1.5e300, math.nan, math.inf, -math.inf]])
-        assert compiled_kernels.format_floats(switches) == (
-            "[[-0.0, 0.0001, 1e-05, 1000000000000000.0, 1e+16], [5e-324, 1.5e+300, NaN, Infinity, -Infinity]]"
-        )
-
-    @pytest.mark.parametrize("powers", [
-        [2.0**exponent for exponent in range(-1074, 1024)],
-        [float(f"1e{exponent}") for exponent in range(-323, 309)],
-        [float(f"{digit}e{exponent}") for digit in (1, 5, 9) for exponent in range(-20, 23)],
-        [float(2**bits - 1) for bits in range(1, 54)],
-    ], ids=["powers of 2", "powers of 10", "round decimals", "integers to 2**53"])
-    def test_powers_and_integers(self, compiled_kernels, powers):
-        values = np.array(powers + [-value for value in powers])
-        assert compiled_kernels.format_floats(values) == json.dumps(values.tolist())
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_equals_json_dumps(self, compiled_kernels, data):
-        n_rows = data.draw(st.integers(0, 4), label="n_rows")
-        n_cols = data.draw(st.integers(0, 6), label="n_cols")
-        elements = st.floats() | st.integers(0, 2**64 - 1).map(float_from_bits)
-        values = data.draw(st.lists(elements, min_size=n_rows * n_cols, max_size=n_rows * n_cols), label="values")
-        table = np.array(values, dtype=np.float64).reshape(n_rows, n_cols)
-        assert compiled_kernels.format_floats(table) == json.dumps(table.tolist())
-        row = table.ravel()
-        assert compiled_kernels.format_floats(row) == json.dumps(row.tolist())
-
-    @pytest.mark.parametrize("values", [
-        np.zeros((2, 2, 2)), np.float64(1.0), np.zeros(3, dtype=np.float32), np.zeros((3, 2))[:, 0],
-    ], ids=["3-D", "0-D", "float32", "strided"])
-    def test_rejects_other_arrays(self, compiled_kernels, values):
-        with pytest.raises(ValueError):
-            compiled_kernels.format_floats(values)
-
-
 class TestSweepFallback:
     @pytest.mark.parametrize("compiler", [None, shutil.which("false")], ids=["no-compiler", "compile-fails"])
     def test_python_sweep_gives_the_same_model(self, monkeypatch, tmp_path, caplog, compiler):
@@ -1005,5 +1095,27 @@ class TestEntryBounds:
 
     def test_coherence_rejects_out_of_range_document(self):
         matrix = DocTermMatrix(2, 3, {(0, 0): 1, (0, 1): 1, (1, 2): 1, (4, 2): 1}, ["a", "b"])
+        with pytest.raises(EntryOutOfRange):
+            coherence_umass(_uniform_model(n_docs=2, n_terms=3), matrix, top_m=3)
+
+    @pytest.mark.parametrize("kernels", ["compiled", "fallback"])
+    @pytest.mark.parametrize("build, shown", [
+        (lambda: DocTermMatrix(2, 3, (np.array([0, 1]), np.array([0, 2]), np.array([2.0, 1.5])), ["a", "b"]),
+         "(doc 0, term 0) = 2.0"),
+        (lambda: DocTermMatrix(2, 3, {(0, 0): 1.5, (1, 2): True}, ["a", "b"]), "(doc 0, term 0) = 1.5"),
+        (lambda: DocTermMatrix(2, 3, {(0, 0): 2, (1, 2): True}, ["a", "b"]), "(doc 1, term 2) = True"),
+        (lambda: DocTermMatrix(2, 3, {(0, 0): 2, (1, 2): np.float64(1.0)}, ["a", "b"]), "(doc 1, term 2) = 1.0"),
+    ], ids=["float triple", "float in a dict", "bool in a dict", "numpy float in a dict"])
+    def test_a_count_that_is_not_an_integer_is_rejected(self, monkeypatch, kernels, build, shown):
+        if kernels == "fallback":
+            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+        message = f"^matrix entry {re.escape(shown)} is not a non-negative integer count inside a 2 x 3 matrix$"
+        with pytest.raises(EntryOutOfRange, match=message):
+            fit(build(), LdaConfig(n_topics=2, sweeps=2, burn_in=0))
+
+    def test_scoring_rejects_float_counts(self):
+        matrix = DocTermMatrix(2, 3, (np.array([0, 0, 1]), np.array([0, 1, 2]), np.array([1.0, 1.0, 2.5])), ["a", "b"])
+        with pytest.raises(EntryOutOfRange):
+            perplexity(_uniform_model(n_docs=2, n_terms=3), matrix)
         with pytest.raises(EntryOutOfRange):
             coherence_umass(_uniform_model(n_docs=2, n_terms=3), matrix, top_m=3)
