@@ -191,6 +191,16 @@ class CorruptModel(LdaError):
         super().__init__(f"model file {path}: {detail}")
 
 
+class OtherModelVersion(CorruptModel):
+    """A model file whose format or version is not the one this code reads; a version-1 file asks for a refit."""
+
+    def __init__(self, path, found_format: object, found_version: object, format: str, version: int):
+        detail = f"not a {format} v{version} file: {_quoted(found_format)} v{_quoted(found_version)}"
+        if found_format == format and type(found_version) is int and found_version == 1:
+            detail += "; this version of lextopic does not read v1 files, so refit the model"
+        super().__init__(path, detail)
+
+
 class EntryOutOfRange(LdaError):
     def __init__(self, doc: int, term: int, count: object, n_docs: int, n_terms: int):
         super().__init__(

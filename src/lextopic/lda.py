@@ -33,7 +33,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._files import atomic_writer, read_json_object
-from .errors import AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
+from .errors import (
+    AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, OtherModelVersion, TooLarge,
+    VocabularyMismatch,
+)
 from .vectorize import DocTermMatrix, Vocabulary
 
 __all__ = [
@@ -228,9 +231,10 @@ def _term_names(model: LdaModel) -> list[str]:
 
 def _expand_tokens(matrix: DocTermMatrix) -> list[list[int]]:
     """Each document's term indices, each repeated by its count, in term order."""
-    tokens = np.repeat(matrix.terms, matrix.values).tolist()
-    bounds = np.searchsorted(matrix.docs, np.arange(matrix.n_docs + 1))
-    token_bounds = np.concatenate(([0], np.cumsum(matrix.values)))[bounds].tolist()
+    docs, terms, counts = _entries(matrix)
+    tokens = np.repeat(terms, counts).tolist()
+    bounds = np.searchsorted(docs, np.arange(matrix.n_docs + 1))
+    token_bounds = np.concatenate(([0], np.cumsum(counts)))[bounds].tolist()
     return [tokens[start:stop] for start, stop in zip(token_bounds[:-1], token_bounds[1:])]
 
 
@@ -304,21 +308,25 @@ def _topic_word_estimate(n_kw: np.ndarray, n_k: np.ndarray, beta: float) -> np.n
 
 
 def _entries(matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entry docs, terms and counts, in (doc, term) order.
+    """Entry docs, terms and counts as int64 arrays, in (doc, term) order.
 
     An entry outside the matrix or below 0 raises EntryOutOfRange, and so
-    does the first entry of counts whose dtype is not an integer one: the
-    int64 count tables would truncate a float, even a whole one.
+    does the first entry of an array whose dtype is not an integer one (the
+    int64 count tables would truncate a float, even a whole one) and an
+    unsigned count that int64 cannot hold.
     """
     docs, terms, counts = matrix.docs, matrix.terms, matrix.values
-    bad = (docs < 0) | (docs >= matrix.n_docs) | (terms < 0) | (terms >= matrix.n_terms)
-    bad |= (counts < 0) if np.issubdtype(counts.dtype, np.integer) else True
+    bad = (docs < 0) | (docs >= matrix.n_docs) | (terms < 0) | (terms >= matrix.n_terms) | (counts < 0)
+    if not all(np.issubdtype(array.dtype, np.integer) for array in (docs, terms, counts)):
+        bad |= True
+    elif counts.dtype.kind == "u":
+        bad |= counts > np.iinfo(np.int64).max
     if bad.any():
         first = int(np.argmax(bad))
         raise EntryOutOfRange(
-            int(docs[first]), int(terms[first]), counts[first].item(), matrix.n_docs, matrix.n_terms
+            docs[first].item(), terms[first].item(), counts[first].item(), matrix.n_docs, matrix.n_terms
         )
-    return docs, terms, counts
+    return tuple(array.astype(np.int64, copy=False) for array in (docs, terms, counts))
 
 
 def _token_probs(docs: np.ndarray, terms: np.ndarray, doc_topic: np.ndarray, topic_word: np.ndarray) -> np.ndarray:
@@ -694,12 +702,10 @@ def save_model(model: LdaModel, path) -> None:
 def load_model(path) -> LdaModel:
     """Read a save_model file; one that cannot hold a model, or of another format or version, raises CorruptModel."""
     payload = read_json_object(path, lambda reason: CorruptModel(path, reason))
-    found = (payload.get("format"), payload.get("version"))
-    if found != (MODEL_FORMAT, MODEL_VERSION):
-        reason = f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: {found[0]!r} v{found[1]!r}"
-        if found == (MODEL_FORMAT, 1):
-            reason += "; this version of lextopic does not read v1 files, so refit the model"
-        raise CorruptModel(path, reason)
+    found_format, found_version = payload.get("format"), payload.get("version")
+    # A version of 2.0 or true compares equal to an int; neither is one that save_model writes.
+    if found_format != MODEL_FORMAT or type(found_version) is not int or found_version != MODEL_VERSION:
+        raise OtherModelVersion(path, found_format, found_version, MODEL_FORMAT, MODEL_VERSION)
     try:
         return _model_from_payload(payload)
     except KeyError as exc:

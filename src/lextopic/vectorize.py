@@ -56,12 +56,27 @@ class _EntryMatrix:
 
     def __init__(self, n_docs: int, n_terms: int, entries, doc_ids: list[str]):
         if isinstance(entries, Mapping):
-            keys = np.fromiter(chain.from_iterable(entries), dtype=np.int64, count=2 * len(entries)).reshape(-1, 2)
+            try:
+                keys = np.fromiter(chain.from_iterable(entries), dtype=np.int64, count=2 * len(entries)).reshape(-1, 2)
+                values = np.fromiter(entries.values(), dtype=self.dtype, count=len(entries))
+            except OverflowError:
+                first = self._first_outside_int64(entries)
+                if first is None:  # a float weight past float64's range
+                    raise
+                raise EntryOutOfRange(*first, n_docs, n_terms) from None
             order = np.lexsort((keys[:, 1], keys[:, 0]))
-            values = np.fromiter(entries.values(), dtype=self.dtype, count=len(entries))
             entries = keys[order, 0], keys[order, 1], values[order]
         self.n_docs, self.n_terms, self.doc_ids = n_docs, n_terms, doc_ids
         self.docs, self.terms, self.values = entries
+
+    def _first_outside_int64(self, entries: Mapping) -> tuple | None:
+        """The first dict entry (doc, term, value) with a key, or an int64 value, that int64 cannot hold."""
+        for (doc, term), value in entries.items():
+            try:
+                np.array([doc, term, value] if self.dtype is np.int64 else [doc, term], dtype=np.int64)
+            except OverflowError:
+                return doc, term, value
+        return None
 
     def _view(self) -> Mapping[tuple[int, int], int | float]:
         keys = zip(self.docs.tolist(), self.terms.tolist())

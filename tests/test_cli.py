@@ -504,6 +504,40 @@ class TestCorruptModelFile:
             "this version of lextopic does not read v1 files, so refit the model\n"
         )
 
+    @pytest.mark.parametrize("name", ["doc_topic", "topic_word"])
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda table: table.update(base64="!" + table["base64"][1:]), "base64 does not decode: Only base64 data is allowed"),
+        (lambda table: table.update(base64=table["base64"][:-1]), "base64 does not decode: Incorrect padding"),
+        (lambda table: table.update(base64="ق" + table["base64"][1:]),
+         "base64 does not decode: string argument should contain only ASCII characters"),
+        (lambda table: table.update(base64=0), "base64 is not a string"),
+        (lambda table: table.update(dtype=">f8"), "dtype is not '<f8'"),
+        (lambda table: table["shape"].__setitem__(0, True), "shape is not two integers in [0, 2**63)"),
+        (lambda table: table["shape"].append(1), "shape is not two integers in [0, 2**63)"),
+        (lambda table: table["shape"].__setitem__(0, table["shape"][0] + 1), "holds {held} bytes, not the {wanted} "
+                                                                             "of its shape {shape}"),
+        (lambda table: table.update(base64=lda._encode_table(np.full(table["shape"], np.nan))["base64"]),
+         "holds a non-finite value"),
+    ], ids=["non-base64 character", "bad padding", "non-ASCII character", "number", "big-endian", "true dimension",
+            "three dimensions", "one row more than its bytes", "NaN"])
+    def test_a_flawed_table_is_an_lda_error_naming_the_file(self, fitted, tmp_path, capsys, name, edit, detail):
+        payload = json.loads(fitted[1])
+        table = payload[name]
+        edit(table)
+        if "{" in detail:
+            rows, cols = table["shape"]
+            detail = detail.format(held=8 * (rows - 1) * cols, wanted=8 * rows * cols, shape=[rows, cols])
+        assert self._analyze(fitted, tmp_path, json.dumps(payload, ensure_ascii=False)) == 1
+        assert capsys.readouterr().err == f"error [lda]: model file {tmp_path / 'model.json'}: {name} {detail}\n"
+        assert sorted(entry.name for entry in (tmp_path / "o").iterdir()) == ["run_config.json"]
+
+    @pytest.mark.parametrize("name", ["doc_topic", "topic_word"])
+    def test_a_table_of_nested_lists_is_an_lda_error(self, fitted, tmp_path, capsys, name):
+        payload = json.loads(fitted[1])
+        payload[name] = _table(payload[name]).tolist()
+        assert self._analyze(fitted, tmp_path, json.dumps(payload)) == 1
+        assert capsys.readouterr().err == f"error [lda]: model file {tmp_path / 'model.json'}: {name} is not an object\n"
+
     @pytest.mark.parametrize("text", ["{not json", "", "[1, 2]"])
     def test_undecodable_json_is_an_lda_error(self, fitted, tmp_path, capsys, text):
         assert self._analyze(fitted, tmp_path, text) == 1

@@ -37,7 +37,7 @@ from lextopic.lda import (
     perplexity,
     save_model,
 )
-from lextopic.vectorize import DocTermMatrix, Vocabulary
+from lextopic.vectorize import DocTermMatrix, TfidfMatrix, Vocabulary
 from reference import gibbs_conditional, log_p_words
 
 
@@ -566,6 +566,32 @@ class TestSaveLoad:
                                                "'other' v1$"):
             load_model(path)
 
+    @pytest.mark.parametrize("format, version, shown", [
+        ("lextopic-model", 1, "'lextopic-model' v1; this version of lextopic does not read v1 files, so refit the model"),
+        ("lextopic-model", 0, "'lextopic-model' v0"),
+        ("lextopic-model", 3, "'lextopic-model' v3"),
+        ("lextopic-model", "2", "'lextopic-model' v'2'"),
+        ("lextopic-model", 2.0, "'lextopic-model' v2.0"),
+        ("lextopic-model", True, "'lextopic-model' vTrue"),
+        ("lextopic-model", 1.0, "'lextopic-model' v1.0"),
+        ("lextopic-model", None, "'lextopic-model' vNone"),
+        ("lextopic-model", 10**100, f"'lextopic-model' v{'1' + '0' * 79}... (101 characters)"),
+        (None, 2, "None v2"),
+        ("Lextopic-Model", 2, "'Lextopic-Model' v2"),
+        (["lextopic-model"], 2, "['lextopic-model'] v2"),
+        ("x" * 100_000, 1, f"'{'x' * 80}'... (100000 characters) v1"),
+    ], ids=["v1", "v0", "v3", "string version", "float version", "true version", "v1.0", "no version",
+            "101-digit version", "no format", "other case", "list format", "100000-character format"])
+    def test_another_format_or_version_is_a_corrupt_model(self, tmp_path, format, version, shown):
+        path = tmp_path / "model.json"
+        save_model(self._fitted(), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload.update(format=format, version=version)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CorruptModel) as caught:
+            load_model(path)
+        assert str(caught.value) == f"model file {path}: not a lextopic-model v2 file: {shown}"
+
     @pytest.mark.parametrize("failure", ["unserializable", "replace"])
     def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch, failure):
         model = self._fitted()
@@ -670,6 +696,38 @@ class TestModelFile:
         assert loaded.doc_topic.shape == model.doc_topic.shape and loaded.topic_word.shape == model.topic_word.shape
         assert np.array(loaded.log_likelihood).tobytes() == np.array(model.log_likelihood).tobytes()
         assert (loaded.config, loaded.doc_ids, loaded.vocab) == (model.config, model.doc_ids, model.vocab)
+
+    @pytest.mark.parametrize("array", [
+        np.random.default_rng(1).random((3, 4)),
+        np.asfortranarray(np.random.default_rng(2).random((3, 4))),
+        np.random.default_rng(3).random((3, 8))[:, ::2],
+        np.random.default_rng(4).random((3, 4)).astype(">f8"),
+        np.random.default_rng(5).random((3, 4)).astype(np.float32),
+        np.arange(-6, 6).reshape(3, 4),
+        np.array([[-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+                  [float_from_bits(0x7FF8_0000_0000_0001), -math.inf, 0.1, -1e-300]]),
+        np.zeros((0, 4)),
+        np.zeros((4, 0)),
+        np.full((1, 1), 0.5),
+    ], ids=["C order", "Fortran order", "strided view", "big-endian", "float32", "int64", "edge bits", "no rows",
+            "no columns", "one cell"])
+    def test_a_table_reads_back_as_its_float64_values(self, array):
+        encoded = lda._encode_table(array)
+        assert (encoded["dtype"], encoded["shape"]) == ("<f8", list(array.shape))
+        assert json.loads(json.dumps(encoded)) == encoded
+        table = lda._float_table({"table": encoded}, "table")
+        assert table.tobytes() == np.asarray(array, dtype=np.float64).tobytes() and table.shape == array.shape
+        assert table.dtype == np.float64 and table.flags.c_contiguous and table.flags.writeable
+
+    def test_a_loaded_model_can_be_edited_and_saved_again(self, tmp_path):
+        path, _ = _saved_payload(tmp_path)
+        model = load_model(path)
+        model.doc_topic[0] = model.doc_topic[0][::-1]
+        model.topic_word *= 0.5
+        save_model(model, path)
+        again = load_model(path)
+        assert again.doc_topic.tobytes() == model.doc_topic.tobytes()
+        assert again.topic_word.tobytes() == (_persian_model().topic_word * 0.5).tobytes()
 
     @pytest.mark.parametrize("name", ["doc_topic", "topic_word"])
     @pytest.mark.parametrize("edit, reason", [
@@ -1112,6 +1170,68 @@ class TestEntryBounds:
         message = f"^matrix entry {re.escape(shown)} is not a non-negative integer count inside a 2 x 3 matrix$"
         with pytest.raises(EntryOutOfRange, match=message):
             fit(build(), LdaConfig(n_topics=2, sweeps=2, burn_in=0))
+
+    @pytest.mark.parametrize("kernels", ["compiled", "fallback"])
+    @pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "uint8", "uint16", "uint32", "uint64"])
+    def test_any_integer_dtype_gives_the_int64_model_and_scores(self, monkeypatch, kernels, dtype):
+        if kernels == "fallback":
+            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+        triple = (np.array([0, 0, 1, 2, 2]), np.array([0, 3, 1, 2, 3]), np.array([2, 1, 3, 1, 4]))
+        config = LdaConfig(n_topics=2, sweeps=6, burn_in=2, seed=11)
+        wide = DocTermMatrix(3, 4, triple, ["a", "b", "c"])
+        narrow = DocTermMatrix(3, 4, tuple(array.astype(dtype) for array in triple), ["a", "b", "c"])
+        model = fit(wide, config)
+        assert_same_model(fit(narrow, config), model)
+        assert perplexity(model, narrow) == perplexity(model, wide)
+        assert coherence_umass(model, narrow, top_m=3) == coherence_umass(model, wide, top_m=3)
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["docs", "terms", "counts"])
+    @pytest.mark.parametrize("dtype", ["float64", "float16", "bool"])
+    def test_an_entry_array_that_is_not_integer_is_rejected(self, position, dtype):
+        triple = [np.array([0, 1]), np.array([1, 0]), np.array([1, 1])]
+        triple[position] = triple[position].astype(dtype)
+        shown = "(doc {}, term {}) = {}".format(*(array[0].item() for array in triple))
+        matrix = DocTermMatrix(2, 3, tuple(triple), ["a", "b"])
+        message = f"^matrix entry {re.escape(shown)} is not a non-negative integer count inside a 2 x 3 matrix$"
+        with pytest.raises(EntryOutOfRange, match=message):
+            fit(matrix, LdaConfig(n_topics=2, sweeps=2, burn_in=0))
+        with pytest.raises(EntryOutOfRange, match=message):
+            perplexity(_uniform_model(n_docs=2, n_terms=3), matrix)
+
+    @pytest.mark.parametrize("kernels", ["compiled", "fallback"])
+    def test_an_unsigned_count_that_int64_cannot_hold_is_rejected(self, monkeypatch, kernels):
+        if kernels == "fallback":
+            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+        counts = np.array([1, 2**63], dtype=np.uint64)
+        matrix = DocTermMatrix(2, 3, (np.array([0, 1]), np.array([0, 2]), counts), ["a", "b"])
+        with pytest.raises(EntryOutOfRange, match=r"^matrix entry \(doc 1, term 2\) = 9223372036854775808 is not "):
+            fit(matrix, LdaConfig(n_topics=2, sweeps=2, burn_in=0))
+
+    @pytest.mark.parametrize("build, shown", [
+        (lambda: DocTermMatrix(2, 3, {(2**63, 0): 1}, ["a", "b"]), "(doc 9223372036854775808, term 0) = 1"),
+        (lambda: DocTermMatrix(2, 3, {(0, 2**70): 1}, ["a", "b"]), "(doc 0, term 1180591620717411303424) = 1"),
+        (lambda: DocTermMatrix(2, 3, {(-2**63 - 1, 0): 1}, ["a", "b"]), "(doc -9223372036854775809, term 0) = 1"),
+        (lambda: DocTermMatrix(2, 3, {(0, 0): 2**63}, ["a", "b"]), "(doc 0, term 0) = 9223372036854775808"),
+        (lambda: DocTermMatrix(2, 3, {(0, 0): np.uint64(2**64 - 1)}, ["a", "b"]),
+         "(doc 0, term 0) = 18446744073709551615"),
+        (lambda: DocTermMatrix(2, 3, {(0, 0): 1, (1, 1): 2, (1, 2**64): 3}, ["a", "b"]),
+         "(doc 1, term 18446744073709551616) = 3"),
+        (lambda: TfidfMatrix(2, 3, {(2**63, 0): 0.5}, ["a", "b"]), "(doc 9223372036854775808, term 0) = 0.5"),
+        (lambda: TfidfMatrix(2, 3, {(0, 0): 0.5, (0, -2**64): 2**70}, ["a", "b"]),
+         "(doc 0, term -18446744073709551616) = 1180591620717411303424"),
+    ], ids=["doc 2**63", "term 2**70", "doc below -2**63", "count 2**63", "numpy uint64 count", "a later entry",
+            "tf-idf doc 2**63", "tf-idf term -2**64"])
+    def test_a_dict_entry_outside_int64_is_rejected(self, build, shown):
+        message = f"^matrix entry {re.escape(shown)} is not a non-negative integer count inside a 2 x 3 matrix$"
+        with pytest.raises(EntryOutOfRange, match=message):
+            build()
+
+    def test_int64_extremes_in_a_dict_are_stored_as_given(self):
+        matrix = DocTermMatrix(2, 3, {(2**63 - 1, -2**63): 2**63 - 1, (0, 0): 1}, ["a", "b"])
+        assert (matrix.docs.tolist(), matrix.terms.tolist(), matrix.values.tolist()) == (
+            [0, 2**63 - 1], [0, -2**63], [1, 2**63 - 1])
+        weights = TfidfMatrix(2, 3, {(0, 1): 2**70}, ["a", "b"])
+        assert weights.values.tolist() == [float(2**70)]
 
     def test_scoring_rejects_float_counts(self):
         matrix = DocTermMatrix(2, 3, (np.array([0, 0, 1]), np.array([0, 1, 2]), np.array([1.0, 1.0, 2.5])), ["a", "b"])
