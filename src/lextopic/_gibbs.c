@@ -1,6 +1,6 @@
 /* One collapsed Gibbs sweep over CSR token arrays, the per-entry token
- * probabilities behind perplexity, and the chunk scan and term count that
- * turn a corpus into a count matrix.
+ * probabilities behind perplexity, and the chunk scan over a corpus's
+ * code points and the term count that turn it into a count matrix.
  *
  * Same arithmetic in the same order as lextopic.lda.gibbs_sweep, so a
  * build with -ffp-contract=off gives bit-identical draws: the weight
@@ -89,37 +89,20 @@ void token_probs(int64_t n_entries, int64_t n_topics, const int64_t *docs,
     }
 }
 
-/* Bytes that can start one of the 29 code points str.split() splits on:
- * U+0009-000D, U+001C-001F, U+0020, U+0085, U+00A0, U+1680, U+2000-200A,
- * U+2028, U+2029, U+202F, U+205F and U+3000. Each starts with an ASCII or
- * a lead byte, and neither occurs inside a multi-byte sequence, so any
- * byte position of valid UTF-8 may be tested.
+/* The 29 code points str.split() splits on, one bit each, 64 to a word:
+ * U+0009-000D, U+001C-001F and U+0020 (word 0), U+0085 and U+00A0 (2),
+ * U+1680 (90), U+2000-200A, U+2028, U+2029 and U+202F (128), U+205F
+ * (129) and U+3000 (192). No code point past the last word is whitespace.
  */
-static const uint8_t may_start_space[256] = {
-    [0x09] = 1, [0x0A] = 1, [0x0B] = 1, [0x0C] = 1, [0x0D] = 1,
-    [0x1C] = 1, [0x1D] = 1, [0x1E] = 1, [0x1F] = 1, [0x20] = 1,
-    [0xC2] = 1, [0xE1] = 1, [0xE2] = 1, [0xE3] = 1,
+#define SPACE_WORDS 193
+static const uint64_t space_bits[SPACE_WORDS] = {
+    [0] = 0x00000001F0003E00ULL, [2] = 0x0000000100000020ULL, [90] = 0x1ULL,
+    [128] = 0x00008300000007FFULL, [129] = 0x0000000080000000ULL, [192] = 0x1ULL,
 };
 
-/* Byte length of the whitespace code point at p, or 0. */
-static int64_t space_length(const uint8_t *p, const uint8_t *end)
+static inline int is_space(uint32_t c)
 {
-    const uint8_t c = p[0];
-    if (!may_start_space[c])
-        return 0;
-    if (c < 0x80)
-        return 1;
-    if (c == 0xC2)
-        return end - p >= 2 && (p[1] == 0x85 || p[1] == 0xA0) ? 2 : 0;
-    if (end - p < 3)
-        return 0;
-    if (c == 0xE1)
-        return p[1] == 0x9A && p[2] == 0x80 ? 3 : 0;
-    if (c == 0xE3)
-        return p[1] == 0x80 && p[2] == 0x80 ? 3 : 0;
-    if (p[1] == 0x80)
-        return (p[2] >= 0x80 && p[2] <= 0x8A) || p[2] == 0xA8 || p[2] == 0xA9 || p[2] == 0xAF ? 3 : 0;
-    return p[1] == 0x81 && p[2] == 0x9F ? 3 : 0;
+    return c < 64 * SPACE_WORDS && (space_bits[c >> 6] >> (c & 63)) & 1;
 }
 
 typedef struct {
@@ -127,55 +110,54 @@ typedef struct {
     int64_t id;  /* chunk id + 1; 0 marks an empty slot */
 } Slot;
 
-/* Split each record text[record_ptr[r] : record_ptr[r + 1]] on whitespace
- * and number the distinct chunks in order of first occurrence.
+/* Split each record text[record_ptr[r] : record_ptr[r + 1]] of code points
+ * on whitespace and number the distinct chunks in order of first occurrence.
  *
  * Writes the id of every chunk occurrence, in order, to occurrences and
- * each record's chunk count to record_chunks. Each distinct chunk's bytes,
- * then one space, are appended to chunk_bytes; chunk_start and chunk_len
- * give its span there. The caller sizes occurrences, chunk_start and
- * chunk_len for the most chunks the text can hold, and chunk_bytes for
- * the text plus one byte per chunk. Chunks are matched exactly: hash,
- * then length, then bytes. Returns the number of distinct chunks, or -1
- * if the hash table cannot be allocated.
+ * each record's chunk count to record_chunks. Each distinct chunk's code
+ * points, then one space, are appended to chunk_codes; chunk_start and
+ * chunk_len give its span there. The caller sizes occurrences, chunk_start
+ * and chunk_len for the most chunks the text can hold, and chunk_codes for
+ * the text plus one code point per chunk. Chunks are matched exactly: hash,
+ * then length, then code points. Returns the number of distinct chunks, or
+ * -1 if the hash table cannot be allocated.
  */
-int64_t scan_chunks(const uint8_t *text, int64_t n_records, const int64_t *record_ptr,
+int64_t scan_chunks(const uint32_t *text, int64_t n_records, const int64_t *record_ptr,
                     int64_t *occurrences, int64_t *record_chunks,
-                    uint8_t *chunk_bytes, int64_t *chunk_start, int64_t *chunk_len)
+                    uint32_t *chunk_codes, int64_t *chunk_start, int64_t *chunk_len)
 {
-    int64_t size = 1024, n_distinct = 0, n_occurrences = 0, n_bytes = 0;
+    int64_t size = 1024, n_distinct = 0, n_occurrences = 0, n_codes = 0;
     Slot *table = calloc(size, sizeof *table);
     if (table == NULL)
         return -1;
     for (int64_t r = 0; r < n_records; r++) {
-        const uint8_t *p = text + record_ptr[r], *end = text + record_ptr[r + 1];
+        const uint32_t *p = text + record_ptr[r], *end = text + record_ptr[r + 1];
         const int64_t first = n_occurrences;
         while (p < end) {
-            const int64_t skip = space_length(p, end);
-            if (skip) {
-                p += skip;
+            if (is_space(*p)) {
+                p++;
                 continue;
             }
-            const uint8_t *start = p;
-            uint64_t hash = 14695981039346656037ULL;  /* FNV-1a */
+            const uint32_t *start = p;
+            uint64_t hash = 14695981039346656037ULL;  /* FNV-1a, a code point at a time */
             do {
                 hash = (hash ^ *p++) * 1099511628211ULL;
-            } while (p < end && !space_length(p, end));
+            } while (p < end && !is_space(*p));
             const int64_t length = p - start;
             int64_t slot = (int64_t)(hash & (uint64_t)(size - 1)), id;
             for (;; slot = (slot + 1) & (size - 1)) {
                 id = table[slot].id - 1;
                 if (id < 0 || (table[slot].hash == hash && chunk_len[id] == length
-                               && memcmp(chunk_bytes + chunk_start[id], start, length) == 0))
+                               && memcmp(chunk_codes + chunk_start[id], start, length * sizeof *start) == 0))
                     break;
             }
             if (id < 0) {
                 id = n_distinct++;
-                memcpy(chunk_bytes + n_bytes, start, length);
-                chunk_bytes[n_bytes + length] = ' ';
-                chunk_start[id] = n_bytes;
+                memcpy(chunk_codes + n_codes, start, length * sizeof *start);
+                chunk_codes[n_codes + length] = ' ';
+                chunk_start[id] = n_codes;
                 chunk_len[id] = length;
-                n_bytes += length + 1;
+                n_codes += length + 1;
                 table[slot] = (Slot){hash, id + 1};
                 if (2 * n_distinct > size) {  /* keep the table at most half full */
                     Slot *old = table;

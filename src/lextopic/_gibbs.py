@@ -2,8 +2,8 @@
 
 - ``lda``'s sampler and scores: the Gibbs ``sweep`` and the per-entry
   ``token_probs`` of ``perplexity``.
-- ``vectorize.count_corpus``: the chunk scan ``scan_chunks`` and the
-  count loops ``token_counts`` and ``term_entries``.
+- ``vectorize.count_corpus``: ``scan_chunks`` over the records' code
+  points and the count loops ``token_counts`` and ``term_entries``.
 
 Each has a Python equivalent that its callers fall back to, with equal
 results. The shared library is compiled on first use with the system C
@@ -178,35 +178,36 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
         return out
 
     def scan_chunks(text, record_ptr):
-        """Split records of UTF-8 text as str.split() would; number distinct chunks by first occurrence.
+        """Split records of code points as str.split() would; number distinct chunks by first occurrence.
 
-        text is bytes-like; record r is text[record_ptr[r]:record_ptr[r + 1]].
-        Returns (occurrences, record_chunks, chunk_bytes): the chunk id of
-        every occurrence in order, each record's chunk count, and the
-        distinct chunks in id order, each followed by one space.
+        text is a buffer of uint32 code points, as preprocess._utf32 gives;
+        record r is text[record_ptr[r]:record_ptr[r + 1]]. Returns
+        (occurrences, record_chunks, chunk_codes): the chunk id of every
+        occurrence in order, each record's chunk count, and the distinct
+        chunks' code points in id order, each chunk followed by one space.
         """
-        text = np.frombuffer(text, dtype=np.uint8)
+        text = np.frombuffer(text, dtype=np.uint32)
         record_ptr = np.ascontiguousarray(record_ptr, dtype=np.int64)
         n_records = record_ptr.size - 1
         if not (record_ptr.ndim == 1 and n_records >= 0 and record_ptr[0] == 0 and record_ptr[-1] == text.size
                 and (np.diff(record_ptr) >= 0).all()):
             raise ValueError("record offsets must rise from 0 to the text length")
-        # A record of n bytes holds at most (n + 1) // 2 chunks. Pages past
-        # what the scan writes are never touched, so they cost no memory.
+        # A record of n code points holds at most (n + 1) // 2 chunks. Pages
+        # past what the scan writes are never touched, so they cost no memory.
         capacity = (text.size + n_records) // 2 + 1
         occurrences = np.empty(capacity, dtype=np.int64)
         record_chunks = np.empty(n_records, dtype=np.int64)
-        chunk_bytes = np.empty(text.size + capacity, dtype=np.uint8)
+        chunk_codes = np.empty(text.size + capacity, dtype=np.uint32)
         chunk_start = np.empty(capacity, dtype=np.int64)
         chunk_len = np.empty(capacity, dtype=np.int64)
         n_distinct = scan_function(
             text.ctypes.data, n_records, record_ptr.ctypes.data, occurrences.ctypes.data,
-            record_chunks.ctypes.data, chunk_bytes.ctypes.data, chunk_start.ctypes.data, chunk_len.ctypes.data,
+            record_chunks.ctypes.data, chunk_codes.ctypes.data, chunk_start.ctypes.data, chunk_len.ctypes.data,
         )
         if n_distinct < 0:
             raise MemoryError("no memory for the chunk hash table")
-        n_bytes = int(chunk_start[n_distinct - 1] + chunk_len[n_distinct - 1]) + 1 if n_distinct else 0
-        return occurrences[: record_chunks.sum()], record_chunks, chunk_bytes[:n_bytes].tobytes()
+        n_codes = int(chunk_start[n_distinct - 1] + chunk_len[n_distinct - 1]) + 1 if n_distinct else 0
+        return occurrences[: record_chunks.sum()], record_chunks, chunk_codes[:n_codes]
 
     def _chunk_arrays(record_chunks, occurrences, chunk_ptr, chunk_tokens, n_tokens):
         arrays = [np.ascontiguousarray(array, dtype=np.int64)

@@ -202,11 +202,16 @@ class OtherModelVersion(CorruptModel):
 
 
 class EntryOutOfRange(LdaError):
-    def __init__(self, doc: int, term: int, count: object, n_docs: int, n_terms: int):
+    def __init__(self, doc: int, term: int, value: object, n_docs: int, n_terms: int,
+                 what: str = "non-negative integer count"):
         super().__init__(
-            f"matrix entry (doc {doc}, term {term}) = {count} is not a non-negative integer count "
+            f"matrix entry (doc {doc}, term {term}) = {_quoted(value, str)} is not a {what} "
             f"inside a {n_docs} x {n_terms} matrix"
         )
+
+
+class MalformedEntries(LdaError):
+    """Entry arrays that are not three 1-d arrays of one length, or out of doc order where a sampler groups them."""
 
 
 class AbsentTopWord(LdaError, ValueError):

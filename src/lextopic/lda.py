@@ -34,8 +34,8 @@ import numpy as np
 
 from ._files import atomic_writer, read_json_object
 from .errors import (
-    AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, OtherModelVersion, TooLarge,
-    VocabularyMismatch,
+    AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, MalformedEntries, OtherModelVersion,
+    TooLarge, VocabularyMismatch,
 )
 from .vectorize import DocTermMatrix, Vocabulary
 
@@ -231,7 +231,7 @@ def _term_names(model: LdaModel) -> list[str]:
 
 def _expand_tokens(matrix: DocTermMatrix) -> list[list[int]]:
     """Each document's term indices, each repeated by its count, in term order."""
-    docs, terms, counts = _entries(matrix)
+    docs, terms, counts = _entries(matrix, grouped=True)
     tokens = np.repeat(terms, counts).tolist()
     bounds = np.searchsorted(docs, np.arange(matrix.n_docs + 1))
     token_bounds = np.concatenate(([0], np.cumsum(counts)))[bounds].tolist()
@@ -307,15 +307,20 @@ def _topic_word_estimate(n_kw: np.ndarray, n_k: np.ndarray, beta: float) -> np.n
     return (n_kw + beta) / (n_k[:, None] + n_kw.shape[1] * beta)
 
 
-def _entries(matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _entries(matrix: DocTermMatrix, grouped: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entry docs, terms and counts as int64 arrays, in (doc, term) order.
 
     An entry outside the matrix or below 0 raises EntryOutOfRange, and so
     does the first entry of an array whose dtype is not an integer one (the
     int64 count tables would truncate a float, even a whole one) and an
-    unsigned count that int64 cannot hold.
+    unsigned count that int64 cannot hold. MalformedEntries is raised for
+    ragged or not 1-d arrays and, with grouped (for the samplers), docs that fall.
     """
     docs, terms, counts = matrix.docs, matrix.terms, matrix.values
+    shapes = [np.shape(array) for array in (docs, terms, counts)]
+    if len(shapes[0]) != 1 or not shapes[0] == shapes[1] == shapes[2]:
+        first = min(shape[0] if len(shape) == 1 else 0 for shape in shapes)
+        raise MalformedEntries(f"matrix entry {first} is not one number in each of docs, terms and values: {shapes}")
     bad = (docs < 0) | (docs >= matrix.n_docs) | (terms < 0) | (terms >= matrix.n_terms) | (counts < 0)
     if not all(np.issubdtype(array.dtype, np.integer) for array in (docs, terms, counts)):
         bad |= True
@@ -326,6 +331,9 @@ def _entries(matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         raise EntryOutOfRange(
             docs[first].item(), terms[first].item(), counts[first].item(), matrix.n_docs, matrix.n_terms
         )
+    if grouped and (docs[1:] < docs[:-1]).any():
+        at = int(np.argmax(docs[1:] < docs[:-1])) + 1
+        raise MalformedEntries(f"matrix entry {at} (doc {docs[at]}, term {terms[at]}) follows doc {docs[at - 1]}")
     return tuple(array.astype(np.int64, copy=False) for array in (docs, terms, counts))
 
 
@@ -416,7 +424,7 @@ class _Sampler:
         if not matrix.values.size:
             raise EmptyMatrix()
         self.config = config
-        docs, terms, counts = _entries(matrix)
+        docs, terms, counts = _entries(matrix, grouped=True)
         self.kernels = _load_kernels()
         if self.kernels is None:
             self.state = init_assignments(matrix, config)

@@ -224,6 +224,7 @@ _SEPARATOR, _PAD = 0x110000, 0x110001
 
 
 def _utf32(text: str) -> np.ndarray:
+    """text's code points, lone surrogates included, as a uint32 array."""
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
@@ -232,13 +233,13 @@ def _image(text: str) -> str:
     return text.translate(_DEFAULT_TABLE).lower().translate(_DEFAULT_PUNCTUATION_TABLE)
 
 
-def _preprocess_chunks(chunk_text: str, config: PreprocessConfig | None) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Every chunk of chunk_text through the pipeline, in a few whole-array steps.
+def _preprocess_chunks(codes: np.ndarray, config: PreprocessConfig | None) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Every chunk of codes through the pipeline, in a few whole-array steps.
 
-    chunk_text holds distinct chunks free of whitespace, each followed by
-    one space. Returns (terms, chunk_ptr, chunk_tokens): the final tokens
-    in order of first appearance, and the ids into terms of chunk c's
-    tokens, chunk_tokens[chunk_ptr[c]:chunk_ptr[c + 1]].
+    codes holds, as _utf32 gives them, distinct chunks free of whitespace,
+    each followed by one space. Returns (terms, chunk_ptr, chunk_tokens):
+    the final tokens in order of first appearance, and the ids into terms
+    of chunk c's tokens, chunk_tokens[chunk_ptr[c]:chunk_ptr[c + 1]].
 
     A chunk's text after normalize and remove_punctuation, up to the
     split, is the concatenation of its characters' images. A character's
@@ -256,7 +257,6 @@ def _preprocess_chunks(chunk_text: str, config: PreprocessConfig | None) -> tupl
     length and lemma rules then run once per distinct raw token.
     """
     config = default_config() if config is None else config
-    codes = _utf32(chunk_text)
     row_of = np.zeros(int(codes.max(initial=0)) + 1, dtype=np.intp)
     row_of[codes] = 1
     distinct = np.flatnonzero(row_of)
@@ -269,7 +269,7 @@ def _preprocess_chunks(chunk_text: str, config: PreprocessConfig | None) -> tupl
     table = np.full((len(images), max([1, *map(len, images)])), _PAD, dtype=np.uint32)
     for row, image in enumerate(images):
         table[row, : len(image)] = _utf32(image)
-    table[distinct == ord(" "), 0] = _SEPARATOR  # every space of chunk_text ends a chunk
+    table[distinct == ord(" "), 0] = _SEPARATOR  # every space of codes ends a chunk
     out = table[rows].ravel()
     out = out[out != _PAD]
     separator_out = np.flatnonzero(out == _SEPARATOR)
@@ -279,8 +279,9 @@ def _preprocess_chunks(chunk_text: str, config: PreprocessConfig | None) -> tupl
     for chunk in dict.fromkeys(np.searchsorted(separators, np.flatnonzero(codes == ord("\u03a3"))).tolist()):
         start = separators[chunk - 1] + 1 if chunk else 0
         out_start = separator_out[chunk - 1] + 1 if chunk else 0
-        out[out_start : separator_out[chunk]] = _utf32(_image(chunk_text[start : separators[chunk]]))
-    del codes, rows
+        chunk_text = codes[start : separators[chunk]].tobytes().decode("utf-32-le", "surrogatepass")
+        out[out_start : separator_out[chunk]] = _utf32(_image(chunk_text))
+    del rows
 
     spaces = out == ord(" ")
     token_starts = np.flatnonzero(~spaces & np.concatenate(([True], spaces[:-1])))
@@ -322,7 +323,7 @@ def preprocess_corpus(
     records = corpus.records
     texts = (f"{record.title} {record.content}" for record in records)
     chunks = list(dict.fromkeys(chain.from_iterable(map(str.split, texts))))
-    terms, chunk_ptr, chunk_tokens = _preprocess_chunks("".join(chunk + " " for chunk in chunks), config)
+    terms, chunk_ptr, chunk_tokens = _preprocess_chunks(_utf32("".join(chunk + " " for chunk in chunks)), config)
     words, bounds = [terms[token] for token in chunk_tokens.tolist()], chunk_ptr.tolist()
     chunk_words = {chunk: words[start:stop] for chunk, start, stop in zip(chunks, bounds, bounds[1:])}
     documents = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -48,35 +50,31 @@ class _EntryMatrix:
 
     ``docs``, ``terms`` and ``values`` are its one store. ``entries`` is a
     (docs, terms, values) triple in that order, or a {(doc, term): value}
-    dict, sorted once here. The dict form is a read-only view built on
-    first access.
+    dict, sorted once here. The first dict entry with a key that int64
+    cannot hold, or a value that ``_accepts`` refuses, raises
+    EntryOutOfRange. The dict form is a read-only view built on first access.
     """
 
     dtype = np.int64
+    what = "non-negative integer count"
+
+    @staticmethod
+    def _accepts(value) -> bool:  # checked before the int64 cast, which would truncate 1.5 to 1
+        return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and -2**63 <= value < 2**63
 
     def __init__(self, n_docs: int, n_terms: int, entries, doc_ids: list[str]):
         if isinstance(entries, Mapping):
-            try:
-                keys = np.fromiter(chain.from_iterable(entries), dtype=np.int64, count=2 * len(entries)).reshape(-1, 2)
-                values = np.fromiter(entries.values(), dtype=self.dtype, count=len(entries))
-            except OverflowError:
-                first = self._first_outside_int64(entries)
-                if first is None:  # a float weight past float64's range
-                    raise
-                raise EntryOutOfRange(*first, n_docs, n_terms) from None
+            for (doc, term), value in entries.items():
+                if not (-2**63 <= doc < 2**63 and -2**63 <= term < 2**63):
+                    raise EntryOutOfRange(doc, term, value, n_docs, n_terms)
+                if not self._accepts(value):
+                    raise EntryOutOfRange(doc, term, value, n_docs, n_terms, self.what)
+            keys = np.fromiter(chain.from_iterable(entries), dtype=np.int64, count=2 * len(entries)).reshape(-1, 2)
+            values = np.fromiter(entries.values(), dtype=self.dtype, count=len(entries))
             order = np.lexsort((keys[:, 1], keys[:, 0]))
             entries = keys[order, 0], keys[order, 1], values[order]
         self.n_docs, self.n_terms, self.doc_ids = n_docs, n_terms, doc_ids
         self.docs, self.terms, self.values = entries
-
-    def _first_outside_int64(self, entries: Mapping) -> tuple | None:
-        """The first dict entry (doc, term, value) with a key, or an int64 value, that int64 cannot hold."""
-        for (doc, term), value in entries.items():
-            try:
-                np.array([doc, term, value] if self.dtype is np.int64 else [doc, term], dtype=np.int64)
-            except OverflowError:
-                return doc, term, value
-        return None
 
     def _view(self) -> Mapping[tuple[int, int], int | float]:
         keys = zip(self.docs.tolist(), self.terms.tolist())
@@ -91,19 +89,23 @@ class DocTermMatrix(_EntryMatrix):
     """Integer (doc, term) counts. A dict count that is not an integer (a float or a bool) raises EntryOutOfRange."""
 
     def __init__(self, n_docs: int, n_terms: int, counts, doc_ids: list[str]):
-        if isinstance(counts, Mapping):  # checked before the int64 cast, which would truncate 1.5 to 1
-            for (doc, term), count in counts.items():
-                if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                    raise EntryOutOfRange(doc, term, count, n_docs, n_terms)
         super().__init__(n_docs, n_terms, counts, doc_ids)
 
     counts = cached_property(_EntryMatrix._view)
 
 
 class TfidfMatrix(_EntryMatrix):
-    """Float (doc, term) weights."""
+    """Float (doc, term) weights. A dict weight that is not a finite real number raises EntryOutOfRange."""
 
     dtype = np.float64
+    what = "finite real weight"
+
+    @staticmethod
+    def _accepts(value) -> bool:
+        if isinstance(value, (float, np.floating)):
+            return math.isfinite(value)
+        return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                and -sys.float_info.max <= value <= sys.float_info.max)
 
     def __init__(self, n_docs: int, n_terms: int, weights, doc_ids: list[str]):
         super().__init__(n_docs, n_terms, weights, doc_ids)
@@ -180,9 +182,9 @@ def count_corpus(
     """preprocess_corpus, then build_vocabulary, then count_matrix, in one call.
 
     The result equals those three calls, errors included. With the compiled
-    kernels it never builds a per-record token list: the records' UTF-8
-    bytes are split into whitespace chunks in C, the distinct chunks are
-    decoded and preprocessed together, each once, as preprocess_corpus
+    kernels it never builds a per-record token list: C splits one array of
+    the records' code points into whitespace chunks, the distinct chunks'
+    code points are preprocessed together, each once, as preprocess_corpus
     does, and C counts every record's terms from the chunks' token ids.
     Without a compiler it makes the three calls.
     """
@@ -197,17 +199,18 @@ def count_corpus(
         return vocab, count_matrix(documents, vocab)
 
     records = corpus.records
-    text = bytearray()
-    record_ptr = np.zeros(len(records) + 1, dtype=np.int64)
-    for position, record in enumerate(records, start=1):
-        text += f"{record.title} {record.content}".encode("utf-8", "surrogatepass")
-        record_ptr[position] = len(text)
-    occurrences, record_chunks, chunk_bytes = kernels.scan_chunks(text, record_ptr)
+    # Record r is its title, a space, its content and a space, which adds no chunk.
+    parts = list(chain.from_iterable((record.title, record.content) for record in records))
+    part_ends = np.cumsum(np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)) + 1)
+    record_ptr = np.concatenate(([0], part_ends[1::2]))
+    text = np.empty(record_ptr[-1], dtype=np.uint32)
+    for first in range(0, len(records), 256):  # in batches, so that no copy of the whole text is made
+        last = min(first + 256, len(records))
+        text[record_ptr[first] : record_ptr[last] - 1] = preprocess_mod._utf32(" ".join(parts[2 * first : 2 * last]))
+    text[record_ptr[1:] - 1] = ord(" ")
+    occurrences, record_chunks, chunk_codes = kernels.scan_chunks(text, record_ptr)
     del text
-    terms, chunk_ptr, chunk_tokens = preprocess_mod._preprocess_chunks(
-        chunk_bytes.decode("utf-8", "surrogatepass"), config
-    )
-    del chunk_bytes
+    terms, chunk_ptr, chunk_tokens = preprocess_mod._preprocess_chunks(chunk_codes, config)
     chunks = (record_chunks, occurrences, chunk_ptr, chunk_tokens)
     totals, df = kernels.token_counts(*chunks, len(terms))
 

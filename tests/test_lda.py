@@ -21,7 +21,10 @@ from hypothesis import strategies as st
 from conftest import float_from_bits
 from lextopic import _gibbs, lda
 from lextopic.analyze import top_words
-from lextopic.errors import AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, TooLarge, VocabularyMismatch
+from lextopic.errors import (
+    AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, LdaError, MalformedEntries, TooLarge,
+    VocabularyMismatch,
+)
 from lextopic.lda import (
     LdaConfig,
     LdaModel,
@@ -1232,6 +1235,62 @@ class TestEntryBounds:
             [0, 2**63 - 1], [0, -2**63], [1, 2**63 - 1])
         weights = TfidfMatrix(2, 3, {(0, 1): 2**70}, ["a", "b"])
         assert weights.values.tolist() == [float(2**70)]
+
+    @pytest.mark.parametrize("kernels", ["compiled", "fallback"])
+    @pytest.mark.parametrize("triple, message", [
+        ((np.array([0, 1, 1]), np.array([0, 2]), np.array([1, 1, 1])),
+         r"^matrix entry 2 is not one number in each of docs, terms and values: \[\(3,\), \(2,\), \(3,\)\]$"),
+        ((np.array([[0, 1]]), np.array([[0, 2]]), np.array([[1, 1]])),
+         r"^matrix entry 0 is not one number in each of docs, terms and values: \[\(1, 2\), \(1, 2\), \(1, 2\)\]$"),
+        ((np.array([2, 0, 1, 2, 0, 1]), np.array([0, 1, 2, 1, 2, 0]), np.array([1, 2, 1, 3, 1, 2])),
+         r"^matrix entry 1 \(doc 0, term 1\) follows doc 2$"),
+    ], ids=["ragged", "2-d", "docs out of order"])
+    def test_a_triple_the_samplers_would_misread_is_rejected(self, monkeypatch, kernels, triple, message):
+        if kernels == "fallback":
+            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+        matrix = DocTermMatrix(3, 3, triple, ["a", "b", "c"])
+        with pytest.raises(MalformedEntries, match=message) as raised:
+            fit(matrix, LdaConfig(n_topics=2, sweeps=2, burn_in=0, seed=3))
+        assert isinstance(raised.value, LdaError) and raised.value.module == "lda"
+
+    def test_entries_in_doc_order_but_not_term_order_fit_alike_on_both_samplers(self, monkeypatch):
+        triple = (np.array([0, 0, 1, 2, 2]), np.array([3, 0, 1, 3, 2]), np.array([2, 1, 3, 1, 4]))
+        config = LdaConfig(n_topics=2, sweeps=4, burn_in=1, seed=11)
+        compiled = fit(DocTermMatrix(3, 4, triple, ["a", "b", "c"]), config)
+        monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+        assert_same_model(fit(DocTermMatrix(3, 4, triple, ["a", "b", "c"]), config), compiled)
+
+    def test_scoring_reads_entries_in_any_doc_order(self):
+        triple = (np.array([1, 0, 1]), np.array([0, 1, 2]), np.array([1, 2, 1]))
+        matrix = DocTermMatrix(2, 3, triple, ["a", "b"])
+        model = _uniform_model(n_docs=2, n_terms=3)
+        assert perplexity(model, matrix) == pytest.approx(3.0)
+        with pytest.raises(MalformedEntries, match="^matrix entry 2 is not one number"):
+            perplexity(model, DocTermMatrix(2, 3, (triple[0], triple[1], triple[2][:2]), ["a", "b"]))
+
+    @pytest.mark.parametrize("weight", [10**400, "x", None, True, np.bool_(True), float("nan"), float("inf"),
+                                        -float("inf"), np.float64("nan"), 1j, [1.0]])
+    def test_a_dict_weight_that_is_no_finite_real_is_rejected(self, weight):
+        shown = re.escape(str(weight) if not isinstance(weight, str) else repr(weight))
+        if isinstance(weight, int) and weight == 10**400:
+            shown = re.escape(str(weight)[:80]) + r"\.\.\. \(401 characters\)"
+        message = rf"^matrix entry \(doc 1, term 2\) = {shown} is not a finite real weight inside a 2 x 3 matrix$"
+        with pytest.raises(EntryOutOfRange, match=message):
+            TfidfMatrix(2, 3, {(0, 0): 0.5, (1, 2): weight}, ["a", "b"])
+
+    @pytest.mark.parametrize("weight", [0, -3, 2.5, np.float32(0.25), np.int8(-2), np.uint64(2**64 - 1), 2**1000,
+                                        -sys.float_info.max])
+    def test_a_finite_real_dict_weight_is_stored_as_float64(self, weight):
+        matrix = TfidfMatrix(2, 3, {(1, 2): weight}, ["a", "b"])
+        assert matrix.values.dtype == np.float64 and matrix.values.tolist() == [float(weight)]
+
+    def test_a_long_entry_value_is_cut_in_the_message(self):
+        with pytest.raises(EntryOutOfRange) as raised:
+            DocTermMatrix(2, 3, {(0, 0): "7" * 100_000}, ["a", "b"])
+        assert str(raised.value) == (
+            f"matrix entry (doc 0, term 0) = {'7' * 80!r}... (100000 characters) is not a non-negative integer "
+            "count inside a 2 x 3 matrix"
+        )
 
     def test_scoring_rejects_float_counts(self):
         matrix = DocTermMatrix(2, 3, (np.array([0, 0, 1]), np.array([0, 1, 2]), np.array([1.0, 1.0, 2.5])), ["a", "b"])

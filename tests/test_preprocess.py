@@ -16,6 +16,7 @@ from lextopic.preprocess import (
     LemmaRules,
     PreprocessConfig,
     _preprocess_chunks,
+    _utf32,
     default_config,
     lemmatize,
     load_lemma_rules,
@@ -332,7 +333,7 @@ class TestPreprocessChunks:
     @example(["،.", "ab", "(«»)", "ها"], _small_config())
     def test_equals_the_stages_chunk_by_chunk(self, chunks, config):
         chunks = list(dict.fromkeys(chunks))
-        terms, chunk_ptr, chunk_tokens = _preprocess_chunks("".join(chunk + " " for chunk in chunks), config)
+        terms, chunk_ptr, chunk_tokens = _preprocess_chunks(_utf32("".join(chunk + " " for chunk in chunks)), config)
         assert chunk_ptr.dtype == chunk_tokens.dtype == np.int64
         bounds = chunk_ptr.tolist()
         got = [[terms[token] for token in chunk_tokens[start:stop].tolist()]
@@ -342,7 +343,7 @@ class TestPreprocessChunks:
         assert terms == list(dict.fromkeys(chain.from_iterable(expected)))
 
     def test_no_chunks(self):
-        terms, chunk_ptr, chunk_tokens = _preprocess_chunks("", default_config())
+        terms, chunk_ptr, chunk_tokens = _preprocess_chunks(_utf32(""), default_config())
         assert (terms, chunk_ptr.tolist(), chunk_tokens.tolist()) == ([], [0], [])
 
 

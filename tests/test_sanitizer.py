@@ -1,7 +1,7 @@
 """The compiled kernels under AddressSanitizer and UndefinedBehaviorSanitizer.
 
-The kernels that read bytes from files that a user passes in are
-scan_chunks, over a corpus's text, and the count loops over its output.
+The kernels that read what a user passes in are scan_chunks, over a
+corpus's code points, and the count loops over its output.
 A child process compiles _gibbs.c with the sanitizers into a temporary
 cache, preloads the ASan runtime and makes Python allocate with malloc,
 so that its bytes objects are checked too, then runs every kernel through
@@ -22,6 +22,9 @@ from lextopic import _gibbs
 from test_vectorize import LETTERS, NEAR_MISSES, WHITESPACE
 
 SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+
+# The first code point past the whitespace bitmap's last word, the last code point, and a surrogate pair.
+BITMAP_EDGES = ["\u3040", "\U0010ffff", "\ud83d\ude00"]
 
 PERSIAN_TOPICS = ["مالیات بودجه درآمد دولت", "دادگاه قاضی حکم تجدیدنظر", "آموزش مدرسه دانشگاه فرهنگ"]
 
@@ -78,7 +81,8 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
                   content=f"{PERSIAN_TOPICS[index % 3]} {PERSIAN_TOPICS[index % 3]} قانون‌ها كشور ي ۱۴۰۰ «ماده» ، و از")
         for index in range(24)
     ])
-    script = CHILD.replace("SANITIZE", repr(SANITIZE)).replace("ALPHABET", repr(WHITESPACE + NEAR_MISSES + LETTERS))
+    alphabet = WHITESPACE + NEAR_MISSES + LETTERS + BITMAP_EDGES
+    script = CHILD.replace("SANITIZE", repr(SANITIZE)).replace("ALPHABET", repr(alphabet))
     source_root = str(Path(lextopic.__file__).resolve().parents[1])
     env = dict(
         os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"), LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",

@@ -360,6 +360,10 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def _code_points(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
 _RECORD_TEXT = st.lists(st.sampled_from(WHITESPACE + NEAR_MISSES + LETTERS), max_size=14).map("".join)
 
 
@@ -368,20 +372,28 @@ class TestChunkScan:
     @given(texts=st.lists(st.one_of(_RECORD_TEXT, st.sampled_from(["", "ab ab", "قانون  مالیات\tقانون"])),
                           max_size=8))
     def test_equals_str_split_with_first_occurrence_ids(self, kernels, texts):
-        encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
-        record_ptr = np.cumsum([0] + [len(part) for part in encoded])
-        occurrences, record_chunks, chunk_bytes = kernels.scan_chunks(b"".join(encoded), record_ptr)
+        record_ptr = np.cumsum([0] + [len(text) for text in texts])
+        occurrences, record_chunks, chunk_codes = kernels.scan_chunks(_code_points("".join(texts)), record_ptr)
         ids: dict[str, int] = {}
         expected = [ids.setdefault(chunk, len(ids)) for text in texts for chunk in text.split()]
         assert occurrences.tolist() == expected
         assert record_chunks.tolist() == [len(text.split()) for text in texts]
-        assert chunk_bytes == "".join(f"{chunk} " for chunk in ids).encode("utf-8", "surrogatepass")
+        assert chunk_codes.tolist() == _code_points("".join(f"{chunk} " for chunk in ids)).tolist()
 
     def test_many_distinct_chunks_grow_the_table(self, kernels):
         text = " ".join(f"w{number % 5000}" for number in range(10000))
-        occurrences, _, chunk_bytes = kernels.scan_chunks(text.encode(), [0, len(text)])
+        occurrences, _, chunk_codes = kernels.scan_chunks(_code_points(text), [0, len(text)])
         assert occurrences.tolist() == list(range(5000)) * 2
-        assert chunk_bytes.decode().split() == text.split()[:5000]
+        assert chunk_codes.tobytes().decode("utf-32-le").split() == text.split()[:5000]
+
+    def test_splits_on_exactly_the_code_points_str_split_does(self, kernels):
+        # Record c is "a", code point c, "b", for every code point in one call.
+        codes = np.arange(sys.maxunicode + 1, dtype=np.uint32)
+        text = np.stack([np.full_like(codes, ord("a")), codes, np.full_like(codes, ord("b"))], axis=1)
+        _, record_chunks, _ = kernels.scan_chunks(text.ravel(), np.arange(0, text.size + 1, 3))
+        splits = np.flatnonzero(record_chunks == 2).tolist()
+        assert splits == [ord(space) for space in WHITESPACE]
+        assert np.count_nonzero(record_chunks == 1) == codes.size - len(splits)
 
     @pytest.mark.parametrize("record_ptr", [[0, 3], [1, 4], [0, 3, 2, 4]])
     def test_rejects_bad_offsets(self, kernels, record_ptr):
@@ -433,8 +445,9 @@ def _reference(corpus, config, min_df, max_df_ratio, on_empty):
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+# The last two are two lone surrogates and the one character that UTF-16 would merge them into.
 WORDS = ["law", "laws", "the", "tax", "taxes", "a", "ab", "کتاب", "کتاب‌ها", "كتابها", "و", "قانون", "x.y",
-         "۱۲۳", "؟", "\ud800x", "ok\x00"]
+         "۱۲۳", "؟", "\ud800x", "ok\x00", "\ud83d\ude00", "\U0001f600"]
 SEPARATORS = [" ", "  ", "\t", "\n", "\u3000", "\u00a0", "\u200b"]
 
 
