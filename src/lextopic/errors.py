@@ -17,12 +17,18 @@ def _quoted(value: object, show: Callable[[object], str] = repr) -> str:
 
     A cut quote keeps the first characters and gives the total length. A
     string is cut by its own characters, any other value by its shown text's.
+    A stand-in replaces the text where show raises ValueError, as str does past Python's int digit limit.
     """
     if isinstance(value, str):
         if len(value) <= _QUOTE_LIMIT:
             return repr(value)
         return f"{value[:_QUOTE_LIMIT]!r}... ({len(value)} characters)"
-    text = show(value)
+    try:
+        text = show(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an int of {value.bit_length():,} bits"
+        return f"a {type(value).__name__} too long to show"
     if len(text) <= _QUOTE_LIMIT:
         return text
     return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
@@ -163,6 +169,11 @@ class AllZero(VectorizeError):
         super().__init__(f"every pseudo-count rounds to zero at scale {scale}")
 
 
+class PseudoCountOverflow(VectorizeError):
+    def __init__(self, scale: float):
+        super().__init__(f"a pseudo-count at scale {scale} reaches 2**63, past what an int64 count holds")
+
+
 # ---------------------------------------------------------------------------
 # lda
 # ---------------------------------------------------------------------------
@@ -202,16 +213,20 @@ class OtherModelVersion(CorruptModel):
 
 
 class EntryOutOfRange(LdaError):
-    def __init__(self, doc: int, term: int, value: object, n_docs: int, n_terms: int,
-                 what: str = "non-negative integer count"):
+    def __init__(self, doc: object, term: object, value: object, n_docs: int, n_terms: int, what: str):
         super().__init__(
-            f"matrix entry (doc {doc}, term {term}) = {_quoted(value, str)} is not a {what} "
-            f"inside a {n_docs} x {n_terms} matrix"
+            f"matrix entry (doc {_quoted(doc, str)}, term {_quoted(term, str)}) = {_quoted(value, str)} "
+            f"is not a {what} inside a {n_docs} x {n_terms} matrix"
         )
 
 
 class MalformedEntries(LdaError):
-    """Entry arrays that are not three 1-d arrays of one length, or out of doc order where a sampler groups them."""
+    """Matrix entries that are not three 1-d arrays of one length, or whose docs fall."""
+
+
+class TooManyTokens(LdaError):
+    def __init__(self, total: int):
+        super().__init__(f"the matrix holds {total} tokens, more than the sampler can hold in memory")
 
 
 class AbsentTopWord(LdaError, ValueError):

@@ -2,13 +2,15 @@
 
 ``fit`` is a loop over one ``_Sampler``, which holds the token slots,
 the count tables, the random stream and the lgamma table of the trace.
-With the compiled kernels of ``_gibbs.c`` the slots and tables are numpy
-arrays that the compiled sweep resamples in place. Without a
-C compiler the sampler runs the pure-Python ``init_assignments`` /
-``gibbs_sweep`` pair on nested lists, which is also the reference the
-compiled path is tested against: both give the same assignments for the
-same seed. Each sweep's trace entry is the collapsed log p(w | z), read
-from the count tables by one numpy path on either sampler, so both record
+The sampler and the scores read a DocTermMatrix's arrays as they are:
+the matrix checked them once, when it was built. With the compiled
+kernels of ``_gibbs.c`` the slots and tables are numpy arrays that the
+compiled sweep resamples in place. Without a C compiler the sampler
+runs the pure-Python ``init_assignments`` / ``gibbs_sweep`` pair on
+nested lists, which is also the reference the compiled path is tested
+against: both give the same assignments for the same seed. Each sweep's
+trace entry is the collapsed log p(w | z), read from the count tables
+by one numpy path on either sampler, so both record
 the same bits. ``perplexity`` uses the compiled ``token_probs`` loop, with
 ``_token_probs`` as its numpy reference and fallback: both give the same
 bits, and both sum the count-weighted logs in one fixed order.
@@ -27,15 +29,15 @@ import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._files import atomic_writer, read_json_object
 from .errors import (
-    AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, MalformedEntries, OtherModelVersion,
-    TooLarge, VocabularyMismatch,
+    AbsentTopWord, CorruptModel, EmptyMatrix, InvalidConfig, OtherModelVersion, TooLarge, TooManyTokens,
+    VocabularyMismatch,
 )
 from .vectorize import DocTermMatrix, Vocabulary
 
@@ -59,6 +61,7 @@ __all__ = [
 MODEL_FORMAT = "lextopic-model"
 MODEL_VERSION = 2
 _ENUMERATION_BOUND = 10**6
+_MAX_TOKENS = np.iinfo(np.intp).max // 8  # numpy makes no int64 array longer than this
 INPUT_MODES = ("counts", "tfidf-pseudo")
 
 
@@ -164,10 +167,9 @@ SETTINGS = (
 class SamplerState:
     """Per-token topic assignments with their running count tables.
 
-    doc_tokens holds the term index of every token slot, expanded from
-    the sparse matrix in (doc, term-sorted) order, so sweep order is
-    deterministic. n_dk, n_kw, n_k, n_d are exact tallies of the
-    assignments at all times.
+    doc_tokens holds the term index of every token slot, expanded from the
+    matrix in entry order, so sweep order is deterministic. n_dk, n_kw,
+    n_k, n_d are exact tallies of the assignments at all times.
     """
 
     doc_tokens: list[list[int]]
@@ -229,19 +231,31 @@ def _term_names(model: LdaModel) -> list[str]:
     return [f"term-{term:0{width}d}" for term in range(n_terms)]
 
 
+def _token_slots(matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """_Sampler's tokens and doc_ptr; a matrix of no tokens raises EmptyMatrix, and one of too many TooManyTokens."""
+    counts = matrix.values
+    if not counts.any():
+        raise EmptyMatrix()
+    # The int64 sum wraps at 2**63; where it might, the counts are summed as Python ints.
+    total = int(counts.sum()) if counts.sum(dtype=np.float64) < 2.0**62 else sum(counts.tolist())
+    if total > _MAX_TOKENS:
+        raise TooManyTokens(total)
+    try:
+        tokens = np.repeat(matrix.terms, counts)
+    except MemoryError:
+        raise TooManyTokens(total) from None
+    first_entries = np.searchsorted(matrix.docs, np.arange(matrix.n_docs + 1))
+    return tokens, np.concatenate(([0], np.cumsum(counts)))[first_entries]
+
+
 def _expand_tokens(matrix: DocTermMatrix) -> list[list[int]]:
-    """Each document's term indices, each repeated by its count, in term order."""
-    docs, terms, counts = _entries(matrix, grouped=True)
-    tokens = np.repeat(terms, counts).tolist()
-    bounds = np.searchsorted(docs, np.arange(matrix.n_docs + 1))
-    token_bounds = np.concatenate(([0], np.cumsum(counts)))[bounds].tolist()
-    return [tokens[start:stop] for start, stop in zip(token_bounds[:-1], token_bounds[1:])]
+    """Each document's term indices, each repeated by its count, in entry order."""
+    tokens, doc_ptr = (array.tolist() for array in _token_slots(matrix))
+    return [tokens[start:stop] for start, stop in zip(doc_ptr[:-1], doc_ptr[1:])]
 
 
 def init_assignments(matrix: DocTermMatrix, config: LdaConfig) -> SamplerState:
     """Assign every token slot a uniform random topic; tally the tables."""
-    if not matrix.values.size:
-        raise EmptyMatrix()
     rng = np.random.default_rng(config.seed)
     doc_tokens = _expand_tokens(matrix)
     assignments = [rng.integers(0, config.n_topics, size=len(tokens)).tolist() for tokens in doc_tokens]
@@ -305,36 +319,6 @@ def _doc_topic_estimate(n_dk: np.ndarray, n_d: np.ndarray, alpha: float) -> np.n
 
 def _topic_word_estimate(n_kw: np.ndarray, n_k: np.ndarray, beta: float) -> np.ndarray:
     return (n_kw + beta) / (n_k[:, None] + n_kw.shape[1] * beta)
-
-
-def _entries(matrix: DocTermMatrix, grouped: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entry docs, terms and counts as int64 arrays, in (doc, term) order.
-
-    An entry outside the matrix or below 0 raises EntryOutOfRange, and so
-    does the first entry of an array whose dtype is not an integer one (the
-    int64 count tables would truncate a float, even a whole one) and an
-    unsigned count that int64 cannot hold. MalformedEntries is raised for
-    ragged or not 1-d arrays and, with grouped (for the samplers), docs that fall.
-    """
-    docs, terms, counts = matrix.docs, matrix.terms, matrix.values
-    shapes = [np.shape(array) for array in (docs, terms, counts)]
-    if len(shapes[0]) != 1 or not shapes[0] == shapes[1] == shapes[2]:
-        first = min(shape[0] if len(shape) == 1 else 0 for shape in shapes)
-        raise MalformedEntries(f"matrix entry {first} is not one number in each of docs, terms and values: {shapes}")
-    bad = (docs < 0) | (docs >= matrix.n_docs) | (terms < 0) | (terms >= matrix.n_terms) | (counts < 0)
-    if not all(np.issubdtype(array.dtype, np.integer) for array in (docs, terms, counts)):
-        bad |= True
-    elif counts.dtype.kind == "u":
-        bad |= counts > np.iinfo(np.int64).max
-    if bad.any():
-        first = int(np.argmax(bad))
-        raise EntryOutOfRange(
-            docs[first].item(), terms[first].item(), counts[first].item(), matrix.n_docs, matrix.n_terms
-        )
-    if grouped and (docs[1:] < docs[:-1]).any():
-        at = int(np.argmax(docs[1:] < docs[:-1])) + 1
-        raise MalformedEntries(f"matrix entry {at} (doc {docs[at]}, term {terms[at]}) follows doc {docs[at - 1]}")
-    return tuple(array.astype(np.int64, copy=False) for array in (docs, terms, counts))
 
 
 def _token_probs(docs: np.ndarray, terms: np.ndarray, doc_topic: np.ndarray, topic_word: np.ndarray) -> np.ndarray:
@@ -421,10 +405,7 @@ class _Sampler:
     """
 
     def __init__(self, matrix: DocTermMatrix, config: LdaConfig):
-        if not matrix.values.size:
-            raise EmptyMatrix()
         self.config = config
-        docs, terms, counts = _entries(matrix, grouped=True)
         self.kernels = _load_kernels()
         if self.kernels is None:
             self.state = init_assignments(matrix, config)
@@ -432,11 +413,9 @@ class _Sampler:
             self.tables = (self.state.n_dk, self.state.n_kw, self.state.n_k, self.state.n_d)
             return
         n_topics, n_terms, n_docs = config.n_topics, matrix.n_terms, matrix.n_docs
-        self.tokens = np.repeat(terms, counts)
-        token_docs = np.repeat(docs, counts)
-        n_d = np.bincount(token_docs, minlength=n_docs)
-        self.doc_ptr = np.zeros(n_docs + 1, dtype=np.int64)
-        np.cumsum(n_d, out=self.doc_ptr[1:])
+        self.tokens, self.doc_ptr = _token_slots(matrix)
+        n_d = np.diff(self.doc_ptr)
+        token_docs = np.repeat(np.arange(n_docs), n_d)
         self.rng = np.random.default_rng(config.seed)
         self.z = self.rng.integers(0, n_topics, size=self.tokens.size)
         self.tables = (
@@ -568,11 +547,7 @@ def exact_posterior(matrix: DocTermMatrix, config: LdaConfig) -> tuple[np.ndarra
 
     log_weights = np.empty(n_states)
     flat_states = product(range(n_topics), repeat=n_slots)
-    slot_offsets = []
-    offset = 0
-    for length in doc_lengths:
-        slot_offsets.append(offset)
-        offset += length
+    doc_ptr = list(accumulate(doc_lengths, initial=0))
 
     def tables_for(flat: tuple) -> tuple[list[list[int]], list[list[int]], list[int]]:
         n_dk = [[0] * n_topics for _ in range(n_docs)]
@@ -585,10 +560,7 @@ def exact_posterior(matrix: DocTermMatrix, config: LdaConfig) -> tuple[np.ndarra
         return n_dk, n_kw, n_k
 
     for index, flat in enumerate(flat_states):
-        per_doc = [
-            list(flat[slot_offsets[doc]: slot_offsets[doc] + doc_lengths[doc]])
-            for doc in range(n_docs)
-        ]
+        per_doc = [list(flat[start:stop]) for start, stop in zip(doc_ptr[:-1], doc_ptr[1:])]
         log_weights[index] = collapsed_log_joint(
             doc_tokens, per_doc, n_topics, n_terms, config.alpha, config.beta
         )
@@ -625,11 +597,10 @@ def perplexity(model: LdaModel, matrix: DocTermMatrix) -> float:
         raise VocabularyMismatch(
             f"matrix has {matrix.n_docs} documents, model expects {model.doc_topic.shape[0]}"
         )
-    if not matrix.values.size:
+    if not matrix.values.any():
         raise EmptyMatrix()
-    docs, terms, counts = _entries(matrix)
-    counts = counts.astype(np.float64)
-    log_lik = _log_likelihood(docs, terms, counts, model.doc_topic, model.topic_word, _load_kernels())
+    counts = matrix.values.astype(np.float64)
+    log_lik = _log_likelihood(matrix.docs, matrix.terms, counts, model.doc_topic, model.topic_word, _load_kernels())
     return float(np.exp(-log_lik / counts.sum()))
 
 
@@ -642,7 +613,6 @@ def coherence_umass(model: LdaModel, matrix: DocTermMatrix, top_m: int = 10) -> 
     """
     if top_m < 2:
         raise ValueError(f"top_m must be >= 2, got {top_m}")
-    docs, terms, _ = _entries(matrix)
     top_terms = [model.top_term_indices(topic, top_m) for topic in range(model.topic_word.shape[0])]
     # Co-document counts of every pair of top words, from a 0/1 incidence
     # matrix over the union of the topics' top words.
@@ -651,9 +621,9 @@ def coherence_umass(model: LdaModel, matrix: DocTermMatrix, top_m: int = 10) -> 
     distinct = np.ones(columns.size, dtype=bool)
     distinct[1:] = columns[1:] != columns[:-1]
     columns = columns[distinct]
-    present = np.isin(terms, columns)
+    present = np.isin(matrix.terms, columns)
     incidence = np.zeros((matrix.n_docs, columns.size))
-    incidence[docs[present], np.searchsorted(columns, terms[present])] = 1.0
+    incidence[matrix.docs[present], np.searchsorted(columns, matrix.terms[present])] = 1.0
     codoc = (incidence.T @ incidence).astype(np.int64).tolist()
     scores = []
     for topic, topic_terms in enumerate(top_terms):

@@ -1,8 +1,7 @@
-"""Vocabulary construction, sparse counts, and TF-IDF weighting."""
+"""Vocabulary construction, sparse counts and TF-IDF weights in matrices that check their entries once, when built."""
 
 from __future__ import annotations
 
-import math
 import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping
@@ -16,7 +15,10 @@ import numpy as np
 from . import preprocess as preprocess_mod
 from ._files import write_csv
 from .corpus import Corpus
-from .errors import AllZero, EmptyDocument, EmptyVocabulary, EntryOutOfRange, MissingYear, NoDocuments
+from .errors import (
+    AllZero, EmptyDocument, EmptyVocabulary, EntryOutOfRange, MalformedEntries, MissingYear, NoDocuments,
+    PseudoCountOverflow,
+)
 from .preprocess import Document, PreprocessConfig
 
 __all__ = [
@@ -45,48 +47,63 @@ class Vocabulary:
         return len(self.terms)
 
 
-class _EntryMatrix:
-    """An n_docs x n_terms sparse matrix stored as entry arrays in (doc, term) order.
+def _outside(array: np.ndarray, low, high, kinds: str = "iu") -> np.ndarray:
+    """True where an entry is not in [low, high], and at every entry of an array whose dtype kind is not in kinds."""
+    if array.dtype.kind not in kinds:
+        return np.ones(array.shape, dtype=bool)
+    return ~((array >= low) & (array <= high))  # nan compares false
 
-    ``docs``, ``terms`` and ``values`` are its one store. ``entries`` is a
-    (docs, terms, values) triple in that order, or a {(doc, term): value}
-    dict, sorted once here. The first dict entry with a key that int64
-    cannot hold, or a value that ``_accepts`` refuses, raises
-    EntryOutOfRange. The dict form is a read-only view built on first access.
+
+class _EntryMatrix:
+    """An n_docs x n_terms sparse matrix stored as entry arrays in doc order.
+
+    ``entries`` is a (docs, terms, values) triple of arrays, or of lists
+    that numpy.asarray converts, checked here once: MalformedEntries for a
+    triple that is not three 1-d arrays of one length in doc order, and
+    EntryOutOfRange at the first doc or term outside the matrix or value
+    outside ``limits``. ``docs``, ``terms`` and ``values`` are then its one
+    store; the dict form is a read-only view built on first access.
     """
 
     dtype = np.int64
     what = "non-negative integer count"
-
-    @staticmethod
-    def _accepts(value) -> bool:  # checked before the int64 cast, which would truncate 1.5 to 1
-        return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and -2**63 <= value < 2**63
+    limits = (0, 2**63 - 1, "iu")  # checked before the int64 cast, which would truncate 1.5 to 1
 
     def __init__(self, n_docs: int, n_terms: int, entries, doc_ids: list[str]):
-        if isinstance(entries, Mapping):
-            for (doc, term), value in entries.items():
-                if not (-2**63 <= doc < 2**63 and -2**63 <= term < 2**63):
-                    raise EntryOutOfRange(doc, term, value, n_docs, n_terms)
-                if not self._accepts(value):
-                    raise EntryOutOfRange(doc, term, value, n_docs, n_terms, self.what)
-            keys = np.fromiter(chain.from_iterable(entries), dtype=np.int64, count=2 * len(entries)).reshape(-1, 2)
-            values = np.fromiter(entries.values(), dtype=self.dtype, count=len(entries))
-            order = np.lexsort((keys[:, 1], keys[:, 0]))
-            entries = keys[order, 0], keys[order, 1], values[order]
+        if not (isinstance(entries, (tuple, list)) and len(entries) == 3):
+            raise MalformedEntries(f"matrix entries are not a (docs, terms, values) triple: {type(entries).__name__}")
+        try:
+            docs, terms, values = arrays = [np.asarray(part) for part in entries]
+        except ValueError as exc:  # a ragged list
+            raise MalformedEntries(f"matrix entries are not three 1-d arrays: {exc}") from None
+        shapes = [array.shape for array in arrays]
+        if len(shapes[0]) != 1 or not shapes[0] == shapes[1] == shapes[2]:
+            first = min(shape[0] if len(shape) == 1 else 0 for shape in shapes)
+            raise MalformedEntries(f"matrix entry {first} is not one number in each of docs, terms and values: "
+                                   f"{shapes}")
+        bad = _outside(docs, 0, n_docs - 1) | _outside(terms, 0, n_terms - 1) | _outside(values, *self.limits)
+        if bad.any():
+            first = int(np.argmax(bad))
+            shown = [array[first : first + 1].tolist()[0] for array in arrays]  # an object array's item has no .item()
+            raise EntryOutOfRange(*shown, n_docs, n_terms, self.what)
+        docs, terms = docs.astype(np.int64, copy=False), terms.astype(np.int64, copy=False)
+        if (docs[1:] < docs[:-1]).any():
+            at = int(np.argmax(docs[1:] < docs[:-1])) + 1
+            raise MalformedEntries(f"matrix entry {at} (doc {docs[at]}, term {terms[at]}) follows doc {docs[at - 1]}")
         self.n_docs, self.n_terms, self.doc_ids = n_docs, n_terms, doc_ids
-        self.docs, self.terms, self.values = entries
+        self.docs, self.terms, self.values = docs, terms, values.astype(self.dtype, copy=False)
 
     def _view(self) -> Mapping[tuple[int, int], int | float]:
         keys = zip(self.docs.tolist(), self.terms.tolist())
         return MappingProxyType(dict(zip(keys, self.values.tolist())))
 
     def entries(self):
-        """(doc, term, value) triples of Python numbers, in (doc, term) order."""
+        """(doc, term, value) triples of Python numbers, in entry order."""
         return zip(self.docs.tolist(), self.terms.tolist(), self.values.tolist())
 
 
 class DocTermMatrix(_EntryMatrix):
-    """Integer (doc, term) counts. A dict count that is not an integer (a float or a bool) raises EntryOutOfRange."""
+    """Integer (doc, term) counts in [0, 2**63), of an integer dtype."""
 
     def __init__(self, n_docs: int, n_terms: int, counts, doc_ids: list[str]):
         super().__init__(n_docs, n_terms, counts, doc_ids)
@@ -95,17 +112,12 @@ class DocTermMatrix(_EntryMatrix):
 
 
 class TfidfMatrix(_EntryMatrix):
-    """Float (doc, term) weights. A dict weight that is not a finite real number raises EntryOutOfRange."""
+    """Float (doc, term) weights, each finite, of an integer or float dtype."""
 
     dtype = np.float64
     what = "finite real weight"
-
-    @staticmethod
-    def _accepts(value) -> bool:
-        if isinstance(value, (float, np.floating)):
-            return math.isfinite(value)
-        return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-                and -sys.float_info.max <= value <= sys.float_info.max)
+    # numpy's float64, so that a float16 array is compared in float64, not to a bound cast to inf.
+    limits = (-np.float64(sys.float_info.max), np.float64(sys.float_info.max), "iuf")
 
     def __init__(self, n_docs: int, n_terms: int, weights, doc_ids: list[str]):
         super().__init__(n_docs, n_terms, weights, doc_ids)
@@ -258,13 +270,14 @@ def idf(matrix: DocTermMatrix) -> np.ndarray:
 def tfidf(matrix: DocTermMatrix, norm: str = "l2") -> TfidfMatrix:
     """weight(d,t) = count(d,t) * idf(t), with optional l2 row norm.
 
-    Row norms are summed over each row's entries in term order.
+    Row norms are summed over each row's entries in entry order.
     """
     if norm not in ("none", "l2"):
         raise ValueError(f"norm must be 'none' or 'l2', got {norm!r}")
     weights = matrix.values * idf(matrix)[matrix.terms]
     if norm == "l2":
         row_norms = np.sqrt(np.bincount(matrix.docs, weights=weights * weights, minlength=matrix.n_docs))
+        row_norms[row_norms == 0.0] = 1.0  # a row of zero counts keeps its zero weights
         weights = weights / row_norms[matrix.docs]
     return TfidfMatrix(
         n_docs=matrix.n_docs,
@@ -275,14 +288,15 @@ def tfidf(matrix: DocTermMatrix, norm: str = "l2") -> TfidfMatrix:
 
 
 def to_pseudo_counts(weights: TfidfMatrix, scale: float = 10.0) -> DocTermMatrix:
-    """Round scale * weight to integers (halves up); zero results dropped.
+    """Round scale * weight to integers (halves up); zero results dropped, and 2**63 or more PseudoCountOverflow.
 
-    Bridges real-valued weights into the integer-count representation
-    the topic sampler consumes.
+    Bridges real-valued weights into the int64 counts the topic sampler consumes.
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     pseudo = np.floor(scale * weights.values + 0.5)
+    if (pseudo >= 2.0**63).any():
+        raise PseudoCountOverflow(scale)
     kept = pseudo > 0
     if not kept.any() and weights.values.size:
         raise AllZero(scale)
@@ -295,7 +309,7 @@ def to_pseudo_counts(weights: TfidfMatrix, scale: float = 10.0) -> DocTermMatrix
 
 
 def save_triplets(matrix, vocab: Vocabulary, path) -> None:
-    """Triplet CSV doc_id,term,value ordered by (doc, term)."""
+    """Triplet CSV doc_id,term,value in entry order."""
     rows = ((matrix.doc_ids[doc], vocab.terms[term], value) for doc, term, value in matrix.entries())
     write_csv(path, ["doc_id", "term", "value"], rows)
 

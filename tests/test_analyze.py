@@ -360,7 +360,7 @@ class TestExports:
         matrix = DocTermMatrix(
             n_docs=3,
             n_terms=3,
-            counts={(0, 0): 2, (0, 1): 1, (1, 2): 2, (2, 0): 1, (2, 2): 1},
+            counts=([0, 0, 1, 2, 2], [0, 1, 2, 0, 2], [2, 1, 2, 1, 1]),
             doc_ids=["d0", "d1", "d2"],
         )
         config = LdaConfig(n_topics=2, alpha=0.5, beta=0.2, sweeps=20, burn_in=5, seed=6)

@@ -240,12 +240,12 @@ def test_model(tmp_path, monkeypatch):
 
 def test_triplets_and_vocabulary(tmp_path):
     vocab = _vocab(["tax", "a,b", "قانون"], [2, 1, 1])
-    counts = DocTermMatrix(2, 3, {(0, 0): 2, (1, 2): 1, (0, 1): 3}, ["d0", "d1"])
+    counts = DocTermMatrix(2, 3, ([0, 0, 1], [0, 1, 2], [2, 3, 1]), ["d0", "d1"])
     save_triplets(counts, vocab, tmp_path / "counts.csv")
     assert _bytes(tmp_path / "counts.csv").decode("utf-8") == (
         'doc_id,term,value\r\nd0,tax,2\r\nd0,"a,b",3\r\nd1,قانون,1\r\n'
     )
-    weights = TfidfMatrix(2, 3, {(0, 0): 1 / 3, (1, 1): 0.1 + 0.2}, ["d0", "d1"])
+    weights = TfidfMatrix(2, 3, ([0, 1], [0, 1], [1 / 3, 0.1 + 0.2]), ["d0", "d1"])
     save_triplets(weights, vocab, tmp_path / "weights.csv")
     assert _bytes(tmp_path / "weights.csv") == (
         b'doc_id,term,value\r\nd0,tax,0.3333333333333333\r\nd1,"a,b",0.30000000000000004\r\n'

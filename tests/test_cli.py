@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,33 @@ class TestFit:
         assert main(args + FIT_FLAGS[:0] + ["--topics", "2", "--sweeps", "20", "--burn-in", "5"]) == 0
         model = json.loads((out / "model.json").read_text(encoding="utf-8"))
         assert model["config"]["input_mode"] == "tfidf-pseudo"
+
+    def _fit_at_scale(self, corpus_path, tmp_path, scale):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"vectorize": {"pseudo_scale": scale}}), encoding="utf-8")
+        args = ["--config", str(config), "fit", "--corpus", corpus_path, "--out", str(tmp_path / "out"),
+                "--mode", "tfidf-pseudo", "--topics", "2", "--sweeps", "2", "--burn-in", "0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's cast of a pseudo-count past int64 warns
+            return main(args)
+
+    def test_pseudo_counts_past_int64_are_a_vectorize_error(self, corpus_path, tmp_path, capsys):
+        assert self._fit_at_scale(corpus_path, tmp_path, 1e30) == 1
+        assert capsys.readouterr().err == (
+            "error [vectorize]: a pseudo-count at scale 1e+30 reaches 2**63, past what an int64 count holds\n"
+        )
+
+    @pytest.mark.parametrize("kernels", ["compiled", "fallback"])
+    def test_a_token_total_the_sampler_cannot_allocate_is_an_lda_error(self, corpus_path, tmp_path, capsys,
+                                                                       monkeypatch, kernels):
+        # Hundreds of TiB of int64 token slots: an allocation that fails at once.
+        if kernels == "fallback":
+            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+        assert self._fit_at_scale(corpus_path, tmp_path, 1e12) == 1
+        err = capsys.readouterr().err
+        total = re.fullmatch(r"error \[lda\]: the matrix holds (\d+) tokens, more than the sampler can hold in memory\n",
+                             err)
+        assert total and 10**13 < int(total[1]) < 2**60
 
 
 class TestAnalyze:

@@ -320,6 +320,10 @@ class TestDateParsing:
         with pytest.raises(MalformedDate):
             parse_record_date(bad)
 
+    def test_a_year_past_the_digit_limit_is_quoted_by_its_type(self):
+        with pytest.raises(MalformedDate, match="^malformed date a dict too long to show$"):
+            parse_record_date({"year": 10**5000, "month": 1, "day": 1})
+
 
 class TestFilterByType:
     def test_mixed_corpus_keeps_matching(self, mixed_corpus):

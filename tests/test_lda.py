@@ -10,8 +10,10 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from conftest import float_from_bits
 from lextopic import _gibbs, lda
 from lextopic.analyze import top_words
 from lextopic.errors import (
-    AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, LdaError, MalformedEntries, TooLarge,
-    VocabularyMismatch,
+    AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, LdaError, LextopicError, MalformedEntries,
+    TooLarge, TooManyTokens, VocabularyMismatch,
 )
 from lextopic.lda import (
     LdaConfig,
@@ -40,19 +42,24 @@ from lextopic.lda import (
     perplexity,
     save_model,
 )
-from lextopic.vectorize import DocTermMatrix, TfidfMatrix, Vocabulary
+from lextopic.vectorize import (
+    DocTermMatrix, TfidfMatrix, Vocabulary, drop_empty_rows, idf, save_triplets, tfidf, to_pseudo_counts,
+)
 from reference import gibbs_conditional, log_p_words
 
 
+def _triple(*entries):
+    """Lists (docs, terms, values) of (doc, term, value) entries, in (doc, term) order."""
+    ordered = sorted(entries)
+    return tuple([entry[part] for entry in ordered] for part in range(3))
+
+
 def matrix_from_tokens(token_lists, n_terms):
-    counts = Counter()
-    for doc, tokens in enumerate(token_lists):
-        for term in tokens:
-            counts[(doc, term)] += 1
+    counts = Counter((doc, term) for doc, tokens in enumerate(token_lists) for term in tokens)
     return DocTermMatrix(
         n_docs=len(token_lists),
         n_terms=n_terms,
-        counts=dict(counts),
+        counts=_triple(*((doc, term, count) for (doc, term), count in counts.items())),
         doc_ids=[f"d{i}" for i in range(len(token_lists))],
     )
 
@@ -137,7 +144,7 @@ class TestInitAssignments:
         assert all(topic == 0 for z_doc in state.assignments for topic in z_doc)
 
     def test_empty_matrix_rejected(self):
-        empty = DocTermMatrix(n_docs=0, n_terms=0, counts={}, doc_ids=[])
+        empty = DocTermMatrix(n_docs=0, n_terms=0, counts=([], [], []), doc_ids=[])
         with pytest.raises(EmptyMatrix):
             init_assignments(empty, LdaConfig(n_topics=2, sweeps=2, burn_in=1))
 
@@ -401,7 +408,7 @@ class TestPerplexity:
 
     def test_empty_matrix_rejected(self):
         model = _uniform_model(n_docs=0, n_terms=5)
-        empty = DocTermMatrix(n_docs=0, n_terms=5, counts={}, doc_ids=[])
+        empty = DocTermMatrix(n_docs=0, n_terms=5, counts=([], [], []), doc_ids=[])
         with pytest.raises(EmptyMatrix):
             perplexity(model, empty)
 
@@ -412,7 +419,7 @@ class TestCoherence:
         matrix = DocTermMatrix(
             n_docs=4,
             n_terms=3,
-            counts={(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 1, (2, 0): 1, (3, 1): 1, (3, 2): 1},
+            counts=([0, 0, 1, 1, 2, 3, 3], [0, 1, 0, 1, 0, 1, 2], [1, 1, 2, 1, 1, 1, 1]),
             doc_ids=["d0", "d1", "d2", "d3"],
         )
         config = LdaConfig(n_topics=2, alpha=1.0, beta=1.0, sweeps=2, burn_in=1)
@@ -435,7 +442,7 @@ class TestCoherence:
         # Terms b, a, c; "b" and "a" tie at 0.25, so the tie goes by name: c, a.
         # Presence: b in d0; a in d1, d2; c in d0, d2.
         matrix = DocTermMatrix(
-            n_docs=3, n_terms=3, counts={(0, 0): 1, (0, 2): 1, (1, 1): 1, (2, 1): 1, (2, 2): 1},
+            n_docs=3, n_terms=3, counts=([0, 0, 1, 2, 2], [0, 2, 1, 1, 2], [1, 1, 1, 1, 1]),
             doc_ids=["d0", "d1", "d2"],
         )
         terms = ["b", "a", "c"]
@@ -468,7 +475,7 @@ class TestCoherence:
         matrix = DocTermMatrix(
             n_docs=4,
             n_terms=3,
-            counts={key: value for key, value in matrix.counts.items() if key[1] != 2},
+            counts=_triple(*((doc, term, count) for doc, term, count in matrix.entries() if term != 2)),
             doc_ids=matrix.doc_ids,
         )
         with pytest.raises(ValueError):
@@ -1142,47 +1149,35 @@ class TestKernelCache:
 
 class TestEntryBounds:
     @pytest.mark.parametrize(
-        "key, count", [((2, 0), 1), ((0, 3), 1), ((-1, 0), 1), ((0, -1), 1), ((1, 1), -2)]
+        "key, count", [((2, 0), 1), ((0, 3), 1), ((-1, 0), 1), ((0, -1), 1), ((1, 1), -2), ((1, 5), 1), ((4, 2), 1)]
     )
     def test_out_of_range_entry_rejected(self, key, count):
-        matrix = DocTermMatrix(n_docs=2, n_terms=3, counts={(0, 1): 2, key: count}, doc_ids=["a", "b"])
-        with pytest.raises(EntryOutOfRange):
-            fit(matrix, LdaConfig(n_topics=2, sweeps=2, burn_in=0))
+        with pytest.raises(EntryOutOfRange, match=rf"^matrix entry \(doc {key[0]}, term {key[1]}\) = {count} is not "):
+            DocTermMatrix(n_docs=2, n_terms=3, counts=_triple((0, 1, 2), (*key, count)), doc_ids=["a", "b"])
 
-    def test_perplexity_rejects_out_of_range_entry(self):
-        matrix = DocTermMatrix(2, 3, {(0, 1): 2, (1, 5): 1}, ["a", "b"])
-        with pytest.raises(EntryOutOfRange):
-            perplexity(_uniform_model(n_docs=2, n_terms=3), matrix)
-
-    def test_coherence_rejects_out_of_range_document(self):
-        matrix = DocTermMatrix(2, 3, {(0, 0): 1, (0, 1): 1, (1, 2): 1, (4, 2): 1}, ["a", "b"])
-        with pytest.raises(EntryOutOfRange):
-            coherence_umass(_uniform_model(n_docs=2, n_terms=3), matrix, top_m=3)
-
-    @pytest.mark.parametrize("kernels", ["compiled", "fallback"])
-    @pytest.mark.parametrize("build, shown", [
-        (lambda: DocTermMatrix(2, 3, (np.array([0, 1]), np.array([0, 2]), np.array([2.0, 1.5])), ["a", "b"]),
-         "(doc 0, term 0) = 2.0"),
-        (lambda: DocTermMatrix(2, 3, {(0, 0): 1.5, (1, 2): True}, ["a", "b"]), "(doc 0, term 0) = 1.5"),
-        (lambda: DocTermMatrix(2, 3, {(0, 0): 2, (1, 2): True}, ["a", "b"]), "(doc 1, term 2) = True"),
-        (lambda: DocTermMatrix(2, 3, {(0, 0): 2, (1, 2): np.float64(1.0)}, ["a", "b"]), "(doc 1, term 2) = 1.0"),
-    ], ids=["float triple", "float in a dict", "bool in a dict", "numpy float in a dict"])
-    def test_a_count_that_is_not_an_integer_is_rejected(self, monkeypatch, kernels, build, shown):
-        if kernels == "fallback":
-            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+    @pytest.mark.parametrize("counts, shown", [
+        (np.array([2.0, 1.5]), "(doc 0, term 0) = 2.0"),
+        ([2, 1.5], "(doc 0, term 0) = 2.0"),
+        ([2, np.float64(1.0)], "(doc 0, term 0) = 2.0"),
+        (np.array([2, 1], dtype=object), "(doc 0, term 0) = 2"),
+    ], ids=["float array", "float in a list", "numpy float in a list", "object array"])
+    def test_a_count_that_is_not_an_integer_is_rejected(self, counts, shown):
+        # A list takes the dtype numpy.asarray gives it; an array of no integer dtype is refused at its first entry.
         message = f"^matrix entry {re.escape(shown)} is not a non-negative integer count inside a 2 x 3 matrix$"
         with pytest.raises(EntryOutOfRange, match=message):
-            fit(build(), LdaConfig(n_topics=2, sweeps=2, burn_in=0))
+            DocTermMatrix(2, 3, ([0, 1], [0, 2], counts), ["a", "b"])
 
     @pytest.mark.parametrize("kernels", ["compiled", "fallback"])
-    @pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "uint8", "uint16", "uint32", "uint64"])
+    @pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "uint8", "uint16", "uint32", "uint64", "list"])
     def test_any_integer_dtype_gives_the_int64_model_and_scores(self, monkeypatch, kernels, dtype):
         if kernels == "fallback":
             monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
         triple = (np.array([0, 0, 1, 2, 2]), np.array([0, 3, 1, 2, 3]), np.array([2, 1, 3, 1, 4]))
         config = LdaConfig(n_topics=2, sweeps=6, burn_in=2, seed=11)
         wide = DocTermMatrix(3, 4, triple, ["a", "b", "c"])
-        narrow = DocTermMatrix(3, 4, tuple(array.astype(dtype) for array in triple), ["a", "b", "c"])
+        given = tuple(array.tolist() if dtype == "list" else array.astype(dtype) for array in triple)
+        narrow = DocTermMatrix(3, 4, given, ["a", "b", "c"])
+        assert all(array.dtype == np.int64 for array in (narrow.docs, narrow.terms, narrow.values))
         model = fit(wide, config)
         assert_same_model(fit(narrow, config), model)
         assert perplexity(model, narrow) == perplexity(model, wide)
@@ -1194,63 +1189,59 @@ class TestEntryBounds:
         triple = [np.array([0, 1]), np.array([1, 0]), np.array([1, 1])]
         triple[position] = triple[position].astype(dtype)
         shown = "(doc {}, term {}) = {}".format(*(array[0].item() for array in triple))
-        matrix = DocTermMatrix(2, 3, tuple(triple), ["a", "b"])
         message = f"^matrix entry {re.escape(shown)} is not a non-negative integer count inside a 2 x 3 matrix$"
         with pytest.raises(EntryOutOfRange, match=message):
-            fit(matrix, LdaConfig(n_topics=2, sweeps=2, burn_in=0))
-        with pytest.raises(EntryOutOfRange, match=message):
-            perplexity(_uniform_model(n_docs=2, n_terms=3), matrix)
+            DocTermMatrix(2, 3, tuple(triple), ["a", "b"])
 
-    @pytest.mark.parametrize("kernels", ["compiled", "fallback"])
-    def test_an_unsigned_count_that_int64_cannot_hold_is_rejected(self, monkeypatch, kernels):
-        if kernels == "fallback":
-            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+    def test_an_unsigned_count_that_int64_cannot_hold_is_rejected(self):
         counts = np.array([1, 2**63], dtype=np.uint64)
-        matrix = DocTermMatrix(2, 3, (np.array([0, 1]), np.array([0, 2]), counts), ["a", "b"])
         with pytest.raises(EntryOutOfRange, match=r"^matrix entry \(doc 1, term 2\) = 9223372036854775808 is not "):
-            fit(matrix, LdaConfig(n_topics=2, sweeps=2, burn_in=0))
+            DocTermMatrix(2, 3, (np.array([0, 1]), np.array([0, 2]), counts), ["a", "b"])
 
-    @pytest.mark.parametrize("build, shown", [
-        (lambda: DocTermMatrix(2, 3, {(2**63, 0): 1}, ["a", "b"]), "(doc 9223372036854775808, term 0) = 1"),
-        (lambda: DocTermMatrix(2, 3, {(0, 2**70): 1}, ["a", "b"]), "(doc 0, term 1180591620717411303424) = 1"),
-        (lambda: DocTermMatrix(2, 3, {(-2**63 - 1, 0): 1}, ["a", "b"]), "(doc -9223372036854775809, term 0) = 1"),
-        (lambda: DocTermMatrix(2, 3, {(0, 0): 2**63}, ["a", "b"]), "(doc 0, term 0) = 9223372036854775808"),
-        (lambda: DocTermMatrix(2, 3, {(0, 0): np.uint64(2**64 - 1)}, ["a", "b"]),
-         "(doc 0, term 0) = 18446744073709551615"),
-        (lambda: DocTermMatrix(2, 3, {(0, 0): 1, (1, 1): 2, (1, 2**64): 3}, ["a", "b"]),
-         "(doc 1, term 18446744073709551616) = 3"),
-        (lambda: TfidfMatrix(2, 3, {(2**63, 0): 0.5}, ["a", "b"]), "(doc 9223372036854775808, term 0) = 0.5"),
-        (lambda: TfidfMatrix(2, 3, {(0, 0): 0.5, (0, -2**64): 2**70}, ["a", "b"]),
-         "(doc 0, term -18446744073709551616) = 1180591620717411303424"),
+    @pytest.mark.parametrize("build, shown, what", [
+        (lambda: DocTermMatrix(2, 3, ([2**63], [0], [1]), ["a", "b"]), "(doc 9223372036854775808, term 0) = 1", ""),
+        (lambda: DocTermMatrix(2, 3, ([0], [2**70], [1]), ["a", "b"]), "(doc 0, term 1180591620717411303424) = 1", ""),
+        (lambda: DocTermMatrix(2, 3, ([-2**63 - 1], [0], [1]), ["a", "b"]), "(doc -9223372036854775809, term 0) = 1",
+         ""),
+        (lambda: DocTermMatrix(2, 3, ([0], [0], [2**63]), ["a", "b"]), "(doc 0, term 0) = 9223372036854775808", ""),
+        (lambda: DocTermMatrix(2, 3, ([0], [0], [np.uint64(2**64 - 1)]), ["a", "b"]),
+         "(doc 0, term 0) = 18446744073709551615", ""),
+        (lambda: DocTermMatrix(2, 3, ([0, 1, 1], np.array([0, 1, 2**63], dtype=np.uint64), [1, 2, 3]), ["a", "b"]),
+         "(doc 1, term 9223372036854775808) = 3", ""),
+        (lambda: TfidfMatrix(2, 3, ([2**63], [0], [0.5]), ["a", "b"]), "(doc 9223372036854775808, term 0) = 0.5",
+         "weight"),
+        (lambda: TfidfMatrix(2, 3, ([0], [-2**64], [2**70]), ["a", "b"]),
+         "(doc 0, term -18446744073709551616) = 1180591620717411303424", "weight"),
     ], ids=["doc 2**63", "term 2**70", "doc below -2**63", "count 2**63", "numpy uint64 count", "a later entry",
             "tf-idf doc 2**63", "tf-idf term -2**64"])
-    def test_a_dict_entry_outside_int64_is_rejected(self, build, shown):
-        message = f"^matrix entry {re.escape(shown)} is not a non-negative integer count inside a 2 x 3 matrix$"
+    def test_a_listed_entry_outside_int64_is_rejected(self, build, shown, what):
+        what = "finite real weight" if what else "non-negative integer count"
+        message = f"^matrix entry {re.escape(shown)} is not a {what} inside a 2 x 3 matrix$"
         with pytest.raises(EntryOutOfRange, match=message):
             build()
 
-    def test_int64_extremes_in_a_dict_are_stored_as_given(self):
-        matrix = DocTermMatrix(2, 3, {(2**63 - 1, -2**63): 2**63 - 1, (0, 0): 1}, ["a", "b"])
-        assert (matrix.docs.tolist(), matrix.terms.tolist(), matrix.values.tolist()) == (
-            [0, 2**63 - 1], [0, -2**63], [1, 2**63 - 1])
-        weights = TfidfMatrix(2, 3, {(0, 1): 2**70}, ["a", "b"])
-        assert weights.values.tolist() == [float(2**70)]
+    def test_int64_extremes_in_a_list_are_stored_as_given(self):
+        matrix = DocTermMatrix(2, 3, ([0, 1], [0, 2], [1, 2**63 - 1]), ["a", "b"])
+        assert (matrix.docs.tolist(), matrix.terms.tolist(), matrix.values.tolist()) == ([0, 1], [0, 2], [1, 2**63 - 1])
+        assert matrix.values.dtype == np.int64
+        weights = TfidfMatrix(2, 3, ([0], [1], [2**64 - 1]), ["a", "b"])
+        assert weights.values.tolist() == [float(2**64 - 1)]
 
-    @pytest.mark.parametrize("kernels", ["compiled", "fallback"])
     @pytest.mark.parametrize("triple, message", [
         ((np.array([0, 1, 1]), np.array([0, 2]), np.array([1, 1, 1])),
          r"^matrix entry 2 is not one number in each of docs, terms and values: \[\(3,\), \(2,\), \(3,\)\]$"),
         ((np.array([[0, 1]]), np.array([[0, 2]]), np.array([[1, 1]])),
          r"^matrix entry 0 is not one number in each of docs, terms and values: \[\(1, 2\), \(1, 2\), \(1, 2\)\]$"),
+        (([[0, 1]], [[0, 2]], [[1, 1]]),
+         r"^matrix entry 0 is not one number in each of docs, terms and values: \[\(1, 2\), \(1, 2\), \(1, 2\)\]$"),
+        (([np.zeros((2, 2)), np.zeros((2, 3))], [0, 1], [1, 1]), r"^matrix entries are not three 1-d arrays: "),
+        ({(0, 0): 1}, r"^matrix entries are not a \(docs, terms, values\) triple: dict$"),
         ((np.array([2, 0, 1, 2, 0, 1]), np.array([0, 1, 2, 1, 2, 0]), np.array([1, 2, 1, 3, 1, 2])),
          r"^matrix entry 1 \(doc 0, term 1\) follows doc 2$"),
-    ], ids=["ragged", "2-d", "docs out of order"])
-    def test_a_triple_the_samplers_would_misread_is_rejected(self, monkeypatch, kernels, triple, message):
-        if kernels == "fallback":
-            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
-        matrix = DocTermMatrix(3, 3, triple, ["a", "b", "c"])
+    ], ids=["ragged", "2-d", "2-d lists", "a list numpy cannot stack", "a dict", "docs out of order"])
+    def test_a_triple_the_samplers_would_misread_is_rejected(self, triple, message):
         with pytest.raises(MalformedEntries, match=message) as raised:
-            fit(matrix, LdaConfig(n_topics=2, sweeps=2, burn_in=0, seed=3))
+            DocTermMatrix(3, 3, triple, ["a", "b", "c"])
         assert isinstance(raised.value, LdaError) and raised.value.module == "lda"
 
     def test_entries_in_doc_order_but_not_term_order_fit_alike_on_both_samplers(self, monkeypatch):
@@ -1260,41 +1251,187 @@ class TestEntryBounds:
         monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
         assert_same_model(fit(DocTermMatrix(3, 4, triple, ["a", "b", "c"]), config), compiled)
 
-    def test_scoring_reads_entries_in_any_doc_order(self):
-        triple = (np.array([1, 0, 1]), np.array([0, 1, 2]), np.array([1, 2, 1]))
-        matrix = DocTermMatrix(2, 3, triple, ["a", "b"])
-        model = _uniform_model(n_docs=2, n_terms=3)
-        assert perplexity(model, matrix) == pytest.approx(3.0)
-        with pytest.raises(MalformedEntries, match="^matrix entry 2 is not one number"):
-            perplexity(model, DocTermMatrix(2, 3, (triple[0], triple[1], triple[2][:2]), ["a", "b"]))
+    def test_scoring_takes_only_entries_in_doc_order(self):
+        with pytest.raises(MalformedEntries, match=r"^matrix entry 1 \(doc 0, term 1\) follows doc 1$"):
+            DocTermMatrix(2, 3, ([1, 0, 1], [0, 1, 2], [1, 2, 1]), ["a", "b"])
+        matrix = DocTermMatrix(2, 3, ([0, 1, 1], [1, 0, 2], [2, 1, 1]), ["a", "b"])
+        assert perplexity(_uniform_model(n_docs=2, n_terms=3), matrix) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("weight", [10**400, "x", None, True, np.bool_(True), float("nan"), float("inf"),
-                                        -float("inf"), np.float64("nan"), 1j, [1.0]])
-    def test_a_dict_weight_that_is_no_finite_real_is_rejected(self, weight):
+                                        -float("inf"), np.float64("nan"), 1j, np.longdouble(2) ** 2000])
+    def test_a_listed_weight_that_is_no_finite_real_is_rejected(self, weight):
         shown = re.escape(str(weight) if not isinstance(weight, str) else repr(weight))
         if isinstance(weight, int) and weight == 10**400:
             shown = re.escape(str(weight)[:80]) + r"\.\.\. \(401 characters\)"
         message = rf"^matrix entry \(doc 1, term 2\) = {shown} is not a finite real weight inside a 2 x 3 matrix$"
         with pytest.raises(EntryOutOfRange, match=message):
-            TfidfMatrix(2, 3, {(0, 0): 0.5, (1, 2): weight}, ["a", "b"])
+            TfidfMatrix(2, 3, ([1], [2], [weight]), ["a", "b"])
 
-    @pytest.mark.parametrize("weight", [0, -3, 2.5, np.float32(0.25), np.int8(-2), np.uint64(2**64 - 1), 2**1000,
+    @pytest.mark.parametrize("weights", [
+        np.array([0.5, np.nan]), np.array([0.5, np.inf], dtype=np.float32), np.array([0.5, -np.inf], dtype=np.float16),
+        np.array([False, True]), np.array([0.5, 1j]), np.array([0.5, np.longdouble(2) ** 2000]), np.array(["0.5", "1"]),
+    ], ids=["nan", "float32 inf", "float16 -inf", "bool", "complex", "longdouble past float64", "str"])
+    def test_a_weight_array_that_is_no_finite_real_is_rejected(self, weights):
+        at = 0 if weights.dtype.kind in "bcU" else 1
+        message = rf"^matrix entry \(doc {at}, term {2 * at}\) = .* is not a finite real weight inside a 2 x 3 matrix$"
+        with pytest.raises(EntryOutOfRange, match=message):
+            TfidfMatrix(2, 3, ([0, 1], [0, 2], weights), ["a", "b"])
+
+    @pytest.mark.parametrize("weight", [0, -3, 2.5, np.float32(0.25), np.int8(-2), np.uint64(2**64 - 1),
                                         -sys.float_info.max])
-    def test_a_finite_real_dict_weight_is_stored_as_float64(self, weight):
-        matrix = TfidfMatrix(2, 3, {(1, 2): weight}, ["a", "b"])
+    def test_a_finite_real_listed_weight_is_stored_as_float64(self, weight):
+        matrix = TfidfMatrix(2, 3, ([1], [2], [weight]), ["a", "b"])
         assert matrix.values.dtype == np.float64 and matrix.values.tolist() == [float(weight)]
 
     def test_a_long_entry_value_is_cut_in_the_message(self):
         with pytest.raises(EntryOutOfRange) as raised:
-            DocTermMatrix(2, 3, {(0, 0): "7" * 100_000}, ["a", "b"])
+            DocTermMatrix(2, 3, ([0], [0], ["7" * 100_000]), ["a", "b"])
         assert str(raised.value) == (
             f"matrix entry (doc 0, term 0) = {'7' * 80!r}... (100000 characters) is not a non-negative integer "
             "count inside a 2 x 3 matrix"
         )
 
-    def test_scoring_rejects_float_counts(self):
-        matrix = DocTermMatrix(2, 3, (np.array([0, 0, 1]), np.array([0, 1, 2]), np.array([1.0, 1.0, 2.5])), ["a", "b"])
-        with pytest.raises(EntryOutOfRange):
-            perplexity(_uniform_model(n_docs=2, n_terms=3), matrix)
-        with pytest.raises(EntryOutOfRange):
-            coherence_umass(_uniform_model(n_docs=2, n_terms=3), matrix, top_m=3)
+    @pytest.mark.parametrize("triple, shown", [
+        ((np.array([0]), np.array([0]), np.array([10**5000], dtype=object)), "(doc 0, term 0) = an int of 16,610 bits"),
+        (([10**5000], [0], [1]), "(doc an int of 16,610 bits, term 0) = 1"),
+        (([0], [-10**5000], [1]), "(doc 0, term an int of 16,610 bits) = 1"),
+    ], ids=["count", "doc", "term"])
+    def test_an_int_past_the_digit_limit_is_named_by_its_size(self, triple, shown):
+        with pytest.raises(EntryOutOfRange) as raised:
+            DocTermMatrix(2, 3, triple, ["a", "b"])
+        assert str(raised.value) == f"matrix entry {shown} is not a non-negative integer count inside a 2 x 3 matrix"
+
+
+class TestTokenTotal:
+    @pytest.mark.parametrize("kernels", ["compiled", "fallback"])
+    @pytest.mark.parametrize("counts, total", [
+        ([2**62, 2**62], 2**63),
+        ([2**63 - 1] * 3, 3 * (2**63 - 1)),
+        ([2**60, 1], 2**60 + 1),
+    ], ids=["a total of 2**63", "a total past 2**64", "a total past numpy's largest int64 array"])
+    def test_a_total_the_sampler_cannot_hold_is_refused(self, monkeypatch, kernels, counts, total):
+        if kernels == "fallback":
+            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+        matrix = DocTermMatrix(len(counts), 1, (list(range(len(counts))), [0] * len(counts), counts),
+                               [f"d{doc}" for doc in range(len(counts))])
+        message = f"^the matrix holds {total} tokens, more than the sampler can hold in memory$"
+        with pytest.raises(TooManyTokens, match=message) as raised:
+            fit(matrix, LdaConfig(n_topics=2, sweeps=1, burn_in=0))
+        assert raised.value.module == "lda"
+
+    @pytest.mark.parametrize("kernels", ["compiled", "fallback"])
+    def test_a_matrix_of_zero_counts_holds_no_tokens(self, monkeypatch, kernels):
+        if kernels == "fallback":
+            monkeypatch.setattr(_gibbs, "load_kernels", lambda: None)
+        matrix = DocTermMatrix(2, 2, ([0, 1], [1, 0], [0, 0]), ["a", "b"])
+        with pytest.raises(EmptyMatrix):
+            fit(matrix, LdaConfig(n_topics=2, sweeps=1, burn_in=0))
+        with pytest.raises(EmptyMatrix):
+            perplexity(_uniform_model(n_docs=2, n_terms=2), matrix)
+
+
+# --- one rule for the entries of every matrix ---------------------------------
+
+_INT_DTYPES = ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64"]
+_FORMS = ["list"] * 4 + ["object"] + _INT_DTYPES + ["float64", "bool"]
+_WILD_ITEMS = st.one_of(
+    st.integers(-1, 4),
+    st.sampled_from([2**62, 2**63 - 1, 2**63, 2**64, -2**63 - 1, 10**5000, -10**5000]),
+    st.floats(), st.booleans(),
+    st.sampled_from([np.int64(1), np.uint64(2**64 - 1), np.float32(0.5), np.float64(np.nan), np.bool_(True), None, "1"]),
+)
+
+
+def _as_form(items, form, flat):
+    """items as a list, or as an array of the form's dtype where it holds them, else of object dtype."""
+    if form == "list":
+        return items if flat else [items]
+    try:
+        with np.errstate(invalid="ignore"):  # nan cast to an integer dtype
+            part = np.array(items, dtype=form)
+    except (OverflowError, TypeError, ValueError):  # a dtype that cannot hold an item
+        part = np.empty(len(items), dtype=object)
+        part[:] = items
+    return part if flat else part.reshape(1, -1)
+
+
+@st.composite
+def _matrices(draw):
+    """(class, n_docs, n_terms, triple): a valid triple, then up to three flaws, each part in a drawn form.
+
+    A flaw is a wild item (a bool, a float, an int past int64, a 5,000-digit
+    int, None), docs out of order, a ragged part or a 2-d one. A form is a
+    list, or an array of int8-uint64, float64, bool or object dtype.
+    """
+    cls = draw(st.sampled_from([DocTermMatrix, TfidfMatrix]))
+    n_docs, n_terms, length = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    docs = sorted(draw(st.lists(st.integers(0, max(n_docs - 1, 0)), min_size=length, max_size=length)))
+    terms = draw(st.lists(st.integers(0, n_terms - 1), min_size=length, max_size=length))
+    values = draw(st.lists(st.integers(0, 5) if cls is DocTermMatrix else st.floats(0, 2),
+                           min_size=length, max_size=length))
+    parts, flat = [docs, terms, values], [True] * 3
+    for flaw in draw(st.lists(st.sampled_from(["item", "item", "order", "ragged", "2-d"]), max_size=3)):
+        part = draw(st.integers(0, 2))
+        if flaw == "item" and parts[part]:
+            parts[part][draw(st.integers(0, len(parts[part]) - 1))] = draw(_WILD_ITEMS)
+        elif flaw == "order":
+            parts[0] = draw(st.permutations(parts[0]))
+        elif flaw == "ragged" and parts[part]:
+            parts[part] = parts[part][:-1]
+        elif flaw == "2-d":
+            flat[part] = False
+    triple = tuple(_as_form(items, draw(st.sampled_from(_FORMS)), flat[part]) for part, items in enumerate(parts))
+    return cls, n_docs, n_terms, triple
+
+
+def _only_lextopic_errors(call):
+    try:
+        return call()
+    except LextopicError:
+        return None
+
+
+class TestOneEntryRule:
+    @settings(max_examples=300, deadline=None)
+    @given(_matrices())
+    def test_a_triple_builds_a_checked_matrix_or_raises_an_entry_error(self, tmp_path_factory, drawn):
+        cls, n_docs, n_terms, triple = drawn
+        doc_ids = [f"d{doc}" for doc in range(n_docs)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                matrix = cls(n_docs, n_terms, triple, doc_ids)
+            except (EntryOutOfRange, MalformedEntries):
+                return
+            given_items = [np.asarray(part, dtype=object).tolist() for part in triple]
+            number = int if cls is DocTermMatrix else float
+            assert [matrix.docs.tolist(), matrix.terms.tolist(), matrix.values.tolist()] == [
+                list(map(int, given_items[0])), list(map(int, given_items[1])), list(map(number, given_items[2]))]
+            assert [array.dtype for array in (matrix.docs, matrix.terms, matrix.values)] == [
+                np.int64, np.int64, np.int64 if cls is DocTermMatrix else np.float64]
+            assert all(array.ndim == 1 for array in (matrix.docs, matrix.terms, matrix.values))
+            assert ((0 <= matrix.docs) & (matrix.docs < n_docs) & (0 <= matrix.terms) & (matrix.terms < n_terms)).all()
+            assert (np.diff(matrix.docs) >= 0).all()
+            assert np.isfinite(matrix.values).all() and (cls is TfidfMatrix or (matrix.values >= 0).all())
+            self._downstream(matrix, tmp_path_factory.mktemp("triplets") / "entries.csv")
+
+    @staticmethod
+    def _downstream(matrix, path):
+        """Every function that reads a matrix, each of which may raise only LextopicErrors."""
+        vocab = Vocabulary([f"t{term}" for term in range(matrix.n_terms)], {}, [1] * matrix.n_terms)
+        _only_lextopic_errors(lambda: save_triplets(matrix, vocab, path))
+        if isinstance(matrix, TfidfMatrix):
+            _only_lextopic_errors(lambda: to_pseudo_counts(matrix))
+            return
+        _only_lextopic_errors(lambda: idf(matrix))
+        for norm in ("l2", "none"):
+            _only_lextopic_errors(lambda: to_pseudo_counts(tfidf(matrix, norm)))
+        _only_lextopic_errors(lambda: drop_empty_rows(matrix))
+        total = sum(matrix.values.tolist())
+        if total <= 1000 or total > lda._MAX_TOKENS:  # no test asks for an allocation that could succeed
+            for kernels in (_gibbs.load_kernels, lambda: None):
+                with patch.object(_gibbs, "load_kernels", kernels):
+                    _only_lextopic_errors(lambda: fit(matrix, LdaConfig(n_topics=2, sweeps=1, burn_in=0)))
+        model = _uniform_model(matrix.n_docs, matrix.n_terms)
+        _only_lextopic_errors(lambda: perplexity(model, matrix))
+        _only_lextopic_errors(lambda: coherence_umass(model, matrix, top_m=2))

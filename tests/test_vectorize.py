@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import logging
 import math
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -17,12 +18,15 @@ from hypothesis import strategies as st
 from conftest import make_record
 from lextopic import _gibbs
 from lextopic.corpus import Corpus, LawType, load_corpus
-from lextopic.errors import AllZero, EmptyDocument, EmptyVocabulary, MissingYear, NoDocuments
+from lextopic.errors import (
+    AllZero, EmptyDocument, EmptyVocabulary, EntryOutOfRange, MissingYear, NoDocuments, PseudoCountOverflow,
+)
 from lextopic.preprocess import (
     Document, LemmaRules, PreprocessConfig, default_config, preprocess_corpus, preprocess_document,
 )
 from lextopic.vectorize import (
     DocTermMatrix,
+    TfidfMatrix,
     Vocabulary,
     build_vocabulary,
     count_corpus,
@@ -166,6 +170,10 @@ class TestTfidf:
         with pytest.raises(ValueError):
             tfidf(matrix, norm="l1")
 
+    def test_a_row_of_zero_counts_keeps_zero_weights(self):
+        matrix = DocTermMatrix(2, 2, ([0, 1], [0, 1], [0, 3]), ["a", "b"])
+        assert tfidf(matrix, norm="l2").values.tolist() == [0.0, 1.0]
+
     @given(st.integers(min_value=2, max_value=5))
     def test_duplicating_every_token_scales_raw_but_not_l2(self, k):
         base = [["a", "a", "b"], ["b", "c"]]
@@ -208,6 +216,14 @@ class TestPseudoCounts:
         weighted = tfidf(count_matrix(docs, vocab), norm="l2")
         with pytest.raises(AllZero):
             to_pseudo_counts(weighted, scale=0.1)
+
+    def test_a_pseudo_count_past_int64_raises_naming_the_scale(self):
+        weights = TfidfMatrix(2, 2, ([0, 1], [0, 1], [0.25, 1.0]), ["a", "b"])
+        below = 2.0**63 - 1024  # the largest float64 below 2**63
+        assert to_pseudo_counts(weights, below).values.tolist() == [2**61 - 256, 2**63 - 1024]
+        for scale in (2.0**63, 1e30, math.inf):
+            with pytest.raises(PseudoCountOverflow, match=rf"^a pseudo-count at scale {re.escape(str(scale))} reaches 2"):
+                to_pseudo_counts(weights, scale)
 
 
 class TestExports:
@@ -300,7 +316,9 @@ class TestEntryArraysMatchReference:
         counts = reference_counts(docs, vocab)
         assert matrix.counts == counts
         assert list(matrix.entries()) == sorted((d, t, c) for (d, t), c in counts.items())
-        rebuilt = DocTermMatrix(n_docs, n_terms, counts, matrix.doc_ids)
+        ordered = sorted(counts.items())
+        triple = ([doc for (doc, _), _ in ordered], [term for (_, term), _ in ordered], [n for _, n in ordered])
+        rebuilt = DocTermMatrix(n_docs, n_terms, triple, matrix.doc_ids)
         for name in ("docs", "terms", "values"):
             assert np.array_equal(getattr(rebuilt, name), getattr(matrix, name))
         assert np.array_equal(idf(matrix), reference_idf(counts, n_docs, n_terms))
@@ -562,13 +580,26 @@ class TestCountCorpus:
         assert preprocess_corpus(corpus, config) == [preprocess_document(record, config) for record in corpus.records]
 
 
+class TestEntryCheck:
+    @pytest.mark.parametrize("triple, shown", [
+        (([0], [-1], [1]), "(doc 0, term -1) = 1"),
+        (([0, 3], [0, 1], [1, 1]), "(doc 3, term 1) = 1"),
+        (([0], [5], [1]), "(doc 0, term 5) = 1"),
+    ], ids=["a negative term, which idf read", "a doc past n_docs, which drop_empty_rows read",
+            "a term past n_terms, which tfidf read"])
+    def test_an_entry_outside_the_matrix_is_refused_before_any_function_reads_it(self, triple, shown):
+        message = f"^matrix entry {re.escape(shown)} is not a non-negative integer count inside a 1 x 2 matrix$"
+        with pytest.raises(EntryOutOfRange, match=message):
+            DocTermMatrix(1, 2, triple, ["a"])
+
+
 class TestDropEmptyRows:
     def test_rows_renumbered_in_order(self):
-        matrix = DocTermMatrix(4, 3, {(0, 1): 2, (2, 0): 1, (2, 2): 3}, ["a", "b", "c", "d"])
+        matrix = DocTermMatrix(4, 3, ([0, 2, 2], [1, 0, 2], [2, 1, 3]), ["a", "b", "c", "d"])
         kept = drop_empty_rows(matrix)
         assert (kept.n_docs, kept.n_terms, kept.doc_ids) == (2, 3, ["a", "c"])
         assert list(kept.entries()) == [(0, 1, 2), (1, 0, 1), (1, 2, 3)]
 
     def test_no_empty_row_returns_the_matrix(self):
-        matrix = DocTermMatrix(2, 2, {(0, 1): 2, (1, 0): 1}, ["a", "b"])
+        matrix = DocTermMatrix(2, 2, ([0, 1], [1, 0], [2, 1]), ["a", "b"])
         assert drop_empty_rows(matrix) is matrix
