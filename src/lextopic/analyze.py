@@ -8,8 +8,8 @@ import numpy as np
 
 from ._files import read_json_object, write_csv, write_json
 from .corpus import Corpus
-from .errors import AlignmentMismatch, MalformedLabels, UnknownTopicId
-from .lda import LdaModel, _term_names
+from .errors import AlignmentMismatch, MalformedLabels, UnknownTopicId, VocabularyMismatch, _quoted
+from .lda import LdaModel, _check_shapes, _term_names
 from .trends import PER_TOPIC, PER_YEAR, TrendTable, build_trend_table, year_table
 
 __all__ = [
@@ -42,16 +42,14 @@ def dominant_topic(theta) -> int | np.ndarray:
 
 
 def _check_alignment(model: LdaModel, corpus: Corpus) -> None:
+    _check_shapes(model, AlignmentMismatch)
     record_ids = [record.id for record in corpus.records]
     if len(record_ids) != len(model.doc_ids):
-        raise AlignmentMismatch(
-            f"corpus has {len(record_ids)} records, model has {len(model.doc_ids)} documents"
-        )
+        raise AlignmentMismatch(f"corpus has {len(record_ids)} records, model has {len(model.doc_ids)} documents")
     for position, (record_id, doc_id) in enumerate(zip(record_ids, model.doc_ids)):
         if record_id != doc_id:
-            raise AlignmentMismatch(
-                f"position {position}: corpus record {record_id!r} vs model document {doc_id!r}"
-            )
+            raise AlignmentMismatch(f"position {position}: corpus record {_quoted(record_id)} "
+                                    f"vs model document {_quoted(doc_id)}")
 
 
 def _topic_labels(n_topics: int, labels: dict[int, str] | None) -> list[str]:
@@ -100,7 +98,8 @@ def top_words(model: LdaModel, topic_id: int, n: int) -> list[tuple[str, float]]
     if not 0 <= topic_id < n_topics:
         raise UnknownTopicId(topic_id)
     if not 1 <= n <= n_terms:
-        raise ValueError(f"n must be in [1, {n_terms}], got {n}")
+        raise ValueError(f"n must be in [1, {n_terms}], got {_quoted(n, str)}")
+    _check_shapes(model, VocabularyMismatch)
     names, row = _term_names(model), model.topic_word[topic_id]
     return [(names[term], float(row[term])) for term in model.top_term_indices(topic_id, n)]
 
@@ -120,7 +119,7 @@ def load_labels(path) -> dict[int, str]:
         try:
             label.encode("utf-8")
         except UnicodeEncodeError:
-            raise MalformedLabels(path, f"the label of topic {topic} is not UTF-8 text") from None
+            raise MalformedLabels(path, f"the label of topic {_quoted(topic, str)} is not UTF-8 text") from None
     return labels
 
 
@@ -137,10 +136,10 @@ def label_topics(
 
 
 def wordcloud_weights(model: LdaModel, topic_id: int, n: int) -> list[tuple[str, float]]:
-    """top_words rescaled so the heaviest term weighs exactly 1.0."""
+    """top_words rescaled so the heaviest term weighs exactly 1.0; every word of a topic whose peak is 0 weighs 0.0."""
     pairs = top_words(model, topic_id, n)
     peak = pairs[0][1]
-    return [(term, probability / peak) for term, probability in pairs]
+    return [(term, probability / peak if peak else 0.0) for term, probability in pairs]
 
 
 # --- deterministic file exports ---------------------------------------------

@@ -14,7 +14,6 @@ The lda rows are lda.SETTINGS, by which LdaConfig checks its own fields.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -26,7 +25,7 @@ from . import lda as lda_mod
 from . import preprocess as preprocess_mod
 from . import vectorize as vectorize_mod
 from ._files import read_json_object, write_csv, write_json
-from .errors import AlignmentMismatch, EmptyContent, InvalidConfig, LextopicError
+from .errors import AlignmentMismatch, EmptyContent, InvalidConfig, LextopicError, _as_json, _quoted
 from .lda import AT_LEAST_1, POSITIVE, Limit, Setting
 
 __all__ = ["RunConfig", "SETTINGS", "main"]
@@ -89,12 +88,10 @@ def _file_values(payload: dict) -> dict[tuple[str, ...], object]:
         elif isinstance(value, dict):
             values.update(((name, key), item) for key, item in value.items())
         else:
-            raise InvalidConfig(f"{name} must be an object, got {json.dumps(value)}")
+            raise InvalidConfig(f"{name} must be an object, got {_quoted(value, _as_json)}")
     for path in values:
         if path not in _BY_PATH:
-            # A lone surrogate in the key is shown as its escape, as stderr would write it.
-            key = ".".join(path).encode("utf-8", "backslashreplace").decode("utf-8")
-            raise InvalidConfig(f"unknown config key {key}")
+            raise InvalidConfig(f"unknown config key {_quoted('.'.join(path))}")
     return values
 
 
@@ -206,7 +203,7 @@ def _align_corpus(corpus: corpus_mod.Corpus, model: lda_mod.LdaModel) -> corpus_
     for doc_id in model.doc_ids:
         record = by_id.get(doc_id)
         if record is None:
-            raise AlignmentMismatch(f"model document {doc_id!r} not found in the corpus")
+            raise AlignmentMismatch(f"model document {_quoted(doc_id)} not found in the corpus")
         records.append(record)
     return corpus_mod.Corpus(records)
 
@@ -301,12 +298,12 @@ def _parse_k_grid(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise InvalidConfig(f"--k-grid expects comma-separated integers, got {text!r}") from None
+        raise InvalidConfig(f"--k-grid expects comma-separated integers, got {_quoted(text)}") from None
     if not values:
         raise InvalidConfig("--k-grid is empty")
     limit = _BY_PATH[("lda", "n_topics")].limit
     if not all(limit.holds(value) for value in values) or len(set(values)) < len(values):
-        raise InvalidConfig(f"--k-grid expects distinct topic counts {limit.text}, got {text!r}")
+        raise InvalidConfig(f"--k-grid expects distinct topic counts {limit.text}, got {_quoted(text)}")
     return values
 
 
@@ -347,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep(config, _parse_k_grid(args.k_grid))
         if args.command == "analyze":
             return cmd_analyze(config, args.model)
-        raise InvalidConfig(f"unknown command {args.command!r}")
+        raise InvalidConfig(f"unknown command {_quoted(args.command)}")
     except LextopicError as exc:
         print(f"error [{exc.module}]: {exc}", file=sys.stderr)
         return 1

@@ -21,15 +21,8 @@ import numpy as np
 
 from ._files import atomic_writer, decode_json
 from .errors import (
-    DuplicateId,
-    EmptyContent,
-    InvalidConfig,
-    MalformedDate,
-    MalformedRow,
-    MissingField,
-    StructureMismatch,
-    UndecodableCorpus,
-    UnknownLawType,
+    DuplicateId, EmptyContent, InvalidConfig, MalformedDate, MalformedRow, MissingField, StructureMismatch,
+    UndecodableCorpus, UnknownLawType, _quoted,
 )
 from .jalali import jalali_to_gregorian_year
 from .trends import PER_YEAR, TrendTable, year_table
@@ -340,7 +333,7 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
     """
     path = Path(path)
     if format not in ("jsonl", "csv"):
-        raise ValueError(f"unknown corpus format {format!r}")
+        raise ValueError(f"unknown corpus format {_quoted(format)}")
     records: list[LawRecord] = []
     seen_ids: set = set()
     law_types: dict = {}
@@ -431,7 +424,7 @@ def save_corpus(corpus: Corpus, path, format: str = "jsonl") -> None:
                     payload[name] = json.dumps(payload[name], ensure_ascii=False)
                 writer.writerow(payload)
     else:
-        raise ValueError(f"unknown corpus format {format!r}")
+        raise ValueError(f"unknown corpus format {_quoted(format)}")
 
 
 # --- saved detail pages ----------------------------------------------------
@@ -573,7 +566,7 @@ class SynthConfig:
     def __post_init__(self):
         for name in ("n_docs", "n_topics", "vocab_size", "doc_length"):
             if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise InvalidConfig(f"{name} must be >= 1, got {_quoted(getattr(self, name), str)}")
         if self.alpha <= 0 or self.beta <= 0:
             raise InvalidConfig("alpha and beta must be positive")
         if not self.years:

@@ -1,7 +1,10 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one rule by which a message shows an input value.
 
 Every error names the pipeline stage it originated from via the class
 attribute ``module``, so the CLI can report module-qualified failures.
+A value from a file, a flag or a library argument enters a message only
+through ``_quoted``, shown by repr (ids, flag text), ``_as_json`` (config
+values, dict dates) or str (numbers): see README's "Error messages".
 """
 
 from __future__ import annotations
@@ -13,25 +16,22 @@ _QUOTE_LIMIT = 80
 
 
 def _quoted(value: object, show: Callable[[object], str] = repr) -> str:
-    """repr(value) for a string, else show(value); cut past _QUOTE_LIMIT characters.
+    """show(value), cut past _QUOTE_LIMIT characters.
 
     A cut quote keeps the first characters and gives the total length. A
-    string is cut by its own characters, any other value by its shown text's.
+    string is cut by its own characters before show, any other value by its shown text's.
     A stand-in replaces the text where show raises ValueError, as str does past Python's int digit limit.
     """
     if isinstance(value, str):
-        if len(value) <= _QUOTE_LIMIT:
-            return repr(value)
-        return f"{value[:_QUOTE_LIMIT]!r}... ({len(value)} characters)"
+        text = show(value[:_QUOTE_LIMIT])
+        return text if len(value) <= _QUOTE_LIMIT else f"{text}... ({len(value)} characters)"
     try:
         text = show(value)
     except ValueError:
         if isinstance(value, int):
             return f"an int of {value.bit_length():,} bits"
         return f"a {type(value).__name__} too long to show"
-    if len(text) <= _QUOTE_LIMIT:
-        return text
-    return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
+    return text if len(text) <= _QUOTE_LIMIT else f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
 def _as_json(value: object) -> str:
@@ -65,7 +65,7 @@ class MissingField(CorpusError):
     def __init__(self, row: int, field: str):
         self.row = row
         self.field = field
-        super().__init__(f"row {row}: missing or empty required field {field!r}")
+        super().__init__(f"row {row}: missing or empty required field {_quoted(field)}")
 
 
 class DuplicateId(CorpusError):
@@ -73,7 +73,7 @@ class DuplicateId(CorpusError):
         self.record_id = record_id
         self.row = row
         where = f"row {row}: " if row is not None else ""
-        super().__init__(f"{where}duplicate record id {record_id!r}")
+        super().__init__(f"{where}duplicate record id {_quoted(record_id)}")
 
 
 class UnknownLawType(CorpusError):
@@ -89,7 +89,7 @@ class MalformedDate(CorpusError):
         self.raw = raw
         self.row = row
         where = f"row {row}: " if row is not None else ""
-        super().__init__(f"{where}malformed date {_quoted(raw, _as_json)}")
+        super().__init__(f"{where}malformed date {_quoted(raw, repr if isinstance(raw, str) else _as_json)}")
 
 
 class MalformedRow(CorpusError):
@@ -111,13 +111,13 @@ class UndecodableCorpus(CorpusError):
 class StructureMismatch(CorpusError):
     def __init__(self, selector: str):
         self.selector = selector
-        super().__init__(f"required page region {selector!r} not found")
+        super().__init__(f"required page region {_quoted(selector)} not found")
 
 
 class EmptyContent(CorpusError):
     def __init__(self, record_id: str):
         self.record_id = record_id
-        super().__init__(f"record {record_id!r} has empty content")
+        super().__init__(f"record {_quoted(record_id)} has empty content")
 
 
 class InvalidConfig(LextopicError):
@@ -135,7 +135,7 @@ class PreprocessError(LextopicError):
 class EmptyDocument(PreprocessError):
     def __init__(self, record_id: str):
         self.record_id = record_id
-        super().__init__(f"record {record_id!r} yields no tokens after preprocessing")
+        super().__init__(f"record {_quoted(record_id)} yields no tokens after preprocessing")
 
 
 class UndecodableWordList(PreprocessError):
@@ -214,14 +214,13 @@ class OtherModelVersion(CorruptModel):
 
 class EntryOutOfRange(LdaError):
     def __init__(self, doc: object, term: object, value: object, n_docs: int, n_terms: int, what: str):
-        super().__init__(
-            f"matrix entry (doc {_quoted(doc, str)}, term {_quoted(term, str)}) = {_quoted(value, str)} "
-            f"is not a {what} inside a {n_docs} x {n_terms} matrix"
-        )
+        doc, term, value = (_quoted(item, repr if isinstance(item, str) else str) for item in (doc, term, value))
+        super().__init__(f"matrix entry (doc {doc}, term {term}) = {value} is not a {what} "
+                         f"inside a {n_docs} x {n_terms} matrix")
 
 
 class MalformedEntries(LdaError):
-    """Matrix entries that are not three 1-d arrays of one length, or whose docs fall."""
+    """Matrix entries that are not three 1-d arrays of one length, whose docs fall, or with not one id per doc."""
 
 
 class TooManyTokens(LdaError):
@@ -257,13 +256,13 @@ class AlignmentMismatch(AnalyzeError):
 class MissingYear(AnalyzeError):
     def __init__(self, record_id: str):
         self.record_id = record_id
-        super().__init__(f"record {record_id!r} has no derivable year")
+        super().__init__(f"record {_quoted(record_id)} has no derivable year")
 
 
 class UnknownTopicId(AnalyzeError):
     def __init__(self, topic_id: int):
         self.topic_id = topic_id
-        super().__init__(f"label references topic id {topic_id} outside the model")
+        super().__init__(f"label references topic id {_quoted(topic_id, str)} outside the model")
 
 
 class MalformedLabels(AnalyzeError):

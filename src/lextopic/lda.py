@@ -37,7 +37,7 @@ import numpy as np
 from ._files import atomic_writer, read_json_object
 from .errors import (
     AbsentTopWord, CorruptModel, EmptyMatrix, InvalidConfig, OtherModelVersion, TooLarge, TooManyTokens,
-    VocabularyMismatch,
+    VocabularyMismatch, _as_json, _quoted,
 )
 from .vectorize import DocTermMatrix, Vocabulary
 
@@ -108,11 +108,7 @@ class Setting:
             and (not self.choices or value in self.choices)
             and (self.limit is None or self.limit.holds(value))
         ):
-            try:
-                shown = json.dumps(value, default=repr)
-            except (ValueError, RecursionError):  # a 5,000-digit integer, a list that holds itself
-                shown = f"a {type(value).__name__}"
-            raise InvalidConfig(f"{self.key} must be {self.describe()}, got {shown}")
+            raise InvalidConfig(f"{self.key} must be {self.describe()}, got {_quoted(value, _as_json)}")
         return value
 
 
@@ -140,7 +136,8 @@ class LdaConfig:
                 value = 50 / self.n_topics  # classic heuristic: total document-topic mass of 50
             setattr(self, name, setting.check(value))
         if self.burn_in >= self.sweeps:
-            raise InvalidConfig(f"lda.burn_in must be < lda.sweeps ({self.sweeps}), got {self.burn_in}")
+            raise InvalidConfig(
+                f"lda.burn_in must be < lda.sweeps ({_quoted(self.sweeps, str)}), got {_quoted(self.burn_in, str)}")
 
 
 _FIELDS = {field.name: field.default for field in fields(LdaConfig)}
@@ -220,6 +217,19 @@ class LdaModel:
         names = _term_names(self)
         candidates = np.flatnonzero(row >= np.partition(row, cut)[cut]).tolist()
         return sorted(candidates, key=lambda term: (-row[term], names[term]))[:top_m]
+
+
+def _check_shapes(model: LdaModel, error: Callable[[str], Exception]) -> None:
+    """Raise error(detail) unless θ, φ and the vocabulary fit the doc_ids and the topic count."""
+    n_docs, n_topics, n_terms = len(model.doc_ids), model.config.n_topics, model.topic_word.shape[-1]
+    found = [model.doc_topic.shape, model.topic_word.shape]
+    wanted = [(n_docs, n_topics), (n_topics, n_terms)]
+    if model.vocab is not None:
+        found.append((len(model.vocab.terms), len(model.vocab.df)))
+        wanted.append((n_terms, n_terms))
+    if found != wanted:
+        raise error(f"shapes of doc_topic, topic_word and vocabulary terms/df {found} are not {wanted}, "
+                    f"as {n_docs} doc_ids and {n_topics} topics require")
 
 
 def _term_names(model: LdaModel) -> list[str]:
@@ -612,7 +622,7 @@ def coherence_umass(model: LdaModel, matrix: DocTermMatrix, top_m: int = 10) -> 
     and w_j is the lower-ranked word. Higher is more coherent.
     """
     if top_m < 2:
-        raise ValueError(f"top_m must be >= 2, got {top_m}")
+        raise ValueError(f"top_m must be >= 2, got {_quoted(top_m, str)}")
     top_terms = [model.top_term_indices(topic, top_m) for topic in range(model.topic_word.shape[0])]
     # Co-document counts of every pair of top words, from a 0/1 incidence
     # matrix over the union of the topics' top words.
@@ -658,8 +668,10 @@ def save_model(model: LdaModel, path) -> None:
 
     The trace is a list of floats, whose repr round-trips. The text is
     built whole before the file is opened, then written beside path and
-    renamed over it: a failed save leaves the old file.
+    renamed over it: a failed save leaves the old file. A model whose shapes
+    load_model would reject raises CorruptModel, and nothing is written.
     """
+    _check_shapes(model, lambda detail: CorruptModel(path, detail))
     text = json.dumps({
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -689,8 +701,7 @@ def load_model(path) -> LdaModel:
     except KeyError as exc:
         raise CorruptModel(path, f"missing key {exc}") from None
     except (IndexError, InvalidConfig, TypeError, ValueError) as exc:
-        # A JSON escape can put a lone surrogate in a config key that a TypeError names; stderr cannot print it.
-        raise CorruptModel(path, str(exc).encode("utf-8", "backslashreplace").decode("utf-8")) from None
+        raise CorruptModel(path, str(exc)) from None
 
 
 def _float_table(payload: dict, name: str) -> np.ndarray:
@@ -736,26 +747,23 @@ def _model_from_payload(payload: dict) -> LdaModel:
             df=_list_of(payload["vocabulary"]["df"], int, "vocabulary df"),
         )
     topic_word = _float_table(payload, "topic_word")
-    n_terms = topic_word.shape[-1]
-    if payload["vocabulary_hash"] != _vocab_hash(vocab, n_terms):
+    if payload["vocabulary_hash"] != _vocab_hash(vocab, topic_word.shape[-1]):
         raise VocabularyMismatch("stored vocabulary hash does not match stored vocabulary")
+    config = payload["config"]
+    if type(config) is not dict:
+        raise ValueError("config is not an object")
+    unknown = [key for key in config if key not in _FIELDS]
+    if unknown:
+        raise ValueError(f"unknown config key {_quoted(unknown[0])}")
     model = LdaModel(
-        config=LdaConfig(**payload["config"]),
+        config=LdaConfig(**config),
         doc_topic=_float_table(payload, "doc_topic"),
         topic_word=topic_word,
         doc_ids=_list_of(payload["doc_ids"], str, "doc_ids"),
         log_likelihood=_list_of(payload["log_likelihood"], float, "log_likelihood"),
         vocab=vocab,
     )
-    n_docs, n_topics = len(model.doc_ids), model.config.n_topics
-    found = [model.doc_topic.shape, topic_word.shape]
-    wanted = [(n_docs, n_topics), (n_topics, n_terms)]
-    if vocab is not None:
-        found.append((len(vocab.terms), len(vocab.df)))
-        wanted.append((n_terms, n_terms))
-    if found != wanted:
-        raise ValueError(f"shapes of doc_topic, topic_word and vocabulary terms/df {found} are not {wanted}, "
-                         f"as {n_docs} doc_ids and {n_topics} topics require")
+    _check_shapes(model, ValueError)
     for name in ("doc_topic", "topic_word"):
         if not np.isfinite(getattr(model, name)).all():
             raise ValueError(f"{name} holds a non-finite value")

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, LawRecord
-from .errors import EmptyDocument, MissingYear, UndecodableWordList
+from .errors import EmptyDocument, MissingYear, UndecodableWordList, _quoted
 
 __all__ = [
     "PreprocessConfig",
@@ -319,7 +319,7 @@ def preprocess_corpus(
     chunks' tokens in order, and each distinct chunk is preprocessed once.
     """
     if on_empty not in ("error", "drop"):
-        raise ValueError(f"on_empty must be 'error' or 'drop', got {on_empty!r}")
+        raise ValueError(f"on_empty must be 'error' or 'drop', got {_quoted(on_empty)}")
     records = corpus.records
     texts = (f"{record.title} {record.content}" for record in records)
     chunks = list(dict.fromkeys(chain.from_iterable(map(str.split, texts))))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingYear
+from .errors import MissingYear, _quoted
 
 PER_TOPIC = "per_topic"
 PER_YEAR = "per_year"
@@ -46,7 +46,7 @@ def build_trend_table(
     normalization: str = PER_TOPIC,
 ) -> TrendTable:
     if normalization not in (PER_TOPIC, PER_YEAR):
-        raise ValueError(f"unknown normalization {normalization!r}")
+        raise ValueError(f"unknown normalization {_quoted(normalization)}")
     cells = np.array(counts, dtype=np.float64).reshape(len(axis_rows), len(axis_cols))
     totals = cells.sum(axis=1 if normalization == PER_TOPIC else 0, keepdims=True)
     # Integer counts are exact in float64, so each cell is the float (100.0 * count) / total.

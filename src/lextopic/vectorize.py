@@ -17,7 +17,7 @@ from ._files import write_csv
 from .corpus import Corpus
 from .errors import (
     AllZero, EmptyDocument, EmptyVocabulary, EntryOutOfRange, MalformedEntries, MissingYear, NoDocuments,
-    PseudoCountOverflow,
+    PseudoCountOverflow, VocabularyMismatch, _quoted,
 )
 from .preprocess import Document, PreprocessConfig
 
@@ -57,12 +57,12 @@ def _outside(array: np.ndarray, low, high, kinds: str = "iu") -> np.ndarray:
 class _EntryMatrix:
     """An n_docs x n_terms sparse matrix stored as entry arrays in doc order.
 
-    ``entries`` is a (docs, terms, values) triple of arrays, or of lists
-    that numpy.asarray converts, checked here once: MalformedEntries for a
-    triple that is not three 1-d arrays of one length in doc order, and
-    EntryOutOfRange at the first doc or term outside the matrix or value
-    outside ``limits``. ``docs``, ``terms`` and ``values`` are then its one
-    store; the dict form is a read-only view built on first access.
+    ``entries`` is a (docs, terms, values) triple of arrays, or of lists that
+    numpy.asarray converts, checked here once: MalformedEntries for a triple
+    that is not three 1-d arrays of one length in doc order or for doc_ids not
+    one per doc, and EntryOutOfRange at the first doc or term outside the
+    matrix or value outside ``limits``. ``docs``, ``terms`` and ``values`` are
+    then its one store; the dict form is a read-only view built on first access.
     """
 
     dtype = np.int64
@@ -70,6 +70,8 @@ class _EntryMatrix:
     limits = (0, 2**63 - 1, "iu")  # checked before the int64 cast, which would truncate 1.5 to 1
 
     def __init__(self, n_docs: int, n_terms: int, entries, doc_ids: list[str]):
+        if len(doc_ids) != n_docs:
+            raise MalformedEntries(f"{len(doc_ids)} doc ids for a matrix of {n_docs} docs")
         if not (isinstance(entries, (tuple, list)) and len(entries) == 3):
             raise MalformedEntries(f"matrix entries are not a (docs, terms, values) triple: {type(entries).__name__}")
         try:
@@ -146,9 +148,9 @@ def _select_vocabulary(
     if not n_docs:
         raise NoDocuments()
     if min_df < 1:
-        raise ValueError(f"min_df must be >= 1, got {min_df}")
+        raise ValueError(f"min_df must be >= 1, got {_quoted(min_df, str)}")
     if not (0.0 < max_df_ratio <= 1.0):
-        raise ValueError(f"max_df_ratio must be in (0, 1], got {max_df_ratio}")
+        raise ValueError(f"max_df_ratio must be in (0, 1], got {_quoted(max_df_ratio, str)}")
     # Small epsilon so max_df_ratio=0.95 over D=20 admits df=19 exactly.
     ceiling = max_df_ratio * n_docs + 1e-9
     kept = [
@@ -201,7 +203,7 @@ def count_corpus(
     Without a compiler it makes the three calls.
     """
     if on_empty not in ("error", "drop"):
-        raise ValueError(f"on_empty must be 'error' or 'drop', got {on_empty!r}")
+        raise ValueError(f"on_empty must be 'error' or 'drop', got {_quoted(on_empty)}")
     from . import _gibbs  # not at import time: ingest never needs the kernels
 
     kernels = _gibbs.load_kernels()
@@ -273,7 +275,7 @@ def tfidf(matrix: DocTermMatrix, norm: str = "l2") -> TfidfMatrix:
     Row norms are summed over each row's entries in entry order.
     """
     if norm not in ("none", "l2"):
-        raise ValueError(f"norm must be 'none' or 'l2', got {norm!r}")
+        raise ValueError(f"norm must be 'none' or 'l2', got {_quoted(norm)}")
     weights = matrix.values * idf(matrix)[matrix.terms]
     if norm == "l2":
         row_norms = np.sqrt(np.bincount(matrix.docs, weights=weights * weights, minlength=matrix.n_docs))
@@ -293,7 +295,7 @@ def to_pseudo_counts(weights: TfidfMatrix, scale: float = 10.0) -> DocTermMatrix
     Bridges real-valued weights into the int64 counts the topic sampler consumes.
     """
     if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+        raise ValueError(f"scale must be positive, got {_quoted(scale, str)}")
     pseudo = np.floor(scale * weights.values + 0.5)
     if (pseudo >= 2.0**63).any():
         raise PseudoCountOverflow(scale)
@@ -309,7 +311,9 @@ def to_pseudo_counts(weights: TfidfMatrix, scale: float = 10.0) -> DocTermMatrix
 
 
 def save_triplets(matrix, vocab: Vocabulary, path) -> None:
-    """Triplet CSV doc_id,term,value in entry order."""
+    """Triplet CSV doc_id,term,value in entry order; a vocab not of the matrix's width raises VocabularyMismatch."""
+    if len(vocab) != matrix.n_terms:
+        raise VocabularyMismatch(f"the vocabulary has {len(vocab)} terms, the matrix {matrix.n_terms}")
     rows = ((matrix.doc_ids[doc], vocab.terms[term], value) for doc, term, value in matrix.entries())
     write_csv(path, ["doc_id", "term", "value"], rows)
 

@@ -24,7 +24,7 @@ from lextopic.analyze import (
     yearly_topic_percentages,
 )
 from lextopic.corpus import Corpus
-from lextopic.errors import AlignmentMismatch, MissingYear, UnknownTopicId
+from lextopic.errors import AlignmentMismatch, CorruptModel, MissingYear, UnknownTopicId, VocabularyMismatch
 from lextopic.lda import LdaConfig, LdaModel, fit, load_model, save_model
 from lextopic.trends import PER_TOPIC, PER_YEAR
 from lextopic.vectorize import DocTermMatrix, Vocabulary
@@ -316,6 +316,42 @@ class TestWordcloudWeights:
         assert [t for t, _w in wordcloud_weights(model, 0, 3)] == [
             t for t, _w in top_words(model, 0, 3)
         ]
+
+    def test_a_topic_of_zeros_weighs_every_word_zero(self):
+        model = _model([[1.0, 0.0]], topic_word=[[0.0, 0.0, 0.0], [0.5, 0.2, 0.3]], vocab=VOCAB)
+        assert wordcloud_weights(model, 0, 3) == [("alpha", 0.0), ("beta", 0.0), ("gamma", 0.0)]
+
+
+class TestModelShapes:
+    """A code-built model whose θ, φ or vocabulary does not fit its doc_ids and K is refused, not misread."""
+
+    SHAPES = "shapes of doc_topic, topic_word and vocabulary terms/df {} are not {}, as 2 doc_ids and 2 topics require"
+
+    def _extra_theta_row(self):
+        model = _model([[0.9, 0.1], [0.2, 0.8], [0.3, 0.7]])
+        model.doc_ids = ["d0", "d1"]
+        return model
+
+    @pytest.mark.parametrize("table", [topic_shares, yearly_topic_percentages])
+    def test_a_theta_row_past_the_doc_ids_is_no_phantom_document(self, table):
+        model = self._extra_theta_row()
+        message = "model documents do not align with corpus records: " + self.SHAPES.format(
+            [(3, 2), (2, 3)], [(2, 2), (2, 3)])
+        with pytest.raises(AlignmentMismatch) as raised:
+            table(model, _corpus_for(model))
+        assert str(raised.value) == message
+
+    def test_save_model_refuses_what_load_model_would(self, tmp_path):
+        with pytest.raises(CorruptModel, match=r"^model file .*model\.json: shapes of doc_topic"):
+            save_model(self._extra_theta_row(), tmp_path / "model.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_vocabulary_shorter_than_phi_is_refused(self):
+        model = _model([[0.9, 0.1], [0.2, 0.8]], topic_word=[[0.25] * 4, [0.25] * 4], vocab=VOCAB)
+        with pytest.raises(VocabularyMismatch) as raised:
+            label_topics(model)
+        assert str(raised.value) == "model vocabulary does not match: " + self.SHAPES.format(
+            [(2, 2), (2, 4), (3, 3)], [(2, 2), (2, 4), (4, 4)])
 
 
 class TestExports:

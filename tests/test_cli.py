@@ -499,6 +499,91 @@ def _drop_last_df(payload):
     payload["vocabulary"]["df"].pop()
 
 
+_LONG = "x" * 100_000
+_CUT = f"{'x' * 80!r}... (100000 characters)"
+_TOPIC = "1" + "0" * 3999  # a topic id of 4,000 digits, below Python's int digit limit
+_TOPIC_CUT = f"{_TOPIC[:80]}... (4000 characters)"
+
+
+def _config_file(payload):
+    return lambda tmp_path, corpus, model: ["--config", _write(tmp_path / "run.json", json.dumps(payload)), "ingest",
+                                            "--corpus", corpus]
+
+
+def _write(path, text: str) -> str:
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _model_file(edit):
+    def args(tmp_path, corpus, model):
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        edit(payload)
+        return ["analyze", "--corpus", corpus, "--model", _write(tmp_path / "model.json", json.dumps(payload))]
+    return args
+
+
+def _labels_file(text: str):
+    return lambda tmp_path, corpus, model: ["analyze", "--corpus", corpus, "--model", str(model),
+                                            "--labels", _write(tmp_path / "labels.json", text)]
+
+
+def _corpus_file(rows, command, config=None):
+    def args(tmp_path, corpus, model):
+        path = tmp_path / "long.jsonl"
+        write_jsonl(path, rows)
+        flags = ["--config", _write(tmp_path / "run.json", json.dumps(config))] if config else []
+        return [*flags, command, "--corpus", str(path)] + (FIT_FLAGS if command == "fit" else [])
+    return args
+
+
+class TestLongInputValues:
+    """An input that holds one long value ends in one short line: the value cut as errors._quoted cuts it."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fit")
+        corpus = out / "corpus.jsonl"
+        write_jsonl(corpus, _rows())
+        assert main(["fit", "--corpus", str(corpus), "--out", str(out)] + FIT_FLAGS) == 0
+        return str(corpus), out / "model.json"
+
+    @pytest.mark.parametrize("args, line, written", [
+        (_config_file({"format": _LONG}),
+         f'error [config]: format must be one of jsonl, csv, got "{"x" * 80}"... (100000 characters)', []),
+        (_config_file({"lda": _LONG}),
+         f'error [config]: lda must be an object, got "{"x" * 80}"... (100000 characters)', []),
+        (_config_file({_LONG: 1}), f"error [config]: unknown config key {_CUT}", []),
+        (lambda tmp_path, corpus, model: ["sweep", "--corpus", corpus, "--k-grid", _LONG],
+         f"error [config]: --k-grid expects comma-separated integers, got {_CUT}", []),
+        (lambda tmp_path, corpus, model: ["sweep", "--corpus", corpus, "--k-grid", "1," * 50_000],
+         f"error [config]: --k-grid expects distinct topic counts in [1, 2**63), got {'1,' * 40!r}... "
+         "(100000 characters)", []),
+        (_corpus_file([jsonl_row(_LONG), jsonl_row(_LONG)], "ingest"),
+         f"error [corpus]: row 2: duplicate record id {_CUT}", []),
+        (_model_file(lambda payload: payload["doc_ids"].__setitem__(0, _LONG)),
+         f"error [analyze]: model documents do not align with corpus records: model document {_CUT} not found in "
+         "the corpus", ["run_config.json"]),
+        (_model_file(lambda payload: payload["config"].__setitem__(_LONG, 1)),
+         "error [lda]: model file {tmp}/model.json: unknown config key " + _CUT, ["run_config.json"]),
+        (_corpus_file([*_rows(), jsonl_row(_LONG, title="!", content="?")], "fit",
+                      {"preprocess": {"on_empty": "error"}}),
+         f"error [preprocess]: record {_CUT} yields no tokens after preprocessing", ["run_config.json"]),
+        (_labels_file(json.dumps({_TOPIC: "Economic"})),
+         f"error [analyze]: label references topic id {_TOPIC_CUT} outside the model", ["run_config.json"]),
+        (_labels_file(json.dumps({_TOPIC: "\ud800"})),
+         "error [analyze]: label map {tmp}/labels.json: the label of topic " + _TOPIC_CUT + " is not UTF-8 text",
+         ["run_config.json"]),
+    ], ids=["config value", "config section", "config key", "k-grid text", "k-grid repeats", "duplicate id",
+            "model doc id", "model config key", "empty record", "label topic id", "label of a topic"])
+    def test_the_value_is_cut_in_the_one_error_line(self, fitted, tmp_path, capsys, args, line, written):
+        out = tmp_path / "o"
+        assert main(args(tmp_path, *fitted) + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == line.replace("{tmp}", str(tmp_path)) + "\n" and len(err) < 300
+        assert (sorted(entry.name for entry in out.iterdir()) if out.exists() else []) == written
+
+
 class TestCorruptModelFile:
     @pytest.fixture(scope="class")
     def fitted(self, tmp_path_factory):
@@ -710,7 +795,7 @@ class TestSettingsTable:
         out = tmp_path / "out"
         assert main(["--config", str(config), "fit", "--corpus", corpus_path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error [config]: ") and key in err.split()
+        assert err.startswith("error [config]: ") and key in [word.strip("'") for word in err.split()]
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, key", [
@@ -850,6 +935,20 @@ _JSON_INPUTS = {
 }
 
 
+def _model_with_edited_values(model: Path, data) -> bytes:
+    """model's bytes with up to two table rows or cells set to 0, a negative or ±1e308, re-encoded at their length."""
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    for _ in range(data.draw(st.integers(0, 2), label="value edits")):
+        name = data.draw(st.sampled_from(["doc_topic", "topic_word"]), label="table")
+        table = _table(payload[name])
+        row = data.draw(st.integers(0, len(table) - 1), label="row")
+        column = data.draw(st.none() | st.integers(0, table.shape[1] - 1), label="column (none: the whole row)")
+        value = data.draw(st.sampled_from([0.0, -0.5, 1e308, -1e308]), label="value")
+        table[row if column is None else (row, column)] = value
+        payload[name] = lda._encode_table(table)
+    return json.dumps(payload, ensure_ascii=False).encode("utf-8")
+
+
 class TestUnreadableInputs:
     """Input files that cannot be read as intended end in `error [<module>]`, exit 1."""
 
@@ -951,7 +1050,7 @@ class TestUnreadableInputs:
         config.write_bytes(b'{"analyze": {"\\ud800": 1}}')
         args = ["--config", str(config), "ingest", "--corpus", corpus_path, "--out", str(tmp_path / "o")]
         assert main(args) == 1
-        assert capsys.readouterr().err.startswith("error [config]: unknown config key analyze.\\ud800\n")
+        assert capsys.readouterr().err.startswith("error [config]: unknown config key 'analyze.\\ud800'\n")
 
     def test_model_config_key_that_utf8_cannot_hold(self, fitted, tmp_path, capsys):
         corpus, model = fitted
@@ -1031,6 +1130,20 @@ class TestUnreadableInputs:
         assert capsys.readouterr().err == f"error [lda]: model file {path}: lda.{key} must be {message}\n"
         assert sorted(entry.name for entry in (tmp_path / "o").iterdir()) == ["run_config.json"]
 
+    def test_a_topic_row_of_zeros_weighs_every_word_zero(self, fitted, tmp_path, capsys):
+        corpus, model = fitted
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        topic_word = _table(payload["topic_word"])
+        topic_word[0] = 0.0
+        payload["topic_word"] = lda._encode_table(topic_word)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["analyze", "--corpus", str(corpus), "--out", str(out), "--model", str(path)]) == 0
+        rows = _read_csv(out / "wordcloud_0.csv")
+        assert len(rows) > 1 and {weight for _, weight in rows[1:]} == {"0.0"}
+        assert _read_csv(out / "wordcloud_1.csv")[1][1] == "1.0"
+
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_any_json_input_bytes_end_in_exit_0_or_a_lextopic_error(self, fitted, tmp_path, capsys, data):
@@ -1039,8 +1152,8 @@ class TestUnreadableInputs:
         if data.draw(st.integers(0, 4), label="any bytes") == 0:
             content = data.draw(st.binary(max_size=300), label="content")
         else:
-            content = bytearray(_JSON_INPUTS[flag] or model.read_bytes())
-            for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            content = bytearray(_JSON_INPUTS[flag] or _model_with_edited_values(model, data))
+            for _ in range(data.draw(st.integers(0 if flag == "--model" else 1, 3), label="edits")):
                 at = data.draw(st.integers(0, len(content)), label="at")
                 if data.draw(st.booleans(), label="splice"):
                     content[at:at] = data.draw(_JSON_SPLICES, label="splice bytes")

@@ -77,6 +77,49 @@ def test_unused_import_check_catches_and_spares():
     assert unused_imports(source) == ["MissingYear (line 4)"]
 
 
+def unquoted_messages(source: str) -> list[int]:
+    """Lines of a `!r` conversion or a json.dumps call inside a raise or a super().__init__ call.
+
+    An input value enters a message only through errors._quoted, so neither
+    has a place in an error message.
+    """
+    messages = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            messages.append(node.exc)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__init__"
+              and isinstance(node.func.value, ast.Call) and getattr(node.func.value.func, "id", None) == "super"):
+            messages += node.args + [keyword.value for keyword in node.keywords]
+    return sorted({
+        node.lineno for message in messages for node in ast.walk(message)
+        if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+        or isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps"
+    })
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_error_message_quotes_a_value_by_hand(path):
+    assert unquoted_messages(path.read_text(encoding="utf-8")) == []
+
+
+def test_unquoted_message_check_catches_and_spares():
+    source = (
+        "import json\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ValueError(f'bad {x!r}')\n"
+        "    raise E(detail=json.dumps(x)) from None\n"
+        "class E(Exception):\n"
+        "    def __init__(self, x):\n"
+        "        super().__init__(f'got {x!r}')\n"
+        "def g(x):\n"
+        "    print(f'{x!r}', json.dumps(x))\n"
+        "    raise ValueError(f'bad {_quoted(x)}, {x!s}')\n"
+        "    raise\n"
+    )
+    assert unquoted_messages(source) == [4, 5, 8]
+
+
 def test_lda_settings_are_one_row_per_ldaconfig_field():
     assert [(row.key, row.default) for row in lda.SETTINGS] == [
         (f"lda.{field.name}", field.default) for field in fields(lda.LdaConfig)

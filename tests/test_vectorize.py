@@ -19,7 +19,8 @@ from conftest import make_record
 from lextopic import _gibbs
 from lextopic.corpus import Corpus, LawType, load_corpus
 from lextopic.errors import (
-    AllZero, EmptyDocument, EmptyVocabulary, EntryOutOfRange, MissingYear, NoDocuments, PseudoCountOverflow,
+    AllZero, EmptyDocument, EmptyVocabulary, EntryOutOfRange, MalformedEntries, MissingYear, NoDocuments,
+    PseudoCountOverflow, VocabularyMismatch,
 )
 from lextopic.preprocess import (
     Document, LemmaRules, PreprocessConfig, default_config, preprocess_corpus, preprocess_document,
@@ -591,6 +592,23 @@ class TestEntryCheck:
         message = f"^matrix entry {re.escape(shown)} is not a non-negative integer count inside a 1 x 2 matrix$"
         with pytest.raises(EntryOutOfRange, match=message):
             DocTermMatrix(1, 2, triple, ["a"])
+
+    @pytest.mark.parametrize("make, n_ids, n_docs", [
+        (lambda: drop_empty_rows(DocTermMatrix(3, 2, ([0, 2], [0, 1], [1, 1]), ["a", "b"])), 2, 3),
+        (lambda: DocTermMatrix(2, 2, ([0, 1], [0, 1], [1, 1]), ["a"]), 1, 2),
+        (lambda: TfidfMatrix(1, 2, ([0], [1], [0.5]), ["a", "b"]), 2, 1),
+    ], ids=["ids that drop_empty_rows misread", "ids that fit and save_triplets misread", "tf-idf ids"])
+    def test_doc_ids_that_are_not_one_per_doc_are_refused(self, make, n_ids, n_docs):
+        with pytest.raises(MalformedEntries, match=f"^{n_ids} doc ids for a matrix of {n_docs} docs$"):
+            make()
+
+    def test_a_vocabulary_not_of_the_matrix_width_is_refused_by_save_triplets(self, tmp_path):
+        matrix = DocTermMatrix(1, 3, ([0], [2], [1]), ["a"])
+        vocab = Vocabulary(["x", "y"], {"x": 0, "y": 1}, [1, 1])
+        with pytest.raises(VocabularyMismatch, match="^model vocabulary does not match: the vocabulary has 2 terms, "
+                                                     "the matrix 3$"):
+            save_triplets(matrix, vocab, tmp_path / "triplets.csv")
+        assert not (tmp_path / "triplets.csv").exists()
 
 
 class TestDropEmptyRows:
