@@ -27,7 +27,6 @@ from .corpus import (
     jalali_to_gregorian_year,
     length_ratio,
     load_corpus,
-    parse_html_record,
     save_corpus,
     type_counts_by_year,
 )
@@ -47,7 +46,6 @@ from .preprocess import (
     PreprocessConfig,
     default_config,
     preprocess_corpus,
-    preprocess_document,
 )
 from .trends import TrendTable
 from .vectorize import (
@@ -82,7 +80,6 @@ __all__ = [
     "jalali_to_gregorian_year",
     "length_ratio",
     "load_corpus",
-    "parse_html_record",
     "save_corpus",
     "type_counts_by_year",
     "LextopicError",
@@ -98,7 +95,6 @@ __all__ = [
     "PreprocessConfig",
     "default_config",
     "preprocess_corpus",
-    "preprocess_document",
     "TrendTable",
     "DocTermMatrix",
     "TfidfMatrix",

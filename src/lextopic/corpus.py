@@ -14,14 +14,13 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from html.parser import HTMLParser
 from pathlib import Path
 
 import numpy as np
 
 from ._files import atomic_writer, decode_json
 from .errors import (
-    DuplicateId, EmptyContent, InvalidConfig, MalformedDate, MalformedRow, MissingField, StructureMismatch,
+    DuplicateId, EmptyContent, InvalidConfig, MalformedDate, MalformedRow, MissingField,
     UndecodableCorpus, UnknownLawType, _quoted,
 )
 from .jalali import jalali_to_gregorian_year
@@ -36,7 +35,6 @@ __all__ = [
     "GroundTruth",
     "load_corpus",
     "save_corpus",
-    "parse_html_record",
     "filter_by_type",
     "jalali_to_gregorian_year",
     "type_counts_by_year",
@@ -425,105 +423,6 @@ def save_corpus(corpus: Corpus, path, format: str = "jsonl") -> None:
                 writer.writerow(payload)
     else:
         raise ValueError(f"unknown corpus format {_quoted(format)}")
-
-
-# --- saved detail pages ----------------------------------------------------
-
-_REGIONS = ("id", "title", "content", "lead", "tags", "classes", "type", "category", "date")
-
-
-class _RegionExtractor(HTMLParser):
-    """Collect text chunks per law-* region; list items become entries."""
-
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self._stack: list[tuple[str, str | None]] = []
-        self.chunks: dict[str, list[str]] = {}
-        self.items: dict[str, list[str]] = {}
-        self._open_item: str | None = None
-
-    def _active_region(self) -> str | None:
-        for _, region in reversed(self._stack):
-            if region is not None:
-                return region
-        return None
-
-    def handle_starttag(self, tag, attrs):
-        region = None
-        for name, value in attrs:
-            if name == "class" and value:
-                for token in value.split():
-                    if token.startswith("law-") and token[4:] in _REGIONS:
-                        region = token[4:]
-        self._stack.append((tag, region))
-        if region is not None and region not in self.chunks:
-            self.chunks[region] = []
-        if tag == "li" and self._active_region() in ("tags", "classes"):
-            self._open_item = self._active_region()
-            self.items.setdefault(self._open_item, []).append("")
-
-    def handle_endtag(self, tag):
-        if tag == "li" and self._open_item is not None:
-            self._open_item = None
-        for index in range(len(self._stack) - 1, -1, -1):
-            if self._stack[index][0] == tag:
-                del self._stack[index:]
-                break
-
-    def handle_data(self, data):
-        region = self._active_region()
-        if region is None or not data.strip():
-            return
-        if self._open_item is not None:
-            self.items[self._open_item][-1] += " " + data
-        else:
-            self.chunks[region].append(data)
-
-
-def _joined(chunks: list[str]) -> str:
-    return " ".join(" ".join(chunks).split())
-
-
-def parse_html_record(html: str) -> LawRecord:
-    """Extract a LawRecord from a saved detail page.
-
-    Regions are located by class names law-id, law-title, law-content,
-    law-lead, law-tags, law-classes, law-type, law-category, law-date.
-    Markup inside a region is stripped; text fragments join with single
-    spaces.
-    """
-    extractor = _RegionExtractor()
-    extractor.feed(html)
-    extractor.close()
-
-    def text_of(region: str, required: bool = True) -> str:
-        if region not in extractor.chunks and region not in extractor.items:
-            if required:
-                raise StructureMismatch(region)
-            return ""
-        return _joined(extractor.chunks.get(region, []))
-
-    def list_of(region: str) -> list[str]:
-        if region not in extractor.chunks and region not in extractor.items:
-            raise StructureMismatch(region)
-        items = [" ".join(item.split()) for item in extractor.items.get(region, [])]
-        items = [item for item in items if item]
-        if items:
-            return items
-        joined = _joined(extractor.chunks.get(region, []))
-        return [part.strip() for part in joined.split(",") if part.strip()]
-
-    return LawRecord(
-        id=text_of("id"),
-        title=text_of("title"),
-        content=text_of("content"),
-        law_type=parse_law_type(text_of("type")),
-        date=parse_record_date(text_of("date")),
-        lead=text_of("lead", required=False),
-        tags=list_of("tags"),
-        classes=list_of("classes"),
-        category=text_of("category"),
-    )
 
 
 # --- filtering and per-record measures --------------------------------------

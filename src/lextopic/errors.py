@@ -108,12 +108,6 @@ class UndecodableCorpus(CorpusError):
         super().__init__(f"corpus file {path}: {where}not UTF-8: {detail}")
 
 
-class StructureMismatch(CorpusError):
-    def __init__(self, selector: str):
-        self.selector = selector
-        super().__init__(f"required page region {_quoted(selector)} not found")
-
-
 class EmptyContent(CorpusError):
     def __init__(self, record_id: str):
         self.record_id = record_id

@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import functools
 
-from .errors import MalformedDate
+from .errors import MalformedDate, _quoted
 
 # Days per Jalali month: 1-6 have 31 days, 7-11 have 30, Esfand 29 or 30.
 _JALALI_MONTH_MAX = (31, 31, 31, 31, 31, 31, 30, 30, 30, 30, 30, 30)
@@ -24,12 +24,8 @@ def validate_jalali(year: int, month: int, day: int) -> None:
     Day 30 in Esfand is always accepted; leap-year bookkeeping is not a
     concern of the record schema.
     """
-    if not (1 <= month <= 12):
-        raise MalformedDate(f"{year}/{month}/{day}")
-    if not (1 <= day <= _JALALI_MONTH_MAX[month - 1]):
-        raise MalformedDate(f"{year}/{month}/{day}")
-    if year < 1:
-        raise MalformedDate(f"{year}/{month}/{day}")
+    if not (1 <= month <= 12 and 1 <= day <= _JALALI_MONTH_MAX[month - 1] and year >= 1):
+        raise MalformedDate("/".join(_quoted(part, str) for part in (year, month, day)))
 
 
 def jalali_to_gregorian(jy: int, jm: int, jd: int) -> tuple[int, int, int]:

@@ -27,7 +27,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import accumulate, product
 from typing import Callable, NamedTuple
@@ -49,7 +49,6 @@ __all__ = [
     "init_assignments",
     "gibbs_sweep",
     "fit",
-    "fit_chains",
     "exact_posterior",
     "collapsed_log_joint",
     "perplexity",
@@ -494,15 +493,6 @@ def fit(matrix: DocTermMatrix, config: LdaConfig, vocab: Vocabulary | None = Non
         log_likelihood=trace,
         vocab=vocab,
     )
-
-
-def fit_chains(
-    matrix: DocTermMatrix, config: LdaConfig, n_chains: int, vocab: Vocabulary | None = None
-) -> list[LdaModel]:
-    """n_chains independent fits; chain c uses seed + c, so topic labels are not comparable across chains."""
-    if n_chains < 1:
-        raise InvalidConfig(f"n_chains must be >= 1, got {n_chains}")
-    return [fit(matrix, replace(config, seed=config.seed + chain), vocab) for chain in range(n_chains)]
 
 
 def collapsed_log_joint(

@@ -4,10 +4,11 @@ Five stages in fixed order: normalize, remove punctuation, tokenize,
 remove stopwords, lemmatize. Each stage is idempotent on its own output,
 so the composed pipeline is stable under re-runs.
 
-preprocess_document runs the stages over one record and is the reference.
-preprocess_corpus, and vectorize.count_corpus, give the same tokens by
+preprocess_corpus, and vectorize.count_corpus, run the stages by
 preprocessing each distinct whitespace chunk of the corpus once, every
-chunk in the same few whole-array steps (_preprocess_chunks).
+chunk in the same few whole-array steps (_preprocess_chunks). The
+reference they are tested against, the stages run one record at a time
+(preprocess_document), lives in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, LawRecord
+from .corpus import Corpus
 from .errors import EmptyDocument, MissingYear, UndecodableWordList, _quoted
 
 __all__ = [
@@ -29,11 +30,6 @@ __all__ = [
     "LemmaRules",
     "Document",
     "normalize",
-    "remove_punctuation",
-    "tokenize",
-    "remove_stopwords",
-    "lemmatize",
-    "preprocess_document",
     "preprocess_corpus",
     "load_stopwords",
     "load_lemma_rules",
@@ -124,23 +120,6 @@ def normalize(text: str) -> str:
     return " ".join(text.translate(_DEFAULT_TABLE).lower().split())
 
 
-def remove_punctuation(text: str) -> str:
-    """Replace each mark of DEFAULT_PUNCTUATION with a space."""
-    return text.translate(_DEFAULT_PUNCTUATION_TABLE)
-
-
-def tokenize(text: str, min_token_length: int = 1) -> list[str]:
-    return [token for token in text.split() if len(token) >= min_token_length]
-
-
-def remove_stopwords(tokens: list[str], stopword_list) -> list[str]:
-    return [token for token in tokens if token not in stopword_list]
-
-
-def lemmatize(tokens: list[str], lemma_rules: LemmaRules) -> list[str]:
-    return [lemma_rules.apply(token) for token in tokens]
-
-
 def _parse_stopwords(text: str) -> set[str]:
     lines = (line.strip() for line in text.splitlines())
     return {normalize(line) for line in lines if line and not line.startswith("#")}
@@ -194,31 +173,6 @@ def default_config() -> PreprocessConfig:
     )
 
 
-def preprocess_document(record: LawRecord, config: PreprocessConfig | None = None) -> Document:
-    """Run the full pipeline over title + " " + content.
-
-    A lemma can land on a stopword or shrink below the length floor, so
-    the stopword and length filters are re-checked on the lemmatized
-    tokens; the output is then a fixed point of every stage.
-    """
-    if config is None:
-        config = default_config()
-    if record.date is None:
-        raise MissingYear(record.id)
-    text = remove_punctuation(normalize(f"{record.title} {record.content}"))
-    tokens = tokenize(text, config.min_token_length)
-    tokens = remove_stopwords(tokens, config.stopword_list)
-    tokens = lemmatize(tokens, config.lemma_rules)
-    tokens = [
-        token
-        for token in tokens
-        if len(token) >= config.min_token_length and token not in config.stopword_list
-    ]
-    if not tokens:
-        raise EmptyDocument(record.id)
-    return Document(record.id, tokens, record.date.gregorian_year)
-
-
 # Codes past the last code point, so that no image holds them.
 _SEPARATOR, _PAD = 0x110000, 0x110001
 
@@ -241,7 +195,7 @@ def _preprocess_chunks(codes: np.ndarray, config: PreprocessConfig | None) -> tu
     the final tokens in order of first appearance, and the ids into terms
     of chunk c's tokens, chunk_tokens[chunk_ptr[c]:chunk_ptr[c + 1]].
 
-    A chunk's text after normalize and remove_punctuation, up to the
+    A chunk's text after normalize and punctuation removal, up to the
     split, is the concatenation of its characters' images. A character's
     image is the character translated by the normalize table, lowercased,
     and turned into a space if it is a punctuation mark; it may be empty or
@@ -314,7 +268,7 @@ def preprocess_corpus(
 ) -> list[Document]:
     """Preprocess every record; on_empty is "error" (raise) or "drop".
 
-    Equal to preprocess_document on each record, errors included. Every
+    Equal to the per-record reference on each record, errors included. Every
     stage works within a whitespace chunk, so a record's tokens are its
     chunks' tokens in order, and each distinct chunk is preprocessed once.
     """

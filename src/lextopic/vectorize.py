@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping
@@ -13,11 +14,10 @@ from types import MappingProxyType
 import numpy as np
 
 from . import preprocess as preprocess_mod
-from ._files import write_csv
 from .corpus import Corpus
 from .errors import (
     AllZero, EmptyDocument, EmptyVocabulary, EntryOutOfRange, MalformedEntries, MissingYear, NoDocuments,
-    PseudoCountOverflow, VocabularyMismatch, _quoted,
+    PseudoCountOverflow, _quoted,
 )
 from .preprocess import Document, PreprocessConfig
 
@@ -32,8 +32,6 @@ __all__ = [
     "idf",
     "tfidf",
     "to_pseudo_counts",
-    "save_triplets",
-    "save_vocabulary",
 ]
 
 
@@ -293,9 +291,17 @@ def to_pseudo_counts(weights: TfidfMatrix, scale: float = 10.0) -> DocTermMatrix
     """Round scale * weight to integers (halves up); zero results dropped, and 2**63 or more PseudoCountOverflow.
 
     Bridges real-valued weights into the int64 counts the topic sampler consumes.
+    A scale that is not a finite float above 0 raises ValueError.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {_quoted(scale, str)}")
+    try:
+        value = float(scale)
+    except OverflowError:  # an int past the float range
+        value = math.inf
+    except (TypeError, ValueError):  # not a number; float's own message would hold the whole value
+        value = math.nan
+    if not 0 < value < math.inf:  # nan compares false
+        raise ValueError(f"scale must be positive and finite, got {_quoted(scale, str)}")
+    scale = value
     pseudo = np.floor(scale * weights.values + 0.5)
     if (pseudo >= 2.0**63).any():
         raise PseudoCountOverflow(scale)
@@ -308,15 +314,3 @@ def to_pseudo_counts(weights: TfidfMatrix, scale: float = 10.0) -> DocTermMatrix
         counts=(weights.docs[kept], weights.terms[kept], pseudo[kept].astype(np.int64)),
         doc_ids=list(weights.doc_ids),
     )
-
-
-def save_triplets(matrix, vocab: Vocabulary, path) -> None:
-    """Triplet CSV doc_id,term,value in entry order; a vocab not of the matrix's width raises VocabularyMismatch."""
-    if len(vocab) != matrix.n_terms:
-        raise VocabularyMismatch(f"the vocabulary has {len(vocab)} terms, the matrix {matrix.n_terms}")
-    rows = ((matrix.doc_ids[doc], vocab.terms[term], value) for doc, term, value in matrix.entries())
-    write_csv(path, ["doc_id", "term", "value"], rows)
-
-
-def save_vocabulary(vocab: Vocabulary, path) -> None:
-    write_csv(path, ["term", "df"], zip(vocab.terms, vocab.df))

@@ -1,7 +1,8 @@
 """Slow, direct oracles that tests compare the package against.
 
 They live beside the tests because no command uses them: the package
-keeps only the code its pipeline runs.
+keeps only the code its pipeline runs. test_hygiene.py's
+test_every_public_definition_is_used enforces that rule.
 """
 
 import math
@@ -9,7 +10,53 @@ import math
 import numpy as np
 
 from lextopic.corpus import Corpus, GroundTruth, LawRecord, LawType, SynthConfig, _synthetic_date
+from lextopic.errors import EmptyDocument, MissingYear
 from lextopic.lda import LdaConfig, SamplerState
+from lextopic.preprocess import (
+    _DEFAULT_PUNCTUATION_TABLE, Document, LemmaRules, PreprocessConfig, default_config, normalize,
+)
+
+
+def remove_punctuation(text: str) -> str:
+    """Replace each mark of DEFAULT_PUNCTUATION with a space."""
+    return text.translate(_DEFAULT_PUNCTUATION_TABLE)
+
+
+def tokenize(text: str, min_token_length: int = 1) -> list[str]:
+    return [token for token in text.split() if len(token) >= min_token_length]
+
+
+def remove_stopwords(tokens: list[str], stopword_list) -> list[str]:
+    return [token for token in tokens if token not in stopword_list]
+
+
+def lemmatize(tokens: list[str], lemma_rules: LemmaRules) -> list[str]:
+    return [lemma_rules.apply(token) for token in tokens]
+
+
+def preprocess_document(record: LawRecord, config: PreprocessConfig | None = None) -> Document:
+    """preprocess.preprocess_corpus on one record: the five stages over title + " " + content.
+
+    A lemma can land on a stopword or shrink below the length floor, so
+    the stopword and length filters are re-checked on the lemmatized
+    tokens; the output is then a fixed point of every stage.
+    """
+    if config is None:
+        config = default_config()
+    if record.date is None:
+        raise MissingYear(record.id)
+    text = remove_punctuation(normalize(f"{record.title} {record.content}"))
+    tokens = tokenize(text, config.min_token_length)
+    tokens = remove_stopwords(tokens, config.stopword_list)
+    tokens = lemmatize(tokens, config.lemma_rules)
+    tokens = [
+        token
+        for token in tokens
+        if len(token) >= config.min_token_length and token not in config.stopword_list
+    ]
+    if not tokens:
+        raise EmptyDocument(record.id)
+    return Document(record.id, tokens, record.date.gregorian_year)
 
 
 def gibbs_conditional(

@@ -26,7 +26,7 @@ from lextopic.cli import main
 from lextopic.corpus import Corpus
 from lextopic.lda import LdaConfig, LdaModel
 from lextopic.trends import PER_TOPIC, PER_YEAR
-from lextopic.vectorize import DocTermMatrix, TfidfMatrix, Vocabulary, save_triplets, save_vocabulary
+from lextopic.vectorize import Vocabulary
 
 Y2020 = {"raw": "1399/07/01", "year": 1399, "month": 7, "day": 1}
 
@@ -236,19 +236,3 @@ def test_model(tmp_path, monkeypatch):
     assert text.endswith(b"]}\n")
     assert hashlib.sha256(text[:text.index(b', "log_likelihood": ')]).hexdigest() == MODEL_HEAD_SHA256
     assert hashlib.sha256(text).hexdigest() == MODEL_SHA256
-
-
-def test_triplets_and_vocabulary(tmp_path):
-    vocab = _vocab(["tax", "a,b", "قانون"], [2, 1, 1])
-    counts = DocTermMatrix(2, 3, ([0, 0, 1], [0, 1, 2], [2, 3, 1]), ["d0", "d1"])
-    save_triplets(counts, vocab, tmp_path / "counts.csv")
-    assert _bytes(tmp_path / "counts.csv").decode("utf-8") == (
-        'doc_id,term,value\r\nd0,tax,2\r\nd0,"a,b",3\r\nd1,قانون,1\r\n'
-    )
-    weights = TfidfMatrix(2, 3, ([0, 1], [0, 1], [1 / 3, 0.1 + 0.2]), ["d0", "d1"])
-    save_triplets(weights, vocab, tmp_path / "weights.csv")
-    assert _bytes(tmp_path / "weights.csv") == (
-        b'doc_id,term,value\r\nd0,tax,0.3333333333333333\r\nd1,"a,b",0.30000000000000004\r\n'
-    )
-    save_vocabulary(vocab, tmp_path / "vocab.csv")
-    assert _bytes(tmp_path / "vocab.csv").decode("utf-8") == 'term,df\r\ntax,2\r\n"a,b",1\r\nقانون,1\r\n'

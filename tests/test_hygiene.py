@@ -1,4 +1,4 @@
-"""Source checks that need no linter: README imports, exports, unused imports, settings rows and kernels."""
+"""Source checks that need no linter: README imports, exports, unused imports and definitions, settings, kernels."""
 
 import ast
 import importlib
@@ -118,6 +118,70 @@ def test_unquoted_message_check_catches_and_spares():
         "    raise\n"
     )
     assert unquoted_messages(source) == [4, 5, 8]
+
+
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names that the tree's Name and Attribute nodes spell, less each top-level definition's own name within it."""
+    names = set()
+    for node in tree.body:
+        own = node.name if isinstance(node, DEFINITIONS) else None
+        for child in ast.walk(node):
+            name = child.id if isinstance(child, ast.Name) else child.attr if isinstance(child, ast.Attribute) else None
+            if name is not None and name != own:
+                names.add(name)
+    return names
+
+
+def unused_definitions(package: dict[str, str], users: list[str]) -> list[str]:
+    """Public top-level functions and classes of the package's modules that no source references.
+
+    package maps each module's name to its source, __init__.py left out;
+    users are the other sources searched. A definition is referenced where
+    a Name or an Attribute node spells its name outside the definition
+    itself. An import, or a string of __all__, is not a reference.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    used = set().union(*map(_references, [*trees.values(), *map(ast.parse, users)]))
+    return [
+        f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_") and node.name not in used
+    ]
+
+
+def test_every_public_definition_is_used():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    users = [*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    assert unused_definitions(package, [path.read_text(encoding="utf-8") for path in users]) == []
+
+
+def test_unused_definition_check_catches_and_spares():
+    package = {
+        "errors": (
+            "class StageError(Exception): pass\n"
+            "class Raised(StageError): pass\n"
+            "class NeverRaised(StageError): pass\n"
+        ),
+        "stage": (
+            "from .errors import NeverRaised, Raised\n"
+            "__all__ = ['uncalled', 'exported', 'by_attribute', 'run']\n"
+            "def uncalled(n): return uncalled(n - 1) if n else 0\n"
+            "def exported(): pass\n"
+            "def by_attribute(): pass\n"
+            "def run(x):\n"
+            "    if not x:\n"
+            "        raise Raised()\n"
+            "    return _helper(x)\n"
+            "def _helper(x): return x\n"
+        ),
+    }
+    users = [
+        "from .stage import exported\n__all__ = ['exported']\n",
+        "from lextopic import stage\nstage.by_attribute()\nstage.run(1)\n",
+    ]
+    assert unused_definitions(package, users) == ["errors.NeverRaised", "stage.uncalled", "stage.exported"]
 
 
 def test_lda_settings_are_one_row_per_ldaconfig_field():

@@ -93,8 +93,23 @@ def test_conversion_is_monotone_in_date_order(first, second):
     ],
 )
 def test_invalid_components_rejected(year, month, day):
-    with pytest.raises(MalformedDate):
+    with pytest.raises(MalformedDate, match=f"^malformed date '{year}/{month}/{day}'$"):
         validate_jalali(year, month, day)
+
+
+HUGE = 10**5000  # past Python's 4,300-digit limit on int to str
+
+
+@pytest.mark.parametrize("convert", [validate_jalali, jalali_to_gregorian, jalali_to_gregorian_year])
+@pytest.mark.parametrize("date, shown", [
+    ((HUGE, 13, 1), "an int of 16,610 bits/13/1"),
+    ((-HUGE, 1, 1), "an int of 16,610 bits/1/1"),
+    ((1400, HUGE, 1), "1400/an int of 16,610 bits/1"),
+    ((1400, 1, HUGE), "1400/1/an int of 16,610 bits"),
+], ids=["year", "negative year", "month", "day"])
+def test_a_date_part_past_the_digit_limit_is_a_malformed_date(convert, date, shown):
+    with pytest.raises(MalformedDate, match=f"^malformed date '{shown}'$"):
+        convert(*date)
 
 
 def test_month_length_boundaries_accepted():

@@ -35,7 +35,6 @@ from lextopic.lda import (
     collapsed_log_joint,
     exact_posterior,
     fit,
-    fit_chains,
     gibbs_sweep,
     init_assignments,
     load_model,
@@ -43,7 +42,7 @@ from lextopic.lda import (
     save_model,
 )
 from lextopic.vectorize import (
-    DocTermMatrix, TfidfMatrix, Vocabulary, drop_empty_rows, idf, save_triplets, tfidf, to_pseudo_counts,
+    DocTermMatrix, TfidfMatrix, Vocabulary, drop_empty_rows, idf, tfidf, to_pseudo_counts,
 )
 from reference import gibbs_conditional, log_p_words
 
@@ -282,17 +281,6 @@ class TestFit:
         first = fit(matrix, LdaConfig(seed=21, **base))
         second = fit(matrix, LdaConfig(seed=22, **base))
         assert first.doc_topic.tobytes() != second.doc_topic.tobytes()
-
-    def test_chains_are_independent_runs(self):
-        matrix = matrix_from_tokens([[0, 1, 2], [2, 2], [3, 0]], n_terms=4)
-        config = LdaConfig(n_topics=2, alpha=0.4, beta=0.2, sweeps=20, burn_in=5, seed=8)
-        chains = fit_chains(matrix, config, n_chains=2)
-        assert isinstance(chains, list) and len(chains) == 2
-        assert chains[0].config.seed == 8 and chains[1].config.seed == 9
-        single = fit(matrix, config)
-        assert chains[0].doc_topic.tobytes() == single.doc_topic.tobytes()
-        with pytest.raises(InvalidConfig):
-            fit_chains(matrix, config, n_chains=0)
 
     def test_matches_exact_posterior_on_tiny_instance(self):
         matrix = matrix_from_tokens([[0], [2, 2]], n_terms=3)
@@ -1394,7 +1382,7 @@ def _only_lextopic_errors(call):
 class TestOneEntryRule:
     @settings(max_examples=300, deadline=None)
     @given(_matrices())
-    def test_a_triple_builds_a_checked_matrix_or_raises_an_entry_error(self, tmp_path_factory, drawn):
+    def test_a_triple_builds_a_checked_matrix_or_raises_an_entry_error(self, drawn):
         cls, n_docs, n_terms, triple = drawn
         doc_ids = [f"d{doc}" for doc in range(n_docs)]
         with warnings.catch_warnings():
@@ -1413,13 +1401,11 @@ class TestOneEntryRule:
             assert ((0 <= matrix.docs) & (matrix.docs < n_docs) & (0 <= matrix.terms) & (matrix.terms < n_terms)).all()
             assert (np.diff(matrix.docs) >= 0).all()
             assert np.isfinite(matrix.values).all() and (cls is TfidfMatrix or (matrix.values >= 0).all())
-            self._downstream(matrix, tmp_path_factory.mktemp("triplets") / "entries.csv")
+            self._downstream(matrix)
 
     @staticmethod
-    def _downstream(matrix, path):
+    def _downstream(matrix):
         """Every function that reads a matrix, each of which may raise only LextopicErrors."""
-        vocab = Vocabulary([f"t{term}" for term in range(matrix.n_terms)], {}, [1] * matrix.n_terms)
-        _only_lextopic_errors(lambda: save_triplets(matrix, vocab, path))
         if isinstance(matrix, TfidfMatrix):
             _only_lextopic_errors(lambda: to_pseudo_counts(matrix))
             return

