@@ -186,53 +186,29 @@ int64_t scan_chunks(const uint32_t *text, int64_t n_records, const int64_t *reco
     return n_distinct;
 }
 
-/* Pass 1 of the term count. chunk_tokens[chunk_ptr[c] : chunk_ptr[c + 1]]
- * are the token ids of chunk c. Writes each record's token total to
- * totals and adds each token's document frequency over the records to df
- * (zeroed by the caller). last_record is scratch of one int64 per token,
- * set to -1 by the caller.
- */
-void token_counts(int64_t n_records, const int64_t *record_chunks, const int64_t *occurrences,
-                  const int64_t *chunk_ptr, const int64_t *chunk_tokens,
-                  int64_t *totals, int64_t *df, int64_t *last_record)
-{
-    const int64_t *occurrence = occurrences;
-    for (int64_t r = 0; r < n_records; r++) {
-        int64_t total = 0;
-        for (int64_t i = 0; i < record_chunks[r]; i++) {
-            const int64_t chunk = *occurrence++;
-            total += chunk_ptr[chunk + 1] - chunk_ptr[chunk];
-            for (int64_t j = chunk_ptr[chunk]; j < chunk_ptr[chunk + 1]; j++) {
-                const int64_t token = chunk_tokens[j];
-                if (last_record[token] != r) {
-                    last_record[token] = r;
-                    df[token]++;
-                }
-            }
-        }
-        totals[r] = total;
-    }
-}
-
-/* Pass 2 of the term count: the (doc, term, count) entries in (doc, term)
- * order. token_term maps a token id to its term index, or -1 for a token
- * outside the vocabulary; record_doc maps a record to its row, or -1 for
- * a record that has no row. counts (zeroed) is scratch of n_terms int64;
- * seen (zeroed) is a bitmap of ceil(n_terms / 64) words, in which each
- * record marks its terms, so that they come out in term order without a
- * sort. Both are left zeroed. docs, terms and values hold capacity
- * entries. Returns the number of entries written, or -1 if they do not fit.
+/* The term count. chunk_tokens[chunk_ptr[c] : chunk_ptr[c + 1]] are the
+ * token ids of chunk c. token_term maps a token id to its term index, or
+ * -1 for a token outside the vocabulary; record_doc maps a record to its
+ * row, or -1 for a record that has no row. Writes the (doc, term, count)
+ * entries of the records with a row in (doc, term) order, adds one to
+ * df[term] (zeroed) for each record that holds the term, and writes to
+ * totals[r] the number of record r's tokens that have a term. counts
+ * (zeroed) is scratch of n_terms int64; seen (zeroed) is a bitmap of
+ * ceil(n_terms / 64) words, in which each record marks its terms, so that
+ * they come out in term order without a sort. Both are left zeroed. docs,
+ * terms and values hold capacity entries. Returns the number of entries
+ * written, or -1 if they do not fit.
  */
 int64_t term_entries(int64_t n_records, const int64_t *record_chunks, const int64_t *occurrences,
                      const int64_t *chunk_ptr, const int64_t *chunk_tokens,
                      const int64_t *token_term, const int64_t *record_doc,
                      int64_t *counts, uint64_t *seen, int64_t capacity,
-                     int64_t *docs, int64_t *terms, int64_t *values)
+                     int64_t *docs, int64_t *terms, int64_t *values, int64_t *df, int64_t *totals)
 {
     const int64_t *occurrence = occurrences;
     int64_t n_entries = 0;
     for (int64_t r = 0; r < n_records; r++) {
-        int64_t low = INT64_MAX, high = -1;  /* the words this record marks */
+        int64_t low = INT64_MAX, high = -1, total = 0;  /* the words this record marks */
         for (int64_t i = 0; i < record_chunks[r]; i++) {
             const int64_t chunk = *occurrence++;
             for (int64_t j = chunk_ptr[chunk]; j < chunk_ptr[chunk + 1]; j++) {
@@ -248,6 +224,8 @@ int64_t term_entries(int64_t n_records, const int64_t *record_chunks, const int6
         for (int64_t word = low; word <= high; word++) {
             for (uint64_t bits = seen[word]; bits; bits &= bits - 1) {
                 const int64_t term = 64 * word + __builtin_ctzll(bits);
+                df[term]++;
+                total += counts[term];
                 if (record_doc[r] >= 0) {
                     if (n_entries == capacity)
                         return -1;
@@ -260,6 +238,7 @@ int64_t term_entries(int64_t n_records, const int64_t *record_chunks, const int6
             }
             seen[word] = 0;
         }
+        totals[r] = total;
     }
     return n_entries;
 }

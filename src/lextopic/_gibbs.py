@@ -1,9 +1,9 @@
-"""Build and load the five compiled kernels in ``_gibbs.c``.
+"""Build and load the four compiled kernels in ``_gibbs.c``.
 
 - ``lda``'s sampler and scores: the Gibbs ``sweep`` and the per-entry
   ``token_probs`` of ``perplexity``.
 - ``vectorize.count_corpus``: ``scan_chunks`` over the records' code
-  points and the count loops ``token_counts`` and ``term_entries``.
+  points and the count loop ``term_entries``.
 
 Each has a Python equivalent that its callers fall back to, with equal
 results. The shared library is compiled on first use with the system C
@@ -43,7 +43,6 @@ class Kernels(NamedTuple):
     sweep: Callable
     token_probs: Callable
     scan_chunks: Callable
-    token_counts: Callable
     term_entries: Callable
 
 
@@ -100,10 +99,10 @@ def load_kernels() -> Kernels | None:
     takes (docs, terms, doc_topic, topic_word) and returns each entry's
     probability, bit for bit as ``lda._token_probs``. The sweep's term and
     topic indices must already be in range; ``token_probs`` checks its own.
-    ``scan_chunks``, ``token_counts`` and ``term_entries`` are the corpus
-    count, documented on each and checked by each. The result is kept per
-    cache directory and compiler, so each pair is built, loaded and warned
-    about once per process.
+    ``scan_chunks`` and ``term_entries`` are the corpus count, documented
+    on each and checked by each. The result is kept per cache directory
+    and compiler, so each pair is built, loaded and warned about once per
+    process.
     """
     return _load(_cache_dir(), find_compiler())
 
@@ -129,11 +128,8 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
     scan_function = library.scan_chunks
     scan_function.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 6
     scan_function.restype = ctypes.c_int64
-    counts_function = library.token_counts
-    counts_function.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 7
-    counts_function.restype = None
     entries_function = library.term_entries
-    entries_function.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 8 + [ctypes.c_int64] + [ctypes.c_void_p] * 3
+    entries_function.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 8 + [ctypes.c_int64] + [ctypes.c_void_p] * 5
     entries_function.restype = ctypes.c_int64
 
     def sweep(doc_ptr, tokens, z, n_dk, n_kw, n_k, uniforms, alpha, beta) -> None:
@@ -209,53 +205,38 @@ def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
         n_codes = int(chunk_start[n_distinct - 1] + chunk_len[n_distinct - 1]) + 1 if n_distinct else 0
         return occurrences[: record_chunks.sum()], record_chunks, chunk_codes[:n_codes]
 
-    def _chunk_arrays(record_chunks, occurrences, chunk_ptr, chunk_tokens, n_tokens):
+    def term_entries(record_chunks, occurrences, chunk_ptr, chunk_tokens, token_term, record_doc, n_terms, n_entries):
+        """(docs, terms, values, df, totals): the records' term counts and their sums.
+
+        Chunk c's token ids are chunk_tokens[chunk_ptr[c]:chunk_ptr[c + 1]].
+        token_term maps a token id to its term, or -1; record_doc maps a
+        record to its row, or -1. The n_entries entries (docs, terms,
+        values) are the rows' term counts in (doc, term) order; df[term] is
+        the number of records that hold the term, and totals[r] the number
+        of record r's tokens that have a term.
+        """
         arrays = [np.ascontiguousarray(array, dtype=np.int64)
-                  for array in (record_chunks, occurrences, chunk_ptr, chunk_tokens)]
-        record_chunks, occurrences, chunk_ptr, chunk_tokens = arrays
+                  for array in (record_chunks, occurrences, chunk_ptr, chunk_tokens, token_term, record_doc)]
+        record_chunks, occurrences, chunk_ptr, chunk_tokens, token_term, record_doc = arrays
         if not (all(array.ndim == 1 for array in arrays) and chunk_ptr.size >= 1
                 and (record_chunks >= 0).all() and record_chunks.sum() == occurrences.size and chunk_ptr[0] == 0
                 and chunk_ptr[-1] == chunk_tokens.size and (np.diff(chunk_ptr) >= 0).all()
                 and (occurrences.size == 0 or 0 <= occurrences.min() <= occurrences.max() < chunk_ptr.size - 1)
-                and (chunk_tokens.size == 0 or 0 <= chunk_tokens.min() <= chunk_tokens.max() < n_tokens)):
+                and (chunk_tokens.size == 0 or 0 <= chunk_tokens.min() <= chunk_tokens.max() < token_term.size)):
             raise ValueError("chunk arrays have inconsistent shapes or indices")
-        return arrays
-
-    def token_counts(record_chunks, occurrences, chunk_ptr, chunk_tokens, n_tokens):
-        """(totals, df): each record's token count and each token's document frequency.
-
-        Chunk c's token ids are chunk_tokens[chunk_ptr[c]:chunk_ptr[c + 1]].
-        """
-        arrays = _chunk_arrays(record_chunks, occurrences, chunk_ptr, chunk_tokens, n_tokens)
-        totals = np.empty(arrays[0].size, dtype=np.int64)
-        df = np.zeros(n_tokens, dtype=np.int64)
-        last_record = np.full(n_tokens, -1, dtype=np.int64)
-        counts_function(totals.size, *(array.ctypes.data for array in arrays),
-                        totals.ctypes.data, df.ctypes.data, last_record.ctypes.data)
-        return totals, df
-
-    def term_entries(record_chunks, occurrences, chunk_ptr, chunk_tokens, token_term, record_doc, n_terms, n_entries):
-        """(docs, terms, values) of each record's term counts, in (doc, term) order.
-
-        token_term maps a token id to its term, or -1; record_doc maps a
-        record to its row, or -1. n_entries is the number of entries.
-        """
-        token_term = np.ascontiguousarray(token_term, dtype=np.int64)
-        record_doc = np.ascontiguousarray(record_doc, dtype=np.int64)
-        arrays = _chunk_arrays(record_chunks, occurrences, chunk_ptr, chunk_tokens, token_term.size)
-        if not (record_doc.shape == arrays[0].shape and token_term.ndim == 1
+        if not (record_doc.shape == record_chunks.shape
                 and (token_term.size == 0 or -1 <= token_term.min() <= token_term.max() < n_terms)):
             raise ValueError("term arrays have inconsistent shapes or indices")
-        counts = np.zeros(n_terms, dtype=np.int64)
+        counts, df = np.zeros(n_terms, dtype=np.int64), np.zeros(n_terms, dtype=np.int64)
         seen = np.zeros(-(-n_terms // 64), dtype=np.uint64)  # one bit a term
         docs, terms, values = (np.empty(n_entries, dtype=np.int64) for _ in range(3))
+        totals = np.empty(record_doc.size, dtype=np.int64)
         written = entries_function(
-            record_doc.size, *(array.ctypes.data for array in arrays), token_term.ctypes.data,
-            record_doc.ctypes.data, counts.ctypes.data, seen.ctypes.data, n_entries,
-            docs.ctypes.data, terms.ctypes.data, values.ctypes.data,
+            record_doc.size, *(array.ctypes.data for array in arrays), counts.ctypes.data, seen.ctypes.data,
+            n_entries, docs.ctypes.data, terms.ctypes.data, values.ctypes.data, df.ctypes.data, totals.ctypes.data,
         )
         if written != n_entries:
             raise ValueError(f"expected {n_entries} entries, the records hold {'more' if written < 0 else written}")
-        return docs, terms, values
+        return docs, terms, values, df, totals
 
-    return Kernels(sweep, token_probs, scan_chunks, token_counts, term_entries)
+    return Kernels(sweep, token_probs, scan_chunks, term_entries)

@@ -29,7 +29,7 @@ def _quoted(value: object, show: Callable[[object], str] = repr) -> str:
         text = show(value)
     except ValueError:
         if isinstance(value, int):
-            return f"an int of {value.bit_length():,} bits"
+            return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length():,} bits"
         return f"a {type(value).__name__} too long to show"
     return text if len(text) <= _QUOTE_LIMIT else f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
 

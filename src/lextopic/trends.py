@@ -29,12 +29,6 @@ class TrendTable:
     percentages: list[list[float]]
     normalization: str
 
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def cell(self, row_label: str, col_label) -> int:
-        return self.counts[self.axis_rows.index(row_label)][self.axis_cols.index(col_label)]
-
     def percent(self, row_label: str, col_label) -> float:
         return self.percentages[self.axis_rows.index(row_label)][self.axis_cols.index(col_label)]
 

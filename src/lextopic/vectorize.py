@@ -97,10 +97,6 @@ class _EntryMatrix:
         keys = zip(self.docs.tolist(), self.terms.tolist())
         return MappingProxyType(dict(zip(keys, self.values.tolist())))
 
-    def entries(self):
-        """(doc, term, value) triples of Python numbers, in entry order."""
-        return zip(self.docs.tolist(), self.terms.tolist(), self.values.tolist())
-
 
 class DocTermMatrix(_EntryMatrix):
     """Integer (doc, term) counts in [0, 2**63), of an integer dtype."""
@@ -224,7 +220,8 @@ def count_corpus(
     del text
     terms, chunk_ptr, chunk_tokens = preprocess_mod._preprocess_chunks(chunk_codes, config)
     chunks = (record_chunks, occurrences, chunk_ptr, chunk_tokens)
-    totals, df = kernels.token_counts(*chunks, len(terms))
+    # Every token its own term and no record a row: the counts behind the vocabulary.
+    *_, df, totals = kernels.term_entries(*chunks, np.arange(len(terms)), np.full(len(records), -1), len(terms), 0)
 
     kept = totals > 0
     for record, has_tokens in zip(records, kept.tolist()):
@@ -236,7 +233,7 @@ def count_corpus(
     vocab = _select_vocabulary(zip(terms, df.tolist()), n_docs, min_df, max_df_ratio)
     token_term = np.fromiter(map(vocab.index.get, terms, repeat(-1)), dtype=np.int64, count=len(terms))
     record_doc = np.where(kept, np.cumsum(kept) - 1, -1)
-    entries = kernels.term_entries(*chunks, token_term, record_doc, len(vocab), sum(vocab.df))
+    entries = kernels.term_entries(*chunks, token_term, record_doc, len(vocab), sum(vocab.df))[:3]
     doc_ids = [record.id for record, has_tokens in zip(records, kept.tolist()) if has_tokens]
     return vocab, DocTermMatrix(n_docs, len(vocab), entries, doc_ids)
 

@@ -82,7 +82,7 @@ class TestTopicShares:
         assert table.axis_cols == ["all"]
         assert table.counts == [[2], [2]]
         assert table.percent("topic-0", "all") == pytest.approx(50.0)
-        assert table.total() == 4
+        assert table.percentages == [[50.0], [50.0]]
 
     def test_labels_rename_rows(self):
         model = _model([[0.9, 0.1], [0.2, 0.8]])
@@ -113,11 +113,9 @@ class TestYearlyTrends:
 
     def test_counts(self):
         table = self._fixture(PER_TOPIC)
+        assert table.axis_rows == ["topic-0", "topic-1"]
         assert table.axis_cols == [2020, 2021]
-        assert table.cell("topic-0", 2020) == 1
-        assert table.cell("topic-0", 2021) == 2
-        assert table.cell("topic-1", 2020) == 1
-        assert table.cell("topic-1", 2021) == 0
+        assert table.counts == [[1, 2], [1, 0]]
 
     def test_per_topic_rows_sum_to_100(self):
         table = self._fixture(PER_TOPIC)

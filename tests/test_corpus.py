@@ -348,6 +348,12 @@ class TestFilterByType:
         assert len(filtered.records) == 6599
 
 
+def _cells(table):
+    """A trend table's counts by (row label, column label)."""
+    return {(row, col): count for row, counts in zip(table.axis_rows, table.counts)
+            for col, count in zip(table.axis_cols, counts)}
+
+
 class TestTypeCountsByYear:
     def test_direct_counts(self):
         corpus = Corpus(
@@ -355,9 +361,7 @@ class TestTypeCountsByYear:
             + [make_record("b1", LawType.BILL, 2021)]
         )
         table = type_counts_by_year(corpus)
-        assert table.cell("Regulation", 2021) == 3
-        assert table.cell("Bill", 2021) == 1
-        assert table.total() == 4
+        assert _cells(table) == {("Regulation", 2021): 3, ("Bill", 2021): 1}
 
     def test_empty_corpus_gives_empty_table(self):
         table = type_counts_by_year(Corpus([]))
@@ -377,9 +381,8 @@ class TestTypeCountsByYear:
         for record in records:
             key = (record.law_type.value, record.date.gregorian_year)
             expected[key] = expected.get(key, 0) + 1
-        for (label, year), count in expected.items():
-            assert table.cell(label, year) == count
-        assert table.total() == len(records)
+        assert {cell: count for cell, count in _cells(table).items() if count} == expected
+        assert sum(map(sum, table.counts)) == len(records)
 
     def test_missing_date_rejected(self):
         record = make_record("r1")

@@ -5,6 +5,7 @@ import importlib
 import json
 import operator
 import re
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -135,19 +136,34 @@ def _references(tree: ast.Module) -> set[str]:
     return names
 
 
+def _attributes(node: ast.AST) -> Counter:
+    """How many times each name is spelled by an Attribute node within node."""
+    return Counter(child.attr for child in ast.walk(node) if isinstance(child, ast.Attribute))
+
+
 def unused_definitions(package: dict[str, str], users: list[str]) -> list[str]:
-    """Public top-level functions and classes of the package's modules that no source references.
+    """Public top-level functions and classes, and public methods, of the package's modules that no source references.
 
     package maps each module's name to its source, __init__.py left out;
     users are the other sources searched. A definition is referenced where
     a Name or an Attribute node spells its name outside the definition
-    itself. An import, or a string of __all__, is not a reference.
+    itself. An import, or a string of __all__, is not a reference. A method
+    is a function defined directly in a class body; it is referenced only
+    where an Attribute node spells its name outside its own body. Enum
+    members and cached_property assignments are not methods.
     """
     trees = {module: ast.parse(source) for module, source in package.items()}
-    used = set().union(*map(_references, [*trees.values(), *map(ast.parse, users)]))
+    every = [*trees.values(), *map(ast.parse, users)]
+    used = set().union(*map(_references, every))
+    attributes = sum(map(_attributes, every), Counter())
     return [
         f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
         if isinstance(node, DEFINITIONS) and not node.name.startswith("_") and node.name not in used
+    ] + [
+        f"{module}.{cls.name}.{node.name}" for module, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and attributes[node.name] == _attributes(node)[node.name]
     ]
 
 
@@ -175,13 +191,21 @@ def test_unused_definition_check_catches_and_spares():
             "        raise Raised()\n"
             "    return _helper(x)\n"
             "def _helper(x): return x\n"
+            "class Table:\n"
+            "    total = cached_property(lambda self: 0)\n"
+            "    def __len__(self): return 0\n"
+            "    def cell(self, n): return self.cell(n - 1) if n else 0\n"
+            "    def percent(self): return 1\n"
+            "    def _private(self): pass\n"
         ),
     }
     users = [
         "from .stage import exported\n__all__ = ['exported']\n",
-        "from lextopic import stage\nstage.by_attribute()\nstage.run(1)\n",
+        "from lextopic import stage\nstage.by_attribute()\nstage.run(1)\nstage.Table().percent()\n",
     ]
-    assert unused_definitions(package, users) == ["errors.NeverRaised", "stage.uncalled", "stage.exported"]
+    assert unused_definitions(package, users) == [
+        "errors.NeverRaised", "stage.uncalled", "stage.exported", "stage.Table.cell",
+    ]
 
 
 def test_lda_settings_are_one_row_per_ldaconfig_field():
@@ -203,7 +227,7 @@ def test_every_preprocess_config_field_has_a_setting(tmp_path):
     assert [field.name for field in fields(result) if getattr(result, field.name) == getattr(default, field.name)] == []
 
 
-KERNELS = {"gibbs_sweep", "token_probs", "scan_chunks", "token_counts", "term_entries"}
+KERNELS = {"gibbs_sweep", "token_probs", "scan_chunks", "term_entries"}
 
 
 def test_every_compiled_kernel_is_bound_and_no_other_is_defined():

@@ -103,7 +103,7 @@ HUGE = 10**5000  # past Python's 4,300-digit limit on int to str
 @pytest.mark.parametrize("convert", [validate_jalali, jalali_to_gregorian, jalali_to_gregorian_year])
 @pytest.mark.parametrize("date, shown", [
     ((HUGE, 13, 1), "an int of 16,610 bits/13/1"),
-    ((-HUGE, 1, 1), "an int of 16,610 bits/1/1"),
+    ((-HUGE, 1, 1), "a negative int of 16,610 bits/1/1"),
     ((1400, HUGE, 1), "1400/an int of 16,610 bits/1"),
     ((1400, 1, HUGE), "1400/1/an int of 16,610 bits"),
 ], ids=["year", "negative year", "month", "day"])

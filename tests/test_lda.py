@@ -460,10 +460,11 @@ class TestCoherence:
 
     def test_top_word_absent_from_corpus_rejected(self):
         model, matrix = self._fixture()
+        kept = matrix.terms != 2
         matrix = DocTermMatrix(
             n_docs=4,
             n_terms=3,
-            counts=_triple(*((doc, term, count) for doc, term, count in matrix.entries() if term != 2)),
+            counts=(matrix.docs[kept], matrix.terms[kept], matrix.values[kept]),
             doc_ids=matrix.doc_ids,
         )
         with pytest.raises(ValueError):
@@ -1282,7 +1283,7 @@ class TestEntryBounds:
     @pytest.mark.parametrize("triple, shown", [
         ((np.array([0]), np.array([0]), np.array([10**5000], dtype=object)), "(doc 0, term 0) = an int of 16,610 bits"),
         (([10**5000], [0], [1]), "(doc an int of 16,610 bits, term 0) = 1"),
-        (([0], [-10**5000], [1]), "(doc 0, term an int of 16,610 bits) = 1"),
+        (([0], [-10**5000], [1]), "(doc 0, term a negative int of 16,610 bits) = 1"),
     ], ids=["count", "doc", "term"])
     def test_an_int_past_the_digit_limit_is_named_by_its_size(self, triple, shown):
         with pytest.raises(EntryOutOfRange) as raised:

@@ -291,7 +291,8 @@ class TestEntryArraysMatchReference:
         matrix = count_matrix(docs, vocab)
         counts = reference_counts(docs, vocab)
         assert matrix.counts == counts
-        assert list(matrix.entries()) == sorted((d, t, c) for (d, t), c in counts.items())
+        entries = zip(matrix.docs.tolist(), matrix.terms.tolist(), matrix.values.tolist())
+        assert list(entries) == sorted((d, t, c) for (d, t), c in counts.items())
         ordered = sorted(counts.items())
         triple = ([doc for (doc, _), _ in ordered], [term for (_, term), _ in ordered], [n for _, n in ordered])
         rebuilt = DocTermMatrix(n_docs, n_terms, triple, matrix.doc_ids)
@@ -400,8 +401,6 @@ class TestChunkScan:
         ([2], [0, 1], [0, 5]),  # a token id past the tokens
     ])
     def test_count_rejects_bad_chunk_arrays(self, kernels, record_chunks, occurrences, chunk_tokens):
-        with pytest.raises(ValueError):
-            kernels.token_counts(record_chunks, occurrences, [0, 1, 2], chunk_tokens, 2)
         with pytest.raises(ValueError):
             kernels.term_entries(record_chunks, occurrences, [0, 1, 2], chunk_tokens, [0, 1], [0] * len(record_chunks), 2, 2)
 
@@ -515,7 +514,7 @@ class TestCountCorpus:
         # 300 terms: five bitmap words, the last one partial. Records touch
         # the first and the last word, hold tokens outside the vocabulary,
         # and one record with terms has no row; every record after it must
-        # see its bitmap words cleared.
+        # see its bitmap words cleared. Both of count_corpus's calls are made.
         n_terms, n_tokens = 300, 320
         rng = np.random.default_rng(5)
         token_term = np.concatenate([rng.permutation(n_terms), np.full(n_tokens - n_terms, -1)])
@@ -524,20 +523,36 @@ class TestCountCorpus:
         records += [rng.integers(-1, n_terms, size=rng.integers(0, 30)).tolist() for _ in range(60)]
         record_doc = np.arange(len(records)) - 1
         record_doc[1] = record_doc[0] = -1
-        chunk_tokens, chunk_ptr, occurrences = [], [0], []
-        for terms in records:
-            for term in terms:  # one chunk per occurrence; -1 stands for an out-of-vocabulary token
+        record_tokens, chunk_tokens, chunk_ptr, occurrences = [], [], [0], []
+        for terms in records:  # -1 stands for an out-of-vocabulary token
+            record_tokens.append([token_of[term] if term >= 0 else int(rng.integers(n_terms, n_tokens)) for term in terms])
+            for token in record_tokens[-1]:  # one chunk per occurrence
                 occurrences.append(len(chunk_ptr) - 1)
-                chunk_tokens.append(token_of[term] if term >= 0 else int(rng.integers(n_terms, n_tokens)))
+                chunk_tokens.append(token)
                 chunk_ptr.append(len(chunk_tokens))
         expected = [(int(doc), term, count) for terms, doc in zip(records, record_doc) if doc >= 0
                     for term, count in sorted(Counter(term for term in terms if term >= 0).items())]
         assert {term for terms in records for term in terms} >= {0, 63, 64, 256, 299}
-        docs, terms, values = kernels.term_entries(
-            [len(terms) for terms in records], occurrences, chunk_ptr, chunk_tokens, token_term, record_doc,
-            n_terms, len(expected),
+        chunks = ([len(terms) for terms in records], occurrences, chunk_ptr, chunk_tokens)
+
+        # Every token its own term and no record a row: no entries, each token's df and each record's length.
+        *entries, token_df, token_totals = kernels.term_entries(
+            *chunks, np.arange(n_tokens), np.full(len(records), -1), n_tokens, 0,
+        )
+        assert [entry.size for entry in entries] == [0, 0, 0]
+        holders = Counter(token for tokens in record_tokens for token in set(tokens))
+        assert token_df.tolist() == [holders[token] for token in range(n_tokens)]
+        assert token_totals.tolist() == [len(tokens) for tokens in record_tokens]
+
+        docs, terms, values, df, totals = kernels.term_entries(
+            *chunks, token_term, record_doc, n_terms, len(expected),
         )
         assert list(zip(docs.tolist(), terms.tolist(), values.tolist())) == expected
+        holders = Counter(term for terms in records for term in set(terms) if term >= 0)
+        assert df.tolist() == [holders[term] for term in range(n_terms)]
+        assert totals.tolist() == [sum(term >= 0 for term in terms) for terms in records]
+        # count_corpus's vocab.df is the first call's df of each term's token.
+        assert df.tolist() == token_df[[token_of[term] for term in range(n_terms)]].tolist()
 
     def test_a_generated_persian_corpus_equals_the_reference(self, tmp_path, monkeypatch):
         # The benchmark's generator: Arabic spellings, tatweel, half-spaces,
@@ -583,7 +598,7 @@ class TestDropEmptyRows:
         matrix = DocTermMatrix(4, 3, ([0, 2, 2], [1, 0, 2], [2, 1, 3]), ["a", "b", "c", "d"])
         kept = drop_empty_rows(matrix)
         assert (kept.n_docs, kept.n_terms, kept.doc_ids) == (2, 3, ["a", "c"])
-        assert list(kept.entries()) == [(0, 1, 2), (1, 0, 1), (1, 2, 3)]
+        assert [kept.docs.tolist(), kept.terms.tolist(), kept.values.tolist()] == [[0, 1, 1], [1, 0, 2], [2, 1, 3]]
 
     def test_no_empty_row_returns_the_matrix(self):
         matrix = DocTermMatrix(2, 2, ([0, 1], [1, 0], [2, 1]), ["a", "b"])
