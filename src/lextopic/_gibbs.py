@@ -6,28 +6,20 @@
   points and the count loop ``term_entries``.
 
 Each has a Python equivalent that its callers fall back to, with equal
-results. The shared library is compiled on first use with the system C
-compiler into a per-user cache (``$XDG_CACHE_HOME/lextopic``, else
-``~/.cache/lextopic``). Its file name carries the sha256 of the source
-and the compiler flags, so an edited source is never served a stale
-build. It is written to a temporary file and renamed into place, so
-concurrent first uses cannot load a half-written library; the builds of
-other sources or flags in the cache are then deleted.
+results. ``_native`` compiles the library on first use into a per-user
+cache, under the prefix ``gibbs``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
-import hashlib
-import os
-import shutil
-import tempfile
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from ._native import cache_dir, find_compiler, load_library
 
 __all__ = ["Kernels", "load_kernels"]
 
@@ -46,50 +38,6 @@ class Kernels(NamedTuple):
     term_entries: Callable
 
 
-def find_compiler() -> str | None:
-    return shutil.which("gcc") or shutil.which("cc")
-
-
-def _cache_dir() -> Path:
-    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "lextopic"
-
-
-def _build(cache_dir: Path, compiler: str | None) -> Path:
-    """Path of the compiled library, compiling it if the cache lacks it.
-
-    A compile that fails raises RuntimeError with the compiler's exit status
-    and messages. subprocess is imported only to compile, so a run that
-    finds its library in the cache does not load it. After a compile, every
-    other gibbs-*.so in the cache is deleted where it can be; the .gibbs-*
-    temporary files of compiles still running are left alone.
-    """
-    source = SOURCE.read_bytes()
-    digest = hashlib.sha256(source + "\0".join(CFLAGS).encode()).hexdigest()
-    target = cache_dir / f"gibbs-{digest[:16]}.so"
-    if target.is_file():
-        return target
-    if compiler is None:
-        raise FileNotFoundError("no C compiler (gcc or cc) on PATH")
-    import subprocess
-
-    target.parent.mkdir(parents=True, exist_ok=True)
-    handle, temporary = tempfile.mkstemp(dir=target.parent, prefix=".gibbs-", suffix=".so")
-    os.close(handle)
-    try:
-        result = subprocess.run([compiler, *CFLAGS, "-o", temporary, str(SOURCE)], capture_output=True, text=True)
-        if result.returncode:
-            raise RuntimeError(f"the compiler exited with status {result.returncode}: {result.stderr.strip()}")
-        os.replace(temporary, target)
-    finally:
-        if os.path.exists(temporary):
-            os.unlink(temporary)
-    for stale in cache_dir.glob("gibbs-*.so"):
-        if stale != target:
-            with contextlib.suppress(OSError):
-                stale.unlink()
-    return target
-
-
 def load_kernels() -> Kernels | None:
     """The compiled kernels, or None (with one logged warning) if they cannot be built.
 
@@ -104,20 +52,16 @@ def load_kernels() -> Kernels | None:
     and compiler, so each pair is built, loaded and warned about once per
     process.
     """
-    return _load(_cache_dir(), find_compiler())
+    return _load(cache_dir(), find_compiler())
 
 
 @functools.cache
-def _load(cache_dir: Path, compiler: str | None) -> Kernels | None:
-    try:
-        library = ctypes.CDLL(str(_build(cache_dir, compiler)))
-    except (OSError, RuntimeError) as exc:
-        import logging  # only a fallback logs, so a run that loads the library does not import it
-
-        logging.getLogger(__name__).warning(
-            "compiled kernels unavailable (%s); "
-            "using the Python sweep, perplexity and corpus count", exc,
-        )
+def _load(cache: Path, compiler: str | None) -> Kernels | None:
+    library = load_library(
+        ctypes.CDLL, "compiled kernels unavailable (%s); using the Python sweep, perplexity and corpus count",
+        "gibbs", SOURCE, CFLAGS, cache, compiler,
+    )
+    if library is None:
         return None
     sweep_function = library.gibbs_sweep
     sweep_function.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_double] * 2 + [ctypes.c_void_p]

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._files import atomic_writer, decode_json
 from .errors import (
-    DuplicateId, EmptyContent, InvalidConfig, MalformedDate, MalformedRow, MissingField,
+    DuplicateId, EmptyContent, InvalidConfig, LextopicError, MalformedDate, MalformedRow, MissingField,
     UndecodableCorpus, UnknownLawType, _quoted,
 )
 from .jalali import jalali_to_gregorian_year
@@ -171,10 +171,8 @@ def parse_record_date(value, row: int | None = None) -> RecordDate:
                     )
             raise MalformedDate(value)
         raise MalformedDate(value)
-    except MalformedDate as exc:
-        if row is not None and exc.row is None:
-            raise MalformedDate(exc.raw, row) from None
-        raise
+    except MalformedDate:  # validate_jalali's own error quotes the parsed numbers, not the value the row holds
+        raise MalformedDate(value, row) from None
 
 
 @dataclass
@@ -313,66 +311,136 @@ def _undecodable_row(path: Path, format: str) -> tuple[int | None, str]:
 
 # json.loads's own C scanner, called without the decode() layer around it.
 _scan_object = json.JSONDecoder().scan_once
+# Bytes read at a time on the compiled reader's path; one block's parsed rows are the transient memory it adds.
+_BLOCK_SIZE = 1 << 16
+
+
+def _record_from_line(line: str, row: int, seen_ids: set, law_types: dict) -> LawRecord:
+    """The record of one JSONL line that is not blank, as json.loads reads the line.
+
+    A line whose value spans the whole line, up to its final newline, is
+    taken from json's C scanner as json.loads would return it; any other
+    line, or any line the scanner rejects, goes through decode_json,
+    json.loads with its errors mapped to MalformedRow.
+    """
+    try:
+        mapping, end = _scan_object(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    # json.loads allows only whitespace after the value: kept where only the line's "\n" follows.
+    if not (end == len(line) or (end == len(line) - 1 and line[end] == "\n")):
+        mapping = decode_json(line, lambda reason: MalformedRow(row, reason))
+    if not isinstance(mapping, dict):
+        raise MalformedRow(row, f"expected an object, got {type(mapping).__name__}")
+    record = _record_from_mapping(mapping, row, seen_ids, law_types)
+    if "\\" in line:
+        _reject_surrogates(record, row, "JSON line")
+    return record
+
+
+def _read_jsonl_text(path: Path) -> list[LawRecord]:
+    records, seen_ids, law_types = [], set(), {}
+    with path.open(encoding="utf-8") as handle:
+        row = 0
+        for line in handle:
+            if line.isspace():  # a blank line; a line read from a file is never ""
+                continue
+            row += 1
+            records.append(_record_from_line(line, row, seen_ids, law_types))
+    return records
+
+
+def _read_jsonl_blocks(path: Path, read_block) -> list[LawRecord] | None:
+    """The records, read with the compiled reader; None, at once, on a block that holds a carriage return.
+
+    The file is read in binary, _BLOCK_SIZE bytes at a time, and the line
+    that a block leaves unended is carried over to the next. A line with no
+    newline in a whole block is gathered before it is read, so a long line
+    costs no repeated scans. read_block's dicts are rows; a line it gives
+    back as bytes is decoded and read as the text loop reads it.
+    """
+    records, seen_ids, law_types = [], set(), {}
+    row = 0
+    with path.open("rb") as handle:
+        parts = []
+        while True:
+            chunk = handle.read(_BLOCK_SIZE)
+            if b"\r" in chunk:  # a line end of the text loop's universal newlines
+                return None
+            parts.append(chunk)
+            if chunk and b"\n" not in chunk:
+                continue
+            block = b"".join(parts)
+            items, consumed = read_block(block, not chunk)
+            parts = [block[consumed:]]
+            for item in items:
+                if type(item) is dict:
+                    row += 1
+                    records.append(_record_from_mapping(item, row, seen_ids, law_types))
+                    continue
+                line = item.decode("utf-8")
+                if not line.isspace():
+                    row += 1
+                    records.append(_record_from_line(line, row, seen_ids, law_types))
+            if not chunk:
+                return records
+
+
+def _read_csv(path: Path) -> list[LawRecord]:
+    records, seen_ids, law_types = [], set(), {}
+    with path.open(encoding="utf-8-sig", newline="") as handle:
+        reader = csv.DictReader(handle)
+        row = None
+        try:
+            reader.fieldnames  # reads the header
+            row = 0
+            for row, mapping in enumerate(reader, start=1):
+                record = _record_from_mapping(mapping, row, seen_ids, law_types)
+                if any("\\" in (mapping.get(name) or "") for name in _JSON_CELLS):
+                    _reject_surrogates(record, row, "CSV")
+                records.append(record)
+        except csv.Error as exc:  # a cell over csv.field_size_limit()
+            raise MalformedRow(None if row is None else row + 1, str(exc), "CSV") from None
+    return records
 
 
 def load_corpus(path, format: str = "jsonl") -> Corpus:
     """Read law records from a JSONL or CSV file, validating every row.
 
     Row numbers in errors are 1-based over data rows (the CSV header is
-    not counted). A file that is not UTF-8 raises UndecodableCorpus.
+    not counted). A file that is not UTF-8 raises UndecodableCorpus. A
+    CSV file may open with a UTF-8 byte order mark.
 
     The cyclic garbage collector is paused for the call: records hold no
     reference cycles, so a collection during the load would traverse new
-    records and free nothing. A JSONL line whose value spans the whole
-    line, up to its final newline, is taken from json's C scanner as
-    json.loads would return it; any other line, or any line the scanner
-    rejects, goes through decode_json, json.loads with its errors mapped to
-    MalformedRow.
+    records and free nothing.
+
+    JSONL goes through the compiled reader of _jsonl where it can be built:
+    each line in the reader's subset comes back as the dict json.loads
+    gives, and any other line is read as the text loop reads it. A block
+    holding a carriage return, and any LextopicError or UnicodeDecodeError,
+    loads the file again through the text loop, which reads the file in
+    text mode, so that the records, every error, its row and its message
+    are the text loop's.
     """
     path = Path(path)
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown corpus format {_quoted(format)}")
-    records: list[LawRecord] = []
-    seen_ids: set = set()
-    law_types: dict = {}
     collecting = gc.isenabled()
     gc.disable()
     try:
-        if format == "jsonl":
-            with path.open(encoding="utf-8") as handle:
-                row = 0
-                for line in handle:
-                    if line.isspace():  # a blank line; a line read from a file is never ""
-                        continue
-                    row += 1
-                    try:
-                        mapping, end = _scan_object(line, 0)
-                    except (StopIteration, ValueError, RecursionError):
-                        end = -1
-                    # json.loads allows only whitespace after the value: kept where only the line's "\n" follows.
-                    if not (end == len(line) or (end == len(line) - 1 and line[end] == "\n")):
-                        mapping = decode_json(line, lambda reason: MalformedRow(row, reason))
-                    if not isinstance(mapping, dict):
-                        raise MalformedRow(row, f"expected an object, got {type(mapping).__name__}")
-                    record = _record_from_mapping(mapping, row, seen_ids, law_types)
-                    if "\\" in line:
-                        _reject_surrogates(record, row, "JSON line")
-                    records.append(record)
-        else:
-            with path.open(encoding="utf-8", newline="") as handle:
-                reader = csv.DictReader(handle)
-                row = None
-                try:
-                    reader.fieldnames  # reads the header
-                    row = 0
-                    for row, mapping in enumerate(reader, start=1):
-                        record = _record_from_mapping(mapping, row, seen_ids, law_types)
-                        if any("\\" in (mapping.get(name) or "") for name in _JSON_CELLS):
-                            _reject_surrogates(record, row, "CSV")
-                        records.append(record)
-                except csv.Error as exc:  # a cell over csv.field_size_limit()
-                    raise MalformedRow(None if row is None else row + 1, str(exc), "CSV") from None
-        return Corpus(records)
+        if format == "csv":
+            return Corpus(_read_csv(path))
+        from . import _jsonl  # not at import time: a library import builds nothing
+
+        read_block = _jsonl.load_reader()
+        records = None
+        if read_block is not None:
+            try:
+                records = _read_jsonl_blocks(path, read_block)
+            except (LextopicError, UnicodeDecodeError):
+                pass  # the text loop raises it again, or an error that comes before it there
+        return Corpus(_read_jsonl_text(path) if records is None else records)
     except UnicodeDecodeError:
         raise UndecodableCorpus(path, *_undecodable_row(path, format)) from None
     finally:

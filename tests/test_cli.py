@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import lextopic
 
 from conftest import SYNTH_CONFIG, jsonl_row, write_jsonl
-from lextopic import _gibbs, lda
+from lextopic import _gibbs, _jsonl, lda
 from lextopic.cli import SETTINGS, build_parser, main
 from lextopic.corpus import SynthConfig, generate_synthetic_corpus, load_corpus, save_corpus
 from lextopic.errors import LextopicError
@@ -1235,10 +1235,11 @@ class TestNonFiniteModel:
 class TestCommandImports:
     def test_each_command_leaves_unneeded_modules_unloaded(self, corpus_path, tmp_path):
         # ingest and analyze need no kernel module (numpy itself imports
-        # ctypes). With the library already built, no command needs the
+        # ctypes). With both libraries already built, no command needs the
         # compiler plumbing, nor numpy.ma, which a plain np.unique imports.
         # Each command runs in a fresh process, after those before it.
         _gibbs.load_kernels()
+        _jsonl.load_reader()
         out = str(tmp_path / "out")
         unneeded = ["numpy.ma", "subprocess"]
         commands = [

@@ -3,6 +3,7 @@
 import csv
 import gc
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -213,6 +214,9 @@ class TestRoundTrip:
         save_corpus(corpus, path, fmt)
         loaded = load_corpus(path, fmt)
         assert loaded.records == corpus.records
+        if fmt == "csv":  # with the byte order mark of Excel's "CSV UTF-8"
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            assert load_corpus(path, fmt).records == corpus.records
 
     def test_canonical_field_order(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -309,16 +313,29 @@ class TestDateParsing:
     def test_dict_fields_that_name_an_integer_give_the_integer_date(self, parts):
         assert parse_record_date(parts) == parse_record_date({"year": 1399, "month": 7, "day": 1})
 
-    @pytest.mark.parametrize("bad", [
-        "", "6 July 1402", "1402/13/01", {"year": 1400}, 42,
-        {"year": True, "month": 7, "day": 1}, {"year": 1400, "month": 4.5, "day": 1},
-        {"year": 1400, "month": 7, "day": float("inf")}, {"year": float("nan"), "month": 7, "day": 1},
-        {"year": 0, "month": 7, "day": 1}, {"year": 10_000, "month": 7, "day": 1}, {"year": "1" * 24, "month": 7, "day": 1},
-        {"year": None, "month": 7, "day": 1}, {"year": 1400, "month": [7], "day": 1},
+    # Each error quotes the date as the row holds it: a string's repr, anything else as JSON.
+    @pytest.mark.parametrize("bad, shown", [
+        ("", "''"), ("6 July 1402", "'6 July 1402'"), ("1402/13/01", "'1402/13/01'"),
+        (" 1402/13/01 ", "' 1402/13/01 '"), ("13/01/1402", "'13/01/1402'"),
+        ("Saturday, July 40, 1402", "'Saturday, July 40, 1402'"),
+        ({"year": 1400}, '{"year": 1400}'), (42, "42"),
+        ({"year": True, "month": 7, "day": 1}, '{"year": true, "month": 7, "day": 1}'),
+        ({"year": 1400, "month": 4.5, "day": 1}, '{"year": 1400, "month": 4.5, "day": 1}'),
+        ({"year": 1400, "month": 7, "day": float("inf")}, '{"year": 1400, "month": 7, "day": Infinity}'),
+        ({"year": float("nan"), "month": 7, "day": 1}, '{"year": NaN, "month": 7, "day": 1}'),
+        ({"year": 0, "month": 7, "day": 1}, '{"year": 0, "month": 7, "day": 1}'),
+        ({"year": 10_000, "month": 7, "day": 1}, '{"year": 10000, "month": 7, "day": 1}'),
+        ({"year": "1" * 24, "month": 7, "day": 1}, '{"year": "' + "1" * 24 + '", "month": 7, "day": 1}'),
+        ({"year": None, "month": 7, "day": 1}, '{"year": null, "month": 7, "day": 1}'),
+        ({"year": 1400, "month": [7], "day": 1}, '{"year": 1400, "month": [7], "day": 1}'),
+        ({"year": 1402, "month": 13, "day": 1}, '{"year": 1402, "month": 13, "day": 1}'),
+        ({"year": "1402", "month": "13", "day": "1"}, '{"year": "1402", "month": "13", "day": "1"}'),
     ])
-    def test_malformed_inputs_raise(self, bad):
-        with pytest.raises(MalformedDate):
+    def test_malformed_inputs_raise(self, bad, shown):
+        with pytest.raises(MalformedDate, match=f"^malformed date {re.escape(shown)}$"):
             parse_record_date(bad)
+        with pytest.raises(MalformedDate, match=f"^row 4: malformed date {re.escape(shown)}$"):
+            parse_record_date(bad, 4)
 
     def test_a_year_past_the_digit_limit_is_quoted_by_its_type(self):
         with pytest.raises(MalformedDate, match="^malformed date a dict too long to show$"):

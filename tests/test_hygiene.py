@@ -227,12 +227,22 @@ def test_every_preprocess_config_field_has_a_setting(tmp_path):
     assert [field.name for field in fields(result) if getattr(result, field.name) == getattr(default, field.name)] == []
 
 
-KERNELS = {"gibbs_sweep", "token_probs", "scan_chunks", "term_entries"}
+EXPORTED = {"_gibbs": {"gibbs_sweep", "token_probs", "scan_chunks", "term_entries"}, "_jsonl": {"read_block"}}
 
 
-def test_every_compiled_kernel_is_bound_and_no_other_is_defined():
-    # The non-static top-level function definitions of _gibbs.c, and the library functions _gibbs.py binds.
-    defined = re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(", _gibbs.SOURCE.read_text(encoding="utf-8"), re.M)
-    bound = re.findall(r"\blibrary\.(\w+)", Path(_gibbs.__file__).read_text(encoding="utf-8"))
-    assert (sorted(defined), sorted(bound)) == (sorted(KERNELS), sorted(KERNELS))
-    assert len(_gibbs.Kernels._fields) == len(KERNELS)
+@pytest.mark.parametrize("source", sorted((ROOT / "src" / "lextopic").glob("*.c")), ids=lambda path: path.name)
+def test_every_compiled_kernel_is_bound_and_no_other_is_defined(source):
+    # The non-static top-level function definitions of a C source, and the library functions its module binds.
+    defined = re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(", source.read_text(encoding="utf-8"), re.M)
+    bound = re.findall(r"\blibrary\.(\w+)", source.with_suffix(".py").read_text(encoding="utf-8"))
+    assert (sorted(defined), sorted(bound)) == (sorted(EXPORTED[source.stem]),) * 2
+    if source.stem == "_gibbs":
+        assert len(_gibbs.Kernels._fields) == len(EXPORTED["_gibbs"])
+
+
+def test_every_c_source_is_package_data():
+    # The package-data list of pyproject.toml, as it is written there: one line of quoted names.
+    listed = re.search(r"^\[tool\.setuptools\.package-data\]\nlextopic = \[(.*)\]$",
+                       (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    sources = {path.name for path in (ROOT / "src" / "lextopic").glob("*.c")}
+    assert listed and sources <= set(re.findall(r'"([^"]+)"', listed[1]))

@@ -2,6 +2,7 @@
 
 import base64
 import copy
+import functools
 import json
 import logging
 import math
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_from_bits
-from lextopic import _gibbs, lda
+from lextopic import _gibbs, _native, lda
 from lextopic.analyze import top_words
 from lextopic.errors import (
     AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, LdaError, LextopicError, MalformedEntries,
@@ -1120,19 +1121,21 @@ class TestKernelCache:
         if compiler is None:
             pytest.skip("no C compiler on PATH")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        cache = _gibbs._cache_dir()
+        cache = _native.cache_dir()
         cache.mkdir(parents=True)
         for name in ("gibbs-0000000000000000.so", "gibbs-1111111111111111.so"):
             (cache / name).write_bytes(b"an older build")
         (cache / ".gibbs-x1y2z3.so").write_bytes(b"another process's compile")
         (cache / "gibbs-busy.so").mkdir()  # unlink fails on a directory
+        (cache / "jsonl-0000000000000000.so").write_bytes(b"another library's build")
         (cache / "notes.txt").write_text("not a build")
-        target = _gibbs._build(cache, compiler)
-        kept = [target.name, ".gibbs-x1y2z3.so", "gibbs-busy.so", "notes.txt"]
+        build = functools.partial(_native.build, "gibbs", _gibbs.SOURCE, _gibbs.CFLAGS, cache, compiler)
+        target = build()
+        kept = [target.name, ".gibbs-x1y2z3.so", "gibbs-busy.so", "jsonl-0000000000000000.so", "notes.txt"]
         assert sorted(path.name for path in cache.iterdir()) == sorted(kept)
         # A build found in the cache is returned without a look at the others.
         (cache / "gibbs-2222222222222222.so").write_bytes(b"an older build")
-        assert _gibbs._build(cache, compiler) == target
+        assert build() == target
         assert sorted(path.name for path in cache.iterdir()) == sorted(kept + ["gibbs-2222222222222222.so"])
 
 

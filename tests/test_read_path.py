@@ -2,18 +2,26 @@
 
 ``reference_load`` is the row-by-row loader that ``load_corpus`` replaced:
 nine alias lookups per row, ``json.loads`` per line, and every law type
-and date parsed afresh. ``reference_top_words`` is the full sort that
+and date parsed afresh; ``load_corpus`` is checked against it with the
+compiled JSONL reader and without it. The reader itself is checked line by
+line against ``json.loads``. ``reference_top_words`` is the full sort that
 ``top_words`` replaced.
 """
 
 import csv
 import json
+import logging
+import re
+import subprocess
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import jsonl_row
+
+from lextopic import _jsonl, _native, corpus
 from lextopic.analyze import _term_names, top_words
 from lextopic.corpus import (
     Corpus,
@@ -23,7 +31,7 @@ from lextopic.corpus import (
     parse_law_type,
     parse_record_date,
 )
-from lextopic.errors import DuplicateId, MalformedDate, MalformedRow, MissingField
+from lextopic.errors import DuplicateId, MalformedDate, MalformedRow, MissingField, UndecodableCorpus
 from lextopic.jalali import jalali_to_gregorian
 from lextopic.lda import LdaConfig, LdaModel
 from lextopic.vectorize import Vocabulary
@@ -233,6 +241,19 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+@pytest.fixture(scope="class", params=["reader", "text"])
+def jsonl_path(request):
+    """Each test of the class runs with the compiled reader, then with it missing."""
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param == "text":
+            patch.setattr(_jsonl, "load_reader", lambda: None)
+        elif _jsonl.load_reader() is None:
+            assert _native.find_compiler() is None, "a C compiler is on PATH but the JSONL reader did not load"
+            pytest.skip("no C compiler on PATH")
+        yield request.param
+
+
+@pytest.mark.usefixtures("jsonl_path")
 class TestLoaderMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -330,6 +351,233 @@ class TestLoaderMatchesReference:
         records = load_corpus(path).records
         assert len(records) == 4
         assert records == reference_load(path, "jsonl").records
+
+
+# --- the compiled JSONL reader against json.loads ----------------------------------
+
+@pytest.fixture(scope="module")
+def read_block():
+    reader = _jsonl.load_reader()
+    if reader is None:
+        assert _native.find_compiler() is None, "a C compiler is on PATH but the JSONL reader did not load"
+        pytest.skip("no C compiler on PATH")
+    return reader
+
+
+def same_json(value, expected) -> bool:
+    """value == expected, with the same type and the same key order at every level."""
+    if type(value) is not type(expected):
+        return False
+    if isinstance(value, dict):
+        return list(value) == list(expected) and all(same_json(value[key], expected[key]) for key in value)
+    if isinstance(value, list):
+        return len(value) == len(expected) and all(map(same_json, value, expected))
+    return value == expected
+
+
+def read_in_blocks(read_block, data: bytes, cuts) -> list:
+    """The items of data read as load_corpus reads it, in blocks cut at cuts, each consumed count checked."""
+    items, carry = [], b""
+    bounds = [0, *sorted(cuts), len(data)]
+    for start, stop in zip(bounds, bounds[1:] + [None]):
+        final = stop is None
+        block = carry + data[start:stop] if not final else carry
+        got, consumed = read_block(block, final)
+        assert consumed == (len(block) if final else block.rfind(b"\n") + 1)
+        items += got
+        carry = block[consumed:]
+    return items
+
+
+def check_items(items, data: bytes, in_subset=frozenset()) -> None:
+    """Each item is its line's bytes or the dict json.loads gives for the line; lines in in_subset give dicts."""
+    lines = re.findall(rb"[^\n]*\n|[^\n]+\Z", data)
+    assert len(items) == len(lines)
+    for item, line in zip(items, lines):
+        if isinstance(item, bytes):
+            assert item == line and line.rstrip(b"\n") not in in_subset
+        else:
+            assert same_json(item, json.loads(line))
+
+
+# Values in the reader's subset: no escape, no float, BMP characters only.
+_SUBSET_TEXT = st.text(alphabet=st.characters(
+    max_codepoint=0xFFFF, exclude_categories=("Cs",), exclude_characters='"\\' + "".join(map(chr, range(32))),
+), max_size=8)
+_SUBSET_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(10**18) + 1, 10**18 - 1), _SUBSET_TEXT),
+    lambda children: st.one_of(st.lists(children, max_size=3), st.dictionaries(_SUBSET_TEXT, children, max_size=3)),
+    max_leaves=8,
+)
+_SUBSET_OBJECT = st.dictionaries(_SUBSET_TEXT, _SUBSET_VALUE, max_size=4)
+_SEPARATORS = st.sampled_from([(", ", ": "), (",", ":"), (" ,\t", "\t: ")])
+# Any JSON value: escapes, floats, 4-byte characters and integers of any length.
+_ANY_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(10**25), 10**25), st.floats(), st.text(max_size=6)),
+    lambda children: st.one_of(st.lists(children, max_size=3), st.dictionaries(st.text(max_size=3), children,
+                                                                               max_size=3)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _reader_line(draw) -> tuple[bytes, bool]:
+    """A line with no newline, and whether it is in the reader's subset."""
+    kind = draw(st.sampled_from(["subset"] * 4 + ["any", "damaged", "bytes", "blank"]))
+    if kind == "subset":
+        separators = draw(_SEPARATORS)
+        return json.dumps(draw(_SUBSET_OBJECT), ensure_ascii=False, separators=separators).encode(), True
+    if kind == "any":
+        value = draw(st.one_of(st.dictionaries(st.text(max_size=3), _ANY_VALUE, max_size=3), _ANY_VALUE))
+        return json.dumps(value, ensure_ascii=draw(st.booleans())).encode(), False
+    if kind == "bytes":
+        return draw(st.binary(max_size=12)).replace(b"\n", b""), False
+    if kind == "blank":
+        return draw(st.sampled_from([b"", b" ", b"\t", b"\r", b"\xc2\xa0"])), False
+    line = bytearray(json.dumps(draw(_SUBSET_OBJECT), ensure_ascii=False).encode())
+    at = draw(st.integers(0, len(line)))
+    if draw(st.booleans()):
+        del line[at:]
+    else:
+        line[at:at] = draw(st.binary(min_size=1, max_size=2)).replace(b"\n", b" ")
+    return bytes(line), False
+
+
+class TestReaderMatchesJsonLoads:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(_reader_line(), min_size=1, max_size=6),
+        final_newline=st.booleans(),
+        cut_fractions=st.lists(st.floats(0, 1), max_size=4),
+    )
+    def test_blocks_of_mixed_lines(self, read_block, lines, final_newline, cut_fractions):
+        data = b"\n".join(line for line, _ in lines) + (b"\n" if final_newline else b"")
+        items = read_in_blocks(read_block, data, [int(fraction * len(data)) for fraction in cut_fractions])
+        check_items(items, data, {line for line, in_subset in lines if in_subset})
+
+    @pytest.mark.parametrize("line, in_subset", [
+        (b'{"n": 123456789012345678}', True),
+        (b'{"n": -123456789012345678}', True),
+        (b'{"n": 1234567890123456789}', False),
+        (b'{"n": -1234567890123456789}', False),
+        (b'{"n": -0}', True),
+        (b'{"n": 0}', True),
+        (b'{"n": 01}', False),
+        (b'{"n": 1.0}', False),
+        (b'{"n": 1e3}', False),
+        (b'{"n": NaN}', False),
+        (b'{"n": true, "n": [false, null], "m": {}}', True),
+        (b'{"a": ' + b"[" * 31 + b"]" * 31 + b"}", True),
+        (b'{"a": ' + b"[" * 32 + b"]" * 32 + b"}", False),
+        (b'{"a": "\xd9"}', False),
+        (b'{"a": "\xe2\x80"}', False),
+        (b'{"a": "\xe2\x80\x8c"}', True),
+        (b'{"a": "\xc0\xaf"}', False),
+        (b'{"a": "\xc1\xbf"}', False),
+        (b'{"a": "\xe0\x80\xaf"}', False),
+        (b'{"a": "\xed\xa0\x80"}', False),
+        (b'{"a": "\xed\x9f\xbf"}', True),
+        (b'{"a": "\xef\xbf\xbf"}', True),
+        (b'{"a": "\xf0\x9f\x98\x80"}', False),
+        (b'{"a": "\xc2\x80\x7f"}', True),
+        (b'{"a": "\\u0041"}', False),
+        (b'{"a": "tab\there"}', False),
+        (b'{"a": 1} ', False),
+        (b' {"a": 1}', False),
+        (b'{"a": 1}\r', False),
+        (b'{"a" : 1 ,\t"b":\t[ ] }', True),
+        (b'[1]', False),
+        (b'{"a": tru}', False),
+        (b'{"a": 1,}', False),
+        (b'{"a"}', False),
+        (b'{', False),
+    ], ids=lambda value: None if isinstance(value, bool) else repr(value)[:40])
+    def test_edges(self, read_block, line, in_subset):
+        for data in (line, line + b"\n"):
+            items, consumed = read_block(data, True)
+            assert consumed == len(data) and len(items) == 1
+            check_items(items, data, {line} if in_subset else set())
+            assert isinstance(items[0], dict) is in_subset
+
+    def test_a_block_cut_inside_a_character_waits_for_the_rest(self, read_block):
+        data = '{"a": "قانون"}\n'.encode()
+        for cut in range(len(data)):
+            assert read_block(data[:cut], False) == ([], 0)
+            assert read_in_blocks(read_block, data, [cut]) == [{"a": "قانون"}]
+
+    def test_source_compiles_without_warnings(self, read_block, tmp_path):
+        import sysconfig
+
+        include = sysconfig.get_paths()["include"]
+        result = subprocess.run(
+            [_native.find_compiler(), *_jsonl.CFLAGS, f"-I{include}", "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "jsonl.so"), str(_jsonl.SOURCE)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_rejects_what_is_not_bytes(self, read_block):
+        with pytest.raises(TypeError, match="bytes block"):
+            read_block('{"a": 1}', True)
+
+
+def _escaped_row(record_id: str) -> str:
+    return json.dumps(jsonl_row(record_id, title="عنوان"), ensure_ascii=True)
+
+
+class TestReaderLoads:
+    @pytest.mark.parametrize("block_size", [1, 7, 64])
+    def test_small_blocks_load_what_the_text_loop_loads(self, read_block, monkeypatch, tmp_path, block_size):
+        # Lines longer than a block, a line the reader gives back, blank lines and no final newline.
+        content = " ".join(["قانون", "مالیات‌ها", "بودجه"] * 20)
+        lines = [json.dumps(jsonl_row(f"r{i}", content=content), ensure_ascii=False) for i in range(4)]
+        lines[1:1] = ["", " \t", _escaped_row("escaped")]
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        monkeypatch.setattr(corpus, "_BLOCK_SIZE", block_size)
+        records = load_corpus(path).records
+        monkeypatch.setattr(_jsonl, "load_reader", lambda: None)
+        assert [record.id for record in records] == ["r0", "escaped", "r1", "r2", "r3"]
+        assert records == load_corpus(path).records
+
+    @pytest.mark.parametrize("bad_byte", [True, False])
+    @pytest.mark.parametrize("gap", [0, 10, 100_000])
+    @pytest.mark.parametrize("flaw", ["duplicate-id", "not-an-object", "carriage-return", "none"])
+    def test_errors_are_the_text_loops(self, read_block, monkeypatch, tmp_path, bad_byte, gap, flaw):
+        # A row's error against a byte that is not UTF-8 later in the file, near it or in a later block. A
+        # carriage return between two tokens is whitespace to json.loads, and a line end to the text loop.
+        rows = [json.dumps(jsonl_row(f"r{i}")) for i in range(3)]
+        rows[2] = {"duplicate-id": rows[0], "not-an-object": "[1]", "carriage-return": rows[2].replace(", ", ",\r", 1),
+                   "none": rows[2]}[flaw]
+        filler = [json.dumps(jsonl_row(f"f{i}", content="x" * 100)) for i in range(gap // 200)]
+        path = tmp_path / "c.jsonl"
+        path.write_bytes("\n".join(rows + filler).encode() + (b"\n\xff\n" if bad_byte else b"\n"))
+        outcome = _outcome(load_corpus, path, "jsonl")
+        monkeypatch.setattr(_jsonl, "load_reader", lambda: None)
+        assert outcome == _outcome(load_corpus, path, "jsonl")
+        assert isinstance(outcome, list) == (flaw == "none" and not bad_byte)
+
+    @pytest.mark.parametrize("missing", ["compiler", "headers"])
+    def test_without_the_reader_one_warning_and_the_same_records(self, read_block, monkeypatch, tmp_path, caplog,
+                                                                missing):
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join([json.dumps(jsonl_row("r0")), _escaped_row("r1")]) + "\n", encoding="utf-8")
+        expected = load_corpus(path).records
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        if missing == "compiler":
+            monkeypatch.setattr(_jsonl, "find_compiler", lambda: None)
+        else:
+            import sysconfig
+
+            paths = {**sysconfig.get_paths(), "include": str(tmp_path / "no-include")}
+            monkeypatch.setattr(sysconfig, "get_paths", lambda: paths)
+        with caplog.at_level(logging.WARNING, logger="lextopic"):
+            assert load_corpus(path).records == expected
+            assert load_corpus(path).records == expected
+        warnings = [record.getMessage() for record in caplog.records if record.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "reading JSONL corpora as text" in warnings[0]
+        assert ("no C compiler" if missing == "compiler" else "no Python.h in") in warnings[0]
+        assert not (tmp_path / "cache").exists()
 
 
 @settings(max_examples=200, deadline=None)

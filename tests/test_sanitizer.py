@@ -1,12 +1,13 @@
-"""The compiled kernels under AddressSanitizer and UndefinedBehaviorSanitizer.
+"""The compiled libraries under AddressSanitizer and UndefinedBehaviorSanitizer.
 
-The kernels that read what a user passes in are scan_chunks, over a
-corpus's code points, and the count loops over its output.
-A child process compiles _gibbs.c with the sanitizers into a temporary
-cache, preloads the ASan runtime and makes Python allocate with malloc,
-so that its bytes objects are checked too, then runs every kernel through
-the commands and the corpus count on hostile text. Any report fails the
-test.
+The code that reads what a user passes in is the JSONL reader, over a
+corpus file's bytes, scan_chunks, over a corpus's code points, and the
+count loops over its output. A child process compiles _gibbs.c and
+_jsonl.c with the sanitizers into a temporary cache, preloads the ASan
+runtime and makes Python allocate with malloc, so that its bytes objects
+are checked too. It then runs every kernel through the commands and the
+corpus count on hostile text, and loads hostile JSONL lines, in whole
+blocks and in blocks of a few bytes. Any report fails the test.
 """
 
 import os
@@ -26,18 +27,31 @@ SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 # The first code point past the whitespace bitmap's last word, the last code point, and a surrogate pair.
 BITMAP_EDGES = ["\u3040", "\U0010ffff", "\ud83d\ude00"]
 
+# The JSONL reader's edges: integer lengths, nesting depth, bad UTF-8 and lines that end inside a value.
+HOSTILE = [
+    b'{"n": 123456789012345678, "m": -1234567890123456789, "z": -0}',
+    b'{"a": ' + b"[" * 31 + b"]" * 31 + b"}",
+    b'{"a": ' + b"[" * 33 + b"]" * 33 + b"}",
+    b'{"a": "\xd9', b'{"a": "\xe2\x80"}', b'{"a": "\xc0\xaf"}', b'{"a": "\xe0\x80\xaf"}',
+    b'{"a": "\xed\xa0\x80"}', b'{"a": "\xf0\x9f\x98\x80"}', '{"a": "قانون‌ها"}'.encode(),
+    b'{"a": "x', b'{"a": tr', b'{"a": -', b'{"a": [1, {"b": ', b'{"a"', b"{",
+]
+
 PERSIAN_TOPICS = ["مالیات بودجه درآمد دولت", "دادگاه قاضی حکم تجدیدنظر", "آموزش مدرسه دانشگاه فرهنگ"]
 
 CHILD = """
 import sys
 from pathlib import Path
 import numpy as np
-from lextopic import _gibbs, cli, vectorize
+from lextopic import _gibbs, _jsonl, cli, corpus, vectorize
 from lextopic.corpus import Corpus, LawRecord, LawType, RecordDate
+from lextopic.errors import LextopicError
 
 _gibbs.CFLAGS = _gibbs.CFLAGS + SANITIZE
 kernels = _gibbs.load_kernels()
 assert kernels is not None, "the sanitized library did not load"
+_jsonl.CFLAGS = _jsonl.CFLAGS + SANITIZE
+assert _jsonl.load_reader() is not None, "the sanitized reader did not load"
 corpus_path, out = sys.argv[1], Path(sys.argv[2])
 
 # Every kernel but the corpus count's near misses, through the commands:
@@ -57,6 +71,19 @@ records = [
     for index in range(300)
 ]
 vectorize.count_corpus(Corpus(records), min_df=1, max_df_ratio=1.0, on_empty="drop")
+
+# Each hostile line after a good row, with and without a final newline, in whole and in 3-byte blocks.
+good = Path(corpus_path).read_bytes().split(b"\\n")[0]
+hostile = out / "hostile.jsonl"
+for block_size in (1 << 16, 3):
+    corpus._BLOCK_SIZE = block_size
+    for line in HOSTILE:
+        for end in (b"", b"\\n"):
+            hostile.write_bytes(good + b"\\n" + line + end)
+            try:
+                corpus.load_corpus(hostile)
+            except LextopicError:
+                pass
 
 print("ok")
 """
@@ -82,7 +109,8 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
         for index in range(24)
     ])
     alphabet = WHITESPACE + NEAR_MISSES + LETTERS + BITMAP_EDGES
-    script = CHILD.replace("SANITIZE", repr(SANITIZE)).replace("ALPHABET", repr(alphabet))
+    script = CHILD.replace("SANITIZE", repr(SANITIZE)).replace("ALPHABET", repr(alphabet)).replace(
+        "HOSTILE", repr(HOSTILE))
     source_root = str(Path(lextopic.__file__).resolve().parents[1])
     env = dict(
         os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"), LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
