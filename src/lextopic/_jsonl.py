@@ -2,15 +2,18 @@
 
 ``corpus.load_corpus`` reads JSONL through it, and through its own text
 loop where it is missing. ``_native`` compiles the library on first use
-into a per-user cache, under the prefix ``jsonl``, against this
-interpreter's headers: the cache name also hashes the include directory
-and the ABI tag, so another Python is never served this one's build.
+into a per-user cache, against this interpreter's headers. Its prefix is
+``jsonl-`` and the ABI tag (``jsonl-cpython-311-x86_64-linux-gnu``), and
+its hash also covers the include directory, so another Python is never
+served this one's build, and Pythons of different ABIs that share the
+cache do not delete each other's builds.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import sys
 from pathlib import Path
 from typing import Callable
 
@@ -43,8 +46,8 @@ def _load(cache: Path, compiler: str | None) -> Callable | None:
     include = Path(sysconfig.get_paths()["include"])
     library = load_library(
         ctypes.PyDLL, "compiled JSONL reader unavailable (%s); reading JSONL corpora as text",
-        "jsonl", SOURCE, (*CFLAGS, f"-I{include}"), cache, compiler,
-        salt=sysconfig.get_config_var("SOABI") or "", header=include / "Python.h",
+        f"jsonl-{sysconfig.get_config_var('SOABI') or sys.implementation.cache_tag}", SOURCE,
+        (*CFLAGS, f"-I{include}"), cache, compiler, header=include / "Python.h",
     )
     if library is None:
         return None

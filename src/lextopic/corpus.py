@@ -112,18 +112,56 @@ _MDY = re.compile(r"(\d{1,2})[/-](\d{1,2})[/-](\d{4})$")
 _NAMED = re.compile(r"(?:[A-Za-z]+,\s*)?([A-Za-z]+)\s+(\d{1,2}),\s*(\d{4})$")
 
 
-def _date_number(number, value) -> int:
-    """A dict date's year, month or day: an integer, a float with no fraction, or an integer string."""
+def _date_number(number) -> int | None:
+    """A dict date's year, month or day: an integer, a float with no fraction, or an integer string; else None."""
     if type(number) is int:  # not a bool
         return number
     if isinstance(number, str):
         try:
             return int(number)
         except ValueError:
-            raise MalformedDate(value) from None
+            return None
     if type(number) is float and number.is_integer():  # False for inf and nan
         return int(number)
-    raise MalformedDate(value)  # a bool, a fraction, null, a list, an object
+    return None  # a bool, a fraction, null, a list, an object
+
+
+def _parse_date(value) -> RecordDate | None:
+    """parse_record_date's RecordDate, or None for a value in none of its forms.
+
+    validate_jalali raises MalformedDate for numbers that are no Jalali date.
+    """
+    if isinstance(value, dict):
+        try:
+            y, m, d = value["year"], value["month"], value["day"]
+        except KeyError:
+            return None
+        if type(y) is not int or type(m) is not int or type(d) is not int:
+            y, m, d = _date_number(y), _date_number(m), _date_number(d)
+            if y is None or m is None or d is None:
+                return None
+        if not 1 <= y <= 9999:
+            return None
+        raw = value.get("raw")
+        raw = f"{y:04d}/{m:02d}/{d:02d}" if raw is None else str(raw)
+        return RecordDate.from_jalali(raw, y, m, d)
+    if not isinstance(value, str):
+        return None
+    text = value.strip()
+    match = _YMD.match(text)
+    if match:
+        y, m, d = map(int, match.groups())
+        return RecordDate.from_jalali(text, y, m, d)
+    match = _MDY.match(text)
+    if match:
+        m, d, y = map(int, match.groups())
+        return RecordDate.from_jalali(text, y, m, d)
+    match = _NAMED.match(text)
+    if match:
+        name = match.group(1).lower()
+        if name in _MONTH_NAME_TO_JALALI:
+            return RecordDate.from_jalali(text, int(match.group(3)), _MONTH_NAME_TO_JALALI[name], int(match.group(2)))
+    return None
 
 
 def parse_record_date(value, row: int | None = None) -> RecordDate:
@@ -132,47 +170,18 @@ def parse_record_date(value, row: int | None = None) -> RecordDate:
     Accepted strings: "1402/04/06" (year first), "04/06/1402" (year
     last), and "Saturday, July 10, 1402" where the weekday is ignored
     and the month name indexes the Jalali month. A dict's year, like a
-    string's four digits, is in 1-9999.
+    string's four digits, is in 1-9999. Any other value, or numbers that
+    are no Jalali date, raise MalformedDate quoting the value as given.
     """
     if isinstance(value, RecordDate):
         return value
     try:
-        if isinstance(value, dict):
-            try:
-                y, m, d = value["year"], value["month"], value["day"]
-            except KeyError:
-                raise MalformedDate(value) from None
-            if type(y) is not int or type(m) is not int or type(d) is not int:
-                y, m, d = _date_number(y, value), _date_number(m, value), _date_number(d, value)
-            if not 1 <= y <= 9999:
-                raise MalformedDate(value)
-            raw = value.get("raw")
-            raw = f"{y:04d}/{m:02d}/{d:02d}" if raw is None else str(raw)
-            return RecordDate.from_jalali(raw, y, m, d)
-        if isinstance(value, str):
-            text = value.strip()
-            match = _YMD.match(text)
-            if match:
-                y, m, d = map(int, match.groups())
-                return RecordDate.from_jalali(text, y, m, d)
-            match = _MDY.match(text)
-            if match:
-                m, d, y = map(int, match.groups())
-                return RecordDate.from_jalali(text, y, m, d)
-            match = _NAMED.match(text)
-            if match:
-                name = match.group(1).lower()
-                if name in _MONTH_NAME_TO_JALALI:
-                    return RecordDate.from_jalali(
-                        text,
-                        int(match.group(3)),
-                        _MONTH_NAME_TO_JALALI[name],
-                        int(match.group(2)),
-                    )
-            raise MalformedDate(value)
-        raise MalformedDate(value)
+        date = _parse_date(value)
     except MalformedDate:  # validate_jalali's own error quotes the parsed numbers, not the value the row holds
-        raise MalformedDate(value, row) from None
+        date = None
+    if date is None:
+        raise MalformedDate(value, row)
+    return date
 
 
 @dataclass
@@ -356,8 +365,9 @@ def _read_jsonl_blocks(path: Path, read_block) -> list[LawRecord] | None:
     The file is read in binary, _BLOCK_SIZE bytes at a time, and the line
     that a block leaves unended is carried over to the next. A line with no
     newline in a whole block is gathered before it is read, so a long line
-    costs no repeated scans. read_block's dicts are rows; a line it gives
-    back as bytes is decoded and read as the text loop reads it.
+    costs no repeated scans. read_block's dicts are rows, and hold no lone
+    surrogate, which the reader never builds; a line it gives back as bytes
+    is decoded and read as the text loop reads it.
     """
     records, seen_ids, law_types = [], set(), {}
     row = 0

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_from_bits
-from lextopic import _gibbs, _native, lda
+from lextopic import _gibbs, _jsonl, _native, lda
 from lextopic.analyze import top_words
 from lextopic.errors import (
     AbsentTopWord, CorruptModel, EmptyMatrix, EntryOutOfRange, InvalidConfig, LdaError, LextopicError, MalformedEntries,
@@ -1127,16 +1127,32 @@ class TestKernelCache:
             (cache / name).write_bytes(b"an older build")
         (cache / ".gibbs-x1y2z3.so").write_bytes(b"another process's compile")
         (cache / "gibbs-busy.so").mkdir()  # unlink fails on a directory
-        (cache / "jsonl-0000000000000000.so").write_bytes(b"another library's build")
+        # Other libraries' builds, also one whose prefix begins with this one's.
+        others = ["jsonl-0000000000000000.so", "gibbs-extra-0000000000000000.so"]
+        for name in others:
+            (cache / name).write_bytes(b"another library's build")
         (cache / "notes.txt").write_text("not a build")
         build = functools.partial(_native.build, "gibbs", _gibbs.SOURCE, _gibbs.CFLAGS, cache, compiler)
         target = build()
-        kept = [target.name, ".gibbs-x1y2z3.so", "gibbs-busy.so", "jsonl-0000000000000000.so", "notes.txt"]
+        kept = [target.name, ".gibbs-x1y2z3.so", "gibbs-busy.so", *others, "notes.txt"]
         assert sorted(path.name for path in cache.iterdir()) == sorted(kept)
         # A build found in the cache is returned without a look at the others.
         (cache / "gibbs-2222222222222222.so").write_bytes(b"an older build")
         assert build() == target
-        assert sorted(path.name for path in cache.iterdir()) == sorted(kept + ["gibbs-2222222222222222.so"])
+        kept.append("gibbs-2222222222222222.so")
+        assert sorted(path.name for path in cache.iterdir()) == sorted(kept)
+        # The reader's prefix holds the ABI tag: its build deletes its own ABI's stale build, never another's.
+        import sysconfig
+
+        if not (Path(sysconfig.get_paths()["include"]) / "Python.h").is_file():
+            pytest.skip("no Python.h")
+        own, other = (f"jsonl-{abi}-0000000000000000.so"
+                      for abi in (sysconfig.get_config_var("SOABI"), "cpython-399-x86_64-linux-gnu"))
+        for name in (own, other):
+            (cache / name).write_bytes(b"an older build")
+        assert _jsonl._load(cache, compiler) is not None
+        added = {path.name for path in cache.iterdir()} - set(kept)
+        assert len(added) == 2 and other in added and own not in added
 
 
 class TestEntryBounds:

@@ -31,7 +31,7 @@ from lextopic.corpus import (
     parse_law_type,
     parse_record_date,
 )
-from lextopic.errors import DuplicateId, MalformedDate, MalformedRow, MissingField, UndecodableCorpus
+from lextopic.errors import DuplicateId, MalformedDate, MalformedRow, MissingField
 from lextopic.jalali import jalali_to_gregorian
 from lextopic.lda import LdaConfig, LdaModel
 from lextopic.vectorize import Vocabulary
@@ -365,14 +365,14 @@ def read_block():
 
 
 def same_json(value, expected) -> bool:
-    """value == expected, with the same type and the same key order at every level."""
+    """value == expected, with the same type and the same key order at every level; floats by repr, for -0.0."""
     if type(value) is not type(expected):
         return False
     if isinstance(value, dict):
         return list(value) == list(expected) and all(same_json(value[key], expected[key]) for key in value)
     if isinstance(value, list):
         return len(value) == len(expected) and all(map(same_json, value, expected))
-    return value == expected
+    return repr(value) == repr(expected) if isinstance(value, float) else value == expected
 
 
 def read_in_blocks(read_block, data: bytes, cuts) -> list:
@@ -400,41 +400,35 @@ def check_items(items, data: bytes, in_subset=frozenset()) -> None:
             assert same_json(item, json.loads(line))
 
 
-# Values in the reader's subset: no escape, no float, BMP characters only.
-_SUBSET_TEXT = st.text(alphabet=st.characters(
-    max_codepoint=0xFFFF, exclude_categories=("Cs",), exclude_characters='"\\' + "".join(map(chr, range(32))),
-), max_size=8)
-_SUBSET_VALUE = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(-(10**18) + 1, 10**18 - 1), _SUBSET_TEXT),
-    lambda children: st.one_of(st.lists(children, max_size=3), st.dictionaries(_SUBSET_TEXT, children, max_size=3)),
-    max_leaves=8,
-)
-_SUBSET_OBJECT = st.dictionaries(_SUBSET_TEXT, _SUBSET_VALUE, max_size=4)
-_SEPARATORS = st.sampled_from([(", ", ": "), (",", ":"), (" ,\t", "\t: ")])
-# Any JSON value: escapes, floats, 4-byte characters and integers of any length.
-_ANY_VALUE = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(-(10**25), 10**25), st.floats(), st.text(max_size=6)),
+# Any JSON value, shallow and with no lone surrogate: NaN, infinities, characters past the BMP, integers of any
+# length. json.dumps escapes quotes, backslashes and control characters, and, with ensure_ascii, every character
+# past ASCII: those past the BMP as a pair of surrogate escapes.
+_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(10**25), 10**25), st.floats(), st.text(max_size=8)),
     lambda children: st.one_of(st.lists(children, max_size=3), st.dictionaries(st.text(max_size=3), children,
                                                                                max_size=3)),
-    max_leaves=6,
+    max_leaves=8,
 )
+_OBJECT = st.dictionaries(st.text(max_size=8), _VALUE, max_size=4)
+_SEPARATORS = st.sampled_from([(", ", ": "), (",", ":"), (" ,\t", "\t: ")])
 
 
 @st.composite
 def _reader_line(draw) -> tuple[bytes, bool]:
     """A line with no newline, and whether it is in the reader's subset."""
-    kind = draw(st.sampled_from(["subset"] * 4 + ["any", "damaged", "bytes", "blank"]))
+    kind = draw(st.sampled_from(["subset"] * 4 + ["not an object", "damaged", "bytes", "blank"]))
     if kind == "subset":
-        separators = draw(_SEPARATORS)
-        return json.dumps(draw(_SUBSET_OBJECT), ensure_ascii=False, separators=separators).encode(), True
-    if kind == "any":
-        value = draw(st.one_of(st.dictionaries(st.text(max_size=3), _ANY_VALUE, max_size=3), _ANY_VALUE))
+        text = json.dumps(draw(_OBJECT), ensure_ascii=draw(st.booleans()), separators=draw(_SEPARATORS))
+        space = st.sampled_from([""] * 4 + [" ", "\t", " \t "])
+        return (draw(space) + text + draw(space)).encode(), True
+    if kind == "not an object":
+        value = draw(_VALUE.filter(lambda value: not isinstance(value, dict)))
         return json.dumps(value, ensure_ascii=draw(st.booleans())).encode(), False
     if kind == "bytes":
         return draw(st.binary(max_size=12)).replace(b"\n", b""), False
     if kind == "blank":
         return draw(st.sampled_from([b"", b" ", b"\t", b"\r", b"\xc2\xa0"])), False
-    line = bytearray(json.dumps(draw(_SUBSET_OBJECT), ensure_ascii=False).encode())
+    line = bytearray(json.dumps(draw(_OBJECT), ensure_ascii=False).encode())
     at = draw(st.integers(0, len(line)))
     if draw(st.booleans()):
         del line[at:]
@@ -458,14 +452,24 @@ class TestReaderMatchesJsonLoads:
     @pytest.mark.parametrize("line, in_subset", [
         (b'{"n": 123456789012345678}', True),
         (b'{"n": -123456789012345678}', True),
-        (b'{"n": 1234567890123456789}', False),
-        (b'{"n": -1234567890123456789}', False),
+        (b'{"n": 1234567890123456789}', True),
+        (b'{"n": -1234567890123456789}', True),
+        (b'{"n": ' + b"9" * 4300 + b"}", True),
+        (b'{"n": ' + b"9" * 4301 + b"}", False),
         (b'{"n": -0}', True),
         (b'{"n": 0}', True),
         (b'{"n": 01}', False),
-        (b'{"n": 1.0}', False),
-        (b'{"n": 1e3}', False),
-        (b'{"n": NaN}', False),
+        (b'{"n": [1.0, -0.0, 1e3, 1E+2, 0.1e-5, -12.5e-3, 1e400, -1e400]}', True),
+        (b'{"n": 12345678901234567890.5}', True),
+        (b'{"n": 1.}', False),
+        (b'{"n": .5}', False),
+        (b'{"n": 1e}', False),
+        (b'{"n": 1e-}', False),
+        (b'{"n": 01.5}', False),
+        (b'{"n": -}', False),
+        (b'{"n": [NaN, Infinity, -Infinity]}', True),
+        (b'{"n": -Inf}', False),
+        (b'{"n": Nan}', False),
         (b'{"n": true, "n": [false, null], "m": {}}', True),
         (b'{"a": ' + b"[" * 31 + b"]" * 31 + b"}", True),
         (b'{"a": ' + b"[" * 32 + b"]" * 32 + b"}", False),
@@ -478,12 +482,34 @@ class TestReaderMatchesJsonLoads:
         (b'{"a": "\xed\xa0\x80"}', False),
         (b'{"a": "\xed\x9f\xbf"}', True),
         (b'{"a": "\xef\xbf\xbf"}', True),
-        (b'{"a": "\xf0\x9f\x98\x80"}', False),
+        (b'{"a": "\xf0\x9f\x98\x80", "\xf4\x8f\xbf\xbf": "\xf0\x90\x80\x80 \xd9\x82\\n"}', True),
+        (b'{"a": "\xf0\x8f\xbf\xbf"}', False),
+        (b'{"a": "\xf4\x90\x80\x80"}', False),
+        (b'{"a": "\xf4\xbf\xbf\xbf"}', False),
+        (b'{"a": "\xf5\x80\x80\x80"}', False),
+        (b'{"a": "\xf0\x9f\x98"}', False),
+        (b'{"a": "\xf0\x9f\x98\x80\xc0"}', False),
         (b'{"a": "\xc2\x80\x7f"}', True),
-        (b'{"a": "\\u0041"}', False),
+        (b'{"a": "\\u0041\\u00e9\\u06CC\\u0000\\uffff"}', True),
+        (b'{"a\\n": "\\"\\\\\\/\\b\\f\\n\\r\\t"}', True),
+        (b'{"a": "\\ud83d\\ude00\\uDBFF\\uDFFF"}', True),
+        (b'{"a": "\\ud800"}', False),
+        (b'{"a": "\\udfff"}', False),
+        (b'{"a": "\\ude00\\ud83d"}', False),
+        (b'{"a": "\\ude00\\ude00"}', False),
+        (b'{"a": "\\ud83d\\u0041"}', False),
+        (b'{"a": "\\ud83d\\n"}', False),
+        (b'{"a": "\\ud83d\\ude0"}', False),
+        (b'{"a": "\\x41"}', False),
+        (b'{"a": "\\u12"}', False),
+        (b'{"a": "\\u12g4"}', False),
+        (b'{"a": "\\"}', False),
+        (b'{"a": "x\\', False),
+        (b'{"a": "\\u00', False),
         (b'{"a": "tab\there"}', False),
-        (b'{"a": 1} ', False),
-        (b' {"a": 1}', False),
+        (b'{"a": 1} ', True),
+        (b' \t{"a": 1}\t ', True),
+        (b'\xc2\xa0{"a": 1}', False),
         (b'{"a": 1}\r', False),
         (b'{"a" : 1 ,\t"b":\t[ ] }', True),
         (b'[1]', False),
@@ -521,8 +547,11 @@ class TestReaderMatchesJsonLoads:
             read_block('{"a": 1}', True)
 
 
-def _escaped_row(record_id: str) -> str:
-    return json.dumps(jsonl_row(record_id, title="عنوان"), ensure_ascii=True)
+def _row_outside_the_subset(record_id: str) -> str:
+    nested = []
+    for _ in range(33):  # past the reader's 32 levels
+        nested = [nested]
+    return json.dumps(jsonl_row(record_id, title="عنوان", notes=nested), ensure_ascii=False)
 
 
 class TestReaderLoads:
@@ -531,13 +560,13 @@ class TestReaderLoads:
         # Lines longer than a block, a line the reader gives back, blank lines and no final newline.
         content = " ".join(["قانون", "مالیات‌ها", "بودجه"] * 20)
         lines = [json.dumps(jsonl_row(f"r{i}", content=content), ensure_ascii=False) for i in range(4)]
-        lines[1:1] = ["", " \t", _escaped_row("escaped")]
+        lines[1:1] = ["", " \t", _row_outside_the_subset("outside")]
         path = tmp_path / "c.jsonl"
         path.write_text("\n".join(lines), encoding="utf-8")
         monkeypatch.setattr(corpus, "_BLOCK_SIZE", block_size)
         records = load_corpus(path).records
         monkeypatch.setattr(_jsonl, "load_reader", lambda: None)
-        assert [record.id for record in records] == ["r0", "escaped", "r1", "r2", "r3"]
+        assert [record.id for record in records] == ["r0", "outside", "r1", "r2", "r3"]
         assert records == load_corpus(path).records
 
     @pytest.mark.parametrize("bad_byte", [True, False])
@@ -561,7 +590,8 @@ class TestReaderLoads:
     def test_without_the_reader_one_warning_and_the_same_records(self, read_block, monkeypatch, tmp_path, caplog,
                                                                 missing):
         path = tmp_path / "c.jsonl"
-        path.write_text("\n".join([json.dumps(jsonl_row("r0")), _escaped_row("r1")]) + "\n", encoding="utf-8")
+        lines = [json.dumps(jsonl_row("r0")), _row_outside_the_subset("r1")]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         expected = load_corpus(path).records
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         if missing == "compiler":

@@ -27,9 +27,15 @@ SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 # The first code point past the whitespace bitmap's last word, the last code point, and a surrogate pair.
 BITMAP_EDGES = ["\u3040", "\U0010ffff", "\ud83d\ude00"]
 
-# The JSONL reader's edges: integer lengths, nesting depth, bad UTF-8 and lines that end inside a value.
+# The JSONL reader's edges: number lengths and forms, nesting depth, bad UTF-8, escapes, characters past the
+# BMP, and lines that end inside a value, an escape, a character or a number.
 HOSTILE = [
     b'{"n": 123456789012345678, "m": -1234567890123456789, "z": -0}',
+    b'{"f": [1.5e-3, -0.0, 1e400, 12345678901234567890.25]}', b'{"f": 1.', b'{"f": 2e', b'{"f": 3e-',
+    b'{"e": "\\u00e9\\n\\"\\\\"}', b'{"e": "\\ud83d\\ude00"}', b'{"e": "x\\', b'{"e": "\\u06c', b'{"e": "\\u',
+    b'{"e": "\\ud83d\\ude', b'{"e": "\\ud83d\\', b'{"w": "\xf0\x9f\x98\x80 \\n\xd9\x82"} ',
+    b'{"w": "ab\xf0\x9f\x98\x80 \\n', b'{"w": "\xf0\x9f', b'{"n": [NaN, Infinity, -Infinity]}', b'{"n": -Inf',
+    b'{"n": Na', b'{"n": ' + b"9" * 30,
     b'{"a": ' + b"[" * 31 + b"]" * 31 + b"}",
     b'{"a": ' + b"[" * 33 + b"]" * 33 + b"}",
     b'{"a": "\xd9', b'{"a": "\xe2\x80"}', b'{"a": "\xc0\xaf"}', b'{"a": "\xe0\x80\xaf"}',
