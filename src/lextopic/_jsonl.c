@@ -1,11 +1,12 @@
 /* A one-pass reader for the JSON Lines that corpora are written in.
  *
- * read_block(block, final) splits a bytes block at '\n' and gives, for
- * each line, either the dict that json.loads(line) returns or, where the
- * line is outside the subset below, the line's bytes with its newline.
- * The line after the last '\n' is read only when final is nonzero, and
- * the returned count of bytes consumed tells the caller where the next
- * block starts.
+ * read_block(block, final, shape) splits a bytes block at '\n' and gives
+ * one item for each line: the LawRecord that corpus._record_from_mapping
+ * builds from the line's row, where the row has the common shape below;
+ * else the dict that json.loads(line) returns, where the line is in the
+ * subset below; else the line's bytes with its newline. The line after the
+ * last '\n' is read only when final is nonzero, and the returned count of
+ * bytes consumed tells the caller where the next block starts.
  *
  * A line is in the subset when json.loads reads it as an object, but for
  * a line with a carriage return, one nested more than MAX_DEPTH
@@ -17,9 +18,22 @@
  * and each number read as json.loads reads it: int() of an integer's
  * digits, float() of any other number's text.
  *
+ * A row has the common shape when its id, title and content are str, the
+ * id and title not blank to str.strip() and the id not in the load's id
+ * set; its law_type (type where law_type is absent or null) is a str the
+ * load's law-type memo holds; its lead and category (categories where
+ * category is absent or null) are str, absent or null; its tags and
+ * classes are lists of str, absent or null; and its date is a str in one
+ * of the date forms, or a dict of int (not bool) year, month and day, the
+ * year in 1-9999, with a str raw or none. shape is corpus._record_shape's
+ * tuple, and the rules that are not about types stay in Python, called
+ * from here: the date forms in corpus._string_date and the calendar in
+ * jalali_to_gregorian_year, whose MalformedDate gives the row back. A
+ * record's id is added to the id set; a row given back adds nothing.
+ *
  * Loaded with ctypes.PyDLL, so it runs holding the GIL. A failed parse
  * returns NULL with no exception set; NULL with an exception set is a
- * failed allocation.
+ * failed allocation, or an error other than MalformedDate from a call.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -398,12 +412,195 @@ static PyObject *parse_value(Parser *parser, int depth)
     }
 }
 
-PyObject *read_block(PyObject *block, int final)
+/* The row members a record is built from, then the fields of a LawRecord and of a RecordDate, each in the
+ * order its dataclass lists them. */
+enum { ID, TITLE, CONTENT, LEAD, TAGS, CLASSES, LAW_TYPE, TYPE, CATEGORY, CATEGORIES, DATE, RAW, YEAR, MONTH, DAY,
+       RECORD_FIELDS, DATE_FIELDS = RECORD_FIELDS + 9, N_NAMES = DATE_FIELDS + 5 };
+static const char *const NAMES[N_NAMES] = {
+    "id", "title", "content", "lead", "tags", "classes", "law_type", "type", "category", "categories", "date",
+    "raw", "year", "month", "day",
+    "id", "title", "content", "law_type", "date", "lead", "tags", "classes", "category",
+    "raw", "jalali_year", "jalali_month", "jalali_day", "gregorian_year",
+};
+static PyObject *KEYS[N_NAMES]; /* interned on the first call */
+
+/* What records are built with: the items of read_block's shape tuple. */
+typedef struct {
+    PyObject *record, *date, *gregorian_year, *string_date, *date_error, *law_types, *seen_ids;
+} Shape;
+
+/* The value of key in mapping, borrowed; NULL where it is absent or null. */
+static PyObject *member(PyObject *mapping, int key)
 {
+    PyObject *value = PyDict_GetItemWithError(mapping, KEYS[key]); /* no error: every key is a str */
+    return value == Py_None ? NULL : value;
+}
+
+/* Whether text holds a character that str.strip() keeps. */
+static int not_blank(PyObject *text)
+{
+    int kind = PyUnicode_KIND(text);
+    const void *data = PyUnicode_DATA(text);
+    for (Py_ssize_t i = 0, length = PyUnicode_GET_LENGTH(text); i < length; i++)
+        if (!Py_UNICODE_ISSPACE(PyUnicode_READ(kind, data, i)))
+            return 1;
+    return 0;
+}
+
+/* Whether value is absent or null, or a str: a lead or a category. */
+static int is_text(PyObject *value)
+{
+    return value == NULL || PyUnicode_CheckExact(value);
+}
+
+/* Whether value is absent or null, or a list of str: tags or classes. */
+static int is_string_list(PyObject *value)
+{
+    if (value == NULL)
+        return 1;
+    if (!PyList_CheckExact(value))
+        return 0;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(value); i++)
+        if (!PyUnicode_CheckExact(PyList_GET_ITEM(value, i)))
+            return 0;
+    return 1;
+}
+
+/* An instance of the dataclass type with its fields set in order by object.__setattr__, as the __init__
+ * dataclasses write sets them, a frozen one's too, but with no Python frame; object.__new__ makes it. */
+static PyObject *dataclass_instance(PyObject *type, int first_name, PyObject *const *values, int count)
+{
+    PyObject *no_args = PyTuple_New(0);
+    if (no_args == NULL)
+        return NULL;
+    PyObject *self = ((PyTypeObject *)type)->tp_new((PyTypeObject *)type, no_args, NULL);
+    Py_DECREF(no_args);
+    for (int i = 0; self != NULL && i < count; i++)
+        if (PyObject_GenericSetAttr(self, KEYS[first_name + i], values[i]))
+            Py_CLEAR(self);
+    return self;
+}
+
+/* The RecordDate that corpus.parse_record_date gives for value: a str, or a dict of int year, month and day,
+ * the year in 1-9999, and a str raw or none. NULL with no exception set for any other value, and where the
+ * date's own code raises date_error: a string in none of the forms, or numbers that are no Jalali date. */
+static PyObject *record_date(PyObject *value, const Shape *shape)
+{
+    PyObject *fields[5] = {NULL}, *date = NULL; /* raw, year, month, day, Gregorian year */
+    if (PyUnicode_CheckExact(value)) {
+        PyObject *parts = PyObject_CallOneArg(shape->string_date, value);
+        if (parts == NULL || parts == Py_None || !PyArg_ParseTuple(parts, "OOOO", &fields[0], &fields[1],
+                                                                   &fields[2], &fields[3])) {
+            Py_XDECREF(parts);
+            return NULL;
+        }
+        for (int i = 0; i < 4; i++)
+            Py_INCREF(fields[i]);
+        Py_DECREF(parts);
+    } else {
+        if (!PyDict_CheckExact(value))
+            return NULL;
+        PyObject *year = PyDict_GetItemWithError(value, KEYS[YEAR]);
+        PyObject *month = PyDict_GetItemWithError(value, KEYS[MONTH]);
+        PyObject *day = PyDict_GetItemWithError(value, KEYS[DAY]);
+        /* Exact: a bool is no year, and a float or a string one is read in Python. */
+        if (year == NULL || month == NULL || day == NULL || !PyLong_CheckExact(year) || !PyLong_CheckExact(month)
+            || !PyLong_CheckExact(day))
+            return NULL;
+        int overflow;
+        long y = PyLong_AsLongAndOverflow(year, &overflow);
+        if (overflow || y < 1 || y > 9999)
+            return NULL;
+        PyObject *raw = member(value, RAW);
+        if (raw == NULL) {
+            long m = PyLong_AsLongAndOverflow(month, &overflow);
+            if (overflow)
+                return NULL;
+            long d = PyLong_AsLongAndOverflow(day, &overflow);
+            if (overflow)
+                return NULL;
+            char text[64]; /* f"{y:04d}/{m:02d}/{d:02d}": a sign and up to 19 digits each */
+            snprintf(text, sizeof text, "%04ld/%02ld/%02ld", y, m, d);
+            raw = PyUnicode_FromString(text);
+            if (raw == NULL)
+                return NULL;
+        } else if (PyUnicode_CheckExact(raw)) {
+            Py_INCREF(raw);
+        } else {
+            return NULL;
+        }
+        fields[0] = raw;
+        fields[1] = Py_NewRef(year);
+        fields[2] = Py_NewRef(month);
+        fields[3] = Py_NewRef(day);
+    }
+    fields[4] = PyObject_Vectorcall(shape->gregorian_year, fields + 1, 3, NULL);
+    if (fields[4] != NULL)
+        date = dataclass_instance(shape->date, DATE_FIELDS, fields, 5);
+    else if (PyErr_ExceptionMatches(shape->date_error))
+        PyErr_Clear();
+    for (int i = 0; i < 5; i++)
+        Py_XDECREF(fields[i]);
+    return date;
+}
+
+/* The LawRecord that corpus._record_from_mapping builds from row, or NULL with no exception set where row is
+ * outside the shape read here: str id, title and content, the id and title not blank and the id not in
+ * seen_ids, a str law type the law_types memo holds, lead and category str or none, tags and classes lists of
+ * str or none, and a date that record_date reads. The id is added to seen_ids only with the record. */
+static PyObject *build_record(PyObject *row, const Shape *shape)
+{
+    PyObject *id = member(row, ID), *title = member(row, TITLE), *content = member(row, CONTENT);
+    PyObject *law_type = member(row, LAW_TYPE), *lead = member(row, LEAD), *category = member(row, CATEGORY);
+    PyObject *tags = member(row, TAGS), *classes = member(row, CLASSES), *date_value = member(row, DATE);
+    if (law_type == NULL)
+        law_type = member(row, TYPE);
+    if (category == NULL)
+        category = member(row, CATEGORIES);
+    if (id == NULL || title == NULL || content == NULL || law_type == NULL || date_value == NULL
+        || !PyUnicode_CheckExact(id) || !PyUnicode_CheckExact(title) || !PyUnicode_CheckExact(content)
+        || !PyUnicode_CheckExact(law_type) || !not_blank(id) || !not_blank(title) || !is_text(lead)
+        || !is_text(category) || !is_string_list(tags) || !is_string_list(classes))
+        return NULL;
+    PyObject *parsed_type = PyDict_GetItemWithError(shape->law_types, law_type);
+    if (parsed_type == NULL || PySet_Contains(shape->seen_ids, id)) /* 1, or -1 with an exception set */
+        return NULL;
+    PyObject *record = NULL, *fields[9] = {id, title, content, parsed_type, NULL, lead, NULL, NULL, category};
+    if ((fields[4] = record_date(date_value, shape)) != NULL) {
+        /* Exact-size lists, as list() copies them; a list grown while parsing keeps spare slots. */
+        fields[5] = lead == NULL ? PyUnicode_New(0, 0) : Py_NewRef(lead);
+        fields[6] = tags == NULL ? PyList_New(0) : PyList_GetSlice(tags, 0, PyList_GET_SIZE(tags));
+        fields[7] = classes == NULL ? PyList_New(0) : PyList_GetSlice(classes, 0, PyList_GET_SIZE(classes));
+        fields[8] = category == NULL ? PyUnicode_New(0, 0) : Py_NewRef(category);
+        if (fields[5] != NULL && fields[6] != NULL && fields[7] != NULL && fields[8] != NULL) {
+            record = dataclass_instance(shape->record, RECORD_FIELDS, fields, 9);
+            if (record != NULL && PySet_Add(shape->seen_ids, id))
+                Py_CLEAR(record);
+        }
+        for (int i = 4; i < 9; i++)
+            Py_XDECREF(fields[i]);
+    }
+    return record;
+}
+
+PyObject *read_block(PyObject *block, int final, PyObject *shape_tuple)
+{
+    Shape shape;
     if (!PyBytes_Check(block)) {
         PyErr_SetString(PyExc_TypeError, "read_block takes a bytes block");
         return NULL;
     }
+    if (!PyTuple_Check(shape_tuple)
+        || !PyArg_ParseTuple(shape_tuple, "O!O!OOOO!O!:read_block", &PyType_Type, &shape.record, &PyType_Type,
+                             &shape.date, &shape.gregorian_year, &shape.string_date, &shape.date_error,
+                             &PyDict_Type, &shape.law_types, &PySet_Type, &shape.seen_ids)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "read_block takes a tuple of what records are built with");
+        return NULL;
+    }
+    for (int key = 0; key < N_NAMES; key++)
+        if (KEYS[key] == NULL && (KEYS[key] = PyUnicode_InternFromString(NAMES[key])) == NULL)
+            return NULL;
     const unsigned char *data = (const unsigned char *)PyBytes_AS_STRING(block);
     Py_ssize_t size = PyBytes_GET_SIZE(block), start = 0, capacity = 0;
     Parser parser = {NULL, NULL, NULL};
@@ -437,8 +634,15 @@ PyObject *read_block(PyObject *block, int final)
                 if (parser.at != parser.end)
                     Py_CLEAR(item);
             }
-            if (PyErr_Occurred())
+            if (item != NULL) {
+                PyObject *record = build_record(item, &shape);
+                if (record != NULL)
+                    Py_SETREF(item, record);
+            }
+            if (PyErr_Occurred()) {
+                Py_XDECREF(item);
                 goto fail;
+            }
         }
         if (item == NULL) {
             item = PyBytes_FromStringAndSize((const char *)data + start, next - start);

@@ -3,16 +3,17 @@
 ``corpus.load_corpus`` reads JSONL through it, and through its own text
 loop where it is missing. ``_native`` compiles the library on first use
 into a per-user cache, against this interpreter's headers. Its prefix is
-``jsonl-`` and the ABI tag (``jsonl-cpython-311-x86_64-linux-gnu``), and
-its hash also covers the include directory, so another Python is never
-served this one's build, and Pythons of different ABIs that share the
-cache do not delete each other's builds.
+``jsonl-``, the ABI tag and a digest of the include directory
+(``jsonl-cpython-311-x86_64-linux-gnu-1a2b3c4d``), so another Python is
+never served this one's build, and Pythons that share the cache, also
+two installs of one ABI tag, do not delete each other's builds.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import hashlib
 import sys
 from pathlib import Path
 from typing import Callable
@@ -28,15 +29,28 @@ CFLAGS = ("-O2", "-shared", "-fPIC")
 def load_reader() -> Callable | None:
     """read_block, or None (with one logged warning) if the reader cannot be built.
 
-    ``read_block(block, final)`` takes a bytes block and returns
-    ``(items, consumed)``: for each line that ends in the block's first
-    ``consumed`` bytes, either the dict ``json.loads`` gives for it or,
-    for a line outside the reader's subset, its bytes with its newline.
-    With ``final`` true, the bytes after the last newline are a line too,
-    and ``consumed`` is the block's length. The result is kept per cache
+    ``read_block(block, final, shape)`` takes a bytes block and returns
+    ``(items, consumed)``: one item for each line that ends in the block's
+    first ``consumed`` bytes. With ``final`` true, the bytes after the last
+    newline are a line too, and ``consumed`` is the block's length. An item
+    is the ``LawRecord`` that ``corpus._record_from_mapping`` builds from
+    the line's row, where the row has the common shape the reader builds
+    records for; else the dict ``json.loads`` gives for the line, where it
+    reads the line as an object; else the line's bytes with its newline.
+    ``shape`` is ``corpus._record_shape``'s tuple: what records are built
+    with, and one load's id set and law-type memo, which the reader reads
+    and adds the ids of its records to. The result is kept per cache
     directory and compiler, as ``_gibbs.load_kernels`` keeps its own.
     """
     return _load(cache_dir(), find_compiler())
+
+
+def _prefix(include: Path) -> str:
+    """The reader's prefix for the headers in include: the ABI tag and 8 hex digits of the sha256 of its path."""
+    import sysconfig
+
+    tag = sysconfig.get_config_var("SOABI") or sys.implementation.cache_tag
+    return f"jsonl-{tag}-{hashlib.sha256(str(include).encode()).hexdigest()[:8]}"
 
 
 @functools.cache
@@ -45,13 +59,12 @@ def _load(cache: Path, compiler: str | None) -> Callable | None:
 
     include = Path(sysconfig.get_paths()["include"])
     library = load_library(
-        ctypes.PyDLL, "compiled JSONL reader unavailable (%s); reading JSONL corpora as text",
-        f"jsonl-{sysconfig.get_config_var('SOABI') or sys.implementation.cache_tag}", SOURCE,
-        (*CFLAGS, f"-I{include}"), cache, compiler, header=include / "Python.h",
+        ctypes.PyDLL, "compiled JSONL reader unavailable (%s); reading JSONL corpora as text", _prefix(include),
+        SOURCE, (*CFLAGS, f"-I{include}"), cache, compiler, header=include / "Python.h",
     )
     if library is None:
         return None
     function = library.read_block
-    function.argtypes = [ctypes.py_object, ctypes.c_int]
+    function.argtypes = [ctypes.py_object, ctypes.c_int, ctypes.py_object]
     function.restype = ctypes.py_object
     return function

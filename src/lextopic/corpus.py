@@ -147,20 +147,26 @@ def _parse_date(value) -> RecordDate | None:
         return RecordDate.from_jalali(raw, y, m, d)
     if not isinstance(value, str):
         return None
+    parts = _string_date(value)
+    return None if parts is None else RecordDate.from_jalali(*parts)
+
+
+def _string_date(value: str) -> tuple[str, int, int, int] | None:
+    """The raw text, year, month and day of a date string in one of parse_record_date's forms; None for any other."""
     text = value.strip()
     match = _YMD.match(text)
     if match:
         y, m, d = map(int, match.groups())
-        return RecordDate.from_jalali(text, y, m, d)
+        return text, y, m, d
     match = _MDY.match(text)
     if match:
         m, d, y = map(int, match.groups())
-        return RecordDate.from_jalali(text, y, m, d)
+        return text, y, m, d
     match = _NAMED.match(text)
     if match:
         name = match.group(1).lower()
         if name in _MONTH_NAME_TO_JALALI:
-            return RecordDate.from_jalali(text, int(match.group(3)), _MONTH_NAME_TO_JALALI[name], int(match.group(2)))
+            return text, int(match.group(3)), _MONTH_NAME_TO_JALALI[name], int(match.group(2))
     return None
 
 
@@ -359,17 +365,33 @@ def _read_jsonl_text(path: Path) -> list[LawRecord]:
     return records
 
 
+# Each law type's own spelling, which parse_law_type reads as that type: the law-type memo a compiled load starts
+# with, so that the reader finds the types save_corpus writes from the first line on.
+_LAW_TYPE_VALUES = {law_type.value: law_type for law_type in LawType}
+
+
+def _record_shape(seen_ids: set, law_types: dict) -> tuple:
+    """read_block's third argument: what it builds records with, and one load's id set and law-type memo."""
+    return LawRecord, RecordDate, jalali_to_gregorian_year, _string_date, MalformedDate, law_types, seen_ids
+
+
 def _read_jsonl_blocks(path: Path, read_block) -> list[LawRecord] | None:
     """The records, read with the compiled reader; None, at once, on a block that holds a carriage return.
 
     The file is read in binary, _BLOCK_SIZE bytes at a time, and the line
     that a block leaves unended is carried over to the next. A line with no
     newline in a whole block is gathered before it is read, so a long line
-    costs no repeated scans. read_block's dicts are rows, and hold no lone
-    surrogate, which the reader never builds; a line it gives back as bytes
-    is decoded and read as the text loop reads it.
+    costs no repeated scans. read_block's records are rows it built with
+    _record_from_mapping's rules; its dicts are rows that _record_from_mapping
+    finishes; neither holds a lone surrogate, which the reader never builds.
+    A line it gives back as bytes is decoded and read as the text loop reads
+    it. The reader adds its records' ids to seen_ids before this loop reads
+    the rows it gave back from the same block, so a given-back row may meet
+    the id of a later row. That DuplicateId sends the load to the text loop,
+    which raises its own error: the id is in the file twice.
     """
-    records, seen_ids, law_types = [], set(), {}
+    records, seen_ids, law_types = [], set(), dict(_LAW_TYPE_VALUES)
+    shape = _record_shape(seen_ids, law_types)
     row = 0
     with path.open("rb") as handle:
         parts = []
@@ -381,9 +403,13 @@ def _read_jsonl_blocks(path: Path, read_block) -> list[LawRecord] | None:
             if chunk and b"\n" not in chunk:
                 continue
             block = b"".join(parts)
-            items, consumed = read_block(block, not chunk)
+            items, consumed = read_block(block, not chunk, shape)
             parts = [block[consumed:]]
             for item in items:
+                if type(item) is LawRecord:
+                    row += 1
+                    records.append(item)
+                    continue
                 if type(item) is dict:
                     row += 1
                     records.append(_record_from_mapping(item, row, seen_ids, law_types))
@@ -426,7 +452,9 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
     records and free nothing.
 
     JSONL goes through the compiled reader of _jsonl where it can be built:
-    each line in the reader's subset comes back as the dict json.loads
+    each row of the common shape the reader builds (str text fields, a
+    known law type, lists of str, an int or string date) comes back as its
+    record, each other line in the reader's subset as the dict json.loads
     gives, and any other line is read as the text loop reads it. A block
     holding a carriage return, and any LextopicError or UnicodeDecodeError,
     loads the file again through the text loop, which reads the file in

@@ -1141,18 +1141,22 @@ class TestKernelCache:
         assert build() == target
         kept.append("gibbs-2222222222222222.so")
         assert sorted(path.name for path in cache.iterdir()) == sorted(kept)
-        # The reader's prefix holds the ABI tag: its build deletes its own ABI's stale build, never another's.
+        # The reader's prefix holds the ABI tag and a digest of the include directory: its build deletes its own
+        # install's stale build, never that of another ABI, nor that of another install of the same ABI.
         import sysconfig
 
-        if not (Path(sysconfig.get_paths()["include"]) / "Python.h").is_file():
+        include = Path(sysconfig.get_paths()["include"])
+        if not (include / "Python.h").is_file():
             pytest.skip("no Python.h")
-        own, other = (f"jsonl-{abi}-0000000000000000.so"
-                      for abi in (sysconfig.get_config_var("SOABI"), "cpython-399-x86_64-linux-gnu"))
-        for name in (own, other):
+        own = f"{_jsonl._prefix(include)}-0000000000000000.so"
+        same_abi = f"{_jsonl._prefix(tmp_path / 'another' / 'include')}-0000000000000000.so"
+        other_abi = "jsonl-cpython-399-x86_64-linux-gnu-0000000000000000.so"
+        assert own.split("-")[:-2] == same_abi.split("-")[:-2] and own != same_abi
+        for name in (own, same_abi, other_abi):
             (cache / name).write_bytes(b"an older build")
         assert _jsonl._load(cache, compiler) is not None
         added = {path.name for path in cache.iterdir()} - set(kept)
-        assert len(added) == 2 and other in added and own not in added
+        assert len(added) == 3 and {same_abi, other_abi} < added and own not in added
 
 
 class TestEntryBounds:

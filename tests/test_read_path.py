@@ -4,19 +4,24 @@
 nine alias lookups per row, ``json.loads`` per line, and every law type
 and date parsed afresh; ``load_corpus`` is checked against it with the
 compiled JSONL reader and without it. The reader itself is checked line by
-line against ``json.loads``. ``reference_top_words`` is the full sort that
-``top_words`` replaced.
+line against ``json.loads``, and each record it builds against the one
+``_record_from_mapping`` builds from the same row; every line that
+``save_corpus`` and the benchmark's generators write must be built in C.
+``reference_top_words`` is the full sort that ``top_words`` replaced.
 """
 
 import csv
+import importlib.util
 import json
 import logging
 import re
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import jsonl_row
@@ -26,10 +31,13 @@ from lextopic.analyze import _term_names, top_words
 from lextopic.corpus import (
     Corpus,
     LawRecord,
+    LawType,
     RecordDate,
+    _record_from_mapping,
     load_corpus,
     parse_law_type,
     parse_record_date,
+    save_corpus,
 )
 from lextopic.errors import DuplicateId, MalformedDate, MalformedRow, MissingField
 from lextopic.jalali import jalali_to_gregorian
@@ -356,12 +364,29 @@ class TestLoaderMatchesReference:
 # --- the compiled JSONL reader against json.loads ----------------------------------
 
 @pytest.fixture(scope="module")
-def read_block():
+def reader():
     reader = _jsonl.load_reader()
     if reader is None:
         assert _native.find_compiler() is None, "a C compiler is on PATH but the JSONL reader did not load"
         pytest.skip("no C compiler on PATH")
     return reader
+
+
+def new_load() -> tuple[set, dict]:
+    """The id set and law-type memo a load starts with."""
+    return set(), dict(corpus._LAW_TYPE_VALUES)
+
+
+@pytest.fixture(scope="module")
+def read_block(reader):
+    """The reader, with the shape of a new load on every call."""
+    return lambda block, final: reader(block, final, corpus._record_shape(*new_load()))
+
+
+def same_record(record: LawRecord, expected: LawRecord) -> bool:
+    """record == expected, with the same attributes in the same order, its date's too."""
+    return all(list(vars(built)) == list(vars(made)) and vars(built) == vars(made)
+               for built, made in ((record, expected), (record.date, expected.date)))
 
 
 def same_json(value, expected) -> bool:
@@ -390,12 +415,14 @@ def read_in_blocks(read_block, data: bytes, cuts) -> list:
 
 
 def check_items(items, data: bytes, in_subset=frozenset()) -> None:
-    """Each item is its line's bytes or the dict json.loads gives for the line; lines in in_subset give dicts."""
+    """Each item is its line's bytes, or the record or dict the line's row gives; lines in in_subset give no bytes."""
     lines = re.findall(rb"[^\n]*\n|[^\n]+\Z", data)
     assert len(items) == len(lines)
     for item, line in zip(items, lines):
         if isinstance(item, bytes):
             assert item == line and line.rstrip(b"\n") not in in_subset
+        elif isinstance(item, LawRecord):
+            assert same_record(item, _record_from_mapping(json.loads(line), 1, *new_load()))
         else:
             assert same_json(item, json.loads(line))
 
@@ -546,6 +573,12 @@ class TestReaderMatchesJsonLoads:
         with pytest.raises(TypeError, match="bytes block"):
             read_block('{"a": 1}', True)
 
+    @pytest.mark.parametrize("shape", [None, (), corpus._record_shape(set(), [])[:-1],
+                                       corpus._record_shape([], {}), corpus._record_shape(set(), [])])
+    def test_rejects_a_shape_of_other_types(self, reader, shape):
+        with pytest.raises(TypeError, match="read_block"):
+            reader(b'{"a": 1}', True, shape)
+
 
 def _row_outside_the_subset(record_id: str) -> str:
     nested = []
@@ -608,6 +641,213 @@ class TestReaderLoads:
         assert len(warnings) == 1 and "reading JSONL corpora as text" in warnings[0]
         assert ("no C compiler" if missing == "compiler" else "no Python.h in") in warnings[0]
         assert not (tmp_path / "cache").exists()
+
+
+# --- the records the reader builds against the Python code they replace --------------
+
+_GOOD_DATE_DICT = st.fixed_dictionaries(
+    {"year": st.sampled_from([1, 1381, 1400, 9999]), "month": st.sampled_from([1, 7, 12]),
+     "day": st.sampled_from([1, 29, 30])},
+    optional={"raw": st.sampled_from(["1400/07/01", "", None])},
+)
+_DATE_PART_FLAWS = {
+    "year": [0, 10000, 2**70, True, 1400.0, "1400", None],
+    "month": [13, True, 7.0, 7.5, "7", None],
+    "day": [32, True, False, 1.0, "30"],
+    "raw": [5, True, ["1400"], " x "],
+}
+
+
+@st.composite
+def _date_value(draw):
+    """A loadable date dict, one with a part spoiled or dropped, or a date string or other value."""
+    kind = draw(st.sampled_from(["dict", "spoiled", "spoiled", "spoiled", "dropped", "other"]))
+    date = draw(_GOOD_DATE_DICT)
+    if kind == "spoiled":
+        part = draw(st.sampled_from(sorted(_DATE_PART_FLAWS)))
+        date[part] = draw(st.sampled_from(_DATE_PART_FLAWS[part]))
+    elif kind == "dropped":
+        del date[draw(st.sampled_from(["year", "month", "day"]))]
+    elif kind == "other":
+        return draw(st.sampled_from([
+            "1400/07/01", "1400-7-1", " 1399-12-30 ", "07/01/1400", "7/1/1400", "12/31/1400",
+            "Saturday, July 10, 1402", "March 30, 1399", "march 1, 1400", "Monday, Smarch 1, 1400", "1400/13/01",
+            "1400/12/31", "0000/01/01", "1400/7", "۱۴۰۰/۰۷/۰۱", "", " ", "{bad", '{"year": 1400, "month": 7, "day": 1}',
+            ' {"year": 1390, "month": 1, "day": 32}', 5, 1.5, True, [1400, 7, 1], None,
+        ]))
+    return date
+
+
+# Each member's values, inside the shape the reader builds records for and outside it in each way it checks.
+_MEMBERS = {
+    "id": st.sampled_from(["a", "b", "dup", "a ", " ", "\u3000", "", 7, True, None]),
+    "title": st.sampled_from(["t", "عنوان قانون", " x ", " ", "\u3000", "\xa0\t", "", 0, ["t"], None]),
+    "content": st.sampled_from(["body", "", " ", "متن", 5, 1.5, {"a": 1}, None]),
+    "lead": st.sampled_from(["", "x", " ", "هیئت", 0, 1, False, ["x"], None]),
+    "tags": st.one_of(
+        st.lists(st.sampled_from(["t", "", " ", "برچسب"]), max_size=3),
+        st.sampled_from(["a, b,", '["x"]', ' ["a"]', "", " ", [1], ["a", None], [["a"]], 5, {"a": "b"}, None]),
+    ),
+    "law_type": st.sampled_from(["Regulation", "ParliamentDeliberation", "Regulations", " News ", "regulation",
+                                 "Unknown", "", 3, None]),
+    "date": _date_value(),
+}
+_MEMBERS.update(type=_MEMBERS["law_type"], classes=_MEMBERS["tags"], category=_MEMBERS["lead"],
+                categories=_MEMBERS["lead"])
+_RECORD_ROW = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["a", "b", "c"]),
+        "title": st.sampled_from(["t", "عنوان قانون"]),
+        "content": st.sampled_from(["body", "", "متن \"نقل\"\n\\ 😀"]),
+        "law_type": st.sampled_from(["Regulation", "ParliamentDeliberation", "News"]),
+        "date": st.one_of(_GOOD_DATE_DICT, st.sampled_from(["1400/07/01", "07/01/1400", "Saturday, July 10, 1402"])),
+    },
+    optional={"lead": st.sampled_from(["", "x"]), "tags": st.lists(st.sampled_from(["t", "برچسب"]), max_size=2),
+              "classes": st.just([]), "type": st.just("Bill"), "category": st.sampled_from(["", "هیئت وزیران"]),
+              "categories": st.just("x"), "extra": st.just([1, {"a": None}])},
+)
+
+
+@st.composite
+def _record_line(draw) -> bytes:
+    """A row of loadable members but for one at most, spoiled, dropped or written again after the others.
+
+    One flaw a row, so that a flaw the reader misses is not hidden by one it finds; a spoiled date most often,
+    as the date has the most checks.
+    """
+    row = draw(_RECORD_ROW)
+    flaw = draw(st.sampled_from(["none", "date", "date", "date", "spoil", "spoil", "drop", "repeat"]))
+    name = "date" if flaw == "date" else draw(st.sampled_from(sorted(_MEMBERS)))
+    if flaw in ("date", "spoil"):
+        row[name] = draw(_MEMBERS[name])
+    elif flaw == "drop" and name in row:
+        del row[name]
+    text = json.dumps(row, ensure_ascii=draw(st.booleans()))
+    if flaw == "repeat":  # json.loads keeps the last value, at the first one's place
+        text = f'{text[:-1]}, "{name}": {json.dumps(draw(_MEMBERS[name]))}}}'
+    if draw(st.booleans()):
+        text = text.replace('"id":', '"\\u0069d":')
+    return text.encode()
+
+
+# Rows the reader builds, and rows it gives back: _COMPLETE with the members shown, as JSON text.
+_BUILT = [
+    {"law_type": None, "type": "Regulation"}, {"law_type": "News", "type": "Unknown"},
+    {"category": None, "categories": "x"}, {"category": "", "categories": "x"},
+    {"lead": None, "tags": None, "classes": None, "category": None}, {"tags": ["a", ""], "classes": []},
+    {"date": {"raw": "x", "year": 1400, "month": 7, "day": 1}}, {"date": {"year": 1400, "month": 7, "day": 1}},
+    {"date": {"year": 1400, "month": 7, "day": 1, "raw": None}}, {"date": {"year": 1, "month": 1, "day": 1}},
+    {"date": {"year": 9999, "month": 12, "day": 30}}, {"date": " 1399-12-30 "}, {"date": "7/1/1400"},
+    {"date": "Saturday, July 10, 1402"}, {"date": "۱۴۰۰/۰۷/۰۱"}, {"title": "\u200c"},
+]
+_GIVEN_BACK = [
+    {"id": "\u3000"}, {"title": " \t"}, {"id": 7}, {"title": 0}, {"content": 5}, {"law_type": "Regulations"},
+    {"law_type": None}, {"type": "Bill", "law_type": 3}, {"lead": 0}, {"category": ["x"]}, {"categories": 1},
+    {"tags": "a, b"}, {"tags": '["a"]'}, {"classes": [1]}, {"classes": {}},
+    {"date": {"year": True, "month": 1, "day": 1}}, {"date": {"year": 1400, "month": True, "day": 1}},
+    {"date": {"year": 1400, "month": 1, "day": True}}, {"date": {"year": 1400.0, "month": 1, "day": 1}},
+    {"date": {"year": 1400, "month": 1, "day": 1.0}}, {"date": {"year": "1400", "month": 1, "day": 1}},
+    {"date": {"year": 1400, "month": 1, "day": 1, "raw": 5}}, {"date": {"year": 1400, "month": 1, "day": 1, "raw": True}},
+    {"date": {"year": 0, "month": 1, "day": 1}}, {"date": {"year": 10000, "month": 1, "day": 1}},
+    {"date": {"year": 1400, "month": 1, "day": 32}}, {"date": {"year": 1400, "month": 1}},
+    {"date": "1400/13/01"}, {"date": "Monday, Smarch 1, 1400"}, {"date": '{"year": 1400, "month": 7, "day": 1}'},
+    {"date": 1400}, {"id": "dup"},
+]
+# Repeated members: json.loads keeps the last value, at the first one's place.
+_REPEATED = ['"law_type": null, "type": "Bill"', '"category": null, "categories": "x"', '"id": "dup"', '"id": "r"',
+             '"date": {"year": 1400, "month": 7, "day": 1}', '"title": " "', '"tags": ["x"], "tags": null']
+
+
+def _case_line(index: int, members) -> bytes:
+    row = {**_COMPLETE, "id": f"case{index}"}
+    if isinstance(members, dict):
+        return json.dumps({**row, **members}, ensure_ascii=False).encode()
+    return f"{json.dumps(row)[:-1]}, {members}}}".encode()
+
+
+class TestReaderBuildsRecords:
+    @settings(max_examples=500, deadline=None)
+    @given(lines=st.lists(_record_line(), min_size=1, max_size=4))
+    @example(lines=[_case_line(index, members) for index, members in enumerate(_BUILT + _GIVEN_BACK + _REPEATED)])
+    def test_each_item_is_what_the_python_code_gives(self, reader, lines):
+        # A record for a row _record_from_mapping builds, given the ids of the records before it; the row's
+        # dict for any other row. The reader adds only its records' ids, and leaves the law-type memo as it is.
+        seen_ids, law_types = new_load()
+        seen_ids.add("dup")
+        data = b"".join(line + b"\n" for line in lines)
+        items, consumed = reader(data, True, corpus._record_shape(seen_ids, law_types))
+        assert consumed == len(data) and len(items) == len(lines)
+        ids = {"dup"}
+        for item, line in zip(items, lines):
+            row = json.loads(line)
+            if isinstance(item, LawRecord):
+                assert same_record(item, _record_from_mapping(row, 1, set(ids), new_load()[1]))
+                ids.add(item.id)
+            else:
+                assert same_json(item, row)
+        assert seen_ids == ids and law_types == corpus._LAW_TYPE_VALUES
+
+    @pytest.mark.parametrize("members", _BUILT, ids=repr)
+    def test_rows_in_the_shape_are_built(self, reader, members):
+        line = _case_line(0, members)
+        [item], _ = reader(line, True, corpus._record_shape(*new_load()))
+        assert isinstance(item, LawRecord)
+        assert same_record(item, _record_from_mapping(json.loads(line), 1, *new_load()))
+
+    @pytest.mark.parametrize("members", _GIVEN_BACK, ids=repr)
+    def test_rows_outside_the_shape_come_back_as_dicts(self, reader, members):
+        seen_ids, law_types = new_load()
+        seen_ids.add("dup")
+        line = _case_line(0, members)
+        [item], _ = reader(line, True, corpus._record_shape(seen_ids, law_types))
+        assert same_json(item, json.loads(line)) and seen_ids == {"dup"}
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """bench/workloads.py, with bench/persian.py as the persian it imports."""
+    for name in ("persian", "workloads"):
+        spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module
+
+
+class TestReaderReach:
+    """Every line that save_corpus and the benchmark's generators write is built into a record in C."""
+
+    def test_every_line_save_corpus_writes(self, reader, tmp_path):
+        dates = [("1400/07/01", 1400, 7, 1), ("Saturday, July 10, 1402", 1402, 4, 10), ("", 1, 1, 1),
+                 ("۱۳۹۹/۱۲/۳۰", 1399, 12, 30)]
+        records = [
+            LawRecord(f"r{index}", title, content, law_type, RecordDate.from_jalali(*dates[index % len(dates)]),
+                      lead, tags, classes, category)
+            for index, (law_type, (title, content, lead, tags, classes, category)) in enumerate(zip(
+                list(LawType) * 2,
+                [("title", "body", "", [], [], ""),
+                 ("آیین‌نامه", "متن «ماده» ۱۴۰۰\nدوم\t\"نقل\" \\ 😀", "خلاصه", ["برچسب", ""], ["طبقه"], "هیئت وزیران"),
+                 (" x ", " ", "lead", ["a", "b"], ["c"], "category")] * 6,
+            ))
+        ]
+        path = tmp_path / "c.jsonl"
+        save_corpus(Corpus(records), path)
+        items, _ = reader(path.read_bytes(), True, corpus._record_shape(*new_load()))
+        assert all(isinstance(item, LawRecord) for item in items)
+        assert items == records
+
+    @pytest.mark.parametrize("name", ["fit-sampling", "sweep-persian", "analyze-persian"])
+    def test_every_line_of_a_benchmark_corpus(self, reader, workloads, monkeypatch, tmp_path, name):
+        workloads.WORKLOADS[name].setup(tmp_path, 1, True)  # the tiny inputs
+        path = tmp_path / "corpus.jsonl"
+        items, _ = reader(path.read_bytes(), True, corpus._record_shape(*new_load()))
+        assert len(items) == workloads.corpus_records(tmp_path)
+        assert all(isinstance(item, LawRecord) for item in items)
+        monkeypatch.setattr(_jsonl, "load_reader", lambda: None)
+        assert items == load_corpus(path).records
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,10 +6,12 @@ count loops over its output. A child process compiles _gibbs.c and
 _jsonl.c with the sanitizers into a temporary cache, preloads the ASan
 runtime and makes Python allocate with malloc, so that its bytes objects
 are checked too. It then runs every kernel through the commands and the
-corpus count on hostile text, and loads hostile JSONL lines, in whole
-blocks and in blocks of a few bytes. Any report fails the test.
+corpus count on hostile text, and loads hostile JSONL lines and rows on
+the reader's record path, in whole blocks and in blocks of a few bytes.
+Any report fails the test.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -42,6 +44,16 @@ HOSTILE = [
     b'{"a": "\xed\xa0\x80"}', b'{"a": "\xf0\x9f\x98\x80"}', '{"a": "قانون‌ها"}'.encode(),
     b'{"a": "x', b'{"a": tr', b'{"a": -', b'{"a": [1, {"b": ', b'{"a"', b"{",
 ]
+
+# Rows the reader builds into records, and rows it gives back after a call it makes raises or refuses them: an
+# invalid Jalali day, an unknown law type, a duplicate id (the good row's), a malformed date string and one in no
+# date form. Each record's fields pass through dataclass_instance, and each given-back row's call is undone.
+RECORD_PATH = [json.dumps(jsonl_row(record_id, **fields), ensure_ascii=False).encode() for record_id, fields in [
+    ("d1", {"date": "Saturday, July 10, 1402"}), ("d2", {"date": {"year": 1400, "month": 7, "day": 1}}),
+    ("d3", {"lead": None, "tags": None, "classes": [], "category": None, "type": "Bill", "law_type": None}),
+    ("e1", {"date": {"year": 1400, "month": 7, "day": 31}}), ("e2", {"law_type": "Unknown"}), ("r0", {}),
+    ("e3", {"date": "1400/13/01"}), ("e4", {"date": "Monday, Smarch 1, 1400"}), ("e5", {"date": "{bad"}),
+]]
 
 PERSIAN_TOPICS = ["مالیات بودجه درآمد دولت", "دادگاه قاضی حکم تجدیدنظر", "آموزش مدرسه دانشگاه فرهنگ"]
 
@@ -83,7 +95,7 @@ good = Path(corpus_path).read_bytes().split(b"\\n")[0]
 hostile = out / "hostile.jsonl"
 for block_size in (1 << 16, 3):
     corpus._BLOCK_SIZE = block_size
-    for line in HOSTILE:
+    for line in HOSTILE + RECORD_PATH:
         for end in (b"", b"\\n"):
             hostile.write_bytes(good + b"\\n" + line + end)
             try:
@@ -116,7 +128,7 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
     ])
     alphabet = WHITESPACE + NEAR_MISSES + LETTERS + BITMAP_EDGES
     script = CHILD.replace("SANITIZE", repr(SANITIZE)).replace("ALPHABET", repr(alphabet)).replace(
-        "HOSTILE", repr(HOSTILE))
+        "HOSTILE", repr(HOSTILE)).replace("RECORD_PATH", repr(RECORD_PATH))
     source_root = str(Path(lextopic.__file__).resolve().parents[1])
     env = dict(
         os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"), LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
