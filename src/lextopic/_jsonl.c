@@ -18,14 +18,28 @@
  * and each number read as json.loads reads it: int() of an integer's
  * digits, float() of any other number's text.
  *
+ * One object parser, parse_members, has two sinks. The dict sink builds
+ * the dict json.loads gives, with json.loads' rules: the last of repeated
+ * members kept at the first one's place. The slot sink reads a row into a
+ * fixed array of slots, one for each member name a record is read from,
+ * and its date, where that is an object, into slots of its own: a name
+ * that matches one byte for byte takes its slot, an escaped name is
+ * decoded and then compared, the last of repeated members is kept (a null
+ * too), and any other member's value is parsed, so that a bad one fails
+ * the line, and dropped. So a row becomes a record with no dict, date
+ * dict or member name made, hashed or freed. Each line is parsed by the
+ * slot sink first. The two sinks fail on the same lines, which are given
+ * back at once; only a row that is read but is outside the shape is
+ * parsed again, by the dict sink.
+ *
  * A row has the common shape when its id, title and content are str, the
  * id and title not blank to str.strip() and the id not in the load's id
  * set; its law_type (type where law_type is absent or null) is a str the
  * load's law-type memo holds; its lead and category (categories where
  * category is absent or null) are str, absent or null; its tags and
  * classes are lists of str, absent or null; and its date is a str in one
- * of the date forms, or a dict of int (not bool) year, month and day, the
- * year in 1-9999, with a str raw or none. shape is corpus._record_shape's
+ * of the date forms, or an object of int (not bool) year, month and day,
+ * the year in 1-9999, with a str raw or none. shape is corpus._record_shape's
  * tuple, and the rules that are not about types stay in Python, called
  * from here: the date forms in corpus._string_date and the calendar in
  * jalali_to_gregorian_year, whose MalformedDate gives the row back. A
@@ -186,18 +200,32 @@ static PyObject *parse_wide_string(Parser *parser, const unsigned char *start)
     return PyUnicode_FromKindAndData(PyUnicode_4BYTE_KIND, out, length);
 }
 
+/* The end of the run of printable ASCII at at that needs no decoding: no quote, no backslash. */
+static const unsigned char *ascii_end(const unsigned char *at)
+{
+    while (*at >= 0x20 && *at < 0x80 && *at != '"' && *at != '\\')
+        at++;
+    return at;
+}
+
+/* The str of the ASCII from start to end. One character is CPython's shared str of it, as json.loads gives. */
+static PyObject *ascii_string(const unsigned char *start, const unsigned char *end)
+{
+    if (end - start == 1)
+        return PyUnicode_FromOrdinal(*start);
+    PyObject *text = PyUnicode_New(end - start, 127);
+    if (text != NULL)
+        memcpy(PyUnicode_1BYTE_DATA(text), start, (size_t)(end - start));
+    return text;
+}
+
 /* The string whose opening quote is just before parser->at. */
 static PyObject *parse_string(Parser *parser)
 {
-    const unsigned char *start = parser->at, *at = start;
-    while (*at >= 0x20 && *at < 0x80 && *at != '"' && *at != '\\')
-        at++;
+    const unsigned char *start = parser->at, *at = ascii_end(start);
     if (*at == '"') {
-        PyObject *text = PyUnicode_New(at - start, 127);
-        if (text != NULL)
-            memcpy(PyUnicode_1BYTE_DATA(text), start, (size_t)(at - start));
         parser->at = at + 1;
-        return text;
+        return ascii_string(start, at);
     }
     Py_UCS2 *out = parser->scratch;
     Py_ssize_t length = 0;
@@ -214,6 +242,9 @@ static PyObject *parse_string(Parser *parser)
         out[length++] = (Py_UCS2)code;
         bits |= code;
     }
+    parser->at = at + 1;
+    if (length == 1) /* shared below U+0100, as json.loads gives it */
+        return PyUnicode_FromOrdinal(out[0]);
     PyObject *text = PyUnicode_New(length, bits);
     if (text == NULL)
         return NULL;
@@ -224,7 +255,6 @@ static PyObject *parse_string(Parser *parser)
     } else {
         memcpy(PyUnicode_2BYTE_DATA(text), out, (size_t)length * sizeof(Py_UCS2));
     }
-    parser->at = at + 1;
     return text;
 }
 
@@ -293,41 +323,136 @@ static int skip_word(Parser *parser, const char *word)
     return 1;
 }
 
-/* The object whose '{' is just before parser->at. */
-static PyObject *parse_object(Parser *parser, int depth)
+/* The row members a record is built from, its date object's members, then the fields of a LawRecord and of a
+ * RecordDate, each in the order its dataclass lists them. */
+enum { ID, TITLE, CONTENT, LEAD, TAGS, CLASSES, LAW_TYPE, TYPE, CATEGORY, CATEGORIES, DATE, RAW, YEAR, MONTH, DAY,
+       N_MEMBERS, RECORD_FIELDS = N_MEMBERS, DATE_FIELDS = RECORD_FIELDS + 9, N_NAMES = DATE_FIELDS + 5 };
+static const char *const NAMES[N_NAMES] = {
+    "id", "title", "content", "lead", "tags", "classes", "law_type", "type", "category", "categories", "date",
+    "raw", "year", "month", "day",
+    "id", "title", "content", "law_type", "date", "lead", "tags", "classes", "category",
+    "raw", "jalali_year", "jalali_month", "jalali_day", "gregorian_year",
+};
+static PyObject *KEYS[N_NAMES]; /* interned on the first call */
+enum { OTHER_NAME = -1, NO_NAME = -2 };
+
+/* What the slot sink keeps of a row: the last value of each member NAMES[ID..DATE] names, NULL where it is
+ * absent. Where the last date is an object, date_object is set, values[DATE] is NULL and values[RAW..DAY] hold
+ * the last value of each of the date's members. */
+typedef struct {
+    PyObject *values[N_MEMBERS];
+    int date_object;
+} Row;
+
+/* Where parse_members puts an object's members: into dict, as json.loads does; or, where dict is NULL, into
+ * row's values for the names NAMES[first..last), each other member's value dropped once it is parsed. */
+typedef struct {
+    PyObject *dict;
+    Row *row;
+    int first, last;
+} Sink;
+
+static int parse_members(Parser *parser, int depth, const Sink *sink);
+
+/* The index of the name of NAMES[first..last) that is the length bytes at text, or OTHER_NAME. */
+static int name_index(const unsigned char *text, Py_ssize_t length, int first, int last)
 {
-    PyObject *object = PyDict_New();
-    if (object == NULL)
-        return NULL;
+    for (int key = first; key < last; key++)
+        if (PyUnicode_GET_LENGTH(KEYS[key]) == length
+            && memcmp(PyUnicode_1BYTE_DATA(KEYS[key]), text, (size_t)length) == 0)
+            return key;
+    return OTHER_NAME;
+}
+
+/* The member name whose opening quote is just before parser->at, moving parser->at past its closing quote: its
+ * index among NAMES[first..last), else OTHER_NAME, or NO_NAME where it is no string json.loads reads. An escaped
+ * name is decoded before it is compared. Where text is not NULL, *text is set to the name: KEYS' entry for a
+ * name that matches byte for byte, else a new str. */
+static int parse_name(Parser *parser, int first, int last, PyObject **text)
+{
+    const unsigned char *start = parser->at, *end = ascii_end(start);
+    PyObject *name;
+    int index;
+    if (*end == '"') {
+        index = name_index(start, end - start, first, last);
+        parser->at = end + 1;
+        if (text == NULL)
+            return index;
+        name = index == OTHER_NAME ? ascii_string(start, end) : Py_NewRef(KEYS[index]);
+    } else {
+        name = parse_string(parser);
+        if (name == NULL)
+            return NO_NAME;
+        index = PyUnicode_IS_ASCII(name)
+                    ? name_index(PyUnicode_1BYTE_DATA(name), PyUnicode_GET_LENGTH(name), first, last)
+                    : OTHER_NAME;
+    }
+    if (text == NULL)
+        Py_DECREF(name);
+    else if ((*text = name) == NULL)
+        return NO_NAME;
+    return index;
+}
+
+/* The value of a member, at parser->at inside depth containers, put into sink under key (the dict sink) or
+ * index (the slot sink): 0, or -1 where it is no value json.loads reads. In the slot sink, a date that is an
+ * object is parsed into the row's date members. */
+static int parse_member(Parser *parser, int depth, const Sink *sink, PyObject *key, int index)
+{
+    if (index == DATE && sink->dict == NULL && parser->at < parser->end && *parser->at == '{' && depth < MAX_DEPTH) {
+        Row *row = sink->row;
+        for (int slot = DATE; slot <= DAY; slot++)
+            Py_CLEAR(row->values[slot]);
+        row->date_object = 1;
+        parser->at++;
+        Sink date = {NULL, row, RAW, DAY + 1};
+        return parse_members(parser, depth + 1, &date);
+    }
+    PyObject *value = parse_value(parser, depth);
+    if (value == NULL)
+        return -1;
+    if (sink->dict != NULL) {
+        int failed = PyDict_SetItem(sink->dict, key, value);
+        Py_DECREF(value);
+        return failed;
+    }
+    if (index == OTHER_NAME) {
+        Py_DECREF(value);
+        return 0;
+    }
+    Py_XSETREF(sink->row->values[index], value);
+    if (index == DATE)
+        sink->row->date_object = 0;
+    return 0;
+}
+
+/* The members of the object whose '{' is just before parser->at, inside depth containers, put into sink: 0, or
+ * -1 where the object is not one json.loads reads. */
+static int parse_members(Parser *parser, int depth, const Sink *sink)
+{
     skip_space(parser);
     if (parser->at < parser->end && *parser->at == '}') {
         parser->at++;
-        return object;
+        return 0;
     }
     for (;;) {
         if (parser->at >= parser->end || *parser->at != '"')
-            break;
+            return -1;
         parser->at++;
-        PyObject *key = parse_string(parser);
-        if (key == NULL)
-            break;
+        PyObject *key = NULL;
+        int index = parse_name(parser, sink->first, sink->last, sink->dict == NULL ? NULL : &key);
+        if (index == NO_NAME)
+            return -1;
         skip_space(parser);
-        if (parser->at >= parser->end || *parser->at != ':') {
-            Py_DECREF(key);
-            break;
+        int failed = parser->at >= parser->end || *parser->at != ':';
+        if (!failed) {
+            parser->at++;
+            skip_space(parser);
+            failed = parse_member(parser, depth, sink, key, index);
         }
-        parser->at++;
-        skip_space(parser);
-        PyObject *value = parse_value(parser, depth);
-        if (value == NULL) {
-            Py_DECREF(key);
-            break;
-        }
-        int failed = PyDict_SetItem(object, key, value);
-        Py_DECREF(key);
-        Py_DECREF(value);
+        Py_XDECREF(key);
         if (failed)
-            break;
+            return -1;
         skip_space(parser);
         if (parser->at < parser->end && *parser->at == ',') {
             parser->at++;
@@ -336,12 +461,20 @@ static PyObject *parse_object(Parser *parser, int depth)
         }
         if (parser->at < parser->end && *parser->at == '}') {
             parser->at++;
-            return object;
+            return 0;
         }
-        break;
+        return -1;
     }
-    Py_DECREF(object);
-    return NULL;
+}
+
+/* The dict json.loads gives for the object whose '{' is just before parser->at. A member name of NAMES is its
+ * interned KEYS entry. */
+static PyObject *parse_object(Parser *parser, int depth)
+{
+    Sink sink = {PyDict_New(), NULL, ID, N_MEMBERS};
+    if (sink.dict != NULL && parse_members(parser, depth, &sink))
+        Py_CLEAR(sink.dict);
+    return sink.dict;
 }
 
 /* The array whose '[' is just before parser->at. */
@@ -412,28 +545,15 @@ static PyObject *parse_value(Parser *parser, int depth)
     }
 }
 
-/* The row members a record is built from, then the fields of a LawRecord and of a RecordDate, each in the
- * order its dataclass lists them. */
-enum { ID, TITLE, CONTENT, LEAD, TAGS, CLASSES, LAW_TYPE, TYPE, CATEGORY, CATEGORIES, DATE, RAW, YEAR, MONTH, DAY,
-       RECORD_FIELDS, DATE_FIELDS = RECORD_FIELDS + 9, N_NAMES = DATE_FIELDS + 5 };
-static const char *const NAMES[N_NAMES] = {
-    "id", "title", "content", "lead", "tags", "classes", "law_type", "type", "category", "categories", "date",
-    "raw", "year", "month", "day",
-    "id", "title", "content", "law_type", "date", "lead", "tags", "classes", "category",
-    "raw", "jalali_year", "jalali_month", "jalali_day", "gregorian_year",
-};
-static PyObject *KEYS[N_NAMES]; /* interned on the first call */
-
 /* What records are built with: the items of read_block's shape tuple. */
 typedef struct {
     PyObject *record, *date, *gregorian_year, *string_date, *date_error, *law_types, *seen_ids;
 } Shape;
 
-/* The value of key in mapping, borrowed; NULL where it is absent or null. */
-static PyObject *member(PyObject *mapping, int key)
+/* The row's value of the member in slot, borrowed; NULL where it is absent or null. */
+static PyObject *member(const Row *row, int slot)
 {
-    PyObject *value = PyDict_GetItemWithError(mapping, KEYS[key]); /* no error: every key is a str */
-    return value == Py_None ? NULL : value;
+    return row->values[slot] == Py_None ? NULL : row->values[slot];
 }
 
 /* Whether text holds a character that str.strip() keeps. */
@@ -481,13 +601,17 @@ static PyObject *dataclass_instance(PyObject *type, int first_name, PyObject *co
     return self;
 }
 
-/* The RecordDate that corpus.parse_record_date gives for value: a str, or a dict of int year, month and day,
- * the year in 1-9999, and a str raw or none. NULL with no exception set for any other value, and where the
- * date's own code raises date_error: a string in none of the forms, or numbers that are no Jalali date. */
-static PyObject *record_date(PyObject *value, const Shape *shape)
+/* The RecordDate that corpus.parse_record_date gives for the row's date: a str, or an object of int year, month
+ * and day, the year in 1-9999, and a str raw or none. NULL with no exception set for no date or any other value,
+ * and where the date's own code raises date_error: a string in none of the forms, or numbers that are no Jalali
+ * date. */
+static PyObject *record_date(const Row *row, const Shape *shape)
 {
     PyObject *fields[5] = {NULL}, *date = NULL; /* raw, year, month, day, Gregorian year */
-    if (PyUnicode_CheckExact(value)) {
+    if (!row->date_object) {
+        PyObject *value = member(row, DATE);
+        if (value == NULL || !PyUnicode_CheckExact(value))
+            return NULL;
         PyObject *parts = PyObject_CallOneArg(shape->string_date, value);
         if (parts == NULL || parts == Py_None || !PyArg_ParseTuple(parts, "OOOO", &fields[0], &fields[1],
                                                                    &fields[2], &fields[3])) {
@@ -498,11 +622,7 @@ static PyObject *record_date(PyObject *value, const Shape *shape)
             Py_INCREF(fields[i]);
         Py_DECREF(parts);
     } else {
-        if (!PyDict_CheckExact(value))
-            return NULL;
-        PyObject *year = PyDict_GetItemWithError(value, KEYS[YEAR]);
-        PyObject *month = PyDict_GetItemWithError(value, KEYS[MONTH]);
-        PyObject *day = PyDict_GetItemWithError(value, KEYS[DAY]);
+        PyObject *year = row->values[YEAR], *month = row->values[MONTH], *day = row->values[DAY];
         /* Exact: a bool is no year, and a float or a string one is read in Python. */
         if (year == NULL || month == NULL || day == NULL || !PyLong_CheckExact(year) || !PyLong_CheckExact(month)
             || !PyLong_CheckExact(day))
@@ -511,7 +631,7 @@ static PyObject *record_date(PyObject *value, const Shape *shape)
         long y = PyLong_AsLongAndOverflow(year, &overflow);
         if (overflow || y < 1 || y > 9999)
             return NULL;
-        PyObject *raw = member(value, RAW);
+        PyObject *raw = member(row, RAW);
         if (raw == NULL) {
             long m = PyLong_AsLongAndOverflow(month, &overflow);
             if (overflow)
@@ -544,29 +664,29 @@ static PyObject *record_date(PyObject *value, const Shape *shape)
     return date;
 }
 
-/* The LawRecord that corpus._record_from_mapping builds from row, or NULL with no exception set where row is
- * outside the shape read here: str id, title and content, the id and title not blank and the id not in
+/* The LawRecord that corpus._record_from_mapping builds from the row, or NULL with no exception set where the
+ * row is outside the shape read here: str id, title and content, the id and title not blank and the id not in
  * seen_ids, a str law type the law_types memo holds, lead and category str or none, tags and classes lists of
  * str or none, and a date that record_date reads. The id is added to seen_ids only with the record. */
-static PyObject *build_record(PyObject *row, const Shape *shape)
+static PyObject *build_record(const Row *row, const Shape *shape)
 {
     PyObject *id = member(row, ID), *title = member(row, TITLE), *content = member(row, CONTENT);
     PyObject *law_type = member(row, LAW_TYPE), *lead = member(row, LEAD), *category = member(row, CATEGORY);
-    PyObject *tags = member(row, TAGS), *classes = member(row, CLASSES), *date_value = member(row, DATE);
+    PyObject *tags = member(row, TAGS), *classes = member(row, CLASSES);
     if (law_type == NULL)
         law_type = member(row, TYPE);
     if (category == NULL)
         category = member(row, CATEGORIES);
-    if (id == NULL || title == NULL || content == NULL || law_type == NULL || date_value == NULL
-        || !PyUnicode_CheckExact(id) || !PyUnicode_CheckExact(title) || !PyUnicode_CheckExact(content)
-        || !PyUnicode_CheckExact(law_type) || !not_blank(id) || !not_blank(title) || !is_text(lead)
-        || !is_text(category) || !is_string_list(tags) || !is_string_list(classes))
+    if (id == NULL || title == NULL || content == NULL || law_type == NULL || !PyUnicode_CheckExact(id)
+        || !PyUnicode_CheckExact(title) || !PyUnicode_CheckExact(content) || !PyUnicode_CheckExact(law_type)
+        || !not_blank(id) || !not_blank(title) || !is_text(lead) || !is_text(category) || !is_string_list(tags)
+        || !is_string_list(classes))
         return NULL;
     PyObject *parsed_type = PyDict_GetItemWithError(shape->law_types, law_type);
     if (parsed_type == NULL || PySet_Contains(shape->seen_ids, id)) /* 1, or -1 with an exception set */
         return NULL;
     PyObject *record = NULL, *fields[9] = {id, title, content, parsed_type, NULL, lead, NULL, NULL, category};
-    if ((fields[4] = record_date(date_value, shape)) != NULL) {
+    if ((fields[4] = record_date(row, shape)) != NULL) {
         /* Exact-size lists, as list() copies them; a list grown while parsing keeps spare slots. */
         fields[5] = lead == NULL ? PyUnicode_New(0, 0) : Py_NewRef(lead);
         fields[6] = tags == NULL ? PyList_New(0) : PyList_GetSlice(tags, 0, PyList_GET_SIZE(tags));
@@ -626,19 +746,23 @@ PyObject *read_block(PyObject *block, int final, PyObject *shape_tuple)
                     goto fail;
                 }
             }
+            /* The slot sink first. The dict sink fails on the same lines, so it parses again only a row that
+             * is read but is outside the shape. */
+            Row row = {{NULL}, 0};
+            Sink slots = {NULL, &row, ID, DATE + 1};
             parser.at = data + first + 1;
             parser.end = data + stop;
-            item = parse_object(&parser, 1);
-            if (item != NULL) {
+            int parsed = parse_members(&parser, 1, &slots) == 0;
+            if (parsed) {
                 skip_space(&parser);
-                if (parser.at != parser.end)
-                    Py_CLEAR(item);
+                parsed = parser.at == parser.end;
             }
-            if (item != NULL) {
-                PyObject *record = build_record(item, &shape);
-                if (record != NULL)
-                    Py_SETREF(item, record);
+            if (parsed && (item = build_record(&row, &shape)) == NULL && !PyErr_Occurred()) {
+                parser.at = data + first + 1;
+                item = parse_object(&parser, 1);
             }
+            for (int slot = 0; slot < N_MEMBERS; slot++)
+                Py_XDECREF(row.values[slot]);
             if (PyErr_Occurred()) {
                 Py_XDECREF(item);
                 goto fail;

@@ -39,8 +39,14 @@ def load_reader() -> Callable | None:
     reads the line as an object; else the line's bytes with its newline.
     ``shape`` is ``corpus._record_shape``'s tuple: what records are built
     with, and one load's id set and law-type memo, which the reader reads
-    and adds the ids of its records to. The result is kept per cache
-    directory and compiler, as ``_gibbs.load_kernels`` keeps its own.
+    and adds the ids of its records to.
+
+    The reader parses each row into a slot for each member a record is read
+    from, and builds the record from the slots, with no dict made. A row
+    that parses but is outside the common shape is parsed again into the
+    dict; a line that fails to parse is given back as bytes at once. The
+    result is kept per cache directory and compiler, as
+    ``_gibbs.load_kernels`` keeps its own.
     """
     return _load(cache_dir(), find_compiler())
 

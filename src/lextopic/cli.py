@@ -14,6 +14,7 @@ The lda rows are lda.SETTINGS, by which LdaConfig checks its own fields.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -333,6 +334,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: 0 on success, 1 after an ``error [module]: ...`` line on stderr.
+
+    The cyclic garbage collector is paused for the whole command, as
+    load_corpus pauses it for a load, and turned back on afterwards, on
+    any exit, if it was on before. A command's records, matrices and
+    models hold no reference cycles and are freed by reference count, so
+    a collection during the command would traverse the loaded corpus and
+    free only the few objects of the command's own argument parser.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _merge_config(args)

@@ -12,6 +12,7 @@ import gc
 import io
 import json
 import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -110,6 +111,7 @@ _MONTH_NAME_TO_JALALI = {
 _YMD = re.compile(r"(\d{4})[/-](\d{1,2})[/-](\d{1,2})$")
 _MDY = re.compile(r"(\d{1,2})[/-](\d{1,2})[/-](\d{4})$")
 _NAMED = re.compile(r"(?:[A-Za-z]+,\s*)?([A-Za-z]+)\s+(\d{1,2}),\s*(\d{4})$")
+_ASCII_LETTERS = frozenset(string.ascii_letters)
 
 
 def _date_number(number) -> int | None:
@@ -152,8 +154,19 @@ def _parse_date(value) -> RecordDate | None:
 
 
 def _string_date(value: str) -> tuple[str, int, int, int] | None:
-    """The raw text, year, month and day of a date string in one of parse_record_date's forms; None for any other."""
+    """The raw text, year, month and day of a date string in one of parse_record_date's forms; None for any other.
+
+    Only the named form starts with an ASCII letter, and the two numeric
+    forms start with a digit, so the first character picks which to try.
+    """
     text = value.strip()
+    if text[:1] in _ASCII_LETTERS:
+        match = _NAMED.match(text)
+        if match:
+            name = match.group(1).lower()
+            if name in _MONTH_NAME_TO_JALALI:
+                return text, int(match.group(3)), _MONTH_NAME_TO_JALALI[name], int(match.group(2))
+        return None
     match = _YMD.match(text)
     if match:
         y, m, d = map(int, match.groups())
@@ -162,11 +175,6 @@ def _string_date(value: str) -> tuple[str, int, int, int] | None:
     if match:
         m, d, y = map(int, match.groups())
         return text, y, m, d
-    match = _NAMED.match(text)
-    if match:
-        name = match.group(1).lower()
-        if name in _MONTH_NAME_TO_JALALI:
-            return text, int(match.group(3)), _MONTH_NAME_TO_JALALI[name], int(match.group(2))
     return None
 
 
@@ -449,7 +457,8 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
 
     The cyclic garbage collector is paused for the call: records hold no
     reference cycles, so a collection during the load would traverse new
-    records and free nothing.
+    records and free nothing. cli.main pauses it for a whole command; this
+    pause is for library callers.
 
     JSONL goes through the compiled reader of _jsonl where it can be built:
     each row of the common shape the reader builds (str text fields, a

@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 
-from lextopic.corpus import Corpus, GroundTruth, LawRecord, LawType, SynthConfig, _synthetic_date
+from lextopic.corpus import (
+    _MDY, _MONTH_NAME_TO_JALALI, _NAMED, _YMD, Corpus, GroundTruth, LawRecord, LawType, SynthConfig, _synthetic_date,
+)
 from lextopic.errors import EmptyDocument, MissingYear
 from lextopic.lda import LdaConfig, SamplerState
 from lextopic.preprocess import (
@@ -127,3 +129,22 @@ def generate_synthetic_corpus(config: SynthConfig) -> tuple[Corpus, GroundTruth]
             )
         )
     return Corpus(records), GroundTruth(doc_topic=doc_topic, topic_word=topic_word)
+
+
+def string_date(value: str) -> tuple[str, int, int, int] | None:
+    """corpus._string_date as it tried its three forms in turn, whatever the text's first character."""
+    text = value.strip()
+    match = _YMD.match(text)
+    if match:
+        y, m, d = map(int, match.groups())
+        return text, y, m, d
+    match = _MDY.match(text)
+    if match:
+        m, d, y = map(int, match.groups())
+        return text, y, m, d
+    match = _NAMED.match(text)
+    if match:
+        name = match.group(1).lower()
+        if name in _MONTH_NAME_TO_JALALI:
+            return text, int(match.group(3)), _MONTH_NAME_TO_JALALI[name], int(match.group(2))
+    return None

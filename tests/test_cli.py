@@ -3,6 +3,7 @@
 import argparse
 import base64
 import csv
+import gc
 import io
 import json
 import logging
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import lextopic
 
 from conftest import SYNTH_CONFIG, jsonl_row, write_jsonl
-from lextopic import _gibbs, _jsonl, lda
+from lextopic import _gibbs, _jsonl, cli, lda
 from lextopic.cli import SETTINGS, build_parser, main
 from lextopic.corpus import SynthConfig, generate_synthetic_corpus, load_corpus, save_corpus
 from lextopic.errors import LextopicError
@@ -1230,6 +1231,63 @@ class TestNonFiniteModel:
         assert capsys.readouterr().err.startswith(f"error [lda]: model file {model}: doc_topic holds a non-finite value")
         assert not (out / "shares.csv").exists()
         assert not (out / "topics.json").exists()
+
+
+class TestCollectorPause:
+    """main runs each command with the cyclic collector paused, and leaves it on or off as the caller had it."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """gc.isenabled() as each ingest finds it; the collector is turned back on after the test."""
+        seen = []
+        ingest = cli.cmd_ingest
+
+        def spy(config):
+            seen.append(gc.isenabled())
+            return ingest(config)
+
+        monkeypatch.setattr(cli, "cmd_ingest", spy)
+        yield seen
+        gc.enable()
+
+    def test_a_command_runs_paused_and_the_collector_is_on_after(self, seen, corpus_path, tmp_path):
+        assert gc.isenabled()
+        assert main(["ingest", "--corpus", corpus_path, "--out", str(tmp_path / "out")]) == 0
+        assert seen == [False] and gc.isenabled()
+
+    def test_on_after_an_error_exit(self, seen, tmp_path, capsys):
+        assert main(["ingest", "--corpus", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error [")
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("argv, error", [
+        (["ingest", "--corpus", "c.jsonl", "--out", "out"], RuntimeError), (["no-such-command"], SystemExit),
+    ])
+    def test_on_after_an_unexpected_exception(self, seen, monkeypatch, capsys, argv, error):
+        def fail(config):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "cmd_ingest", fail)
+        with pytest.raises(error):
+            main(argv)
+        assert gc.isenabled()
+
+    def test_off_after_a_command_when_the_caller_had_it_off(self, seen, corpus_path, tmp_path):
+        gc.disable()
+        assert main(["ingest", "--corpus", corpus_path, "--out", str(tmp_path / "out")]) == 0
+        assert seen == [False] and not gc.isenabled()
+
+    def test_the_garbage_a_fit_leaves_does_not_grow_with_its_sweeps(self, seen, corpus_path, tmp_path):
+        # With the collector off from the caller, gc.collect() after a command finds all it left in cycles.
+        def garbage(sweeps: int) -> int:
+            flags = ["--topics", "2", "--sweeps", str(sweeps), "--burn-in", "1", "--seed", "42"]
+            assert main(["fit", "--corpus", corpus_path, "--out", str(tmp_path / "out"), *flags]) == 0
+            return gc.collect()
+
+        gc.disable()
+        garbage(5)  # what a first fit leaves once
+        few, many = garbage(5), garbage(200)
+        assert many <= few < 1000
 
 
 class TestCommandImports:

@@ -23,6 +23,7 @@ from lextopic.corpus import (
     length_ratio,
     load_corpus,
     parse_law_type,
+    _string_date,
     parse_record_date,
     save_corpus,
     type_counts_by_year,
@@ -279,6 +280,34 @@ class TestLawTypeParsing:
             parse_law_type("Treaty")
 
 
+# Pieces of date strings: ASCII, Persian and Arabic-Indic digits, each form's separators, ASCII and other
+# spaces, month and day names right and wrong, and letters that are not ASCII, some of them like ASCII ones.
+_DIGITS = "0123456789" + "۰۱۲۳۴۵۶۷۸۹" + "٠١٢٣٤٥٦٧٨٩"
+_DATE_PIECES = ["/", "-", ",", ", ", " ", "\t", "\u3000", "\xa0", "July", "march", "Saturday", "Smarch", "é",
+                "ق", "Ж", "\u017f", "\u212a", "1400", "۱۴۰۰", "12", "7", "x"]
+
+
+@st.composite
+def _date_strings(draw) -> str:
+    """A date string of one form, its digits of any script, then perhaps cut, grown or spoiled, and padded."""
+    number = lambda size: "".join(draw(st.lists(st.sampled_from(_DIGITS), min_size=size, max_size=size)))
+    separator = draw(st.sampled_from("/-"))
+    month_name = draw(st.sampled_from(["July", "march", "DECEMBER", "Smarch", "Julyy", "é"]))
+    day, month, year = number(draw(st.integers(1, 2))), number(draw(st.integers(1, 2))), number(4)
+    text = draw(st.sampled_from([
+        f"{year}{separator}{month}{separator}{day}", f"{month}{separator}{day}{separator}{year}",
+        f"{month_name} {day}, {year}", f"Saturday, {month_name} {day},{year}",
+        "".join(draw(st.lists(st.sampled_from(_DATE_PIECES + list(_DIGITS)), max_size=8))),
+    ]))
+    if text and draw(st.booleans()):  # a near miss: a character dropped, added or replaced
+        at = draw(st.integers(0, len(text) - 1))
+        piece = draw(st.sampled_from(_DATE_PIECES + list(_DIGITS[::7])))
+        text = draw(st.sampled_from([text[:at] + text[at + 1:], text[:at] + piece + text[at:],
+                                     text[:at] + piece + text[at + 1:]]))
+    space = st.sampled_from(["", "", " ", "\t ", "\u3000", "\n"])
+    return draw(space) + text + draw(space)
+
+
 class TestDateParsing:
     def test_year_first_string(self):
         date = parse_record_date("1402/04/06")
@@ -340,6 +369,12 @@ class TestDateParsing:
     def test_a_year_past_the_digit_limit_is_quoted_by_its_type(self):
         with pytest.raises(MalformedDate, match="^malformed date a dict too long to show$"):
             parse_record_date({"year": 10**5000, "month": 1, "day": 1})
+
+    @settings(max_examples=500, deadline=None)
+    @given(_date_strings())
+    def test_the_first_character_picks_the_forms_as_trying_all_three_did(self, text):
+        assert _string_date(text) == reference.string_date(text)
+
 
 
 class TestFilterByType:

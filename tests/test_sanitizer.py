@@ -22,6 +22,7 @@ import pytest
 import lextopic
 from conftest import jsonl_row, write_jsonl
 from lextopic import _gibbs
+from test_read_path import _PARSE_RULES, _case_line
 from test_vectorize import LETTERS, NEAR_MISSES, WHITESPACE
 
 SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
@@ -47,13 +48,14 @@ HOSTILE = [
 
 # Rows the reader builds into records, and rows it gives back after a call it makes raises or refuses them: an
 # invalid Jalali day, an unknown law type, a duplicate id (the good row's), a malformed date string and one in no
-# date form. Each record's fields pass through dataclass_instance, and each given-back row's call is undone.
+# date form. Each record's fields pass through dataclass_instance, and each given-back row's call is undone. Then
+# the slot sink's parse rules: repeats, nulls, escaped and unknown names, and malformed values it drops.
 RECORD_PATH = [json.dumps(jsonl_row(record_id, **fields), ensure_ascii=False).encode() for record_id, fields in [
     ("d1", {"date": "Saturday, July 10, 1402"}), ("d2", {"date": {"year": 1400, "month": 7, "day": 1}}),
     ("d3", {"lead": None, "tags": None, "classes": [], "category": None, "type": "Bill", "law_type": None}),
     ("e1", {"date": {"year": 1400, "month": 7, "day": 31}}), ("e2", {"law_type": "Unknown"}), ("r0", {}),
     ("e3", {"date": "1400/13/01"}), ("e4", {"date": "Monday, Smarch 1, 1400"}), ("e5", {"date": "{bad"}),
-]]
+]] + [_case_line(index, members) for index, members in enumerate(_PARSE_RULES)]
 
 PERSIAN_TOPICS = ["مالیات بودجه درآمد دولت", "دادگاه قاضی حکم تجدیدنظر", "آموزش مدرسه دانشگاه فرهنگ"]
 
